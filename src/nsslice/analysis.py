@@ -24,7 +24,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .galerkin import (
     OperatorTensors,
@@ -51,6 +50,10 @@ def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if y.size < 3:
         out = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]))])
         return out
+    # imported here: scipy.integrate pulls in scipy.optimize, which every
+    # command importing the package would otherwise pay for at start-up
+    from scipy.integrate import cumulative_simpson
+
     return np.concatenate([[0.0], cumulative_simpson(y, x=x)])
 
 

@@ -31,6 +31,7 @@ from .galerkin import (
     GalerkinState,
     SolveSetup,
     SpectralBasis,
+    _normalize_forcing,
     assemble,
     coercivity_check,
     divergence_residual,
@@ -272,11 +273,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     basis = _basis_from_config(cfg, u0.extents)
     tensors = assemble(basis, chart, params["quadrature_order"])
     forcing = _forcing_from_config(cfg)
+    f_of_t = _normalize_forcing(forcing, tensors)
     coeffs0 = project_field_to_basis(u0, basis)
     state0 = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
     result = solve_from_state(
         state0,
-        forcing,
+        f_of_t,
         tensors,
         params["nu"],
         params["dt"],
@@ -284,7 +286,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         record_every=params["record_every"],
         frame_dims=u0.dims,
     )
-    ledger = analysis.ledger_from_run(result.trace, tensors, forcing, params["nu"])
+    ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, params["nu"])
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     frame_files = []
@@ -297,7 +299,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         divergence_residual(result.trace.coeffs[k], tensors) for k in range(len(result.trace))
     )
     dual_max = max(
-        rhs_dual_norm(result.trace.coeffs[k], tensors, forcing, params["nu"],
+        rhs_dual_norm(result.trace.coeffs[k], tensors, f_of_t, params["nu"],
                       result.trace.times[k])
         for k in range(len(result.trace))
     )

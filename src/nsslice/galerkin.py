@@ -204,8 +204,8 @@ class TrilinearTensor:
         n2 = ytab.shape[0]
         # tmp[a, d, n] = sum_b A[a, b] Y[b, d, n]
         tmp = a2d @ ytab.reshape(n2, n2 * n2)
-        # e[a, c, n] = sum_d tmp[a, d, n] B[c, d]
-        e = np.einsum("adn,cd->acn", tmp.reshape(n1, n2, n2), b2d)
+        # e[a, c, n] = sum_d B[c, d] tmp[a, d, n], one batched GEMM over a
+        e = b2d @ tmp.reshape(n1, n2, n2)
         # R[m, n] = sum_{a, c} X[a, c, m] e[a, c, n]
         return xtab.reshape(n1 * n1, n1).T @ e.reshape(n1 * n1, n2)
 
@@ -423,14 +423,13 @@ def assemble(
     # orthogonal projector is the mass-orthogonal one.  The tolerance carries
     # an absolute floor at the operator's natural scale so that an
     # all-round-off matrix reads as rank zero.
-    svals = scipy.linalg.svdvals(constraint)
+    _, svals, vt = scipy.linalg.svd(constraint, full_matrices=True)
     scale_c = np.pi * max(n1, n2) / min(l1, l2) * (l1 * l2 / 4.0)
     tol = max(
         (svals[0] if svals.size else 0.0) * max(constraint.shape) * np.finfo(float).eps,
         1e-12 * scale_c,
     )
     rank = int(np.sum(svals > tol))
-    _, _, vt = scipy.linalg.svd(constraint, full_matrices=True)
     null_basis = vt[rank:].T
     projector = null_basis @ null_basis.T
     # odd-by-odd mode counts carry one structural left-null direction of the
@@ -480,7 +479,12 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors) -> float:
 
 
 def _normalize_forcing(forcing, tensors: OperatorTensors):
-    """Return callable t -> (3, M) basis coefficients of the forcing."""
+    """Return callable t -> (3, M) basis coefficients of the forcing.
+
+    A TimeSeriesField has every frame projected onto the basis on each call,
+    so callers that evaluate the forcing repeatedly (per trace state, per
+    ledger, per solve) must normalise it once and pass the callable on.
+    """
     m = tensors.nmodes_total
     if forcing is None:
         zero = np.zeros((3, m))
@@ -576,11 +580,8 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
     j2 = fld.dims[1] - 1
     s1 = basis.sine_table(0, fld.axis_coords(0))  # (N1, n1grid)
     s2 = basis.sine_table(1, fld.axis_coords(1))
-    grid = np.einsum("mi,cij,nj->cmn", s1, fld.data, s2) * (4.0 / (j1 * j2))
-    out = np.empty((fld.ncomp, basis.nmodes_total))
-    for c in range(fld.ncomp):
-        out[c] = basis.gather(grid[c])
-    return out
+    grid = (s1 @ fld.data @ s2.T) * (4.0 / (j1 * j2))
+    return basis.gather(grid)
 
 
 def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
@@ -592,7 +593,7 @@ def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     s1 = basis.sine_table(0, x)
     s2 = basis.sine_table(1, y)
     grids = basis.scatter(u)
-    data = np.einsum("mi,cmn,nj->cij", s1, grids, s2)
+    data = s1.T @ grids @ s2
     return Field(dims=(n1, n2), extents=basis.extents, ncomp=u.shape[0], data=data)
 
 
@@ -716,7 +717,9 @@ def rhs_dual_norm(
     measured against test functions in the gradient seminorm, i.e.
     sqrt(F^T K^{-1} F) per component with K the (diagonal) gradient Gram
     matrix.  Useful for monitoring how hard the coefficient ODE is being
-    driven; no controller consumes it.
+    driven; no controller consumes it.  f_coeffs is None, a (3, M) array, a
+    TimeSeriesField, or the callable t -> (3, M) that _normalize_forcing
+    returns; pass the callable when evaluating many states.
     """
     f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u = np.asarray(coeffs).reshape(3, -1)
@@ -731,19 +734,17 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     """Smallest eigenvalue of the negated stiffness on the div-free subspace.
 
     Mass-normalized (generalized eigenvalue problem); a strictly positive
-    value certifies discrete ellipticity of the projected operator.
+    value certifies discrete ellipticity of the projected operator.  The
+    3M x 3M stiffness and mass are block diagonal with one (M, M) block per
+    velocity component, so the reduced matrices are sums of per-component
+    products z_c^T K z_c over the component row blocks z_c of the null basis,
+    and only the smallest eigenvalue is computed.
     """
-    z = tensors.null_basis
     m = tensors.nmodes_total
-    s3 = np.zeros((3 * m, 3 * m))
-    m3 = np.zeros((3 * m, 3 * m))
-    for c in range(3):
-        sl = slice(c * m, (c + 1) * m)
-        s3[sl, sl] = -tensors.stiffness_A1
-        m3[sl, sl] = tensors.mass
-    a = z.T @ s3 @ z
-    b = z.T @ m3 @ z
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    z = tensors.null_basis.reshape(3, m, -1)
+    a = sum(zc.T @ (-tensors.stiffness_A1) @ zc for zc in z)
+    b = sum(zc.T @ tensors.mass @ zc for zc in z)
+    vals = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 
 

@@ -136,8 +136,8 @@ class ManufacturedSolution:
     def _project(self, values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
         xg, wx, yg, wy, s1, s2, mass, _ = self._quad(basis)
         weighted = values * wx[None, :, None] * wy[None, None, :]
-        grid = np.einsum("mi,cij,nj->cmn", s1, weighted, s2) / mass
-        return np.stack([basis.gather(grid[c]) for c in range(3)])
+        grid = (s1 @ weighted @ s2.T) / mass
+        return basis.gather(grid)
 
     def exact_coeffs(self, t: float, basis: SpectralBasis) -> np.ndarray:
         xg, _, yg, _, _, _, _, _ = self._quad(basis)
@@ -162,7 +162,7 @@ class ManufacturedSolution:
         """True L2 distance between the expansion and the exact velocity."""
         xg, wx, yg, wy, s1, s2, _, _ = self._quad(basis)
         grids = basis.scatter(np.asarray(coeffs).reshape(3, -1))
-        synth = np.einsum("mi,cmn,nj->cij", s1, grids, s2)
+        synth = s1.T @ grids @ s2
         diff = synth - self.velocity(t, xg, yg)
         return float(np.sqrt(np.sum(diff**2 * wx[None, :, None] * wy[None, None, :])))
 

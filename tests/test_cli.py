@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import nsslice.cli
+import nsslice.galerkin
 from nsslice.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main, parse_config
 from nsslice.fieldio import Field, read_field, restrict_to_slice, write_field
 from nsslice.geometry import Hyperplane, make_chart
@@ -265,7 +267,7 @@ def test_mms_subcommand_small(tmp_path):
     assert (out / "mms_temporal.csv").exists()
 
 
-def test_pipeline_project_then_solve_with_forcing(tmp_path):
+def test_pipeline_project_then_solve_with_forcing(tmp_path, monkeypatch):
     # restrict a 3D initial field and a small 3D forcing series, then run the
     # solver on the slice consuming the emitted forcing manifest
     u0_path = tmp_path / "u0.nsf1"
@@ -297,6 +299,15 @@ def test_pipeline_project_then_solve_with_forcing(tmp_path):
     assert rc == EXIT_OK
     manifest = json.loads((proj / "chart_manifest.json").read_text())
     assert manifest["files"]["forcing"] == "forcing_slice.json"
+    projected = []
+    project = nsslice.galerkin.project_field_to_basis
+
+    def counting_project(*args, **kwargs):
+        projected.append(args[0])
+        return project(*args, **kwargs)
+
+    for module in (nsslice.galerkin, nsslice.cli):
+        monkeypatch.setattr(module, "project_field_to_basis", counting_project)
     out = tmp_path / "run"
     rc = main([
         "solve", "--out", str(out),
@@ -309,6 +320,9 @@ def test_pipeline_project_then_solve_with_forcing(tmp_path):
     ledger = json.loads((out / "energy_ledger.json").read_text())
     assert ledger["inequality_holds"]
     assert max(map(abs, ledger["work"])) > 0.0  # the forcing actually acted
+    # u0 once and each forcing frame once, however many states the solve,
+    # the ledger and the dual-norm diagnostic evaluate the forcing at
+    assert len(projected) == len(frames) + 1
 
 
 def test_config_file_and_overrides(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nsslice.fieldio import Field
+from nsslice.fieldio import Field, restrict_to_slice
 from nsslice.galerkin import (
     BlowUpError,
     GalerkinState,
@@ -473,6 +474,29 @@ def test_projection_roundtrip_field(square_basis):
     assert np.max(np.abs(back - coeffs)) < 1e-12
 
 
+def test_transforms_match_einsum_oracle():
+    # the matrix-product transforms against the explicit contractions, on an
+    # odd x even basis over the section of an oblique plane, 3 components
+    def f(x, y, z):
+        return np.stack([np.sin(3 * x + y) * z, np.cos(x - 2 * z) * y, x * y * z])
+
+    box = Field.from_function((13, 13, 13), (1.3, 0.8, 1.0), 3, f)
+    chart = make_chart(Hyperplane.from_vector((0.3, 0.2, 1.0), 0.6))
+    fld = restrict_to_slice(box, chart, (19, 24))
+    basis = SpectralBasis(nmodes=(5, 6), extents=fld.extents)
+    s1 = basis.sine_table(0, fld.axis_coords(0))
+    s2 = basis.sine_table(1, fld.axis_coords(1))
+    grid = np.einsum("mi,cij,nj->cmn", s1, fld.data, s2) * (4.0 / (18 * 23))
+    want = basis.gather(grid)
+    got = project_field_to_basis(fld, basis)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    coeffs = np.random.default_rng(5).standard_normal((3, basis.nmodes_total))
+    want = np.einsum("mi,cmn,nj->cij", s1, basis.scatter(coeffs), s2)
+    got = synthesize_field(basis, coeffs, fld.dims).data
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_projection_grid_too_coarse(square_basis):
     fld = Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=3, data=np.zeros((3, 4, 4)))
     with pytest.raises(ValueError, match="too coarse"):
@@ -514,6 +538,9 @@ def test_coercivity_positive_random_charts():
             x /= np.linalg.norm(x)
         rayleigh = float(x @ a @ x) / float(x @ b @ x)
         assert val == pytest.approx(rayleigh, rel=1e-6)
+        # and the full generalized spectrum of the dense reduced problem
+        full = scipy.linalg.eigh(a, b, eigvals_only=True)
+        assert val == pytest.approx(full[0], rel=1e-10)
 
 
 def test_default_quadrature_order_scales(square_basis):
