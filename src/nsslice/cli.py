@@ -399,14 +399,16 @@ def cmd_quadform(cfg: RunConfig) -> int:
     lambda1 = cfg.float_("quadform.lambda1", default=qf.box_lambda1(ref.extents), positive=True)
     w_path = cfg.str_("io.w")
 
-    report = qf.uniqueness_criterion(series, nu, lambda1, c_gn)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    norms = []
     inertia_hists = []
     degenerate_fracs = []
     signed = None
+    # one gradient pass per frame feeds both the criterion and the canonical form
     for i, frame in enumerate(series.frames):
         strain = qf.strain_field(frame)
+        norms.append(strain.gradient_norms())
         dec = qf.canonicalize(strain, pivot_tol)
         inertia_hists.append(dec.inertia_histogram())
         degenerate_fracs.append(dec.degenerate_fraction)
@@ -419,6 +421,7 @@ def cmd_quadform(cfg: RunConfig) -> int:
         if w_path is not None and i == 0:
             wfield = read_field(w_path)
             signed = qf.signed_integral(strain, wfield)
+    report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, c_gn)
     payload = report.to_dict()
     payload["inertia_histograms"] = inertia_hists
     payload["degenerate_fractions"] = degenerate_fracs

@@ -11,15 +11,25 @@ identically for any psi, u3b.  The matching forcing
     f = d/dt u - nu * A1 u + B1(u, u)
 
 is derived symbolically (sympy) and absorbs everything, so the discrete
-solver must reproduce u to its spatial and temporal accuracy.  Shapes use
-squared-sine boundary envelopes times exp(sin(...)) factors: smooth, zero on
-the boundary, and with slowly enough decaying sine coefficients that spatial
-convergence is measurable above the round-off floor.
+solver must reproduce u to its spatial and temporal accuracy.  Because the
+amplitude g(t) is the only time dependence (u = g(t) U(x, y)), the forcing
+splits exactly into three fixed fields,
+
+    f = g'(t) a + g(t) b + g(t)^2 c,   a = U,  b = -nu A1 U,  c = (W . grad) U,
+
+with W the in-plane advecting velocity of U.  Their projections are computed
+once per basis, so the forcing at a stage time costs three scaled sums.
+Shapes use squared-sine boundary envelopes times exp(sin(...)) factors:
+smooth, zero on the boundary, and with slowly enough decaying sine
+coefficients that spatial convergence is measurable above the round-off
+floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +58,11 @@ class ManufacturedSolution:
     sine basis cannot do better than a fixed algebraic order for velocities
     that actually advect (one in-plane component is always even across each
     wall), so the envelope power is what sets the convergence order.
+
+    The velocity is g(t) U(x, y), so the forcing is g'(t) a + g(t) b +
+    g(t)^2 c with a = U, b = -nu A1 U and c = (W . grad) U fixed in time;
+    _u_exprs and _f_exprs hold the full time-dependent expressions.  The
+    split holds only while g(t) is the sole time dependence of the solution.
     """
 
     extents: tuple[float, float] = (1.0, 1.0)
@@ -58,8 +73,8 @@ class ManufacturedSolution:
     sigma: float = 4.0
     omega: float = 3.0
     envelope_power: int = 4
-    _u_funcs: list = field(init=False, repr=False)
-    _f_funcs: list = field(init=False, repr=False)
+    _u_func: Callable = field(init=False, repr=False)
+    _bc_func: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         import sympy as sp
@@ -79,36 +94,66 @@ class ManufacturedSolution:
         psi = self.amp_psi * sx**p * sy**p * sp.exp(self.sigma * sx * sy)
         u3b = self.amp_w * sx ** (p - 1) * sy ** (p - 1) * sp.exp(0.5 * self.sigma * sy)
         g = 1 + sp.Rational(1, 2) * sp.sin(self.omega * t)
-        u1 = g * (sp.diff(psi, y) - self.c1 * u3b)
-        u2 = g * (-sp.diff(psi, x) - self.c2 * u3b)
-        u3 = g * u3b
-        comps = [u1, u2, u3]
+        self._symbols = (t, x, y)
+        shape = [sp.diff(psi, y) - self.c1 * u3b, -sp.diff(psi, x) - self.c2 * u3b, u3b]
+        w1 = shape[0] + self.c1 * shape[2]
+        w2 = shape[1] + self.c2 * shape[2]
+        b = [-self.nu * self._a1(h) for h in shape]
+        c = [w1 * sp.diff(h, x) + w2 * sp.diff(h, y) for h in shape]
+        self._u_exprs = [g * h for h in shape]
+        self._time_factors = sp.lambdify(t, (sp.diff(g, t), g), "numpy")
+        self._u_func = sp.lambdify((x, y), shape, "numpy", cse=True)
+        self._bc_func = sp.lambdify((x, y), b + c, "numpy", cse=True)
+        self._proj_cache: dict = {}
 
-        def cross(h):
-            return self.c1 * sp.diff(h, x) + self.c2 * sp.diff(h, y)
+    def _a1(self, h):
+        """A1 h = D1^2 h + D2^2 h + (c1 D1 + c2 D2)^2 h, symbolically."""
+        import sympy as sp
 
+        _, x, y = self._symbols
+
+        def cross(e):
+            return self.c1 * sp.diff(e, x) + self.c2 * sp.diff(e, y)
+
+        return sp.diff(h, x, 2) + sp.diff(h, y, 2) + cross(cross(h))
+
+    @cached_property
+    def _f_exprs(self) -> list:
+        """Full forcing du/dt - nu A1 u + B1(u, u) per component.
+
+        Built on first access: the solver uses the split fields, and this is
+        the definition they are checked against.
+        """
+        import sympy as sp
+
+        t, x, y = self._symbols
+        u1, u2, u3 = self._u_exprs
         v1 = u1 + self.c1 * u3
         v2 = u2 + self.c2 * u3
-        fs = []
-        for ui in comps:
-            a1_ui = sp.diff(ui, x, 2) + sp.diff(ui, y, 2) + cross(cross(ui))
-            fi = sp.diff(ui, t) - self.nu * a1_ui + v1 * sp.diff(ui, x) + v2 * sp.diff(ui, y)
-            fs.append(fi)
-        self._symbols = (t, x, y)
-        self._u_exprs = comps
-        self._f_exprs = fs
-        self._u_funcs = [sp.lambdify((t, x, y), ui, "numpy", cse=True) for ui in comps]
-        self._f_funcs = [sp.lambdify((t, x, y), fi, "numpy", cse=True) for fi in fs]
-        self._proj_cache: dict = {}
+        return [
+            sp.diff(ui, t) - self.nu * self._a1(ui) + v1 * sp.diff(ui, x) + v2 * sp.diff(ui, y)
+            for ui in self._u_exprs
+        ]
+
+    @staticmethod
+    def _on_grid(func, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
+        xm, ym = np.meshgrid(xg, yg, indexing="ij")
+        return np.stack([np.broadcast_to(v, xm.shape) for v in func(xm, ym)])
+
+    def _forcing_fields(self, xg: np.ndarray, yg: np.ndarray):
+        """The fixed fields a, b, c, each (3, nx, ny), on the grid xg x yg."""
+        bc = self._on_grid(self._bc_func, xg, yg)
+        return self._on_grid(self._u_func, xg, yg), bc[:3], bc[3:]
 
     def velocity(self, t: float, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
         """Exact velocity (3, nx, ny) on the tensor grid xg x yg."""
-        xm, ym = np.meshgrid(xg, yg, indexing="ij")
-        return np.stack([np.broadcast_to(f(t, xm, ym), xm.shape) for f in self._u_funcs])
+        _, g = self._time_factors(t)
+        return g * self._on_grid(self._u_func, xg, yg)
 
     def forcing_values(self, t: float, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
-        xm, ym = np.meshgrid(xg, yg, indexing="ij")
-        return np.stack([np.broadcast_to(f(t, xm, ym), xm.shape) for f in self._f_funcs])
+        dg, g = self._time_factors(t)
+        a, b, c = self._forcing_fields(xg, yg)
+        return dg * a + g * b + g * g * c
 
     def velocity_field(self, t: float, dims) -> Field:
         xg = np.linspace(0.0, self.extents[0], int(dims[0]))
@@ -130,7 +175,7 @@ class ManufacturedSolution:
             s1 = basis.sine_table(0, xg)
             s2 = basis.sine_table(1, yg)
             mass = basis.extents[0] * basis.extents[1] / 4.0
-            self._proj_cache[key] = (xg, wx, yg, wy, s1, s2, mass, {})
+            self._proj_cache[key] = [xg, wx, yg, wy, s1, s2, mass, None]
         return self._proj_cache[key]
 
     def _project(self, values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -144,17 +189,21 @@ class ManufacturedSolution:
         return self._project(self.velocity(t, xg, yg), basis)
 
     def forcing_coeffs(self, basis: SpectralBasis):
-        """Callable t -> (3, M) basis coordinates of the forcing, memoized."""
+        """Callable t -> (3, M) basis coordinates of the forcing.
+
+        The three fixed fields a, b, c are projected on the first request for
+        a basis and kept with its quadrature grid; each call then combines
+        the projections with g'(t), g(t) and g(t)^2.
+        """
+        quad = self._quad(basis)
+        if quad[-1] is None:
+            xg, _, yg, _, _, _, _, _ = quad
+            quad[-1] = [self._project(v, basis) for v in self._forcing_fields(xg, yg)]
+        pa, pb, pc = quad[-1]
 
         def f_of_t(t: float) -> np.ndarray:
-            cache = self._quad(basis)[-1]
-            tkey = float(t)
-            if tkey not in cache:
-                if len(cache) > 64:
-                    cache.clear()
-                xg, _, yg, _, _, _, _, _ = self._quad(basis)
-                cache[tkey] = self._project(self.forcing_values(t, xg, yg), basis)
-            return cache[tkey]
+            dg, g = self._time_factors(t)
+            return dg * pa + g * pb + g * g * pc
 
         return f_of_t
 

@@ -63,6 +63,19 @@ class StrainMatrixField:
         """Pointwise trace of the strain; equals div v up to stencil error."""
         return self.sym[0, 0] + self.sym[1, 1] + self.sym[2, 2]
 
+    def gradient_norms(self) -> np.ndarray:
+        """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
+
+        Taken from the stored gradient, so no second differentiation pass.
+        """
+        weights = _trapezoid_weights(self.dims, self.extents)
+        out = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                g = self.grad[i, j]
+                out[i, j] = np.sqrt(float(np.sum(weights * g * g)))
+        return out
+
 
 def strain_field(v: Field) -> StrainMatrixField:
     """Symmetrized gradient of a 3-component 3D field.
@@ -101,9 +114,16 @@ class QuadFormDecomposition:
         return float(1.0 - np.mean(self.jacobi))
 
     def inertia_histogram(self) -> dict[str, int]:
-        keys, counts = np.unique(self.inertia, axis=0, return_counts=True)
+        """Count of each inertia triple, keyed "+p0z-m", in lexicographic order.
+
+        Entries lie in 0..3, so 16 p + 4 z + m encodes a triple in 0..63 with
+        the lexicographic order kept, and one bincount replaces a row sort.
+        """
+        codes = self.inertia @ np.array([16, 4, 1])
+        counts = np.bincount(codes, minlength=64)
         return {
-            "+%d0%d-%d" % (k[0], k[1], k[2]): int(c) for k, c in zip(keys, counts)
+            "+%d0%d-%d" % (c >> 4, (c >> 2) & 3, c & 3): int(counts[c])
+            for c in np.flatnonzero(counts)
         }
 
     def point(self, idx: int) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
@@ -206,11 +226,11 @@ def box_lambda1(extents) -> float:
     return float(np.pi**2 * sum(1.0 / e**2 for e in ext))
 
 
-def _trapezoid_weights(fld: Field) -> np.ndarray:
+def _trapezoid_weights(dims, extents) -> np.ndarray:
     ws = []
-    for axis in range(fld.ndim_grid):
-        h = fld.spacing(axis)
-        w = np.full(fld.dims[axis], h)
+    for n, e in zip(dims, extents):
+        h = e / (n - 1)
+        w = np.full(n, h)
         w[0] = w[-1] = 0.5 * h
         ws.append(w)
     out = ws[0]
@@ -220,17 +240,14 @@ def _trapezoid_weights(fld: Field) -> np.ndarray:
 
 
 def gradient_norms(v: Field) -> np.ndarray:
-    """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature)."""
+    """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
+
+    Shorthand for strain_field(v).gradient_norms(); a caller that also needs
+    the strain should take the norms from it rather than differentiate twice.
+    """
     if v.ncomp != 3 or v.ndim_grid != 3:
         raise ValueError("gradient_norms needs a 3-component 3D field")
-    weights = _trapezoid_weights(v)
-    out = np.empty((3, 3))
-    for i in range(3):
-        h = v.spacing(i)
-        for j in range(3):
-            g = np.gradient(v.data[j], h, axis=i, edge_order=2)
-            out[i, j] = np.sqrt(float(np.sum(weights * g * g)))
-    return out
+    return strain_field(v).gradient_norms()
 
 
 @dataclass
@@ -248,6 +265,35 @@ class CriterionReport:
     lambda1: float
     c_gn: float
     rows: list[CriterionRow]
+
+    @classmethod
+    def from_norms(cls, times, norms, nu: float, lambda1: float, c_gn: float) -> "CriterionReport":
+        """Criterion rows from per-frame gradient norms (see uniqueness_criterion).
+
+        norms yields one (3, 3) array per time; it is consumed after the
+        parameters are validated, so it may be a lazy generator.
+        """
+        if lambda1 <= 0.0:
+            raise ValueError("lambda1 must be positive")
+        if c_gn <= 0.0:
+            raise ValueError("c_gn must be positive")
+        if nu <= 0.0:
+            raise ValueError("nu must be positive")
+        lhs = nu * lambda1**0.25
+        rows = []
+        for t, nrm in zip(times, norms):
+            rhs = tuple(float(c_gn**2 * np.sum(nrm[:, j])) for j in range(3))
+            sat = tuple(bool(lhs >= r) for r in rhs)
+            rows.append(
+                CriterionRow(
+                    time=float(t),
+                    rhs_per_component=rhs,
+                    lhs=lhs,
+                    satisfied_per_component=sat,
+                    satisfied=all(sat),
+                )
+            )
+        return cls(nu=nu, lambda1=lambda1, c_gn=c_gn, rows=rows)
 
     @property
     def satisfied(self) -> bool:
@@ -279,31 +325,16 @@ def uniqueness_criterion(v_series, nu: float, lambda1: float, c_gn: float) -> Cr
     c_gn^2 * sum_i ||D_i v_j||_2; the criterion is satisfied at (t, j) when
     nu * lambda1^(1/4) >= rhs.  A frame is satisfied when all three
     components are (the aggregate reading of the per-component condition).
+
+    Each frame is differentiated once, by gradient_norms.  A caller that also
+    needs the strain of every frame (the quadform command) computes
+    strain_field once per frame instead and passes strain.gradient_norms() to
+    CriterionReport.from_norms, which gives the same report.
     """
-    if lambda1 <= 0.0:
-        raise ValueError("lambda1 must be positive")
-    if c_gn <= 0.0:
-        raise ValueError("c_gn must be positive")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
     if isinstance(v_series, Field):
         v_series = TimeSeriesField(times=np.array([0.0]), frames=(v_series,))
-    lhs = nu * lambda1**0.25
-    rows = []
-    for t, frame in zip(v_series.times, v_series.frames):
-        norms = gradient_norms(frame)
-        rhs = tuple(float(c_gn**2 * np.sum(norms[:, j])) for j in range(3))
-        sat = tuple(bool(lhs >= r) for r in rhs)
-        rows.append(
-            CriterionRow(
-                time=float(t),
-                rhs_per_component=rhs,
-                lhs=lhs,
-                satisfied_per_component=sat,
-                satisfied=all(sat),
-            )
-        )
-    return CriterionReport(nu=nu, lambda1=lambda1, c_gn=c_gn, rows=rows)
+    norms = (gradient_norms(frame) for frame in v_series.frames)
+    return CriterionReport.from_norms(v_series.times, norms, nu, lambda1, c_gn)
 
 
 def signed_integral(strain: StrainMatrixField, w: Field) -> float:
@@ -320,5 +351,5 @@ def signed_integral(strain: StrainMatrixField, w: Field) -> float:
     if w.dims != strain.dims:
         raise ValueError(f"shape mismatch: strain {strain.dims} vs w {w.dims}")
     bvals = np.einsum("jk...,j...,k...->...", strain.sym, w.data, w.data)
-    weights = _trapezoid_weights(w)
+    weights = _trapezoid_weights(w.dims, w.extents)
     return float(np.sum(weights * bvals))

@@ -43,6 +43,44 @@ def test_forcing_matches_definition_symbolically(oblique_ms):
     assert sp.simplify(oblique_ms._f_exprs[1] - expect) == 0
 
 
+def test_split_forcing_matches_full_expressions(oblique_ms):
+    # oracle: project the full time-dependent forcing expressions directly
+    t, x, y = oblique_ms._symbols
+    full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_ms._f_exprs]
+    for nmodes in ((10, 10), (7, 10)):
+        basis = SpectralBasis(nmodes, (1.0, 1.0))
+        xg, wx, yg, wy, s1, s2, mass, _ = oblique_ms._quad(basis)
+        xm, ym = np.meshgrid(xg, yg, indexing="ij")
+        f_of_t = oblique_ms.forcing_coeffs(basis)
+        for tv in (0.0, 0.0137, 0.25, 1.3):
+            vals = np.stack([np.broadcast_to(f(tv, xm, ym), xm.shape) for f in full])
+            weighted = vals * wx[None, :, None] * wy[None, None, :]
+            want = basis.gather(np.einsum("ai,cij,bj->cab", s1, weighted, s2) / mass)
+            got = f_of_t(tv)
+            assert got.shape == (3, basis.nmodes_total)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_forcing_projected_once_per_basis(oblique_ms, monkeypatch):
+    calls = []
+    project = ManufacturedSolution._project
+
+    def counted(self, values, basis):
+        calls.append(basis.nmodes)
+        return project(self, values, basis)
+
+    monkeypatch.setattr(ManufacturedSolution, "_project", counted)
+    basis = SpectralBasis((9, 6), (1.0, 1.0))
+    first = oblique_ms.forcing_coeffs(basis)
+    assert len(calls) == 3  # the three fixed fields a, b, c
+    again = oblique_ms.forcing_coeffs(basis)
+    for k in range(100):
+        tv = 0.001 * k
+        assert np.array_equal(again(tv), first(tv))
+    assert len(calls) == 3
+
+
 def test_boundary_values_zero(oblique_ms):
     xg = np.linspace(0.0, 1.0, 17)
     vals = oblique_ms.velocity(0.3, xg, xg)

@@ -157,6 +157,44 @@ def test_default_pivot_tol_scales_with_field():
     assert default_pivot_tol(strain) == pytest.approx(1e-6)
 
 
+def test_inertia_histogram_matches_unique_rows():
+    rng = np.random.default_rng(21)
+    dims = (6, 5, 7)
+    grad = rng.standard_normal((3, 3) + dims)
+    grad[:, :, :2, :2, :] = 0.0              # zero block: inertia (0, 3, 0)
+    grad[0, :, 3, :, :3] = 0.0               # zero first row: a11 = 0
+    grad[:, 0, 3, :, :3] = 0.0
+    grad[:, :, 5, 4, :] = np.diag([1.0, 0.0, -1.0])[:, :, None]  # det M2 = 0
+    dec = canonicalize(StrainMatrixField.from_gradients(dims, (1.0, 1.0, 1.0), grad))
+    assert dec.jacobi.any() and not dec.jacobi.all()
+    keys, counts = np.unique(dec.inertia, axis=0, return_counts=True)
+    want = {"+%d0%d-%d" % (k[0], k[1], k[2]): int(c) for k, c in zip(keys, counts)}
+    got = dec.inertia_histogram()
+    assert len(want) >= 4
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is int for v in got.values())
+
+
+def test_strain_gradient_norms_match_direct_differences():
+    # the criterion norms reuse the strain's gradient; they must equal a fresh
+    # np.gradient pass with trapezoid weights bit for bit
+    fld = field_from(lambda x, y, z: np.stack([np.sin(3 * x) * y, x * z**2, np.cos(y + z)]),
+                     dims=(9, 11, 13), extents=(1.0, 2.0, 0.5))
+    ws = []
+    for axis in range(3):
+        w = np.full(fld.dims[axis], fld.spacing(axis))
+        w[0] = w[-1] = 0.5 * fld.spacing(axis)
+        ws.append(w)
+    weights = np.multiply.outer(np.multiply.outer(ws[0], ws[1]), ws[2])
+    want = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            g = np.gradient(fld.data[j], fld.spacing(i), axis=i, edge_order=2)
+            want[i, j] = np.sqrt(float(np.sum(weights * g * g)))
+    assert np.array_equal(strain_field(fld).gradient_norms(), want)
+    assert np.array_equal(gradient_norms(fld), want)
+
+
 def test_box_lambda1():
     assert box_lambda1((1.0, 1.0, 1.0)) == pytest.approx(3.0 * np.pi**2)
     assert box_lambda1((1.0, 2.0)) == pytest.approx(np.pi**2 * 1.25)
