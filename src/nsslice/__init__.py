@@ -22,7 +22,8 @@ from .galerkin import (
     assemble,
     coercivity_check,
     project_divfree,
-    solve,
+    project_field_to_basis,
+    solve_from_state,
     step,
 )
 
@@ -45,8 +46,9 @@ __all__ = [
     "OperatorTensors",
     "assemble",
     "project_divfree",
+    "project_field_to_basis",
     "step",
-    "solve",
+    "solve_from_state",
     "coercivity_check",
     "__version__",
 ]

@@ -25,13 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import (
-    OperatorTensors,
-    SolveResult,
-    SolveSetup,
-    Trace,
-    _normalize_forcing,
-)
+from . import galerkin
+from .galerkin import GalerkinState, OperatorTensors, SolveResult, Trace, _normalize_forcing
 
 logger = logging.getLogger(__name__)
 
@@ -233,49 +228,41 @@ def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:
 
 
 def uniqueness_experiment(
-    setup: SolveSetup,
+    tensors: OperatorTensors,
+    u0_coeffs: np.ndarray,
+    nu: float,
+    dt: float,
+    t_end: float,
     delta: float,
     seed: int = 0,
     mode: str = "initial",
 ) -> ContractionReport:
-    """Run twin solves and test the contraction envelope on their difference.
+    """Run unforced twin solves and test the contraction envelope on their difference.
 
-    mode="initial" perturbs the initial data by delta times a seeded
-    unit-norm divergence-free direction; mode="dt" reruns with dt/2 instead
-    (delta then only scales the reported envelope base, which uses
+    u0_coeffs, (3M,) or (3, M), is projected onto the divergence-free
+    subspace before each run.  mode="initial" perturbs it by delta times a
+    seeded unit-norm divergence-free direction; mode="dt" reruns with dt/2
+    instead (delta then only scales the reported envelope base, which uses
     max(delta, ||w(0)||)).  With delta = 0 and identical configurations the
     difference must vanish to round-off: determinism plus the zero initial
     difference leaves the twin runs identical.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    res_u = setup.run()
-    if mode == "initial":
-        pert = perturbation_coeffs(setup.tensors, seed) * delta
-        setup_v = SolveSetup(
-            tensors=setup.tensors,
-            u0_coeffs=np.asarray(setup.u0_coeffs, dtype=float).ravel() + pert,
-            forcing=setup.forcing,
-            nu=setup.nu,
-            dt=setup.dt,
-            t_end=setup.t_end,
-        )
-        res_v = setup_v.run()
-        stride = 1
-    elif mode == "dt":
-        setup_v = SolveSetup(
-            tensors=setup.tensors,
-            u0_coeffs=setup.u0_coeffs,
-            forcing=setup.forcing,
-            nu=setup.nu,
-            dt=setup.dt / 2.0,
-            t_end=setup.t_end,
-        )
-        res_v = setup_v.run()
-        stride = 2
-    else:
+    if mode not in ("initial", "dt"):
         raise ValueError(f"unknown mode {mode!r}")
-    return contraction_report(res_u, res_v, delta, stride_v=stride)
+    u0 = np.asarray(u0_coeffs, dtype=float).ravel()
+
+    def run(coeffs, step_dt):
+        # looked up on the galerkin module, where perfbench/tracer.py wraps them
+        state = galerkin.project_divfree(GalerkinState(coeffs=coeffs, time=0.0), tensors)
+        return galerkin.solve_from_state(state, None, tensors, nu, step_dt, t_end)
+
+    res_u = run(u0, dt)
+    if mode == "initial":
+        res_v = run(u0 + perturbation_coeffs(tensors, seed) * delta, dt)
+        return contraction_report(res_u, res_v, delta)
+    return contraction_report(res_u, run(u0, dt / 2.0), delta, stride_v=2)
 
 
 def contraction_report(

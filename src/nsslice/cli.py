@@ -24,12 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, mms as mms_mod, quadform as qf, stratify as st
+from . import analysis, galerkin, mms as mms_mod, quadform as qf, stratify as st
 from .fieldio import Field, TimeSeriesField, read_field, restrict_to_slice, write_field
 from .galerkin import (
     BlowUpError,
     GalerkinState,
-    SolveSetup,
     SpectralBasis,
     _normalize_forcing,
     assemble,
@@ -277,21 +276,19 @@ def cmd_solve(cfg: RunConfig) -> int:
     coeffs0 = project_field_to_basis(u0, basis)
     state0 = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
     result = solve_from_state(
-        state0,
-        f_of_t,
-        tensors,
-        params["nu"],
-        params["dt"],
-        params["t_end"],
-        record_every=params["record_every"],
-        frame_dims=u0.dims,
+        state0, f_of_t, tensors, params["nu"], params["dt"], params["t_end"]
     )
     ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, params["nu"])
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    # every record_every-th step plus the last, synthesized one at a time
+    nsteps = len(result.trace) - 1
+    recorded = [*range(0, nsteps, params["record_every"]), nsteps]
     frame_files = []
-    for i, frame in enumerate(result.frames.frames):
+    for i, k in enumerate(recorded):
         rel = f"u_{i:04d}.nsf1"
+        # galerkin.synthesize_field: looked up where perfbench/tracer.py wraps it
+        frame = galerkin.synthesize_field(basis, result.trace.coeffs[k], u0.dims)
         write_field(frame, out / rel)
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
@@ -327,7 +324,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "max_rhs_dual_norm": dual_max,
             "ledger": "energy_ledger.json",
             "frames": frame_files,
-            "frame_times": result.frames.times.tolist(),
+            "frame_times": result.trace.times[recorded].tolist(),
             "checks": checks,
         },
     )
@@ -355,23 +352,25 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     u0_path = cfg.str_("io.u0_slice")
     if u0_path:
         u0 = read_field(u0_path)
-        basis = _basis_from_config(cfg, u0.extents)
-        tensors = assemble(basis, chart, params["quadrature_order"])
-        u0_coeffs = project_field_to_basis(u0, basis).ravel()
+        extents = u0.extents
     else:
         extents = cfg.floats_("basis.extents", default="1,1", n=2)
-        basis = _basis_from_config(cfg, extents)
-        tensors = assemble(basis, chart, params["quadrature_order"])
+    basis = _basis_from_config(cfg, extents)
+    tensors = assemble(basis, chart, params["quadrature_order"])
+    if u0_path:
+        u0_coeffs = project_field_to_basis(u0, basis).ravel()
+    else:
         u0_coeffs = _synthetic_u0(cfg, tensors)
-    setup = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=u0_coeffs,
-        forcing=None,
-        nu=params["nu"],
-        dt=params["dt"],
-        t_end=params["t_end"],
+    report = analysis.uniqueness_experiment(
+        tensors,
+        u0_coeffs,
+        params["nu"],
+        params["dt"],
+        params["t_end"],
+        delta,
+        seed=cfg.seed,
+        mode=mode,
     )
-    report = analysis.uniqueness_experiment(setup, delta, seed=cfg.seed, mode=mode)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "contraction_report.json", report.to_dict())

@@ -279,10 +279,6 @@ class OperatorTensors:
     def nmodes_total(self) -> int:
         return self.basis.nmodes_total
 
-    @property
-    def mass_diag(self) -> np.ndarray:
-        return np.diag(self.mass)
-
     def max_stable_dt(self, nu: float) -> float:
         """RK4 rule of thumb dt <= 2.785 / (nu * lambda_max) for the stiff part."""
         lam_max = float(
@@ -310,11 +306,6 @@ class OperatorTensors:
     def grad_norm_sq(self, coeffs: np.ndarray) -> float:
         d1, d2, _ = self.dissipation_terms(coeffs)
         return d1 + d2
-
-    def inner_h(self, a: np.ndarray, b: np.ndarray) -> float:
-        ar = np.asarray(a).reshape(3, -1)
-        br = np.asarray(b).reshape(3, -1)
-        return float(np.sum(ar * (br @ self.mass)))
 
     def without_nonlinearity(self) -> "OperatorTensors":
         """Copy with the advection tensor zeroed; linear regression runs."""
@@ -607,56 +598,12 @@ class Trace:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, k: int) -> GalerkinState:
-        return GalerkinState(coeffs=self.coeffs[k], time=float(self.times[k]))
-
 
 @dataclass
 class SolveResult:
     trace: Trace
-    frames: TimeSeriesField
-    basis: SpectralBasis
     tensors: OperatorTensors
-    nu: float
-    dt: float
     final_state: GalerkinState
-
-
-def solve(
-    u0: Field,
-    forcing,
-    chart: SliceChart | None,
-    basis: SpectralBasis,
-    nu: float,
-    dt: float,
-    t_end: float,
-    tensors: OperatorTensors | None = None,
-    record_every: int = 1,
-    frame_dims: tuple[int, int] | None = None,
-) -> SolveResult:
-    """Integrate the projected Galerkin system from sampled initial data.
-
-    The initial field is mass-projected onto the basis and then projected
-    onto the divergence-free subspace; forcing may be None, a constant or
-    callable in basis coordinates, or a TimeSeriesField restricted to the
-    slice grid (linearly interpolated between frames).
-    """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if tensors is None:
-        tensors = assemble(basis, chart)
-    coeffs0 = project_field_to_basis(u0, basis)
-    state = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
-    return solve_from_state(
-        state,
-        forcing,
-        tensors,
-        nu,
-        dt,
-        t_end,
-        record_every=record_every,
-        frame_dims=frame_dims or u0.dims,
-    )
 
 
 def solve_from_state(
@@ -666,10 +613,14 @@ def solve_from_state(
     nu: float,
     dt: float,
     t_end: float,
-    record_every: int = 1,
-    frame_dims: tuple[int, int] = (33, 33),
 ) -> SolveResult:
-    """solve() without the field-projection front end; state is coefficients."""
+    """Integrate the projected Galerkin system from coefficient state to t_end.
+
+    forcing may be None, a constant or callable in basis coordinates, or a
+    TimeSeriesField restricted to the slice grid (linearly interpolated
+    between frames).  Every step is recorded in the returned trace; fields on
+    a grid are left to the caller (synthesize_field).
+    """
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
@@ -683,23 +634,9 @@ def solve_from_state(
         cur = step(cur, tensors, f_of_t, nu, dt)
         times[k + 1] = cur.time
         coeffs[k + 1] = cur.coeffs
-    trace = Trace(times=times, coeffs=coeffs)
-    rec = list(range(0, nsteps + 1, max(1, int(record_every))))
-    if rec[-1] != nsteps:
-        rec.append(nsteps)
-    frames = TimeSeriesField(
-        times=times[rec],
-        frames=tuple(
-            synthesize_field(tensors.basis, coeffs[k], frame_dims) for k in rec
-        ),
-    )
     return SolveResult(
-        trace=trace,
-        frames=frames,
-        basis=tensors.basis,
+        trace=Trace(times=times, coeffs=coeffs),
         tensors=tensors,
-        nu=nu,
-        dt=dt,
         final_state=cur,
     )
 
@@ -746,32 +683,3 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     b = sum(zc.T @ tensors.mass @ zc for zc in z)
     vals = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
-
-
-@dataclass
-class SolveSetup:
-    """One fully specified solver run: operators, data and parameters."""
-
-    tensors: OperatorTensors
-    u0_coeffs: np.ndarray      # (3M,) or (3, M)
-    forcing: object            # None | array | callable in basis coordinates
-    nu: float
-    dt: float
-    t_end: float
-
-    def initial_state(self) -> GalerkinState:
-        return project_divfree(
-            GalerkinState(coeffs=np.asarray(self.u0_coeffs, dtype=float).ravel(), time=0.0),
-            self.tensors,
-        )
-
-    def run(self, record_every: int = 1) -> SolveResult:
-        return solve_from_state(
-            self.initial_state(),
-            self.forcing,
-            self.tensors,
-            self.nu,
-            self.dt,
-            self.t_end,
-            record_every=record_every,
-        )

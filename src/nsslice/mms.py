@@ -220,7 +220,6 @@ class ManufacturedSolution:
         tensors: OperatorTensors,
         dt: float,
         t_end: float,
-        record_every: int = 10**9,
     ) -> SolveResult:
         basis = tensors.basis
         state = project_divfree(
@@ -234,7 +233,6 @@ class ManufacturedSolution:
             self.nu,
             dt,
             t_end,
-            record_every=record_every,
         )
 
 

@@ -163,7 +163,12 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
     a33 = mats[:, 2, 2]
     det1 = a11
     det2 = a11 * a22 - a12**2
-    det3 = np.linalg.det(mats)
+    # cofactor expansion of the symmetric matrix along its first row
+    det3 = (
+        a11 * (a22 * a33 - a23**2)
+        - a12 * (a12 * a33 - a13 * a23)
+        + a13 * (a12 * a23 - a13 * a22)
+    )
     ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
 
     b = np.full((npts, 3), np.nan)

@@ -87,10 +87,13 @@ def mask_from_field(w, eps: float) -> IndicatorGrid:
     """Threshold |w| > eps pointwise (Euclidean norm over components).
 
     Accepts a single Field (3D mask) or a TimeSeriesField (4D mask with the
-    frame times appended as the last axis).
+    frame times appended as the last axis).  A one-frame series has no time
+    extent and is treated as its single frame.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
+    if isinstance(w, TimeSeriesField) and len(w.frames) == 1:
+        w = w.frames[0]
     if isinstance(w, TimeSeriesField):
         mags = [np.sqrt(np.sum(f.data**2, axis=0)) for f in w.frames]
         mask = np.stack([m > eps for m in mags], axis=-1)

@@ -15,7 +15,6 @@ from nsslice.cli import main as cli_main
 from nsslice.fieldio import Field
 from nsslice.galerkin import (
     GalerkinState,
-    SolveSetup,
     SpectralBasis,
     assemble,
     coercivity_check,
@@ -171,16 +170,9 @@ def test_criterion_04_apriori_inequality(manufactured, mms_runs, tensors_axis):
 
 def test_criterion_05_uniqueness_contraction(tensors_oblique):
     start = time.time()
-    setup = SolveSetup(
-        tensors=tensors_oblique,
-        u0_coeffs=smooth_state(tensors_oblique, seed=106),
-        forcing=None,
-        nu=0.1,
-        dt=1e-3,
-        t_end=0.25,
-    )
-    twin = uniqueness_experiment(setup, 0.0, seed=1)
-    pert = uniqueness_experiment(setup, 1e-8, seed=1)
+    u0 = smooth_state(tensors_oblique, seed=106)
+    twin = uniqueness_experiment(tensors_oblique, u0, 0.1, 1e-3, 0.25, 0.0, seed=1)
+    pert = uniqueness_experiment(tensors_oblique, u0, 0.1, 1e-3, 0.25, 1e-8, seed=1)
     elapsed = time.time() - start
     ok = (
         twin.passed

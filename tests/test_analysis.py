@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nsslice.galerkin
 from nsslice.analysis import (
     ContractionReport,
     EnergyViolationError,
@@ -12,9 +13,9 @@ from nsslice.analysis import (
 )
 from nsslice.galerkin import (
     GalerkinState,
-    SolveSetup,
     SpectralBasis,
     assemble,
+    project_divfree,
     solve_from_state,
 )
 from nsslice.geometry import Hyperplane, make_chart
@@ -124,30 +125,21 @@ def test_negative_norm_rejected(tensors):
         led.__post_init__()
 
 
+def solve_projected(tensors, u0, nu, dt, t_end):
+    state = project_divfree(GalerkinState(u0, 0.0), tensors)
+    return solve_from_state(state, None, tensors, nu, dt, t_end)
+
+
 def test_uniqueness_twin_runs_identical(tensors):
-    setup = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=smooth_state(tensors, seed=41),
-        forcing=None,
-        nu=0.1,
-        dt=1e-3,
-        t_end=0.1,
-    )
-    rep = uniqueness_experiment(setup, 0.0, seed=5)
+    u0 = smooth_state(tensors, seed=41)
+    rep = uniqueness_experiment(tensors, u0, 0.1, 1e-3, 0.1, 0.0, seed=5)
     assert rep.passed
     assert rep.max_w_norm <= 1e-12 * rep.scale
 
 
 def test_uniqueness_perturbed_envelope(oblique):
-    setup = SolveSetup(
-        tensors=oblique,
-        u0_coeffs=smooth_state(oblique, seed=42),
-        forcing=None,
-        nu=0.1,
-        dt=1e-3,
-        t_end=0.15,
-    )
-    rep = uniqueness_experiment(setup, 1e-8, seed=6)
+    u0 = smooth_state(oblique, seed=42)
+    rep = uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.15, 1e-8, seed=6)
     assert rep.passed
     assert np.all(rep.w_norm <= rep.bound * (1.0 + 1e-6))
     assert rep.w_norm[0] == pytest.approx(1e-8, rel=1e-10)
@@ -157,23 +149,13 @@ def test_uniqueness_fitted_c_decreases_with_viscosity(tensors):
     u0 = smooth_state(tensors, seed=43)
     reports = []
     for nu in (0.1, 1.0):
-        setup = SolveSetup(
-            tensors=tensors, u0_coeffs=u0, forcing=None, nu=nu, dt=1e-3, t_end=0.15
-        )
-        reports.append(uniqueness_experiment(setup, 1e-8, seed=7))
+        reports.append(uniqueness_experiment(tensors, u0, nu, 1e-3, 0.15, 1e-8, seed=7))
     assert reports[1].fitted_c < reports[0].fitted_c
 
 
 def test_uniqueness_dt_mode(tensors):
-    setup = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=smooth_state(tensors, seed=44),
-        forcing=None,
-        nu=0.1,
-        dt=2e-3,
-        t_end=0.1,
-    )
-    rep = uniqueness_experiment(setup, 1e-8, mode="dt")
+    u0 = smooth_state(tensors, seed=44)
+    rep = uniqueness_experiment(tensors, u0, 0.1, 2e-3, 0.1, 1e-8, mode="dt")
     # runs with dt and dt/2 agree to the integrator accuracy and stay enveloped
     assert rep.passed
     assert rep.max_w_norm < 1e-5 * rep.scale
@@ -200,41 +182,36 @@ def test_difference_identity_residual_second_order(oblique):
 
 
 def test_contraction_corrupted_pair_fails(tensors):
-    setup = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=smooth_state(tensors, seed=62),
-        forcing=None,
-        nu=0.1,
-        dt=1e-3,
-        t_end=0.05,
-    )
-    res_u = setup.run()
-    res_v = setup.run()
+    u0 = smooth_state(tensors, seed=62)
+    res_u = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
+    res_v = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_v.trace.coeffs[-1] += 1e-3  # inject a spurious late difference
     rep = contraction_report(res_u, res_v, 0.0)
     assert not rep.passed
 
 
 def test_contraction_report_alignment_guard(tensors):
-    setup = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=smooth_state(tensors, seed=61),
-        forcing=None,
-        nu=0.1,
-        dt=1e-3,
-        t_end=0.05,
-    )
-    res_a = setup.run()
-    setup_b = SolveSetup(
-        tensors=tensors,
-        u0_coeffs=setup.u0_coeffs,
-        forcing=None,
-        nu=0.1,
-        dt=5e-4,
-        t_end=0.05,
-    )
-    res_b = setup_b.run()
+    u0 = smooth_state(tensors, seed=61)
+    res_a = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
+    res_b = solve_projected(tensors, u0, 0.1, 5e-4, 0.05)
     with pytest.raises(ValueError):
         contraction_report(res_a, res_b, 0.0, stride_v=1)
     rep = contraction_report(res_a, res_b, 0.0, stride_v=2)
     assert isinstance(rep, ContractionReport)
+
+
+def test_uniqueness_experiment_synthesizes_no_fields(tensors, monkeypatch):
+    # the twin runs feed only the contraction report, which reads coefficients
+    calls = []
+    synthesize = nsslice.galerkin.synthesize_field
+
+    def counting_synthesize(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(nsslice.galerkin, "synthesize_field", counting_synthesize)
+    u0 = smooth_state(tensors, seed=63)
+    for mode in ("initial", "dt"):
+        rep = uniqueness_experiment(tensors, u0, 0.1, 1e-3, 0.02, 1e-8, mode=mode)
+        assert rep.passed
+    assert calls == []

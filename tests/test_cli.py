@@ -104,11 +104,14 @@ def test_solve_zero_data_zero_frames(tmp_path):
         "--set", f"io.u0_slice={src}",
         "--set", "basis.n1=4", "--set", "basis.n2=4",
         "--set", "solver.nu=0.1", "--set", "solver.dt=0.005", "--set", "solver.T=0.05",
+        "--set", "solver.record_every=3",
     ])
     assert rc == EXIT_OK
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["checks"]["energy_nonincreasing"]
     assert manifest["lambda1"] == pytest.approx(2 * np.pi**2)
+    # 10 steps: steps 0, 3, 6, 9 and the last one, which is not a multiple of 3
+    assert manifest["frame_times"] == pytest.approx([0.0, 0.015, 0.03, 0.045, 0.05])
     for rel in manifest["frames"]:
         frame = read_field(out / rel)
         assert np.max(np.abs(frame.data)) == 0.0
@@ -129,6 +132,13 @@ def test_solve_smooth_data_passes_checks(tmp_path):
     ledger = json.loads((out / "energy_ledger.json").read_text())
     assert ledger["inequality_holds"]
     assert min(ledger["inequality_margin"]) >= -ledger["tol_accum"]
+    # 100 steps: every 20th step from 0, the last one included
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["frames"] == [f"u_{i:04d}.nsf1" for i in range(6)]
+    assert manifest["frame_times"] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
+    assert manifest["frame_times"] == [ledger["times"][k] for k in range(0, 101, 20)]
+    for rel in manifest["frames"]:
+        assert read_field(out / rel).dims == (21, 21)
 
 
 def test_solve_unstable_dt_blowup_exit(tmp_path, capsys):

@@ -108,6 +108,19 @@ def test_canonicalize_minor_formulas_random():
         assert b3 == pytest.approx(d3 / d2, rel=1e-10)
 
 
+def test_canonical_coefficients_multiply_to_det():
+    # b1 b2 b3 telescopes to det A; det A comes from a closed-form expansion
+    rng = np.random.default_rng(78)
+    a = rng.standard_normal((3, 3, 16, 16, 16))
+    strain = StrainMatrixField.from_gradients((16, 16, 16), (1.0, 1.0, 1.0), a)
+    mats = strain.matrices()
+    det = np.linalg.det(mats)
+    dec = canonicalize(strain, 1e-8)
+    pts = dec.jacobi & (np.abs(det) > 1e-3)
+    assert np.count_nonzero(pts) > 3000
+    np.testing.assert_allclose(np.prod(dec.b[pts], axis=1), det[pts], rtol=1e-12, atol=0.0)
+
+
 def test_sylvester_agreement_1000_random():
     rng = np.random.default_rng(1234)
     agree = 0

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from nsslice.fieldio import Field, TimeSeriesField
+from nsslice.cli import EXIT_OK, main
+from nsslice.fieldio import Field, TimeSeriesField, write_field
 from nsslice.stratify import (
     IndicatorGrid,
     StratifyInconsistencyError,
@@ -70,6 +73,25 @@ def test_mask_from_time_series_is_4d():
     collapsed = mask.collapse_time()
     assert collapsed.dims == (4, 4, 4)
     assert collapsed.mask.all()
+
+
+
+def test_one_frame_series_is_its_frame(tmp_path):
+    rng = np.random.default_rng(5)
+    fld = Field(dims=(8, 8, 8), extents=(1.0, 1.0, 1.0), ncomp=3,
+                data=rng.standard_normal((3, 8, 8, 8)))
+    write_field(fld, tmp_path / "w.nsf1")
+    (tmp_path / "w.json").write_text(json.dumps({"times": [0.0], "frames": ["w.nsf1"]}))
+    reports = []
+    for name in ("w.nsf1", "w.json"):
+        out = tmp_path / name.replace(".", "_")
+        rc = main(["stratify", "--out", str(out),
+                   "--set", f"io.w={tmp_path / name}", "--set", "stratify.eps=1.5"])
+        assert rc == EXIT_OK
+        payload = json.loads((out / "stratify_report.json").read_text())
+        payload.pop("timestamp_utc")
+        reports.append(payload)
+    assert reports[0] == reports[1]
 
 
 def test_slice_measures_full_cube_any_nslices():
