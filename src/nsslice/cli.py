@@ -292,9 +292,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         write_field(frame, out / rel)
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
-    div_max = max(
-        divergence_residual(result.trace.coeffs[k], tensors) for k in range(len(result.trace))
-    )
+    div_max = float(np.max(divergence_residual(result.trace.coeffs, tensors)))
     dual_max = max(
         rhs_dual_norm(result.trace.coeffs[k], tensors, f_of_t, params["nu"],
                       result.trace.times[k])

@@ -120,7 +120,8 @@ class GalerkinState:
     """Time-dependent coefficient vector of the 3-component expansion.
 
     coeffs is flat of length 3 * M, component-major: coeffs[c * M + p] is the
-    coefficient of basis mode p in velocity component c.
+    coefficient of basis mode p in velocity component c.  A (B, 3M) stack
+    holds B states that share the time; the solver advances them together.
     """
 
     coeffs: np.ndarray
@@ -128,15 +129,34 @@ class GalerkinState:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size % 3 != 0:
-            raise ValueError("coeffs must be flat of length 3 * nmodes")
+        if c.ndim not in (1, 2) or c.shape[-1] % 3 != 0:
+            raise ValueError("coeffs must be (3 * nmodes,) or a (B, 3 * nmodes) stack")
         if not np.all(np.isfinite(c)):
             raise GalerkinError("non-finite Galerkin coefficients")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "time", float(self.time))
 
-    def by_component(self) -> np.ndarray:
-        return self.coeffs.reshape(3, -1)
+
+def _by_component(coeffs, m: int) -> np.ndarray:
+    """View a (3M,) or (3, M) state, or a (..., 3M) stack, as (..., 3, M)."""
+    c = np.asarray(coeffs)
+    lead = c.shape[:-1] if c.shape[-1] == 3 * m else c.shape[:-2]
+    return c.reshape(lead + (3, m))
+
+
+def _sum_per_state(terms: np.ndarray):
+    """Sum a (..., 3, M) array over each state: a float, or an array for a stack."""
+    total = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _matvec(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """matrix @ c for one vector or for each vector of a (..., n) stack.
+
+    Every vector gets its own GEMV, so a stacked state reads the same digits
+    as when it is projected alone (a (K, n) @ matrix.T GEMM does not).
+    """
+    return (matrix @ coeffs[..., None])[..., 0]
 
 
 def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,30 +218,38 @@ class TrilinearTensor:
         n2 = np.count_nonzero(self.x2) * np.count_nonzero(self.y2)
         return 3 * 2 * (n1 + n2)  # components x advecting slots
 
-    def _bicontract(self, a2d, b2d, xtab, ytab) -> np.ndarray:
-        # R[m, n] = sum_{a,b,c,d} A[a,b] B[c,d] X[a,c,m] Y[b,d,n], as three GEMMs
-        n1 = xtab.shape[0]
-        n2 = ytab.shape[0]
-        # tmp[a, d, n] = sum_b A[a, b] Y[b, d, n]
-        tmp = a2d @ ytab.reshape(n2, n2 * n2)
-        # e[a, c, n] = sum_d B[c, d] tmp[a, d, n], one batched GEMM over a
-        e = b2d @ tmp.reshape(n1, n2, n2)
-        # R[m, n] = sum_{a, c} X[a, c, m] e[a, c, n]
-        return xtab.reshape(n1 * n1, n1).T @ e.reshape(n1 * n1, n2)
-
     def apply_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Weak advection vector <B~(u, v), w_(d,r)> as a (3, M) array."""
-        u = u.reshape(3, -1)
-        v = v.reshape(3, -1)
-        adv1 = self.basis.scatter(u[0] + self.c1 * u[2])
-        adv2 = self.basis.scatter(u[1] + self.c2 * u[2])
-        out = np.empty_like(v)
-        for d in range(3):
-            vd = self.basis.scatter(v[d])
-            r = self._bicontract(adv1, vd, self.x1, self.y1)
-            r += self._bicontract(adv2, vd, self.x2, self.y2)
-            out[d] = self.basis.gather(r)
-        return out
+        """Weak advection vector <B~(u, v), w_(d,r)>, shaped (..., 3, M).
+
+        u and v are one state each ((3M,) or (3, M)) or matching (..., 3M)
+        stacks.  Per term, the advecting grid A is contracted with the y
+        factor once and shared by the three transported components; the
+        remaining two contractions are stacked matmuls over (state,
+        component), so every state sees the same GEMMs as when applied alone:
+
+            R[m, n] = sum_{a,b,c,d} A[a, b] V[c, d] X[a, c, m] Y[b, d, n].
+        """
+        basis = self.basis
+        m = basis.nmodes_total
+        n1, n2 = basis.nmodes
+        u = _by_component(u, m)
+        v = _by_component(v, m)
+        # (..., 3, 1, N1, N2): the grid V_k of each transported component k,
+        # broadcast over the row index a of tmp below
+        vgrid = basis.scatter(v)[..., None, :, :]
+        out = None
+        for adv, xtab, ytab in (
+            (u[..., 0, :] + self.c1 * u[..., 2, :], self.x1, self.y1),
+            (u[..., 1, :] + self.c2 * u[..., 2, :], self.x2, self.y2),
+        ):
+            # tmp[a, d, n] = sum_b A[a, b] Y[b, d, n]
+            tmp = basis.scatter(adv) @ ytab.reshape(n2, n2 * n2)
+            # e[k, a, c, n] = sum_d V_k[c, d] tmp[a, d, n], one GEMM per (k, a)
+            e = vgrid @ tmp.reshape(tmp.shape[:-2] + (1, n1, n2, n2))
+            # R_k[m, n] = sum_{a, c} X[a, c, m] e[k, a, c, n]
+            r = xtab.reshape(n1 * n1, n1).T @ e.reshape(e.shape[:-3] + (n1 * n1, n2))
+            out = r if out is None else out + r
+        return basis.gather(out)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.apply_pair(u, u)
@@ -286,24 +314,25 @@ class OperatorTensors:
         )
         return RK4_REAL_LIMIT / (nu * lam_max)
 
-    # quadratic functionals, exact Parseval-style sums in coefficient space
-    def energy(self, coeffs: np.ndarray) -> float:
+    # quadratic functionals, exact Parseval-style sums in coefficient space;
+    # each takes one state or a (..., 3M) stack and then returns per-state arrays
+    def energy(self, coeffs: np.ndarray):
         """Kinetic energy 0.5 * ||u||_H^2."""
-        u = np.asarray(coeffs).reshape(3, -1)
-        return 0.5 * float(np.sum(u * (u @ self.mass)))
+        u = _by_component(coeffs, self.nmodes_total)
+        return 0.5 * _sum_per_state(u * (u @ self.mass))
 
-    def norm_h(self, coeffs: np.ndarray) -> float:
-        return float(np.sqrt(max(0.0, 2.0 * self.energy(coeffs))))
+    def norm_h(self, coeffs: np.ndarray):
+        norm = np.sqrt(np.maximum(0.0, 2.0 * self.energy(coeffs)))
+        return float(norm) if norm.ndim == 0 else norm
 
-    def dissipation_terms(self, coeffs: np.ndarray) -> tuple[float, float, float]:
+    def dissipation_terms(self, coeffs: np.ndarray):
         """(||D1 u||^2, ||D2 u||^2, cross-term norm^2) summed over components."""
-        u = np.asarray(coeffs).reshape(3, -1)
-        d1 = float(np.sum(u * (u @ self.grad1)))
-        d2 = float(np.sum(u * (u @ self.grad2)))
-        dc = float(np.sum(u * (u @ self.cross)))
-        return d1, d2, dc
+        u = _by_component(coeffs, self.nmodes_total)
+        return tuple(
+            _sum_per_state(u * (u @ mat)) for mat in (self.grad1, self.grad2, self.cross)
+        )
 
-    def grad_norm_sq(self, coeffs: np.ndarray) -> float:
+    def grad_norm_sq(self, coeffs: np.ndarray):
         d1, d2, _ = self.dissipation_terms(coeffs)
         return d1 + d2
 
@@ -459,14 +488,19 @@ def project_divfree(state: GalerkinState, tensors: OperatorTensors) -> GalerkinS
     Idempotent and self-adjoint in the mass inner product; states already in
     the subspace are returned unchanged up to round-off.
     """
-    return GalerkinState(coeffs=tensors.projector @ state.coeffs, time=state.time)
+    return GalerkinState(coeffs=_matvec(tensors.projector, state.coeffs), time=state.time)
 
 
-def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors) -> float:
-    """H-norm of the scalar-mode projection of the discrete divergence."""
-    r = tensors.constraint @ np.asarray(coeffs).ravel()
+def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
+    """H-norm of the scalar-mode projection of the discrete divergence.
+
+    A float for one state, an array for a (..., 3M) stack of states.
+    """
+    c = _by_component(coeffs, tensors.nmodes_total)
+    r = _matvec(tensors.constraint, c.reshape(c.shape[:-2] + (-1,)))
     d = np.abs(np.diag(tensors.mass))
-    return float(np.sqrt(np.sum(r * r / np.where(d > 0, d, 1.0))))
+    res = np.sqrt(np.sum(r * r / np.where(d > 0, d, 1.0), axis=-1))
+    return float(res) if res.ndim == 0 else res
 
 
 def _normalize_forcing(forcing, tensors: OperatorTensors):
@@ -506,13 +540,16 @@ def _normalize_forcing(forcing, tensors: OperatorTensors):
 
 
 def _rhs(coeffs3m: np.ndarray, t: float, tensors: OperatorTensors, f_of_t, nu: float) -> np.ndarray:
-    """Projected coefficient velocity of the Galerkin ODE system."""
-    u = coeffs3m.reshape(3, -1)
+    """Projected coefficient velocity of the Galerkin ODE system.
+
+    coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t.
+    """
+    u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
     weak = nu * (u @ tensors.stiffness_A1)
     weak -= tensors.trilinear.apply(u)
     weak += f_of_t(t) @ tensors.mass
     udot = weak / np.diag(tensors.mass)
-    return tensors.projector @ udot.ravel()
+    return _matvec(tensors.projector, udot.reshape(coeffs3m.shape))
 
 
 def step(
@@ -524,9 +561,10 @@ def step(
 ) -> GalerkinState:
     """One explicit RK4 step of the projected Galerkin system, then reprojection.
 
-    f_coeffs gives the forcing in basis coordinates: a constant (3, M) array,
-    a callable t -> (3, M), or None.  Raises BlowUpError when any coefficient
-    passes 1e12, which signals an unstable dt.
+    The state may be a (B, 3M) stack, advanced in lockstep.  f_coeffs gives
+    the forcing in basis coordinates: a constant (3, M) array, a callable
+    t -> (3, M), or None.  Raises BlowUpError when any coefficient passes
+    1e12, which signals an unstable dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -593,7 +631,7 @@ class Trace:
     """Per-step record of the coefficient trajectory."""
 
     times: np.ndarray    # (K,)
-    coeffs: np.ndarray   # (K, 3M)
+    coeffs: np.ndarray   # (K, 3M), or (K, B, 3M) for a stacked state
 
     def __len__(self) -> int:
         return self.times.size
@@ -618,15 +656,17 @@ def solve_from_state(
 
     forcing may be None, a constant or callable in basis coordinates, or a
     TimeSeriesField restricted to the slice grid (linearly interpolated
-    between frames).  Every step is recorded in the returned trace; fields on
-    a grid are left to the caller (synthesize_field).
+    between frames).  A (B, 3M) state integrates B trajectories in lockstep,
+    each bit-identical to its own solve.  Every step is recorded in the
+    returned trace; fields on a grid are left to the caller
+    (synthesize_field).
     """
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
     f_of_t = _normalize_forcing(forcing, tensors)
     times = np.empty(nsteps + 1)
-    coeffs = np.empty((nsteps + 1, state.coeffs.size))
+    coeffs = np.empty((nsteps + 1,) + state.coeffs.shape)
     times[0] = state.time
     coeffs[0] = state.coeffs
     cur = state

@@ -97,14 +97,16 @@ def strain_field(v: Field) -> StrainMatrixField:
 class QuadFormDecomposition:
     """Pointwise canonical coefficients, change of variables and inertia.
 
-    b[j] and transform hold NaN at pivot-degenerate points (jacobi[point]
-    False), where only the eigensolve inertia is available.  inertia rows are
-    (n_plus, n_zero, n_minus).
+    b[j] and upper hold NaN at pivot-degenerate points (jacobi[point]
+    False), where only the eigensolve inertia is available.  upper rows are
+    the entries (u12, u13, u23) of the unit upper-triangular change of
+    variables, which point() assembles.  inertia rows are (n_plus, n_zero,
+    n_minus).
     """
 
     dims: tuple[int, int, int]
     b: np.ndarray            # (npoints, 3)
-    transform: np.ndarray    # (npoints, 3, 3) unit upper triangular
+    upper: np.ndarray        # (npoints, 3) entries (u12, u13, u23)
     jacobi: np.ndarray       # (npoints,) bool, True where the minor path ran
     inertia: np.ndarray      # (npoints, 3) ints
     pivot_tol: float
@@ -127,7 +129,11 @@ class QuadFormDecomposition:
         }
 
     def point(self, idx: int) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-        return self.b[idx], self.transform[idx], bool(self.jacobi[idx]), self.inertia[idx]
+        """(b, 3x3 change of variables, jacobi, inertia) at one point; NaN where degenerate."""
+        jacobi = bool(self.jacobi[idx])
+        transform = np.eye(3) if jacobi else np.full((3, 3), np.nan)
+        transform[np.triu_indices(3, 1)] = self.upper[idx]
+        return self.b[idx], transform, jacobi, self.inertia[idx]
 
 
 def default_pivot_tol(strain: StrainMatrixField) -> float:
@@ -172,7 +178,7 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
     ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
 
     b = np.full((npts, 3), np.nan)
-    transform = np.full((npts, 3, 3), np.nan)
+    upper = np.full((npts, 3), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = det1
         b2 = det2 / det1
@@ -185,11 +191,9 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
     b[ok, 0] = b1[ok]
     b[ok, 1] = b2[ok]
     b[ok, 2] = b3[ok]
-    eye = np.eye(3)
-    transform[ok] = eye
-    transform[ok, 0, 1] = u12[ok]
-    transform[ok, 0, 2] = u13[ok]
-    transform[ok, 1, 2] = u23[ok]
+    upper[ok, 0] = u12[ok]
+    upper[ok, 1] = u13[ok]
+    upper[ok, 2] = u23[ok]
 
     inertia = np.empty((npts, 3), dtype=int)
     zero_tol = _ZERO_EIG_REL_TOL * max(float(np.max(np.abs(mats))), 1e-300)
@@ -203,7 +207,7 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
     return QuadFormDecomposition(
         dims=strain.dims,
         b=b,
-        transform=transform,
+        upper=upper,
         jacobi=ok,
         inertia=inertia,
         pivot_tol=float(pivot_tol),

@@ -6,9 +6,11 @@ from nsslice.analysis import (
     ContractionReport,
     EnergyViolationError,
     apriori_bounds,
+    _cumulative,
     contraction_report,
     difference_identity_residual,
     ledger_from_run,
+    perturbation_coeffs,
     uniqueness_experiment,
 )
 from nsslice.galerkin import (
@@ -186,7 +188,9 @@ def test_contraction_corrupted_pair_fails(tensors):
     res_u = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_v = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_v.trace.coeffs[-1] += 1e-3  # inject a spurious late difference
-    rep = contraction_report(res_u, res_v, 0.0)
+    rep = contraction_report(
+        tensors, res_u.trace.times, res_u.trace.coeffs, res_v.trace.coeffs, 0.0
+    )
     assert not rep.passed
 
 
@@ -194,9 +198,10 @@ def test_contraction_report_alignment_guard(tensors):
     u0 = smooth_state(tensors, seed=61)
     res_a = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_b = solve_projected(tensors, u0, 0.1, 5e-4, 0.05)
+    times, ca, cb = res_a.trace.times, res_a.trace.coeffs, res_b.trace.coeffs
     with pytest.raises(ValueError):
-        contraction_report(res_a, res_b, 0.0, stride_v=1)
-    rep = contraction_report(res_a, res_b, 0.0, stride_v=2)
+        contraction_report(tensors, times, ca, cb, 0.0)
+    rep = contraction_report(tensors, times, ca, cb[::2], 0.0)
     assert isinstance(rep, ContractionReport)
 
 
@@ -215,3 +220,88 @@ def test_uniqueness_experiment_synthesizes_no_fields(tensors, monkeypatch):
         rep = uniqueness_experiment(tensors, u0, 0.1, 1e-3, 0.02, 1e-8, mode=mode)
         assert rep.passed
     assert calls == []
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = nsslice.galerkin.solve_from_state
+
+    def counting_solve(state, *args, **kwargs):
+        calls.append(state.coeffs.shape)
+        return solve(state, *args, **kwargs)
+
+    monkeypatch.setattr(nsslice.galerkin, "solve_from_state", counting_solve)
+    return calls
+
+
+def test_uniqueness_twins_run_in_lockstep(oblique, monkeypatch):
+    u0 = smooth_state(oblique, seed=64)
+    m = oblique.nmodes_total
+    calls = count_solves(monkeypatch)
+    rep = uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.05, 1e-6, seed=8)
+    assert calls == [(2, 3 * m)]
+    # the same report as two separate solves, bit for bit
+    res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.05)
+    res_v = solve_projected(oblique, u0 + 1e-6 * perturbation_coeffs(oblique, 8), 0.1, 1e-3, 0.05)
+    ref = contraction_report(
+        oblique, res_u.trace.times, res_u.trace.coeffs, res_v.trace.coeffs, 1e-6
+    )
+    assert rep.to_dict() == ref.to_dict()
+    calls.clear()
+    uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.05, 1e-6, mode="dt")
+    assert calls == [(3 * m,), (3 * m,)]
+
+
+def test_ledger_matches_per_state_loop(oblique):
+    # reference: the per-state loop the ledger ran before it became array
+    # expressions; the stacked forms must give the same digits
+    m = oblique.nmodes_total
+    f = 0.2 * np.random.default_rng(65).standard_normal((3, m))
+    forcing = lambda t: f * (1.0 + t)  # noqa: E731
+    res = solve_from_state(
+        GalerkinState(smooth_state(oblique, seed=65), 0.0), forcing, oblique, 0.1, 1e-3, 0.03
+    )
+    led = ledger_from_run(res.trace, oblique, forcing, 0.1)
+    for i, (t, c) in enumerate(zip(res.trace.times, res.trace.coeffs)):
+        u = c.reshape(3, -1)
+        assert led.energy[i] == 0.5 * float(np.sum(u * (u @ oblique.mass)))
+        assert led.d1[i] == float(np.sum(u * (u @ oblique.grad1)))
+        assert led.d2[i] == float(np.sum(u * (u @ oblique.grad2)))
+        assert led.dcross[i] == float(np.sum(u * (u @ oblique.cross)))
+        assert led.work[i] == float(np.sum(forcing(t) * (u @ oblique.mass)))
+
+
+def test_contraction_norms_match_per_state_loop(oblique):
+    u0 = smooth_state(oblique, seed=66)
+    rep = uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.03, 1e-6, seed=9)
+    res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
+    res_v = solve_projected(oblique, u0 + 1e-6 * perturbation_coeffs(oblique, 9), 0.1, 1e-3, 0.03)
+    for i, (cu, cv) in enumerate(zip(res_u.trace.coeffs, res_v.trace.coeffs)):
+        w = (cu - cv).reshape(3, -1)
+        u = cu.reshape(3, -1)
+        energy = 0.5 * float(np.sum(w * (w @ oblique.mass)))
+        assert rep.w_norm[i] == float(np.sqrt(max(0.0, 2.0 * energy)))
+        grad = float(np.sum(u * (u @ oblique.grad1))) + float(np.sum(u * (u @ oblique.grad2)))
+        assert rep.grad_u_sq[i] == grad
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 201, 1001, 1002])
+def test_cumulative_matches_scipy_simpson(n):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n)
+    grids = (
+        np.linspace(0.0, 0.25, n),
+        np.cumsum(rng.uniform(0.1, 1.0, n)),
+    )
+    for x in grids:
+        ref = np.concatenate([[0.0], cumulative_simpson(y, x=x)])
+        assert np.array_equal(_cumulative(y, x), ref)
+    with pytest.raises(ValueError):
+        _cumulative(y, grids[0][::-1])
+
+
+def test_cumulative_trapezoid_below_three_points():
+    assert np.array_equal(_cumulative(np.array([1.0]), np.array([0.0])), [0.0])
+    assert np.array_equal(_cumulative(np.array([1.0, 3.0]), np.array([0.0, 0.5])), [0.0, 1.0])

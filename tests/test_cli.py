@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +383,34 @@ def test_reproducibility_byte_identical(tmp_path):
     assert strip_timestamp(out_a / "contraction_report.json") == strip_timestamp(
         out_b / "contraction_report.json"
     )
+
+
+def test_solve_and_uniqueness_skip_scipy_integrate(tmp_path):
+    # the ledger and the contraction envelope integrate with the package's own
+    # Simpson rule, so neither command loads scipy.integrate or scipy.optimize
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src, dims=(9, 9))
+    common = ["--set", "basis.n1=3", "--set", "basis.n2=3", "--set", "solver.nu=0.1",
+              "--set", "solver.dt=0.01", "--set", "solver.T=0.03"]
+    runs = [
+        ["solve", "--out", str(tmp_path / "solve"), "--set", f"io.u0_slice={src}", *common],
+        ["uniqueness", "--out", str(tmp_path / "uniq"), *common],
+    ]
+    code = (
+        "import json, sys\n"
+        "from nsslice.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        "loaded = sorted(k for k in sys.modules if k.startswith(('scipy.integrate', 'scipy.optimize')))\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert all(rc in (EXIT_OK, EXIT_CHECK_FAILED) for rc in result["codes"])
+    assert result["loaded"] == []
+    assert (tmp_path / "solve" / "energy_ledger.json").exists()
+    assert (tmp_path / "uniq" / "contraction_report.json").exists()

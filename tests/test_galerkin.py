@@ -584,3 +584,69 @@ def test_rhs_dual_norm_diagnostic(square_tensors):
     lam = square_tensors.basis.eigenvalues[0]
     got = rhs_dual_norm(u.ravel(), square_tensors.without_nonlinearity(), None, 0.1, 0.0)
     assert got == pytest.approx(0.1 * np.sqrt(lam) * 0.5, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def odd_even_oblique():
+    chart = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
+    return assemble(SpectralBasis(nmodes=(5, 4), extents=(1.2, 0.9)), chart)
+
+
+def test_apply_pair_stack_matches_per_state(odd_even_oblique):
+    tr = odd_even_oblique.trilinear
+    m = odd_even_oblique.nmodes_total
+    rng = np.random.default_rng(21)
+    u = rng.standard_normal((3, 3 * m))
+    v = rng.standard_normal((3, 3 * m))
+    got = tr.apply_pair(u, v)
+    assert got.shape == (3, 3, m)
+    for i in range(3):
+        single = tr.apply_pair(u[i], v[i])
+        assert single.shape == (3, m)
+        assert np.array_equal(got[i], single)
+        assert np.array_equal(tr.apply_pair(u[i].reshape(3, m), v[i].reshape(3, m)), single)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_solve_stack_matches_separate_solves(odd_even_oblique, forced):
+    tens = odd_even_oblique
+    m = tens.nmodes_total
+    rng = np.random.default_rng(22)
+    u0 = tens.projector @ rng.standard_normal((3 * m, 2))
+    f = 0.3 * rng.standard_normal((3, m))
+    forcing = (lambda t: f * np.cos(4.0 * t)) if forced else None
+    pair = solve_from_state(GalerkinState(u0.T, 0.0), forcing, tens, 0.1, 2e-3, 0.04)
+    assert pair.trace.coeffs.shape == (21, 2, 3 * m)
+    for i in range(2):
+        alone = solve_from_state(GalerkinState(u0[:, i], 0.0), forcing, tens, 0.1, 2e-3, 0.04)
+        assert np.array_equal(pair.trace.times, alone.trace.times)
+        assert np.array_equal(pair.trace.coeffs[:, i], alone.trace.coeffs)
+        assert np.array_equal(pair.final_state.coeffs[i], alone.final_state.coeffs)
+
+
+def test_stacked_diagnostics_match_per_state(odd_even_oblique):
+    tens = odd_even_oblique
+    m = tens.nmodes_total
+    c = np.random.default_rng(23).standard_normal((7, 3 * m))
+    assert np.array_equal(
+        divergence_residual(c, tens), [divergence_residual(ci, tens) for ci in c]
+    )
+    assert np.array_equal(tens.energy(c), [tens.energy(ci) for ci in c])
+    assert np.array_equal(tens.norm_h(c), [tens.norm_h(ci) for ci in c])
+    assert np.array_equal(tens.grad_norm_sq(c), [tens.grad_norm_sq(ci) for ci in c])
+    for stacked, single in zip(
+        tens.dissipation_terms(c), zip(*[tens.dissipation_terms(ci) for ci in c])
+    ):
+        assert np.array_equal(stacked, single)
+    assert isinstance(tens.energy(c[0]), float)
+    assert isinstance(divergence_residual(c[0], tens), float)
+
+
+def test_state_shape_guard():
+    assert GalerkinState(np.zeros((2, 12)), 0.0).coeffs.shape == (2, 12)
+    with pytest.raises(ValueError):
+        GalerkinState(np.zeros((2, 2, 12)), 0.0)
+    with pytest.raises(ValueError):
+        GalerkinState(np.zeros((2, 13)), 0.0)
+    with pytest.raises(ValueError):
+        GalerkinState(np.zeros(13), 0.0)

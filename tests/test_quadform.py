@@ -160,6 +160,34 @@ def test_eigen_fallback_on_degenerate_pivot():
     assert dec.degenerate_fraction == 1.0
 
 
+def test_point_matches_full_transform_construction():
+    # point() assembles the 3x3 change of variables from the stored (u12, u13,
+    # u23); compare with the full (npoints, 3, 3) array canonicalize used to fill
+    rng = np.random.default_rng(79)
+    grad = rng.standard_normal((3, 3, 4, 4, 4))
+    grad[:, :, 0, 0, 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+    strain = StrainMatrixField.from_gradients((4, 4, 4), (1.0, 1.0, 1.0), grad)
+    dec = canonicalize(strain, 1e-8)
+    assert dec.upper.shape == (64, 3)
+    assert not dec.jacobi[0] and dec.jacobi.sum() > 32
+    mats = strain.matrices()[dec.jacobi]
+    a11, a12, a13 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
+    b2 = (a11 * mats[:, 1, 1] - a12**2) / a11
+    full = np.full((64, 3, 3), np.nan)
+    ok = dec.jacobi
+    full[ok] = np.eye(3)
+    full[ok, 0, 1] = a12 / a11
+    full[ok, 0, 2] = a13 / a11
+    full[ok, 1, 2] = (mats[:, 1, 2] - a12 * a13 / a11) / b2
+    for idx in range(64):
+        b, u, is_jacobi, inertia = dec.point(idx)
+        assert np.array_equal(u, full[idx], equal_nan=True)
+        assert is_jacobi == bool(ok[idx])
+        assert np.array_equal(b, dec.b[idx], equal_nan=True)
+        assert np.array_equal(inertia, dec.inertia[idx])
+    assert np.isnan(dec.point(0)[1]).all()
+
+
 def test_quadform_value_examples():
     assert quadform_value(np.eye(3), [1.0, 2.0, 2.0]) == pytest.approx(9.0)
     assert quadform_value(np.diag([1.0, -2.0, 3.0]), [1.0, 1.0, 1.0]) == pytest.approx(2.0)
