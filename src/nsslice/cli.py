@@ -194,12 +194,16 @@ def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
 
 
 def _solver_params(cfg: RunConfig) -> dict:
+    if "solver.quadrature_order" in cfg.values:
+        raise ConfigError(
+            "config key 'solver.quadrature_order' was removed: the Galerkin "
+            "operators are assembled exactly in closed form"
+        )
     return {
         "nu": cfg.float_("solver.nu", required=True, positive=True),
         "dt": cfg.float_("solver.dt", required=True, positive=True),
         "t_end": cfg.float_("solver.T", required=True, positive=True),
         "record_every": cfg.int_("solver.record_every", default=1, positive=True),
-        "quadrature_order": cfg.int_("solver.quadrature_order", default=None),
     }
 
 
@@ -270,7 +274,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if u0.ndim_grid != 2 or u0.ncomp != 3:
         raise ConfigError("io.u0_slice must be a 2D 3-component field")
     basis = _basis_from_config(cfg, u0.extents)
-    tensors = assemble(basis, chart, params["quadrature_order"])
+    tensors = assemble(basis, chart)
     forcing = _forcing_from_config(cfg)
     f_of_t = _normalize_forcing(forcing, tensors)
     coeffs0 = project_field_to_basis(u0, basis)
@@ -354,7 +358,7 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     else:
         extents = cfg.floats_("basis.extents", default="1,1", n=2)
     basis = _basis_from_config(cfg, extents)
-    tensors = assemble(basis, chart, params["quadrature_order"])
+    tensors = assemble(basis, chart)
     if u0_path:
         u0_coeffs = project_field_to_basis(u0, basis).ravel()
     else:

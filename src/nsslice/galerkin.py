@@ -10,15 +10,17 @@ into the in-plane ones, which shows up in three places:
 * the advecting velocity is ``(u1 + c1*u3, u2 + c2*u3)``,
 
 with ``(c1, c2)`` from :func:`nsslice.geometry.projected_gradient_coeffs`.
-All operator tensors are assembled by Gauss-Legendre quadrature on the
-rectangle.  The advection tensor is stored in skew-symmetrized form, so its
-triple contraction with any state vanishes identically: this is the discrete
-counterpart of the cancellation that drives the energy identity, and it holds
-without assuming the basis itself is solenoidal.  Incompressibility is
-enforced weakly (the divergence is tested against the scalar sine modes) by
-orthogonal projection onto the constraint null space; a pointwise-exact
-discrete divergence would force the advecting velocity to vanish identically
-in any finite sine span, so the weak form is the meaningful discrete choice.
+Every operator entry is a product of 1-D integrals of sine and cosine
+products on [0, L], assembled exactly from their product-to-sum closed forms;
+the mass is L1*L2/4 times the identity.  The advection tensor is stored in
+skew-symmetrized form, so its triple contraction with any state vanishes
+identically: this is the discrete counterpart of the cancellation that drives
+the energy identity, and it holds without assuming the basis itself is
+solenoidal.  Incompressibility is enforced weakly (the divergence is tested
+against the scalar sine modes) by orthogonal projection onto the constraint
+null space; a pointwise-exact discrete divergence would force the advecting
+velocity to vanish identically in any finite sine span, so the weak form is
+the meaningful discrete choice.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ logger = logging.getLogger(__name__)
 RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
-_SPARSE_DROP_TOL = 1e-14
 
 
 class GalerkinError(RuntimeError):
@@ -165,27 +166,6 @@ def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * length * (x + 1.0), 0.5 * length * w
 
 
-def default_quadrature_order(basis: SpectralBasis) -> int:
-    """Points per direction that integrate triple sine products to round-off.
-
-    Measured requirement for Gauss-Legendre on trig products with total
-    frequency 3 * maxmode * pi / L; grows linearly with the mode count.
-    """
-    return 3 * max(basis.nmodes) + 12
-
-
-def spec_minimum_quadrature_order(basis: SpectralBasis) -> int:
-    """Documented lower bound on the quadrature order; too coarse in practice."""
-    return (3 * max(basis.nmodes) + 2) // 2
-
-
-def _drop_tiny(arr: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-    out = arr.copy()
-    out[np.abs(out) < _SPARSE_DROP_TOL * scale] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class TrilinearTensor:
     """Skew-symmetrized advection tensor in per-direction factorized form.
@@ -200,8 +180,8 @@ class TrilinearTensor:
     factorized over directions: T1 = X1 x Y1, T2 = X2 x Y2 (X* over x-modes,
     Y* over y-modes).  X1 and Y2 are antisymmetric in their last two slots,
     which makes every triple contraction H[u, u, u] vanish identically.
-    Entries below 1e-14 (relative to the factor's maximum) are stored as
-    exact zeros.
+    The factors are exact closed forms, so every entry that vanishes by
+    parity is stored as an exact zero.
     """
 
     x1: np.ndarray  # (N1, N1, N1) skewed sin*cos'*sin factor, x-direction
@@ -282,16 +262,16 @@ class OperatorTensors:
     """Assembled Galerkin operators for one basis/chart pair.
 
     mass and stiffness are the scalar-mode matrices (identical blocks per
-    velocity component); constraint maps the composite 3M coefficient vector
-    to the weak divergence tested against the M scalar modes.  projector is
-    the orthogonal (mass-orthogonal, the mass being a multiple of the
-    identity) projector onto the constraint null space.
+    velocity component); the mass is exactly mass_scale times the identity.
+    constraint maps the composite 3M coefficient vector to the weak
+    divergence tested against the M scalar modes.  projector is the
+    orthogonal (hence mass-orthogonal) projector onto the constraint null
+    space.
     """
 
     basis: SpectralBasis
     chart_coeffs: tuple[float, float]
-    quadrature_order: int
-    mass: np.ndarray            # (M, M), diagonal up to quadrature round-off
+    mass: np.ndarray            # (M, M), mass_scale * I
     stiffness_A1: np.ndarray    # (M, M), symmetric negative definite weak form
     constraint: np.ndarray      # (M, 3M) weak projected-divergence operator
     trilinear: TrilinearTensor
@@ -307,11 +287,15 @@ class OperatorTensors:
     def nmodes_total(self) -> int:
         return self.basis.nmodes_total
 
+    @property
+    def mass_scale(self) -> float:
+        """m0 = L1 * L2 / 4, the squared L2 norm of every basis mode."""
+        l1, l2 = self.basis.extents
+        return l1 * l2 / 4.0
+
     def max_stable_dt(self, nu: float) -> float:
         """RK4 rule of thumb dt <= 2.785 / (nu * lambda_max) for the stiff part."""
-        lam_max = float(
-            scipy.linalg.eigh(-self.stiffness_A1, self.mass, eigvals_only=True)[-1]
-        )
+        lam_max = float(np.linalg.eigvalsh(-self.stiffness_A1)[-1]) / self.mass_scale
         return RK4_REAL_LIMIT / (nu * lam_max)
 
     # quadratic functionals, exact Parseval-style sums in coefficient space;
@@ -349,16 +333,42 @@ class OperatorTensors:
         return replace(self, trilinear=zero)
 
 
-def assemble(
-    basis: SpectralBasis,
-    chart: SliceChart | None,
-    quadrature_order: int | None = None,
-) -> OperatorTensors:
-    """Assemble mass, stiffness, constraint and advection tensors.
+def _trig_tables(n: int, length: float):
+    """Exact 1-D integrals over [0, length] of products of the n sine modes.
+
+    With s_a = sin(a pi x / L) and c_a = cos(a pi x / L), returns ss[a, b] =
+    int s_a s_b, sc = int s_a c_b, cc = int c_a c_b, sss[a, b, c] =
+    int s_a s_b s_c and scs = int s_a c_b s_c, each reduced by product-to-sum
+    to the integrals int cos(k pi x / L) = L [k = 0] and
+    int sin(k pi x / L) = 2L / (k pi) for odd k, else 0.
+    """
+    def cos_int(k):
+        return np.where(k == 0, length, 0.0)
+
+    def sin_int(k):
+        odd = k % 2 == 1
+        return np.where(odd, 2.0 * length / (np.pi * np.where(odd, k, 1)), 0.0)
+
+    a = np.arange(1, n + 1)
+    i, j = a[:, None], a[None, :]
+    ss = 0.5 * (cos_int(i - j) - cos_int(i + j))
+    sc = 0.5 * (sin_int(i + j) + sin_int(i - j))
+    cc = 0.5 * (cos_int(i - j) + cos_int(i + j))
+    i, j, k = a[:, None, None], a[None, :, None], a[None, None, :]
+    sss = 0.25 * (
+        sin_int(k + i - j) + sin_int(k - i + j) - sin_int(k + i + j) - sin_int(k - i - j)
+    )
+    scs = 0.25 * (
+        cos_int(i + j - k) + cos_int(i - j - k) - cos_int(i + j + k) - cos_int(i - j + k)
+    )
+    return ss, sc, cc, sss, scs
+
+
+def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
+    """Assemble mass, stiffness, constraint and advection tensors exactly.
 
     chart=None means an axis-aligned slice (no eliminated-derivative
-    coupling).  quadrature_order is the Gauss-Legendre point count per
-    direction; the default integrates all triple products to round-off.
+    coupling).
     """
     if chart is None:
         c1, c2 = 0.0, 0.0
@@ -366,34 +376,9 @@ def assemble(
         c1, c2 = projected_gradient_coeffs(chart)
     n1, n2 = basis.nmodes
     l1, l2 = basis.extents
-    if quadrature_order is None:
-        quadrature_order = default_quadrature_order(basis)
-    q = int(quadrature_order)
-    qmin = spec_minimum_quadrature_order(basis)
-    if q < qmin:
-        raise ValueError(f"quadrature_order {q} below the documented minimum {qmin}")
-    if q < default_quadrature_order(basis):
-        logger.warning(
-            "quadrature_order %d is below the round-off-exact threshold %d; "
-            "triple products will carry quadrature error",
-            q,
-            default_quadrature_order(basis),
-        )
 
-    def tables(n, length):
-        x, w = gauss_rule(length, q)
-        a = np.arange(1, n + 1)
-        s = np.sin(np.pi / length * np.outer(a, x))
-        c = np.cos(np.pi / length * np.outer(a, x))
-        ss = np.einsum("an,n,bn->ab", s, w, s)
-        sc = np.einsum("an,n,bn->ab", s, w, c)
-        cc = np.einsum("an,n,bn->ab", c, w, c)
-        sss = np.einsum("an,bn,cn,n->abc", s, s, s, w)
-        scs = np.einsum("an,bn,cn,n->abc", s, c, s, w)
-        return ss, sc, cc, sss, scs
-
-    ss1, sc1, cc1, sss1, scs1 = tables(n1, l1)
-    ss2, sc2, cc2, sss2, scs2 = tables(n2, l2)
+    ss1, sc1, cc1, sss1, scs1 = _trig_tables(n1, l1)
+    ss2, sc2, cc2, sss2, scs2 = _trig_tables(n2, l2)
 
     mm = basis.modes[:, 0]
     nn = basis.modes[:, 1]
@@ -430,19 +415,19 @@ def assemble(
         bmode2[None, :, None] * scs2 - bmode2[None, None, :] * np.swapaxes(scs2, 1, 2)
     )
     trilinear = TrilinearTensor(
-        x1=_drop_tiny(x1),
-        y1=_drop_tiny(sss2),
-        x2=_drop_tiny(sss1),
-        y2=_drop_tiny(y2),
+        x1=x1,
+        y1=sss2,
+        x2=sss1,
+        y2=y2,
         c1=c1,
         c2=c2,
         basis=basis,
     )
 
-    # null space of the constraint via SVD; mass ~ identity so the Euclidean
-    # orthogonal projector is the mass-orthogonal one.  The tolerance carries
-    # an absolute floor at the operator's natural scale so that an
-    # all-round-off matrix reads as rank zero.
+    # null space of the constraint via SVD; the mass is a multiple of the
+    # identity, so the Euclidean orthogonal projector is the mass-orthogonal
+    # one.  The tolerance carries an absolute floor at the operator's natural
+    # scale so that an all-round-off matrix reads as rank zero.
     _, svals, vt = scipy.linalg.svd(constraint, full_matrices=True)
     scale_c = np.pi * max(n1, n2) / min(l1, l2) * (l1 * l2 / 4.0)
     tol = max(
@@ -467,7 +452,6 @@ def assemble(
     return OperatorTensors(
         basis=basis,
         chart_coeffs=(c1, c2),
-        quadrature_order=q,
         mass=mass,
         stiffness_A1=stiffness,
         constraint=constraint,
@@ -498,8 +482,7 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
     """
     c = _by_component(coeffs, tensors.nmodes_total)
     r = _matvec(tensors.constraint, c.reshape(c.shape[:-2] + (-1,)))
-    d = np.abs(np.diag(tensors.mass))
-    res = np.sqrt(np.sum(r * r / np.where(d > 0, d, 1.0), axis=-1))
+    res = np.sqrt(np.sum(r * r, axis=-1) / tensors.mass_scale)
     return float(res) if res.ndim == 0 else res
 
 
@@ -547,8 +530,7 @@ def _rhs(coeffs3m: np.ndarray, t: float, tensors: OperatorTensors, f_of_t, nu: f
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
     weak = nu * (u @ tensors.stiffness_A1)
     weak -= tensors.trilinear.apply(u)
-    weak += f_of_t(t) @ tensors.mass
-    udot = weak / np.diag(tensors.mass)
+    udot = weak / tensors.mass_scale + f_of_t(t)
     return _matvec(tensors.projector, udot.reshape(coeffs3m.shape))
 
 
@@ -702,7 +684,7 @@ def rhs_dual_norm(
     u = np.asarray(coeffs).reshape(3, -1)
     weak = nu * (u @ tensors.stiffness_A1)
     weak -= tensors.trilinear.apply(u)
-    weak += f_of_t(t) @ tensors.mass
+    weak += tensors.mass_scale * f_of_t(t)
     kdiag = np.diag(tensors.grad1) + np.diag(tensors.grad2)
     return float(np.sqrt(np.sum(weak**2 / kdiag)))
 
@@ -710,16 +692,17 @@ def rhs_dual_norm(
 def coercivity_check(tensors: OperatorTensors) -> float:
     """Smallest eigenvalue of the negated stiffness on the div-free subspace.
 
-    Mass-normalized (generalized eigenvalue problem); a strictly positive
-    value certifies discrete ellipticity of the projected operator.  The
-    3M x 3M stiffness and mass are block diagonal with one (M, M) block per
-    velocity component, so the reduced matrices are sums of per-component
-    products z_c^T K z_c over the component row blocks z_c of the null basis,
-    and only the smallest eigenvalue is computed.
+    Mass-normalized; a strictly positive value certifies discrete ellipticity
+    of the projected operator.  The 3M x 3M stiffness is block diagonal with
+    one (M, M) block per velocity component, so the reduced matrix is a sum
+    of per-component products z_c^T K z_c over the component row blocks z_c
+    of the orthonormal null basis.  The mass is mass_scale times the
+    identity, so the reduced mass is too, and the generalized problem is a
+    standard one divided by mass_scale; only the smallest eigenvalue is
+    computed.
     """
     m = tensors.nmodes_total
     z = tensors.null_basis.reshape(3, m, -1)
     a = sum(zc.T @ (-tensors.stiffness_A1) @ zc for zc in z)
-    b = sum(zc.T @ tensors.mass @ zc for zc in z)
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    vals = scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[0, 0])
+    return float(vals[0]) / tensors.mass_scale

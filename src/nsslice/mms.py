@@ -241,7 +241,6 @@ def spatial_convergence(
     n_list,
     dt: float,
     t_end: float,
-    quadrature_order: int | None = None,
 ) -> list[dict]:
     """L2 error at t_end for each mode count; errors should drop spectrally."""
     from .galerkin import assemble
@@ -249,7 +248,7 @@ def spatial_convergence(
     rows = []
     for n in n_list:
         basis = SpectralBasis(nmodes=(int(n), int(n)), extents=ms.extents)
-        tensors = assemble(basis, ms.chart, quadrature_order)
+        tensors = assemble(basis, ms.chart)
         res = ms.solve(tensors, dt, t_end)
         err = ms.l2_error(res.final_state.coeffs, t_end, basis)
         rows.append({"n": int(n), "dt": dt, "error": err})
@@ -261,7 +260,6 @@ def temporal_convergence(
     n: int,
     dt_list,
     t_end: float,
-    quadrature_order: int | None = None,
 ) -> dict:
     """Richardson study on dt halving at fixed mode count.
 
@@ -275,7 +273,7 @@ def temporal_convergence(
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError("dt_list must halve between entries")
     basis = SpectralBasis(nmodes=(int(n), int(n)), extents=ms.extents)
-    tensors = assemble(basis, ms.chart, quadrature_order)
+    tensors = assemble(basis, ms.chart)
     finals = [ms.solve(tensors, dt, t_end).final_state.coeffs for dt in dts]
     diffs = [
         tensors.norm_h(a - b) for a, b in zip(finals, finals[1:])

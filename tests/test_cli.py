@@ -194,6 +194,26 @@ def test_invalid_numeric_rejected_before_compute(tmp_path):
     assert rc == EXIT_ERROR
 
 
+@pytest.mark.parametrize("command", ["solve", "uniqueness"])
+def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
+    # the operators are exact closed forms, so the old quadrature knob is an
+    # error that names the key, raised before anything is computed
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src)
+    out = tmp_path / "o"
+    rc = main([
+        command, "--out", str(out),
+        "--set", f"io.u0_slice={src}",
+        "--set", "basis.n1=4", "--set", "basis.n2=4",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=1e-3", "--set", "solver.T=0.01",
+        "--set", "solver.quadrature_order=40",
+    ])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "solver.quadrature_order" in err and "exact" in err
+    assert not out.exists()
+
+
 def test_uniqueness_synthetic_delta_zero(tmp_path):
     out = tmp_path / "uniq"
     rc = main([

@@ -10,7 +10,7 @@ from nsslice.galerkin import (
     assemble,
     coercivity_check,
     divergence_residual,
-    default_quadrature_order,
+    gauss_rule,
     project_divfree,
     project_field_to_basis,
     solve_from_state,
@@ -76,12 +76,18 @@ def test_lambda1_closed_form():
     assert basis.lambda1 == pytest.approx(np.pi**2 * (0.25 + 4.0), rel=1e-15)
 
 
-def test_mass_matrix_diagonal(square_tensors):
-    mass = square_tensors.mass
-    diag = np.diag(mass)
-    assert np.allclose(diag, 0.25, atol=1e-13)
-    off = mass - np.diag(diag)
-    assert np.max(np.abs(off)) <= 1e-12 * np.max(diag)
+def test_mass_matrix_diagonal(square_tensors, odd_even_oblique):
+    # the closed forms give exact parity zeros: mass, grad1 and grad2 are
+    # diagonal to the last bit, and the mass is exactly m0 * I, on an
+    # axis-aligned basis and on an oblique odd x even one
+    for tens in (square_tensors, odd_even_oblique):
+        l1, l2 = tens.basis.extents
+        m0 = l1 * l2 / 4.0
+        assert tens.mass_scale == m0
+        assert np.array_equal(tens.mass, m0 * np.eye(tens.nmodes_total))
+        off = ~np.eye(tens.nmodes_total, dtype=bool)
+        for mat in (tens.mass, tens.grad1, tens.grad2):
+            assert np.all(mat[off] == 0.0)
 
 
 def test_stiffness_axis_aligned_is_sine_laplacian(square_basis, square_tensors):
@@ -366,11 +372,6 @@ def test_constraint_expected_rank():
     assert not tiny.rank_deficient
 
 
-def test_quadrature_order_guard(square_basis):
-    with pytest.raises(ValueError):
-        assemble(square_basis, None, quadrature_order=3)
-
-
 def test_step_zero_fixed_point(square_tensors):
     m = square_tensors.nmodes_total
     state = GalerkinState(np.zeros(3 * m), 0.0)
@@ -544,10 +545,6 @@ def test_coercivity_positive_random_charts():
         assert val == pytest.approx(full[0], rel=1e-10)
 
 
-def test_default_quadrature_order_scales(square_basis):
-    assert default_quadrature_order(square_basis) == 3 * 4 + 12
-
-
 def test_axis_aligned_chart_reduces_exactly(square_basis, square_tensors):
     # an axis-aligned chart and "no chart" must produce identical arrays:
     # the cross coupling vanishes exactly, not just to round-off
@@ -560,8 +557,8 @@ def test_axis_aligned_chart_reduces_exactly(square_basis, square_tensors):
 
 
 def test_trilinear_factors_store_exact_zeros(square_tensors):
-    # entries below the drop threshold are stored as exact zeros: parity
-    # says sin*sin*sin integrals with even mode sum vanish
+    # the closed forms store parity zeros exactly: sin*sin*sin integrals
+    # with even mode sum vanish
     tri = square_tensors.trilinear
     n1 = tri.x2.shape[0]
     for a in range(n1):
@@ -650,3 +647,41 @@ def test_state_shape_guard():
         GalerkinState(np.zeros((2, 13)), 0.0)
     with pytest.raises(ValueError):
         GalerkinState(np.zeros(13), 0.0)
+
+
+def _quadrature_tables(n, length):
+    # reference: the five 1-D tables by Gauss-Legendre quadrature with
+    # 3n + 12 points, enough to integrate the triple products to round-off
+    x, w = gauss_rule(length, 3 * n + 12)
+    a = np.arange(1, n + 1)
+    s = np.sin(np.pi / length * np.outer(a, x))
+    c = np.cos(np.pi / length * np.outer(a, x))
+    ss = np.einsum("an,n,bn->ab", s, w, s)
+    sc = np.einsum("an,n,bn->ab", s, w, c)
+    cc = np.einsum("an,n,bn->ab", c, w, c)
+    sss = np.einsum("an,bn,cn,n->abc", s, s, s, w)
+    scs = np.einsum("an,bn,cn,n->abc", s, c, s, w)
+    return ss, sc, cc, sss, scs
+
+
+def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
+    # n = 24 on an oblique chart: assembling from quadrature tables must
+    # reproduce every closed-form operator and trilinear factor to round-off
+    import nsslice.galerkin as galerkin
+
+    basis = SpectralBasis(nmodes=(24, 24), extents=(1.2, 0.9))
+    chart = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
+    exact = assemble(basis, chart)
+    monkeypatch.setattr(galerkin, "_trig_tables", _quadrature_tables)
+    ref = assemble(basis, chart)
+    pairs = [
+        (getattr(exact, name), getattr(ref, name))
+        for name in ("mass", "stiffness_A1", "constraint", "grad1", "grad2", "cross",
+                     "projector")
+    ] + [
+        (getattr(exact.trilinear, name), getattr(ref.trilinear, name))
+        for name in ("x1", "y1", "x2", "y2")
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert exact.constraint_rank == ref.constraint_rank
