@@ -164,7 +164,7 @@ def ledger_from_run(
     e = tensors.energy(u)
     d1, d2, dc = tensors.dissipation_terms(u)
     f = np.stack([f_of_t(t) for t in trace.times])
-    w = (f * (u @ tensors.mass)).reshape(k, -1).sum(axis=-1)
+    w = (f * (tensors.basis.mass_scale * u)).reshape(k, -1).sum(axis=-1)
     if k >= 3:
         dedt = np.gradient(e, trace.times, edge_order=2)
     else:
@@ -244,7 +244,7 @@ def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:
     """Unit-norm divergence-free random direction in coefficient space."""
     rng = np.random.default_rng(seed)
     p = tensors.projector @ rng.standard_normal(3 * tensors.nmodes_total)
-    norm = np.sqrt(float(np.sum((p.reshape(3, -1) @ tensors.mass) * p.reshape(3, -1))))
+    norm = tensors.norm_h(p)
     if norm == 0.0:
         raise ValueError("degenerate perturbation draw")
     return p / norm
@@ -354,17 +354,13 @@ def difference_identity_residual(
     """
     tensors = res_u.tensors
     times = res_u.trace.times
-    if res_v.trace.coeffs.shape != res_u.trace.coeffs.shape:
+    cu = res_u.trace.coeffs
+    if res_v.trace.coeffs.shape != cu.shape:
         raise ValueError("traces are not aligned")
     k = len(times)
-    half_wsq = np.empty(k)
-    diss = np.empty(k)
-    tri = np.empty(k)
-    for i in range(k):
-        w = res_u.trace.coeffs[i] - res_v.trace.coeffs[i]
-        half_wsq[i] = tensors.energy(w)
-        d1, d2, dc = tensors.dissipation_terms(w)
-        diss[i] = nu * (d1 + d2 + dc)
-        tri[i] = tensors.trilinear.contract_triple(w, res_u.trace.coeffs[i], w)
+    w = cu - res_v.trace.coeffs
+    half_wsq = tensors.energy(w)
+    d1, d2, dc = tensors.dissipation_terms(w)
+    tri = (tensors.trilinear.apply_pair(w, cu).reshape(k, -1) * w).sum(axis=-1)
     dwdt = np.gradient(half_wsq, times, edge_order=2 if k >= 3 else 1)
-    return dwdt + diss + tri
+    return dwdt + nu * (d1 + d2 + dc) + tri

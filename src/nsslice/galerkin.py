@@ -11,8 +11,10 @@ into the in-plane ones, which shows up in three places:
 
 with ``(c1, c2)`` from :func:`nsslice.geometry.projected_gradient_coeffs`.
 Every operator entry is a product of 1-D integrals of sine and cosine
-products on [0, L], assembled exactly from their product-to-sum closed forms;
-the mass is L1*L2/4 times the identity.  The advection tensor is stored in
+products on [0, L], assembled exactly from their product-to-sum closed forms.
+The mass is L1*L2/4 times the identity and the two gradient Grams are
+diagonal, so they are kept as a scalar and two diagonals; the chart cross
+term, stiffness and constraint stay dense.  The advection tensor is stored in
 skew-symmetrized form, so its triple contraction with any state vanishes
 identically: this is the discrete counterpart of the cancellation that drives
 the energy identity, and it holds without assuming the basis itself is
@@ -95,6 +97,12 @@ class SpectralBasis:
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
+
+    @property
+    def mass_scale(self) -> float:
+        """m0 = L1 * L2 / 4, the squared L2 norm of every basis mode."""
+        l1, l2 = self.extents
+        return l1 * l2 / 4.0
 
     def sine_table(self, axis: int, coords: np.ndarray) -> np.ndarray:
         """table[a-1, i] = sin(a pi coords[i] / L_axis) for a = 1..N_axis."""
@@ -261,22 +269,23 @@ class TrilinearTensor:
 class OperatorTensors:
     """Assembled Galerkin operators for one basis/chart pair.
 
-    mass and stiffness are the scalar-mode matrices (identical blocks per
-    velocity component); the mass is exactly mass_scale times the identity.
-    constraint maps the composite 3M coefficient vector to the weak
-    divergence tested against the M scalar modes.  projector is the
-    orthogonal (hence mass-orthogonal) projector onto the constraint null
-    space.
+    The operators act per scalar mode, identically on each velocity
+    component.  The mass is basis.mass_scale times the identity and is not
+    stored; the gradient Grams grad1 and grad2 are diagonal and stored as
+    their (M,) diagonals.  stiffness_A1 and cross couple modes through the
+    chart and stay dense (M, M).  constraint maps the composite 3M
+    coefficient vector to the weak divergence tested against the M scalar
+    modes.  projector is the orthogonal (hence mass-orthogonal) projector
+    onto the constraint null space.
     """
 
     basis: SpectralBasis
     chart_coeffs: tuple[float, float]
-    mass: np.ndarray            # (M, M), mass_scale * I
     stiffness_A1: np.ndarray    # (M, M), symmetric negative definite weak form
     constraint: np.ndarray      # (M, 3M) weak projected-divergence operator
     trilinear: TrilinearTensor
-    grad1: np.ndarray           # (M, M) <D1 w_p, D1 w_q>
-    grad2: np.ndarray           # (M, M) <D2 w_p, D2 w_q>
+    grad1: np.ndarray           # (M,) <D1 w_p, D1 w_p>
+    grad2: np.ndarray           # (M,) <D2 w_p, D2 w_p>
     cross: np.ndarray           # (M, M) <(c1 D1 + c2 D2) w_p, (c1 D1 + c2 D2) w_q>
     projector: np.ndarray       # (3M, 3M)
     null_basis: np.ndarray      # (3M, dim null)
@@ -287,15 +296,9 @@ class OperatorTensors:
     def nmodes_total(self) -> int:
         return self.basis.nmodes_total
 
-    @property
-    def mass_scale(self) -> float:
-        """m0 = L1 * L2 / 4, the squared L2 norm of every basis mode."""
-        l1, l2 = self.basis.extents
-        return l1 * l2 / 4.0
-
     def max_stable_dt(self, nu: float) -> float:
         """RK4 rule of thumb dt <= 2.785 / (nu * lambda_max) for the stiff part."""
-        lam_max = float(np.linalg.eigvalsh(-self.stiffness_A1)[-1]) / self.mass_scale
+        lam_max = float(np.linalg.eigvalsh(-self.stiffness_A1)[-1]) / self.basis.mass_scale
         return RK4_REAL_LIMIT / (nu * lam_max)
 
     # quadratic functionals, exact Parseval-style sums in coefficient space;
@@ -303,7 +306,7 @@ class OperatorTensors:
     def energy(self, coeffs: np.ndarray):
         """Kinetic energy 0.5 * ||u||_H^2."""
         u = _by_component(coeffs, self.nmodes_total)
-        return 0.5 * _sum_per_state(u * (u @ self.mass))
+        return 0.5 * _sum_per_state(u * (self.basis.mass_scale * u))
 
     def norm_h(self, coeffs: np.ndarray):
         norm = np.sqrt(np.maximum(0.0, 2.0 * self.energy(coeffs)))
@@ -312,13 +315,14 @@ class OperatorTensors:
     def dissipation_terms(self, coeffs: np.ndarray):
         """(||D1 u||^2, ||D2 u||^2, cross-term norm^2) summed over components."""
         u = _by_component(coeffs, self.nmodes_total)
-        return tuple(
-            _sum_per_state(u * (u @ mat)) for mat in (self.grad1, self.grad2, self.cross)
-        )
+        return (*self._gradient_terms(u), _sum_per_state(u * (u @ self.cross)))
 
     def grad_norm_sq(self, coeffs: np.ndarray):
-        d1, d2, _ = self.dissipation_terms(coeffs)
+        d1, d2 = self._gradient_terms(_by_component(coeffs, self.nmodes_total))
         return d1 + d2
+
+    def _gradient_terms(self, u: np.ndarray):
+        return tuple(_sum_per_state(u * (u * diag)) for diag in (self.grad1, self.grad2))
 
     def without_nonlinearity(self) -> "OperatorTensors":
         """Copy with the advection tensor zeroed; linear regression runs."""
@@ -365,7 +369,7 @@ def _trig_tables(n: int, length: float):
 
 
 def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
-    """Assemble mass, stiffness, constraint and advection tensors exactly.
+    """Assemble the gradient, stiffness, constraint and advection operators exactly.
 
     chart=None means an axis-aligned slice (no eliminated-derivative
     coupling).
@@ -387,14 +391,14 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     ix = np.ix_(im, im)
     iy = np.ix_(jn, jn)
 
-    mass = ss1[ix] * ss2[iy]
-    # <D1 w_p, D1 w_q> etc.; derivatives bring mode-number factors
-    k1 = (np.pi / l1) ** 2 * np.outer(mm, mm) * cc1[ix] * ss2[iy]
-    k2 = (np.pi / l2) ** 2 * np.outer(nn, nn) * ss1[ix] * cc2[iy]
+    # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors.  The
+    # off-diagonal entries pair distinct sine modes and are exact zeros.
+    k1 = (np.pi / l1) ** 2 * (mm * mm) * cc1[im, im] * ss2[jn, jn]
+    k2 = (np.pi / l2) ** 2 * (nn * nn) * ss1[im, im] * cc2[jn, jn]
     # <D1 w_p, D2 w_q> = (m_p pi/L1)(n_q pi/L2) * int sin_mq cos_mp dx * int sin_np cos_nq dy
     k12 = (np.pi / l1) * (np.pi / l2) * np.outer(mm, nn) * sc1.T[ix] * sc2[iy]
-    cross = c1 * c1 * k1 + c2 * c2 * k2 + c1 * c2 * (k12 + k12.T)
-    stiffness = -(k1 + k2 + cross)
+    cross = np.diag(c1 * c1 * k1 + c2 * c2 * k2) + c1 * c2 * (k12 + k12.T)
+    stiffness = -(np.diag(k1 + k2) + cross)
 
     # weak derivative pairings <D_i w_q, w_p>
     g1 = (np.pi / l1) * mm[None, :] * sc1[ix] * ss2[iy]
@@ -429,7 +433,7 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     # one.  The tolerance carries an absolute floor at the operator's natural
     # scale so that an all-round-off matrix reads as rank zero.
     _, svals, vt = scipy.linalg.svd(constraint, full_matrices=True)
-    scale_c = np.pi * max(n1, n2) / min(l1, l2) * (l1 * l2 / 4.0)
+    scale_c = np.pi * max(n1, n2) / min(l1, l2) * basis.mass_scale
     tol = max(
         (svals[0] if svals.size else 0.0) * max(constraint.shape) * np.finfo(float).eps,
         1e-12 * scale_c,
@@ -452,7 +456,6 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     return OperatorTensors(
         basis=basis,
         chart_coeffs=(c1, c2),
-        mass=mass,
         stiffness_A1=stiffness,
         constraint=constraint,
         trilinear=trilinear,
@@ -482,7 +485,7 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
     """
     c = _by_component(coeffs, tensors.nmodes_total)
     r = _matvec(tensors.constraint, c.reshape(c.shape[:-2] + (-1,)))
-    res = np.sqrt(np.sum(r * r, axis=-1) / tensors.mass_scale)
+    res = np.sqrt(np.sum(r * r, axis=-1) / tensors.basis.mass_scale)
     return float(res) if res.ndim == 0 else res
 
 
@@ -530,7 +533,7 @@ def _rhs(coeffs3m: np.ndarray, t: float, tensors: OperatorTensors, f_of_t, nu: f
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
     weak = nu * (u @ tensors.stiffness_A1)
     weak -= tensors.trilinear.apply(u)
-    udot = weak / tensors.mass_scale + f_of_t(t)
+    udot = weak / tensors.basis.mass_scale + f_of_t(t)
     return _matvec(tensors.projector, udot.reshape(coeffs3m.shape))
 
 
@@ -684,9 +687,8 @@ def rhs_dual_norm(
     u = np.asarray(coeffs).reshape(3, -1)
     weak = nu * (u @ tensors.stiffness_A1)
     weak -= tensors.trilinear.apply(u)
-    weak += tensors.mass_scale * f_of_t(t)
-    kdiag = np.diag(tensors.grad1) + np.diag(tensors.grad2)
-    return float(np.sqrt(np.sum(weak**2 / kdiag)))
+    weak += tensors.basis.mass_scale * f_of_t(t)
+    return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
 
 
 def coercivity_check(tensors: OperatorTensors) -> float:
@@ -696,7 +698,7 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     of the projected operator.  The 3M x 3M stiffness is block diagonal with
     one (M, M) block per velocity component, so the reduced matrix is a sum
     of per-component products z_c^T K z_c over the component row blocks z_c
-    of the orthonormal null basis.  The mass is mass_scale times the
+    of the orthonormal null basis.  The mass is basis.mass_scale times the
     identity, so the reduced mass is too, and the generalized problem is a
     standard one divided by mass_scale; only the smallest eigenvalue is
     computed.
@@ -705,4 +707,4 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     z = tensors.null_basis.reshape(3, m, -1)
     a = sum(zc.T @ (-tensors.stiffness_A1) @ zc for zc in z)
     vals = scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0]) / tensors.mass_scale
+    return float(vals[0]) / tensors.basis.mass_scale

@@ -174,18 +174,17 @@ class ManufacturedSolution:
             yg, wy = gauss_rule(basis.extents[1], q)
             s1 = basis.sine_table(0, xg)
             s2 = basis.sine_table(1, yg)
-            mass = basis.extents[0] * basis.extents[1] / 4.0
-            self._proj_cache[key] = [xg, wx, yg, wy, s1, s2, mass, None]
+            self._proj_cache[key] = [xg, wx, yg, wy, s1, s2, None]
         return self._proj_cache[key]
 
     def _project(self, values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-        xg, wx, yg, wy, s1, s2, mass, _ = self._quad(basis)
+        xg, wx, yg, wy, s1, s2, _ = self._quad(basis)
         weighted = values * wx[None, :, None] * wy[None, None, :]
-        grid = (s1 @ weighted @ s2.T) / mass
+        grid = (s1 @ weighted @ s2.T) / basis.mass_scale
         return basis.gather(grid)
 
     def exact_coeffs(self, t: float, basis: SpectralBasis) -> np.ndarray:
-        xg, _, yg, _, _, _, _, _ = self._quad(basis)
+        xg, _, yg, _, _, _, _ = self._quad(basis)
         return self._project(self.velocity(t, xg, yg), basis)
 
     def forcing_coeffs(self, basis: SpectralBasis):
@@ -197,7 +196,7 @@ class ManufacturedSolution:
         """
         quad = self._quad(basis)
         if quad[-1] is None:
-            xg, _, yg, _, _, _, _, _ = quad
+            xg, _, yg, _, _, _, _ = quad
             quad[-1] = [self._project(v, basis) for v in self._forcing_fields(xg, yg)]
         pa, pb, pc = quad[-1]
 
@@ -209,7 +208,7 @@ class ManufacturedSolution:
 
     def l2_error(self, coeffs: np.ndarray, t: float, basis: SpectralBasis) -> float:
         """True L2 distance between the expansion and the exact velocity."""
-        xg, wx, yg, wy, s1, s2, _, _ = self._quad(basis)
+        xg, wx, yg, wy, s1, s2, _ = self._quad(basis)
         grids = basis.scatter(np.asarray(coeffs).reshape(3, -1))
         synth = s1.T @ grids @ s2
         diff = synth - self.velocity(t, xg, yg)

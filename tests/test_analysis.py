@@ -43,6 +43,14 @@ def smooth_state(tensors, seed, amp=1.0):
     return amp * (tensors.projector @ (rng.standard_normal(3 * m) * decay))
 
 
+def dense_grams(tensors):
+    # dense references for the operators stored as a scalar and diagonals:
+    # the mass m0 * I and the gradient Grams diag(grad1), diag(grad2)
+    m = tensors.nmodes_total
+    mass = tensors.basis.mass_scale * np.eye(m)
+    return mass, np.diag(tensors.grad1), np.diag(tensors.grad2)
+
+
 def test_zero_trajectory_zero_ledger(tensors):
     m = tensors.nmodes_total
     res = solve_from_state(
@@ -262,13 +270,14 @@ def test_ledger_matches_per_state_loop(oblique):
         GalerkinState(smooth_state(oblique, seed=65), 0.0), forcing, oblique, 0.1, 1e-3, 0.03
     )
     led = ledger_from_run(res.trace, oblique, forcing, 0.1)
+    mass, grad1, grad2 = dense_grams(oblique)
     for i, (t, c) in enumerate(zip(res.trace.times, res.trace.coeffs)):
         u = c.reshape(3, -1)
-        assert led.energy[i] == 0.5 * float(np.sum(u * (u @ oblique.mass)))
-        assert led.d1[i] == float(np.sum(u * (u @ oblique.grad1)))
-        assert led.d2[i] == float(np.sum(u * (u @ oblique.grad2)))
+        assert led.energy[i] == 0.5 * float(np.sum(u * (u @ mass)))
+        assert led.d1[i] == float(np.sum(u * (u @ grad1)))
+        assert led.d2[i] == float(np.sum(u * (u @ grad2)))
         assert led.dcross[i] == float(np.sum(u * (u @ oblique.cross)))
-        assert led.work[i] == float(np.sum(forcing(t) * (u @ oblique.mass)))
+        assert led.work[i] == float(np.sum(forcing(t) * (u @ mass)))
 
 
 def test_contraction_norms_match_per_state_loop(oblique):
@@ -276,13 +285,34 @@ def test_contraction_norms_match_per_state_loop(oblique):
     rep = uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.03, 1e-6, seed=9)
     res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
     res_v = solve_projected(oblique, u0 + 1e-6 * perturbation_coeffs(oblique, 9), 0.1, 1e-3, 0.03)
+    mass, grad1, grad2 = dense_grams(oblique)
     for i, (cu, cv) in enumerate(zip(res_u.trace.coeffs, res_v.trace.coeffs)):
         w = (cu - cv).reshape(3, -1)
         u = cu.reshape(3, -1)
-        energy = 0.5 * float(np.sum(w * (w @ oblique.mass)))
+        energy = 0.5 * float(np.sum(w * (w @ mass)))
         assert rep.w_norm[i] == float(np.sqrt(max(0.0, 2.0 * energy)))
-        grad = float(np.sum(u * (u @ oblique.grad1))) + float(np.sum(u * (u @ oblique.grad2)))
+        grad = float(np.sum(u * (u @ grad1))) + float(np.sum(u * (u @ grad2)))
         assert rep.grad_u_sq[i] == grad
+
+
+def test_difference_identity_matches_per_state_loop(oblique):
+    # reference: the per-state loop the residual ran before it became stack
+    # expressions; both must give the same digits
+    u0 = smooth_state(oblique, seed=67)
+    res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
+    pert = smooth_state(oblique, seed=68, amp=1e-3)
+    res_v = solve_projected(oblique, u0 + pert, 0.1, 1e-3, 0.03)
+    times = res_u.trace.times
+    k = len(times)
+    half_wsq, diss, tri = np.empty(k), np.empty(k), np.empty(k)
+    for i, (cu, cv) in enumerate(zip(res_u.trace.coeffs, res_v.trace.coeffs)):
+        w = cu - cv
+        half_wsq[i] = oblique.energy(w)
+        d1, d2, dc = oblique.dissipation_terms(w)
+        diss[i] = 0.1 * (d1 + d2 + dc)
+        tri[i] = oblique.trilinear.contract_triple(w, cu, w)
+    ref = np.gradient(half_wsq, times, edge_order=2) + diss + tri
+    assert np.array_equal(difference_identity_residual(res_u, res_v, 0.1), ref)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 201, 1001, 1002])

@@ -7,6 +7,7 @@ from nsslice.galerkin import (
     BlowUpError,
     GalerkinState,
     SpectralBasis,
+    _trig_tables,
     assemble,
     coercivity_check,
     divergence_residual,
@@ -47,6 +48,21 @@ def scs_exact(a, b, c, length):
     )
 
 
+def _dense_grams(basis, tables):
+    # the per-entry dense mass and gradient Grams over all mode pairs, built
+    # from the 1-D tables the way assemble built them when it stored them dense
+    l1, l2 = basis.extents
+    ss1, _, cc1, _, _ = tables(basis.nmodes[0], l1)
+    ss2, _, cc2, _, _ = tables(basis.nmodes[1], l2)
+    mm, nn = basis.modes[:, 0], basis.modes[:, 1]
+    ix = np.ix_(mm - 1, mm - 1)
+    iy = np.ix_(nn - 1, nn - 1)
+    mass = ss1[ix] * ss2[iy]
+    k1 = (np.pi / l1) ** 2 * np.outer(mm, mm) * cc1[ix] * ss2[iy]
+    k2 = (np.pi / l2) ** 2 * np.outer(nn, nn) * ss1[ix] * cc2[iy]
+    return mass, k1, k2
+
+
 @pytest.fixture(scope="module")
 def square_basis():
     return SpectralBasis(nmodes=(4, 4), extents=(1.0, 1.0))
@@ -77,17 +93,24 @@ def test_lambda1_closed_form():
 
 
 def test_mass_matrix_diagonal(square_tensors, odd_even_oblique):
-    # the closed forms give exact parity zeros: mass, grad1 and grad2 are
-    # diagonal to the last bit, and the mass is exactly m0 * I, on an
+    # the closed forms give exact parity zeros: the dense mass and gradient
+    # Grams are diagonal to the last bit and the mass is exactly m0 * I, so
+    # storing m0 and the two diagonals loses nothing; checked on an
     # axis-aligned basis and on an oblique odd x even one
     for tens in (square_tensors, odd_even_oblique):
-        l1, l2 = tens.basis.extents
+        basis = tens.basis
+        l1, l2 = basis.extents
         m0 = l1 * l2 / 4.0
-        assert tens.mass_scale == m0
-        assert np.array_equal(tens.mass, m0 * np.eye(tens.nmodes_total))
-        off = ~np.eye(tens.nmodes_total, dtype=bool)
-        for mat in (tens.mass, tens.grad1, tens.grad2):
-            assert np.all(mat[off] == 0.0)
+        assert basis.mass_scale == m0
+        mass, k1, k2 = _dense_grams(basis, _trig_tables)
+        assert np.array_equal(mass, m0 * np.eye(basis.nmodes_total))
+        off = ~np.eye(basis.nmodes_total, dtype=bool)
+        for dense, diag in ((k1, tens.grad1), (k2, tens.grad2)):
+            assert np.all(dense[off] == 0.0)
+            assert np.array_equal(np.diag(dense), diag)
+        np.testing.assert_allclose(
+            tens.grad1 + tens.grad2, m0 * basis.eigenvalues, rtol=1e-14, atol=0.0
+        )
 
 
 def test_stiffness_axis_aligned_is_sine_laplacian(square_basis, square_tensors):
@@ -141,9 +164,9 @@ def test_assembly_against_closed_form_integrals():
             )
             g1_ref[p, q] = (np.pi / l1) * mq * sc_exact(mp, mq, l1) * dd(np_, nq) * (l2 / 2)
             g2_ref[p, q] = (np.pi / l2) * nq * dd(mp, mq) * (l1 / 2) * sc_exact(np_, nq, l2)
-    assert np.allclose(tens.mass, mass_ref, atol=1e-13)
-    assert np.allclose(tens.grad1, k1_ref, atol=1e-12)
-    assert np.allclose(tens.grad2, k2_ref, atol=1e-12)
+    assert np.allclose(basis.mass_scale * np.eye(m), mass_ref, atol=1e-13)
+    assert np.allclose(np.diag(tens.grad1), k1_ref, atol=1e-12)
+    assert np.allclose(np.diag(tens.grad2), k2_ref, atol=1e-12)
     cross_ref = c1 * c1 * k1_ref + c2 * c2 * k2_ref + c1 * c2 * (k12_ref + k12_ref.T)
     assert np.allclose(tens.cross, cross_ref, atol=1e-12)
     assert np.allclose(tens.stiffness_A1, -(k1_ref + k2_ref + cross_ref), atol=1e-12)
@@ -531,7 +554,7 @@ def test_coercivity_positive_random_charts():
         z = tens.null_basis
         m = basis.nmodes_total
         s3 = np.kron(np.eye(3), -tens.stiffness_A1)
-        m3 = np.kron(np.eye(3), tens.mass)
+        m3 = basis.mass_scale * np.eye(3 * m)
         a = z.T @ s3 @ z
         b = z.T @ m3 @ z
         x = rng.standard_normal(a.shape[0])
@@ -674,10 +697,14 @@ def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     exact = assemble(basis, chart)
     monkeypatch.setattr(galerkin, "_trig_tables", _quadrature_tables)
     ref = assemble(basis, chart)
+    mass_ref, k1_ref, k2_ref = _dense_grams(basis, _quadrature_tables)
     pairs = [
+        (basis.mass_scale * np.eye(basis.nmodes_total), mass_ref),
+        (np.diag(exact.grad1), k1_ref),
+        (np.diag(exact.grad2), k2_ref),
+    ] + [
         (getattr(exact, name), getattr(ref, name))
-        for name in ("mass", "stiffness_A1", "constraint", "grad1", "grad2", "cross",
-                     "projector")
+        for name in ("stiffness_A1", "constraint", "cross", "projector")
     ] + [
         (getattr(exact.trilinear, name), getattr(ref.trilinear, name))
         for name in ("x1", "y1", "x2", "y2")

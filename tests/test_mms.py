@@ -49,13 +49,13 @@ def test_split_forcing_matches_full_expressions(oblique_ms):
     full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_ms._f_exprs]
     for nmodes in ((10, 10), (7, 10)):
         basis = SpectralBasis(nmodes, (1.0, 1.0))
-        xg, wx, yg, wy, s1, s2, mass, _ = oblique_ms._quad(basis)
+        xg, wx, yg, wy, s1, s2, _ = oblique_ms._quad(basis)
         xm, ym = np.meshgrid(xg, yg, indexing="ij")
         f_of_t = oblique_ms.forcing_coeffs(basis)
         for tv in (0.0, 0.0137, 0.25, 1.3):
             vals = np.stack([np.broadcast_to(f(tv, xm, ym), xm.shape) for f in full])
             weighted = vals * wx[None, :, None] * wy[None, None, :]
-            want = basis.gather(np.einsum("ai,cij,bj->cab", s1, weighted, s2) / mass)
+            want = basis.gather(np.einsum("ai,cij,bj->cab", s1, weighted, s2) / basis.mass_scale)
             got = f_of_t(tv)
             assert got.shape == (3, basis.nmodes_total)
             scale = np.max(np.abs(want))
