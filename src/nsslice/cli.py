@@ -497,6 +497,14 @@ def cmd_mms(cfg: RunConfig) -> int:
     min_ratio = cfg.float_("mms.min_ratio", default=10.0, positive=True)
     min_order = cfg.float_("mms.min_order", default=3.8, positive=True)
     extents = cfg.floats_("basis.extents", default="1,1", n=2)
+    if len(n_list) < 2:
+        raise ConfigError("mms.n_list needs at least 2 mode counts for a spatial ratio")
+    if len(dt_list) < 3:
+        raise ConfigError("mms.dt_list needs at least 3 steps for a temporal order")
+    try:
+        mms_mod.halving_steps(dt_list)
+    except ValueError as exc:
+        raise ConfigError(f"mms.dt_list: {exc}") from exc
     ms = mms_mod.ManufacturedSolution(extents=tuple(extents), chart=chart, nu=nu)
     rows = mms_mod.spatial_convergence(ms, n_list, dt, t_end)
     temporal = mms_mod.temporal_convergence(ms, n_temporal, dt_list, t_end)

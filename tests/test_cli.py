@@ -9,6 +9,7 @@ import pytest
 
 import nsslice.cli
 import nsslice.galerkin
+import nsslice.mms
 from nsslice.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main, parse_config
 from nsslice.fieldio import Field, read_field, restrict_to_slice, write_field
 from nsslice.geometry import Hyperplane, make_chart
@@ -282,23 +283,108 @@ def test_stratify_report(tmp_path):
     assert csv_lines[0] == "dir_x,dir_y,dir_z,offset,measure"
 
 
+MMS_SMALL = [
+    "--set", "mms.n_list=4,8",
+    "--set", "mms.dt=0.002",
+    "--set", "mms.T=0.1",
+    "--set", "mms.n_temporal=6",
+    "--set", "mms.dt_list=0.005,0.0025,0.00125",
+    "--set", "mms.min_ratio=3",
+    "--set", "mms.min_order=3.5",
+]
+
+
 def test_mms_subcommand_small(tmp_path):
     out = tmp_path / "mms"
-    rc = main([
-        "mms", "--out", str(out),
-        "--set", "mms.n_list=4,8",
-        "--set", "mms.dt=0.002",
-        "--set", "mms.T=0.1",
-        "--set", "mms.n_temporal=6",
-        "--set", "mms.dt_list=0.005,0.0025,0.00125",
-        "--set", "mms.min_ratio=3",
-        "--set", "mms.min_order=3.5",
-    ])
+    rc = main(["mms", "--out", str(out), *MMS_SMALL])
     assert rc == EXIT_OK
     rep = json.loads((out / "mms_report.json").read_text())
     assert rep["checks"]["spatial_ratio_ok"] and rep["checks"]["temporal_order_ok"]
     assert (out / "mms_spatial.csv").exists()
     assert (out / "mms_temporal.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "dropped, gates",
+    [
+        (1, []),
+        # without c the n=4 -> 8 error ratio is still about 3.7, above the small
+        # gate of 3, so the advection field needs the shipped spatial gate
+        (2, ["--set", "mms.n_list=8,16", "--set", "mms.min_ratio=10"]),
+    ],
+    ids=["diffusion-b", "advection-c"],
+)
+def test_mms_gates_fail_on_corrupted_forcing(tmp_path, monkeypatch, dropped, gates):
+    # must-FAIL oracle: a forcing that omits one of its fixed fields no longer
+    # manufactures the exact solution, so the spatial gate must trip
+    fields = nsslice.mms.ManufacturedSolution._forcing_fields
+
+    def corrupted(self, xg, yg):
+        split = list(fields(self, xg, yg))
+        split[dropped] = np.zeros_like(split[dropped])
+        return tuple(split)
+
+    monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "_forcing_fields", corrupted)
+    out = tmp_path / "mms"
+    assert main(["mms", "--out", str(out), *MMS_SMALL, *gates]) == EXIT_CHECK_FAILED
+    checks = json.loads((out / "mms_report.json").read_text())["checks"]
+    assert not checks["spatial_ratio_ok"]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "mms.n_list=8",
+        "mms.dt_list=2e-3,1e-3",
+        "mms.dt_list=2e-3,1e-3,4e-4",
+    ],
+)
+def test_mms_degenerate_lists_rejected_before_solving(tmp_path, monkeypatch, capsys, override):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the study lists")
+
+    monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "solve", no_solve)
+    out = tmp_path / "mms"
+    assert main(["mms", "--out", str(out), *MMS_SMALL, "--set", override]) == EXIT_ERROR
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mms_assembles_each_basis_once(tmp_path, monkeypatch):
+    # default study shape: the spatial study's n=16 basis is the temporal one
+    calls = []
+    assemble = nsslice.galerkin.assemble
+
+    def counted(basis, chart):
+        calls.append(basis.nmodes)
+        return assemble(basis, chart)
+
+    monkeypatch.setattr(nsslice.galerkin, "assemble", counted)
+    rc = main(["mms", "--out", str(tmp_path / "mms"), "--set", "mms.T=0.01"])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert calls == [(8, 8), (16, 16)]
+
+
+def test_mms_runs_without_sympy(tmp_path):
+    # the manufactured forcing is built with Taylor jets; sympy is a test oracle only
+    args = ["mms", "--out", str(tmp_path / "mms"), *MMS_SMALL]
+    code = (
+        "import json, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from nsslice.cli import main\n"
+        f"rc = main({args!r})\n"
+        "loaded = sorted(k for k, m in sys.modules.items() if k.startswith('sympy') and m is not None)\n"
+        "print(json.dumps({'code': rc, 'loaded': loaded}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"code": EXIT_OK, "loaded": []}
+    assert (tmp_path / "mms" / "mms_report.json").exists()
 
 
 def test_pipeline_project_then_solve_with_forcing(tmp_path, monkeypatch):

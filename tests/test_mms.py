@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 import sympy as sp
+from mms_symbolic import SymbolicMMS
 
-from nsslice.galerkin import SpectralBasis, assemble, divergence_residual
+from nsslice.galerkin import SpectralBasis, assemble, divergence_residual, gauss_rule
 from nsslice.geometry import Hyperplane, make_chart
 from nsslice.mms import ManufacturedSolution
+
+OBLIQUE = make_chart(Hyperplane((1 / np.sqrt(3.0),) * 3, 0.4))
 
 
 @pytest.fixture(scope="module")
 def oblique_ms():
-    chart = make_chart(Hyperplane((1 / np.sqrt(3.0),) * 3, 0.4))
-    return ManufacturedSolution(chart=chart, nu=0.2)
+    return ManufacturedSolution(chart=OBLIQUE, nu=0.2)
 
 
-def test_constraint_compatible_symbolically(oblique_ms):
-    t, x, y = oblique_ms._symbols
-    u1, u2, u3 = oblique_ms._u_exprs
-    c1, c2 = oblique_ms.c1, oblique_ms.c2
+@pytest.fixture(scope="module")
+def oblique_sym(oblique_ms):
+    return SymbolicMMS(oblique_ms)
+
+
+def test_constraint_compatible_symbolically(oblique_sym):
+    t, x, y = oblique_sym.symbols
+    u1, u2, u3 = oblique_sym.u_exprs
+    c1, c2 = oblique_sym.c1, oblique_sym.c2
     div = (
         sp.diff(u1, x)
         + sp.diff(u2, y)
@@ -26,12 +33,12 @@ def test_constraint_compatible_symbolically(oblique_ms):
     assert sp.simplify(div) == 0
 
 
-def test_forcing_matches_definition_symbolically(oblique_ms):
+def test_forcing_matches_definition_symbolically(oblique_sym):
     # spot check one component: f_i - (du_i/dt - nu A1 u_i + V . grad u_i) == 0
-    t, x, y = oblique_ms._symbols
-    u1, u2, u3 = oblique_ms._u_exprs
-    c1, c2 = oblique_ms.c1, oblique_ms.c2
-    nu = oblique_ms.nu
+    t, x, y = oblique_sym.symbols
+    u1, u2, u3 = oblique_sym.u_exprs
+    c1, c2 = oblique_sym.c1, oblique_sym.c2
+    nu = oblique_sym.nu
 
     def cross(h):
         return c1 * sp.diff(h, x) + c2 * sp.diff(h, y)
@@ -40,26 +47,57 @@ def test_forcing_matches_definition_symbolically(oblique_ms):
     v2 = u2 + c2 * u3
     a1_u2 = sp.diff(u2, x, 2) + sp.diff(u2, y, 2) + cross(cross(u2))
     expect = sp.diff(u2, t) - nu * a1_u2 + v1 * sp.diff(u2, x) + v2 * sp.diff(u2, y)
-    assert sp.simplify(oblique_ms._f_exprs[1] - expect) == 0
+    assert sp.simplify(oblique_sym.f_exprs[1] - expect) == 0
 
 
-def test_split_forcing_matches_full_expressions(oblique_ms):
+def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
     # oracle: project the full time-dependent forcing expressions directly
-    t, x, y = oblique_ms._symbols
-    full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_ms._f_exprs]
+    t, x, y = oblique_sym.symbols
+    full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_sym.f_exprs]
     for nmodes in ((10, 10), (7, 10)):
         basis = SpectralBasis(nmodes, (1.0, 1.0))
-        xg, wx, yg, wy, s1, s2, _ = oblique_ms._quad(basis)
-        xm, ym = np.meshgrid(xg, yg, indexing="ij")
+        quad = oblique_ms._quad(basis)
+        xm, ym = np.meshgrid(quad.xg, quad.yg, indexing="ij")
         f_of_t = oblique_ms.forcing_coeffs(basis)
         for tv in (0.0, 0.0137, 0.25, 1.3):
             vals = np.stack([np.broadcast_to(f(tv, xm, ym), xm.shape) for f in full])
-            weighted = vals * wx[None, :, None] * wy[None, None, :]
-            want = basis.gather(np.einsum("ai,cij,bj->cab", s1, weighted, s2) / basis.mass_scale)
+            pointwise = oblique_ms.forcing_values(tv, quad.xg, quad.yg)
+            assert np.max(np.abs(pointwise - vals)) <= 1e-12 * np.max(np.abs(vals))
+            weighted = vals * quad.wx[None, :, None] * quad.wy[None, None, :]
+            want = basis.gather(
+                np.einsum("ai,cij,bj->cab", quad.s1, weighted, quad.s2) / basis.mass_scale
+            )
             got = f_of_t(tv)
             assert got.shape == (3, basis.nmodes_total)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "chart, extents, power",
+    [
+        (None, (1.0, 1.0), 4),
+        (OBLIQUE, (1.0, 1.0), 4),
+        (OBLIQUE, (1.2, 0.9), 2),
+        (None, (1.2, 0.9), 3),
+    ],
+)
+def test_jet_fields_match_symbolic_oracle(chart, extents, power):
+    ms = ManufacturedSolution(extents=extents, chart=chart, nu=0.15, envelope_power=power)
+    xg, _ = gauss_rule(extents[0], 40)
+    yg, _ = gauss_rule(extents[1], 33)
+    sym = SymbolicMMS(ms)
+    want = sym.split_fields(xg, yg)
+    for got, ref in zip(ms._forcing_fields(xg, yg), want):
+        assert got.shape == (3, 40, 33)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    t, x, y = sym.symbols
+    u_func = sp.lambdify((t, x, y), sym.u_exprs, "numpy")
+    xm, ym = np.meshgrid(xg, yg, indexing="ij")
+    for tv in (0.0, 0.37):
+        ref = np.stack([np.broadcast_to(v, xm.shape) for v in u_func(tv, xm, ym)])
+        got = ms.velocity(tv, xg, yg)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_forcing_projected_once_per_basis(oblique_ms, monkeypatch):
