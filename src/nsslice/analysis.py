@@ -63,7 +63,7 @@ def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative integral with Simpson-level accuracy (O(dt^4)).
 
     Same formula and summation order as scipy.integrate.cumulative_simpson,
-    whose import would pull in scipy.optimize at every ledger.
+    which the tests compare against; the runtime needs numpy only.
     """
     if y.size < 3:
         out = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]))])
@@ -243,7 +243,7 @@ class ContractionReport:
 def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:
     """Unit-norm divergence-free random direction in coefficient space."""
     rng = np.random.default_rng(seed)
-    p = tensors.projector @ rng.standard_normal(3 * tensors.nmodes_total)
+    p = tensors.project(rng.standard_normal(3 * tensors.nmodes_total))
     norm = tensors.norm_h(p)
     if norm == 0.0:
         raise ValueError("degenerate perturbation draw")

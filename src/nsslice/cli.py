@@ -341,7 +341,7 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
     m = tensors.nmodes_total
     amp = cfg.float_("uniq.amplitude", default=1.0, positive=True)
     decay = np.exp(-0.5 * np.tile(np.arange(m), 3) / 4.0)
-    return amp * (tensors.projector @ (rng.standard_normal(3 * m) * decay))
+    return amp * tensors.project(rng.standard_normal(3 * m) * decay)
 
 
 def cmd_uniqueness(cfg: RunConfig) -> int:

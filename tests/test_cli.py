@@ -493,7 +493,8 @@ def test_reproducibility_byte_identical(tmp_path):
 
 def test_solve_and_uniqueness_skip_scipy_integrate(tmp_path):
     # the ledger and the contraction envelope integrate with the package's own
-    # Simpson rule, so neither command loads scipy.integrate or scipy.optimize
+    # Simpson rule and the projector is factored with numpy, so neither
+    # command loads any scipy module
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src, dims=(9, 9))
     common = ["--set", "basis.n1=3", "--set", "basis.n2=3", "--set", "solver.nu=0.1",
@@ -506,7 +507,7 @@ def test_solve_and_uniqueness_skip_scipy_integrate(tmp_path):
         "import json, sys\n"
         "from nsslice.cli import main\n"
         f"codes = [main(args) for args in {runs!r}]\n"
-        "loaded = sorted(k for k in sys.modules if k.startswith(('scipy.integrate', 'scipy.optimize')))\n"
+        "loaded = sorted(k for k in sys.modules if k.startswith('scipy'))\n"
         "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
     env = dict(os.environ)
@@ -520,3 +521,39 @@ def test_solve_and_uniqueness_skip_scipy_integrate(tmp_path):
     assert result["loaded"] == []
     assert (tmp_path / "solve" / "energy_ledger.json").exists()
     assert (tmp_path / "uniq" / "contraction_report.json").exists()
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # the runtime needs numpy only: with scipy unimportable, every compute
+    # subcommand still runs to a verdict
+    u0 = tmp_path / "u0s.nsf1"
+    write_u0_slice(u0, dims=(9, 9))
+    vol = tmp_path / "v.nsf1"
+    write_u0_3d(vol, dims=(9, 9, 9))
+    small = ["--set", "basis.n1=3", "--set", "basis.n2=3", "--set", "solver.nu=0.1",
+             "--set", "solver.dt=0.01", "--set", "solver.T=0.03"]
+    runs = [
+        ["solve", "--out", str(tmp_path / "solve"), "--set", f"io.u0_slice={u0}", *small],
+        ["uniqueness", "--out", str(tmp_path / "uniq"), *small],
+        ["mms", "--out", str(tmp_path / "mms"), *MMS_SMALL],
+        ["quadform", "--out", str(tmp_path / "qf"), "--set", f"io.v={vol}",
+         "--set", "quadform.nu=0.5"],
+        ["stratify", "--out", str(tmp_path / "st"), "--set", f"io.w={vol}",
+         "--set", "stratify.eps=0.1"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nsslice.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=180
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    assert len(codes) == len(runs)
+    assert all(rc in (EXIT_OK, EXIT_CHECK_FAILED) for rc in codes), codes

@@ -381,6 +381,56 @@ def test_projector_mass_self_adjoint(square_tensors):
     assert np.allclose(p @ p, p, atol=1e-13)
 
 
+def _svd_projector(tens):
+    # dense reference: orthonormal null basis from the full SVD of the
+    # constraint, with the singular-value rank tolerance the SVD-based
+    # assembler used
+    c = tens.constraint
+    n1, n2 = tens.basis.nmodes
+    l1, l2 = tens.basis.extents
+    _, svals, vt = np.linalg.svd(c, full_matrices=True)
+    scale_c = np.pi * max(n1, n2) / min(l1, l2) * tens.basis.mass_scale
+    tol = max((svals[0] if svals.size else 0.0) * max(c.shape) * np.finfo(float).eps,
+              1e-12 * scale_c)
+    rank = int(np.sum(svals > tol))
+    z = vt[rank:].T
+    return z @ z.T, rank
+
+
+OBLIQUE = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
+
+
+@pytest.mark.parametrize(
+    "nmodes, chart",
+    [((4, 4), None), ((24, 24), OBLIQUE), ((5, 5), OBLIQUE), ((7, 10), OBLIQUE),
+     ((1, 1), OBLIQUE)],
+    ids=["axis-4x4", "oblique-24x24", "odd-5x5", "odd-even-7x10", "rank0-1x1"],
+)
+def test_factored_projection_matches_svd_oracle(nmodes, chart):
+    tens = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), chart)
+    m = tens.nmodes_total
+    p_ref, rank_ref = _svd_projector(tens)
+    assert tens.constraint_rank == rank_ref
+    x = np.random.default_rng(31).standard_normal((3, 3 * m))
+    stacked = tens.project(x)
+    want = x @ p_ref
+    assert np.max(np.abs(stacked - want)) <= 1e-12 * np.max(np.abs(want))
+    # each state of a stack gets its own products
+    single = np.stack([project_divfree(GalerkinState(xi, 0.0), tens).coeffs for xi in x])
+    assert np.array_equal(stacked, single)
+    if rank_ref == 0:
+        assert np.array_equal(stacked, x)   # P = I
+    # the lazily built dense forms
+    z = tens.null_basis
+    assert z.shape == (3 * m, 3 * m - rank_ref)
+    assert np.max(np.abs(z.T @ z - np.eye(z.shape[1]))) <= 1e-12
+    c_norm = np.linalg.norm(tens.constraint)
+    assert np.linalg.norm(tens.constraint @ z) <= 1e-12 * c_norm
+    p = tens.projector
+    assert np.max(np.abs(p - p.T)) <= 1e-13
+    assert np.max(np.abs(p @ p - p)) <= 1e-13
+
+
 def test_constraint_expected_rank():
     # even mode counts: full rank; odd-by-odd: one structural deficiency
     even = assemble(SpectralBasis(nmodes=(4, 4), extents=(1.0, 1.0)), None)
@@ -541,17 +591,26 @@ def test_coercivity_oblique_dominates_axis(square_tensors, oblique_tensors):
 
 def test_coercivity_positive_random_charts():
     rng = np.random.default_rng(17)
-    for _ in range(4):
-        n1, n2 = rng.integers(2, 9, size=2)
-        basis = SpectralBasis(nmodes=(int(n1), int(n2)), extents=(1.0, 1.0))
-        normal = rng.standard_normal(3)
-        normal[2] = np.sign(normal[2]) * (np.abs(normal).max() + 0.5)
-        chart = make_chart(Hyperplane.from_vector(normal, 0.2))
+
+    def cases():
+        for _ in range(4):
+            n1, n2 = rng.integers(2, 9, size=2)
+            normal = rng.standard_normal(3)
+            normal[2] = np.sign(normal[2]) * (np.abs(normal).max() + 0.5)
+            yield (int(n1), int(n2)), make_chart(Hyperplane.from_vector(normal, 0.2))
+        # odd x odd carries the structural null direction; on the axis-aligned
+        # chart the minimum sits on the chart-normal (third component) piece
+        yield (5, 5), OBLIQUE
+        yield (4, 6), None
+
+    for nmodes, chart in cases():
+        basis = SpectralBasis(nmodes=nmodes, extents=(1.0, 1.0))
         tens = assemble(basis, chart)
         val = coercivity_check(tens)
         assert val > 0.0
-        # independent check: inverse power iteration on the reduced matrix
-        z = tens.null_basis
+        # independent check: inverse power iteration on the matrices reduced
+        # by a null basis that does not come from the code under test
+        z = scipy.linalg.null_space(tens.constraint)
         m = basis.nmodes_total
         s3 = np.kron(np.eye(3), -tens.stiffness_A1)
         m3 = basis.mass_scale * np.eye(3 * m)
