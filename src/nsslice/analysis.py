@@ -242,8 +242,9 @@ class ContractionReport:
 
 def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:
     """Unit-norm divergence-free random direction in coefficient space."""
-    rng = np.random.default_rng(seed)
-    p = tensors.project(rng.standard_normal(3 * tensors.nmodes_total))
+    drawn = np.random.default_rng(seed).standard_normal((3, tensors.nmodes_total))
+    # draw i lands on the mode of rank i by increasing eigenvalue
+    p = tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
     norm = tensors.norm_h(p)
     if norm == 0.0:
         raise ValueError("degenerate perturbation draw")

@@ -340,8 +340,9 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     m = tensors.nmodes_total
     amp = cfg.float_("uniq.amplitude", default=1.0, positive=True)
-    decay = np.exp(-0.5 * np.tile(np.arange(m), 3) / 4.0)
-    return amp * tensors.project(rng.standard_normal(3 * m) * decay)
+    # draw and decay are listed by increasing eigenvalue, then put on the modes
+    drawn = rng.standard_normal((3, m)) * np.exp(-0.5 * np.arange(m) / 4.0)
+    return amp * tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
 
 
 def cmd_uniqueness(cfg: RunConfig) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,18 +62,17 @@ class SpectralBasis:
     """Tensor-product Dirichlet sine basis on a rectangle.
 
     Modes w_{mn}(x, y) = sin(m pi x / L1) * sin(n pi y / L2) for
-    1 <= m <= N1, 1 <= n <= N2, ordered by increasing Laplacian eigenvalue
-    lambda_{mn} = pi^2 (m^2/L1^2 + n^2/L2^2), ties broken by (m, n).
+    1 <= m <= N1, 1 <= n <= N2, numbered row-major on the N1 x N2 grid: mode
+    p is (m, n) = (p // N2 + 1, p % N2 + 1), so every (..., M) coefficient
+    vector is a free view of its (..., N1, N2) grid.  eigenvalues[p] is the
+    Laplacian eigenvalue lambda_{mn} = pi^2 (m^2/L1^2 + n^2/L2^2) of mode p;
+    the array is not sorted.
     """
 
     nmodes: tuple[int, int]
     extents: tuple[float, float]
     modes: np.ndarray = field(init=False)    # (M, 2) of (m, n), 1-based
     eigenvalues: np.ndarray = field(init=False)
-    # the modes fill the N1 x N2 grid: flat[p] is the row-major grid cell of
-    # mode p, and unflat its inverse permutation
-    flat: np.ndarray = field(init=False, repr=False)
-    unflat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n1, n2 = (int(v) for v in self.nmodes)
@@ -84,14 +83,12 @@ class SpectralBasis:
             raise ValueError("extents must be positive")
         mm, nn = np.meshgrid(np.arange(1, n1 + 1), np.arange(1, n2 + 1), indexing="ij")
         modes = np.column_stack([mm.ravel(), nn.ravel()])
-        lam = np.pi**2 * (modes[:, 0] ** 2 / l1**2 + modes[:, 1] ** 2 / l2**2)
-        order = np.lexsort((modes[:, 1], modes[:, 0], lam))
         object.__setattr__(self, "nmodes", (n1, n2))
         object.__setattr__(self, "extents", (l1, l2))
-        object.__setattr__(self, "modes", modes[order])
-        object.__setattr__(self, "eigenvalues", lam[order])
-        object.__setattr__(self, "flat", order)
-        object.__setattr__(self, "unflat", np.argsort(order))
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(
+            self, "eigenvalues", np.pi**2 * (modes[:, 0] ** 2 / l1**2 + modes[:, 1] ** 2 / l2**2)
+        )
 
     @property
     def nmodes_total(self) -> int:
@@ -105,7 +102,15 @@ class SpectralBasis:
 
     @property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+        return float(self.eigenvalues.max())
+
+    @property
+    def eigen_rank(self) -> np.ndarray:
+        """rank[p]: place of mode p by increasing eigenvalue, ties broken by (m, n).
+
+        values[..., rank] puts (..., M) values listed in that order on the modes.
+        """
+        return np.argsort(np.lexsort((self.modes[:, 1], self.modes[:, 0], self.eigenvalues)))
 
     @property
     def mass_scale(self) -> float:
@@ -121,14 +126,14 @@ class SpectralBasis:
         return np.sin(np.pi / length * np.outer(a, np.asarray(coords)))
 
     def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """Modal vector(s) (..., M) -> dense (..., N1, N2) grid of coefficients."""
+        """Modal vector(s) (..., M) -> (..., N1, N2) coefficient grid, a view where possible."""
         c = np.asarray(coeffs)
-        return np.take(c, self.unflat, axis=-1).reshape(c.shape[:-1] + self.nmodes)
+        return c.reshape(c.shape[:-1] + self.nmodes)
 
     def gather(self, grid: np.ndarray) -> np.ndarray:
-        """Dense (..., N1, N2) coefficient grid -> modal vector(s) (..., M)."""
+        """(..., N1, N2) coefficient grid -> modal vector(s) (..., M), a view where possible."""
         g = np.asarray(grid)
-        return np.take(g.reshape(g.shape[:-2] + (-1,)), self.flat, axis=-1)
+        return g.reshape(g.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,10 @@ class GalerkinState:
     """Time-dependent coefficient vector of the 3-component expansion.
 
     coeffs is flat of length 3 * M, component-major: coeffs[c * M + p] is the
-    coefficient of basis mode p in velocity component c.  A (B, 3M) stack
-    holds B states that share the time; the solver advances them together.
+    coefficient of basis mode p (row-major, see SpectralBasis) in velocity
+    component c, so coeffs.reshape(3, N1, N2)[c, m - 1, n - 1] is that of
+    w_{mn}.  A (B, 3M) stack holds B states that share the time; the solver
+    advances them together.
     """
 
     coeffs: np.ndarray
@@ -190,22 +197,25 @@ class TrilinearTensor:
         H[(d, r), (a, p), (e, q)] = delta_{ed} * (g1[a] * T1[p, q, r]
                                                   + g2[a] * T2[p, q, r])
 
-    with g1 = (1, 0, c1), g2 = (0, 1, c2) carrying the chart coupling of the
-    third component into the advecting velocity, and the scalar mode tensors
-    factorized over directions: T1 = X1 x Y1, T2 = X2 x Y2 (X* over x-modes,
-    Y* over y-modes).  X1 and Y2 are antisymmetric in their last two slots,
+    with g1 = (1, 0, c1), g2 = (0, 1, c2), the rows of chart_rows, carrying
+    the chart coupling of the third component into the advecting velocity,
+    and the scalar mode tensors factorized over directions: T1 = X1 x Y1,
+    T2 = X2 x Y2 (X* over x-modes, Y* over y-modes), stacked as x = (X1, X2)
+    and y = (Y1, Y2).  X1 and Y2 are antisymmetric in their last two slots,
     which makes every triple contraction H[u, u, u] vanish identically.
     The factors are exact closed forms, so every entry that vanishes by
     parity is stored as an exact zero.
     """
 
-    x1: np.ndarray  # (N1, N1, N1) skewed sin*cos'*sin factor, x-direction
-    y1: np.ndarray  # (N2, N2, N2) sin*sin*sin factor, y-direction
-    x2: np.ndarray  # (N1, N1, N1) sin*sin*sin factor, x-direction
-    y2: np.ndarray  # (N2, N2, N2) skewed factor, y-direction
-    c1: float
-    c2: float
+    x: np.ndarray           # (2, N1, N1, N1): X1 (skewed sin*cos'*sin), X2 (sin*sin*sin)
+    y: np.ndarray           # (2, N2, N2, N2): Y1 (sin*sin*sin), Y2 (skewed)
+    chart_rows: np.ndarray  # (2, 3) R3 = [[1, 0, c1], [0, 1, c2]], rows g1 and g2
     basis: SpectralBasis
+
+    x1 = property(lambda self: self.x[0])
+    x2 = property(lambda self: self.x[1])
+    y1 = property(lambda self: self.y[0])
+    y2 = property(lambda self: self.y[1])
 
     @property
     def nnz(self) -> int:
@@ -217,34 +227,29 @@ class TrilinearTensor:
         """Weak advection vector <B~(u, v), w_(d,r)>, shaped (..., 3, M).
 
         u and v are one state each ((3M,) or (3, M)) or matching (..., 3M)
-        stacks.  Per term, the advecting grid A is contracted with the y
-        factor once and shared by the three transported components; the
-        remaining two contractions are stacked matmuls over (state,
-        component), so every state sees the same GEMMs as when applied alone:
+        stacks.  The two terms t (advecting grids A_1 = u1 + c1 u3 and
+        A_2 = u2 + c2 u3) are stacked, and the advecting grid is contracted
+        with the y factor once and shared by the three transported
+        components.  Each contraction is one stacked matmul over (state,
+        component, term), so every state sees the same GEMMs as when applied
+        alone:
 
-            R[m, n] = sum_{a,b,c,d} A[a, b] V[c, d] X[a, c, m] Y[b, d, n].
+            R[m, n] = sum_{t,a,b,c,d} A_t[a, b] V[c, d] X_t[a, c, m] Y_t[b, d, n].
         """
         basis = self.basis
         m = basis.nmodes_total
         n1, n2 = basis.nmodes
-        u = _by_component(u, m)
-        v = _by_component(v, m)
-        # (..., 3, 1, N1, N2): the grid V_k of each transported component k,
-        # broadcast over the row index a of tmp below
-        vgrid = basis.scatter(v)[..., None, :, :]
-        out = None
-        for adv, xtab, ytab in (
-            (u[..., 0, :] + self.c1 * u[..., 2, :], self.x1, self.y1),
-            (u[..., 1, :] + self.c2 * u[..., 2, :], self.x2, self.y2),
-        ):
-            # tmp[a, d, n] = sum_b A[a, b] Y[b, d, n]
-            tmp = basis.scatter(adv) @ ytab.reshape(n2, n2 * n2)
-            # e[k, a, c, n] = sum_d V_k[c, d] tmp[a, d, n], one GEMM per (k, a)
-            e = vgrid @ tmp.reshape(tmp.shape[:-2] + (1, n1, n2, n2))
-            # R_k[m, n] = sum_{a, c} X[a, c, m] e[k, a, c, n]
-            r = xtab.reshape(n1 * n1, n1).T @ e.reshape(e.shape[:-3] + (n1 * n1, n2))
-            out = r if out is None else out + r
-        return basis.gather(out)
+        adv = basis.scatter(self.chart_rows @ _by_component(u, m))
+        # (..., 3, 1, 1, N1, N2): the grid V_k of each transported component
+        # k, broadcast over the term t and the row index a of tmp below
+        vgrid = basis.scatter(_by_component(v, m))[..., None, None, :, :]
+        # tmp[t, a, d, n] = sum_b A_t[a, b] Y_t[b, d, n]
+        tmp = adv @ self.y.reshape(2, n2, n2 * n2)
+        # e[k, t, a, c, n] = sum_d V_k[c, d] tmp[t, a, d, n], one GEMM per (k, t, a)
+        e = vgrid @ tmp.reshape(tmp.shape[:-3] + (1, 2, n1, n2, n2))
+        # R_k[m, n] = sum_{t, a, c} X_t[a, c, m] e[k, t, a, c, n]
+        r = self.x.reshape(2 * n1 * n1, n1).T @ e.reshape(e.shape[:-4] + (2 * n1 * n1, n2))
+        return basis.gather(r)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.apply_pair(u, u)
@@ -262,8 +267,7 @@ class TrilinearTensor:
         nn = self.basis.modes[:, 1] - 1
         t1 = self.x1[np.ix_(mm, mm, mm)] * self.y1[np.ix_(nn, nn, nn)]
         t2 = self.x2[np.ix_(mm, mm, mm)] * self.y2[np.ix_(nn, nn, nn)]
-        g1 = np.array([1.0, 0.0, self.c1])
-        g2 = np.array([0.0, 1.0, self.c2])
+        g1, g2 = self.chart_rows
         h = np.zeros((3, m, 3, m, 3, m))
         for d in range(3):
             for a in range(3):
@@ -298,6 +302,7 @@ class OperatorTensors:
 
     basis: SpectralBasis
     chart_coeffs: tuple[float, float]
+    chart_rows: np.ndarray      # (2, 3) R3 = [[1, 0, c1], [0, 1, c2]]: u -> advecting velocity
     stiffness_A1: np.ndarray    # (M, M), symmetric negative definite weak form
     constraint: np.ndarray      # (M, 3M) weak projected-divergence operator
     trilinear: TrilinearTensor
@@ -345,12 +350,8 @@ class OperatorTensors:
 
     def divergence(self, coeffs: np.ndarray) -> np.ndarray:
         """Weak divergence C u of one state or a (..., 3M) stack, shaped (..., M)."""
-        u = _by_component(coeffs, self.nmodes_total)
-        c1, c2 = self.chart_coeffs
-        scatter = self.basis.scatter
-        grid = (self.div_x @ scatter(u[..., 0, :] + c1 * u[..., 2, :])
-                + scatter(u[..., 1, :] + c2 * u[..., 2, :]) @ self.div_y.T)
-        return self.basis.gather(grid)
+        a = self.basis.scatter(self.chart_rows @ _by_component(coeffs, self.nmodes_total))
+        return self.basis.gather(self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self.div_y.T)
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """u - C^T gram_pinv C u for one (3M,) state or a (..., 3M) stack.
@@ -359,12 +360,9 @@ class OperatorTensors:
         digits as when it is projected alone.
         """
         c = np.asarray(coeffs)
-        c1, c2 = self.chart_coeffs
-        basis = self.basis
-        lam = basis.scatter(_matvec(self.gram_pinv, self.divergence(c)))
-        g1 = basis.gather(self.div_x.T @ lam)
-        g2 = basis.gather(lam @ self.div_y)
-        return c - np.stack([g1, g2, c1 * g1 + c2 * g2], axis=-2).reshape(c.shape)
+        lam = self.basis.scatter(_matvec(self.gram_pinv, self.divergence(c)))
+        g = self.basis.gather(np.stack([self.div_x.T @ lam, lam @ self.div_y], axis=-3))
+        return c - (self.chart_rows.T @ g).reshape(c.shape)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -388,13 +386,7 @@ class OperatorTensors:
     def without_nonlinearity(self) -> "OperatorTensors":
         """Copy with the advection tensor zeroed; linear regression runs."""
         tr = self.trilinear
-        zero = replace(
-            tr,
-            x1=np.zeros_like(tr.x1),
-            y1=np.zeros_like(tr.y1),
-            x2=np.zeros_like(tr.x2),
-            y2=np.zeros_like(tr.y2),
-        )
+        zero = replace(tr, x=np.zeros_like(tr.x), y=np.zeros_like(tr.y))
         return replace(self, trilinear=zero)
 
 
@@ -467,10 +459,7 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     g1 = (np.pi / l1) * mm[None, :] * sc1[ix] * ss2[iy]
     g2 = (np.pi / l2) * nn[None, :] * ss1[ix] * sc2[iy]
     m = basis.nmodes_total
-    constraint = np.zeros((m, 3 * m))
-    constraint[:, 0:m] = g1
-    constraint[:, m:2 * m] = g2
-    constraint[:, 2 * m:3 * m] = c1 * g1 + c2 * g2
+    constraint = np.hstack([g1, g2, c1 * g1 + c2 * g2])
     bmode1 = np.arange(1, n1 + 1)
     bmode2 = np.arange(1, n2 + 1)
     div_x = (np.pi / l1) * bmode1[None, :] * sc1 * (0.5 * l2)
@@ -483,15 +472,9 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     y2 = 0.5 * (np.pi / l2) * (
         bmode2[None, :, None] * scs2 - bmode2[None, None, :] * np.swapaxes(scs2, 1, 2)
     )
-    trilinear = TrilinearTensor(
-        x1=x1,
-        y1=sss2,
-        x2=sss1,
-        y2=y2,
-        c1=c1,
-        c2=c2,
-        basis=basis,
-    )
+    r3 = np.array([[1.0, 0.0, c1], [0.0, 1.0, c2]])
+    trilinear = TrilinearTensor(x=np.stack([x1, sss1]), y=np.stack([sss2, y2]), chart_rows=r3,
+                                basis=basis)
 
     # the projector needs (C C^T)^+ only; the Gram is M x M and well
     # conditioned on its range, so one symmetric eigendecomposition replaces
@@ -530,6 +513,7 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     return OperatorTensors(
         basis=basis,
         chart_coeffs=(c1, c2),
+        chart_rows=r3,
         stiffness_A1=stiffness,
         constraint=constraint,
         trilinear=trilinear,
@@ -619,12 +603,14 @@ def step(
     nu: float,
     dt: float,
 ) -> GalerkinState:
-    """One explicit RK4 step of the projected Galerkin system, then reprojection.
+    """One explicit RK4 step of the projected Galerkin system.
 
-    The state may be a (B, 3M) stack, advanced in lockstep.  f_coeffs gives
-    the forcing in basis coordinates: a constant (3, M) array, a callable
+    The state may be a (B, 3M) stack, advanced in lockstep.  Every stage is
+    projected, so a state in the weak divergence-free subspace stays in it
+    to round-off and the result is not projected again.  f_coeffs gives the
+    forcing in basis coordinates: a constant (3, M) array, a callable
     t -> (3, M), or None.  Raises BlowUpError when any coefficient passes
-    1e12, which signals an unstable dt.
+    1e12 or is not finite, which signals an unstable dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -638,12 +624,13 @@ def step(
     k3 = _rhs(u0 + 0.5 * dt * k2, t0 + 0.5 * dt, tensors, f_of_t, nu)
     k4 = _rhs(u0 + dt * k3, t0 + dt, tensors, f_of_t, nu)
     u1 = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(u1)) or np.max(np.abs(u1)) > _BLOWUP_LIMIT:
+    # NaN and inf compare false, so this one test also catches them
+    if not np.max(np.abs(u1)) <= _BLOWUP_LIMIT:
         raise BlowUpError(
             f"coefficients exceeded {_BLOWUP_LIMIT:.0e} at t = {t0 + dt:g}; "
             f"reduce dt (rule of thumb: dt <= {RK4_REAL_LIMIT:.3f} / (nu * lambda_max))"
         )
-    return project_divfree(GalerkinState(coeffs=u1, time=t0 + dt), tensors)
+    return GalerkinState(coeffs=u1, time=t0 + dt)
 
 
 def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
@@ -673,17 +660,23 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
     return basis.gather(grid)
 
 
+@lru_cache(maxsize=8)
+def _vertex_sine_tables(nmodes: tuple, extents: tuple, dims: tuple):
+    """Read-only sine tables of both axes on a vertex grid, built once per key."""
+    basis = SpectralBasis(nmodes, extents)
+    tables = [basis.sine_table(i, np.linspace(0.0, extents[i], dims[i])) for i in range(2)]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     """Evaluate the expansion on a vertex grid of the basis rectangle."""
-    n1, n2 = (int(v) for v in dims)
+    dims = tuple(int(v) for v in dims)
     u = np.asarray(coeffs).reshape(-1, basis.nmodes_total)
-    x = np.linspace(0.0, basis.extents[0], n1)
-    y = np.linspace(0.0, basis.extents[1], n2)
-    s1 = basis.sine_table(0, x)
-    s2 = basis.sine_table(1, y)
-    grids = basis.scatter(u)
-    data = s1.T @ grids @ s2
-    return Field(dims=(n1, n2), extents=basis.extents, ncomp=u.shape[0], data=data)
+    s1, s2 = _vertex_sine_tables(basis.nmodes, basis.extents, dims)
+    data = s1.T @ basis.scatter(u) @ s2
+    return Field(dims=dims, extents=basis.extents, ncomp=u.shape[0], data=data)
 
 
 @dataclass
@@ -778,7 +771,7 @@ def _null_split(tensors: OperatorTensors):
     """
     c1, c2 = tensors.chart_coeffs
     m = tensors.nmodes_total
-    r3 = np.array([[1.0, 0.0, c1], [0.0, 1.0, c2]])
+    r3 = tensors.chart_rows
     w, v = np.linalg.eigh(r3 @ r3.T)
     s_inv = (v * np.sqrt(w)) @ v.T
     q = r3.T @ ((v / np.sqrt(w)) @ v.T)

@@ -243,6 +243,31 @@ def test_uniqueness_perturbed_envelope(tmp_path):
     assert max(rep["w_norm"]) <= max(rep["bound"]) * (1 + 1e-6) + 1e-30
 
 
+def test_seeded_draws_follow_spectral_mode_order(tmp_path):
+    # draw i of the synthetic u0 (with its decay) and of the uniqueness
+    # perturbation lands on the mode of rank i in (lambda, m, n) order, as
+    # it did when modes were stored in that order; the square box has ties
+    from nsslice.analysis import perturbation_coeffs
+
+    chart = make_chart(Hyperplane((0.6, 0.0, 0.8), 0.5))
+    tensors = nsslice.galerkin.assemble(nsslice.galerkin.SpectralBasis((4, 3), (1.0, 1.0)), chart)
+    basis = tensors.basis
+    m = basis.nmodes_total
+    by_rank = sorted(range(m), key=lambda p: (basis.eigenvalues[p], *basis.modes[p]))
+
+    def on_modes(drawn):
+        out = np.empty((3, m))
+        out[:, by_rank] = drawn.reshape(3, m)
+        return out.ravel()
+
+    decay = np.exp(-0.5 * np.tile(np.arange(m), 3) / 4.0)
+    want = tensors.project(on_modes(np.random.default_rng(5).standard_normal(3 * m) * decay))
+    cfg = nsslice.cli.RunConfig({}, str(tmp_path), seed=5)
+    assert np.array_equal(nsslice.cli._synthetic_u0(cfg, tensors), want)
+    p = tensors.project(on_modes(np.random.default_rng(7).standard_normal(3 * m)))
+    assert np.array_equal(perturbation_coeffs(tensors, 7), p / tensors.norm_h(p))
+
+
 def test_quadform_reports(tmp_path):
     src = tmp_path / "v.nsf1"
     write_u0_3d(src)

@@ -78,13 +78,23 @@ def oblique_tensors(square_basis):
     return assemble(square_basis, make_chart(DIAG_PLANE))
 
 
-def test_basis_mode_table_sorted():
+def test_basis_mode_table_row_major():
+    # mode p is the row-major grid cell (p // N2 + 1, p % N2 + 1), with its
+    # own eigenvalue; coefficient vectors and grids are views of each other
     basis = SpectralBasis(nmodes=(5, 3), extents=(1.3, 0.7))
-    lam = basis.eigenvalues
-    assert np.all(np.diff(lam) >= -1e-13)
-    assert lam[0] == pytest.approx(basis.lambda1)
-    m, n = basis.modes[0]
-    assert (m, n) == (1, 1)
+    p = np.arange(15)
+    assert np.array_equal(basis.modes, np.column_stack([p // 3 + 1, p % 3 + 1]))
+    m, n = basis.modes.T
+    lam = np.pi**2 * (m**2 / 1.3**2 + n**2 / 0.7**2)
+    np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-15, atol=0.0)
+    assert basis.lambda1 == pytest.approx(basis.eigenvalues.min(), rel=1e-15)
+    assert basis.lambda_max == basis.eigenvalues.max()
+    coeffs = np.arange(2 * 3 * 15, dtype=float).reshape(2, 3, 15)
+    grid = basis.scatter(coeffs)
+    assert grid.shape == (2, 3, 5, 3) and np.shares_memory(grid, coeffs)
+    assert grid[1, 2, 3, 1] == coeffs[1, 2, 3 * 3 + 1]
+    back = basis.gather(grid)
+    assert np.shares_memory(back, coeffs) and np.array_equal(back, coeffs)
 
 
 def test_lambda1_closed_form():
@@ -479,6 +489,43 @@ def test_step_blowup_guard(square_tensors):
         cur = state
         for _ in range(200):
             cur = step(cur, square_tensors, None, nu=1.0, dt=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_blowup_guard_catches_nonfinite(square_tensors, bad):
+    m = square_tensors.nmodes_total
+    forcing = np.zeros((3, m))
+    forcing[2, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match="reduce dt"):
+        step(GalerkinState(np.zeros(3 * m), 0.0), square_tensors, forcing, nu=0.1, dt=1e-3)
+
+
+def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
+    # the four RK4 stages are projected and the result is not projected again
+    calls = []
+    project = type(oblique_tensors).project
+
+    def counted(self, coeffs):
+        calls.append(1)
+        return project(self, coeffs)
+
+    monkeypatch.setattr(type(oblique_tensors), "project", counted)
+    state = GalerkinState(np.zeros(3 * oblique_tensors.nmodes_total), 0.0)
+    step(state, oblique_tensors, None, nu=0.1, dt=1e-3)
+    assert len(calls) == 4
+
+
+def test_long_run_stays_divergence_free_without_reprojection():
+    # 1000 steps at n = 12 on an oblique chart: the round-off drift out of
+    # the weak divergence-free subspace stays far below the 1e-9 solve check
+    chart = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
+    tens = assemble(SpectralBasis(nmodes=(12, 12), extents=(1.2, 0.9)), chart)
+    m = tens.nmodes_total
+    rng = np.random.default_rng(3)
+    u0 = tens.project(rng.standard_normal((3, m)) * np.exp(-0.1 * tens.basis.eigen_rank))
+    res = solve_from_state(GalerkinState(u0.ravel(), 0.0), None, tens, 0.1, 2.5e-4, 0.25)
+    assert len(res.trace) == 1001
+    assert np.max(divergence_residual(res.trace.coeffs, tens)) <= 1e-12
 
 
 def test_solve_requires_integral_step_count(square_tensors):
