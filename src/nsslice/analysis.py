@@ -37,7 +37,7 @@ TWIN_RTOL = 1e-12
 
 
 class EnergyViolationError(RuntimeError):
-    """A ledger statistic exceeded its derived a-priori bound."""
+    """A ledger holds a negative value of a stored norm."""
 
 
 def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -180,36 +180,6 @@ def ledger_from_run(
         residual=residual,
         nu=nu,
     )
-
-
-def apriori_bounds(ledger: EnergyLedger) -> dict:
-    """Bound statistics and the explicit constant from the cumulative estimate.
-
-    The bound constant is C = sqrt(2 (E(0) + int |W|)); both sup_t ||u|| <= C
-    and nu int (D1 + D2) <= C^2 / 2 follow from the cumulative inequality.
-    Raises EnergyViolationError if a statistic exceeds its bound, which flags
-    a solver bug, an instability or a corrupted ledger.
-    """
-    sup_norm = float(np.sqrt(2.0 * np.max(ledger.energy)))
-    int_w = float(ledger.cumulative_abs_work[-1])
-    budget = ledger.energy[0] + int_w
-    constant = float(np.sqrt(2.0 * budget))
-    int_grad = float(_cumulative(ledger.d1 + ledger.d2, ledger.times)[-1])
-    tol = INEQUALITY_RTOL * max(budget, 1e-300)
-    if 0.5 * sup_norm**2 > budget + tol:
-        raise EnergyViolationError(
-            f"sup ||u|| = {sup_norm} exceeds the bound constant {constant}"
-        )
-    if ledger.nu * int_grad > budget + tol:
-        raise EnergyViolationError(
-            f"nu * int(D1+D2) = {ledger.nu * int_grad} exceeds the budget {budget}"
-        )
-    return {
-        "sup_norm_h": sup_norm,
-        "int_grad_sq": int_grad,
-        "constant": constant,
-        "work_budget": budget,
-    }
 
 
 @dataclass

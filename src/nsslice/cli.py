@@ -176,6 +176,12 @@ def _chart_from_config(cfg: RunConfig):
 
 def _read_series_manifest(path: Path) -> TimeSeriesField:
     spec = json.loads(path.read_text())
+    # "times" holds numbers and "frames" paths relative to the manifest
+    for key, kind, what in (("times", (int, float), "numbers"), ("frames", str, "strings")):
+        if not isinstance(spec, dict) or key not in spec:
+            raise ConfigError(f"series manifest {path}: missing key {key!r}")
+        if not isinstance(spec[key], list) or not all(isinstance(v, kind) for v in spec[key]):
+            raise ConfigError(f"series manifest {path}: key {key!r} must be a list of {what}")
     times = np.asarray(spec["times"], dtype=float)
     frames = tuple(read_field(path.parent / rel) for rel in spec["frames"])
     return TimeSeriesField(times=times, frames=frames)

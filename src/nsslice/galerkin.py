@@ -31,7 +31,7 @@ direction on the (N1, N2) coefficient grid, and the pseudo-inverse of the
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,8 +42,8 @@ from .geometry import SliceChart, projected_gradient_coeffs
 logger = logging.getLogger(__name__)
 
 #: Largest |R(z)| <= 1 interval of the classical RK4 stability function on
-#: the negative real axis; used for the dt rule of thumb dt <= RK4_REAL_LIMIT
-#: / (nu * lambda_max).
+#: the negative real axis; the BlowUpError hint quotes the dt rule of thumb
+#: dt <= RK4_REAL_LIMIT / (nu * lambda_max).
 RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
@@ -182,12 +182,6 @@ def _matvec(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (matrix @ coeffs[..., None])[..., 0]
 
 
-def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, length]."""
-    x, w = np.polynomial.legendre.leggauss(int(npoints))
-    return 0.5 * length * (x + 1.0), 0.5 * length * w
-
-
 @dataclass(frozen=True)
 class TrilinearTensor:
     """Skew-symmetrized advection tensor in per-direction factorized form.
@@ -254,27 +248,6 @@ class TrilinearTensor:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.apply_pair(u, u)
 
-    def contract_triple(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-        """b~(u, v, w): advecting state u, transported v, test w."""
-        return float(np.sum(self.apply_pair(u, v) * np.asarray(w).reshape(3, -1)))
-
-    def dense(self) -> np.ndarray:
-        """Materialize H as a dense (3M, 3M, 3M) array; only for small bases."""
-        m = self.basis.nmodes_total
-        if m > 128:
-            raise GalerkinError("dense trilinear tensor is only supported for small bases")
-        mm = self.basis.modes[:, 0] - 1
-        nn = self.basis.modes[:, 1] - 1
-        t1 = self.x1[np.ix_(mm, mm, mm)] * self.y1[np.ix_(nn, nn, nn)]
-        t2 = self.x2[np.ix_(mm, mm, mm)] * self.y2[np.ix_(nn, nn, nn)]
-        g1, g2 = self.chart_rows
-        h = np.zeros((3, m, 3, m, 3, m))
-        for d in range(3):
-            for a in range(3):
-                # H[(d,r),(a,p),(d,q)] with p the advecting slot
-                h[d, :, a, :, d, :] += np.transpose(g1[a] * t1 + g2[a] * t2, (2, 0, 1))
-        return h.reshape(3 * m, 3 * m, 3 * m)
-
 
 @dataclass(frozen=True)
 class OperatorTensors:
@@ -295,9 +268,9 @@ class OperatorTensors:
     and the orthogonal (hence mass-orthogonal) projector onto its null space
     is applied as u - C^T gram_pinv C u, with gram_pinv the pseudo-inverse of
     C C^T on its rank-constraint_rank range.  gram_range holds the
-    orthonormal eigenvectors of that range.  The dense constraint is kept for
-    inspection; the dense projector and null_basis are built on first access
-    and no solver path reads them.
+    orthonormal eigenvectors of that range.  The dense constraint, projector
+    and null_basis are read only by the benchmark tracer and the tests; the
+    last two are built on first access.
     """
 
     basis: SpectralBasis
@@ -319,11 +292,6 @@ class OperatorTensors:
     @property
     def nmodes_total(self) -> int:
         return self.basis.nmodes_total
-
-    def max_stable_dt(self, nu: float) -> float:
-        """RK4 rule of thumb dt <= 2.785 / (nu * lambda_max) for the stiff part."""
-        lam_max = float(np.linalg.eigvalsh(-self.stiffness_A1)[-1]) / self.basis.mass_scale
-        return RK4_REAL_LIMIT / (nu * lam_max)
 
     # quadratic functionals, exact Parseval-style sums in coefficient space;
     # each takes one state or a (..., 3M) stack and then returns per-state arrays
@@ -374,20 +342,11 @@ class OperatorTensors:
     def null_basis(self) -> np.ndarray:
         """Orthonormal (3M, 3M - rank) basis of the constraint null space.
 
-        Built on first access from _null_split: the n_hat (x) I block
-        first, then (R3^T S (x) I) Y.
+        Built on first access: C^T gram_range spans range(C^T), so the
+        trailing columns of its complete QR span the complement null(C).
         """
-        n_hat, q, y = _null_split(self)
-        m = self.nmodes_total
-        chart_block = np.kron(n_hat[:, None], np.eye(m))
-        planar = np.concatenate([q[c, 0] * y[:m] + q[c, 1] * y[m:] for c in range(3)])
-        return np.hstack([chart_block, planar])
-
-    def without_nonlinearity(self) -> "OperatorTensors":
-        """Copy with the advection tensor zeroed; linear regression runs."""
-        tr = self.trilinear
-        zero = replace(tr, x=np.zeros_like(tr.x), y=np.zeros_like(tr.y))
-        return replace(self, trilinear=zero)
+        range_t = self.constraint.T @ self.gram_range
+        return np.linalg.qr(range_t, mode="complete")[0][:, self.constraint_rank:]
 
 
 def _trig_tables(n: int, length: float):
@@ -759,48 +718,18 @@ def rhs_dual_norm(
     return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
 
 
-def _null_split(tensors: OperatorTensors):
-    """Orthogonal split of the constraint null space: (n_hat, R3^T S, Y).
-
-    With R3 = [[1, 0, c1], [0, 1, c2]], C = [G1 G2] (R3 (x) I), so null(C)
-    is the orthogonal sum of n_hat (x) R^M, n_hat = (-c1, -c2, 1)/norm
-    spanning null(R3), and (R3^T S (x) I) null(G~), with S = (R3 R3^T)^(-1/2)
-    and G~ = [G1 G2] (S^-1 (x) I).  G~ G~^T = C C^T, so G~^T gram_range spans
-    range(G~^T), and Y (2M, 2M - rank) is its orthonormal complement from
-    one complete QR.
-    """
-    c1, c2 = tensors.chart_coeffs
-    m = tensors.nmodes_total
-    r3 = tensors.chart_rows
-    w, v = np.linalg.eigh(r3 @ r3.T)
-    s_inv = (v * np.sqrt(w)) @ v.T
-    q = r3.T @ ((v / np.sqrt(w)) @ v.T)
-    n_hat = np.array([-c1, -c2, 1.0]) / np.sqrt(1.0 + c1 * c1 + c2 * c2)
-    g = tensors.constraint[:, :2 * m]
-    gt_range = (g.T @ tensors.gram_range).reshape(2, m, -1)
-    range_2m = np.concatenate([s_inv[i, 0] * gt_range[0] + s_inv[i, 1] * gt_range[1]
-                               for i in range(2)])
-    y = np.linalg.qr(range_2m, mode="complete")[0][:, tensors.constraint_rank:]
-    return n_hat, q, y
-
-
 def coercivity_check(tensors: OperatorTensors) -> float:
     """Smallest eigenvalue of the negated stiffness on the div-free subspace.
 
-    Mass-normalized; a strictly positive value certifies discrete ellipticity
-    of the projected operator.  The stiffness acts as I3 (x) K, and the mass
-    is basis.mass_scale times the identity, so the generalized problem is a
-    standard one divided by mass_scale.  By _null_split the null space is the
-    orthogonal sum of n_hat (x) R^M and (R3^T S (x) I) null(G~); I3 (x) K
-    maps the first piece into itself and has no cross term between the two,
-    so the value is min(lambda_min(-K), lambda_min(Y^T (I2 (x) -K) Y)) / m0
-    and no 3M-wide null basis is formed.
+    The stiffness acts as I3 (x) K and the mass is m0 = basis.mass_scale
+    times the identity, so by Courant-Fischer the value is lambda_min(-K) / m0:
+
+    1. n_hat = (-c1, -c2, 1) / norm spans null(R3), so n_hat (x) R^M lies in null(C);
+    2. I3 (x) K maps n_hat (x) R^M into itself with the spectrum of K;
+    3. a minimum over null(C) is at least the unconstrained one, and 1-2 attain it.
+
+    A positive value certifies discrete ellipticity, but it cannot register a
+    loss of ellipticity that the constraint causes; the inf-sup ratio of C
+    is the certificate for that.
     """
-    m = tensors.nmodes_total
-    neg_k = -tensors.stiffness_A1
-    _, _, y = _null_split(tensors)
-    y1, y2 = y[:m], y[m:]
-    lowest = np.linalg.eigvalsh(neg_k)[0]
-    if y.shape[1]:
-        lowest = min(lowest, np.linalg.eigvalsh(y1.T @ neg_k @ y1 + y2.T @ neg_k @ y2)[0])
-    return float(lowest) / tensors.basis.mass_scale
+    return float(np.linalg.eigvalsh(-tensors.stiffness_A1)[0]) / tensors.basis.mass_scale

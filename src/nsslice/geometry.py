@@ -16,7 +16,6 @@ import numpy as np
 DEFAULT_CHART_TOL = 1e-8
 
 _UNIT_NORM_TOL = 1e-12
-_MEMBERSHIP_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -106,10 +105,6 @@ class SliceChart:
         out[..., i2] = p[..., 1]
         out[..., k] = self.affine_offset - self.alpha1 * p[..., 0] - self.alpha2 * p[..., 1]
         return out
-
-    def graph_height(self, s, t):
-        """Eliminated coordinate of the plane above parameter point (s, t)."""
-        return self.affine_offset - self.alpha1 * np.asarray(s) - self.alpha2 * np.asarray(t)
 
 
 def make_chart(plane: Hyperplane, tolerance: float = DEFAULT_CHART_TOL) -> SliceChart:
@@ -291,8 +286,3 @@ def slice_domain(box: Box3, chart: SliceChart) -> SliceDomain:
     if poly.shape[0] < 3:
         poly = np.zeros((0, 2))
     return SliceDomain(vertices=poly, inplane_axes=chart.inplane_axes)
-
-
-def membership_residual(chart: SliceChart, points2d) -> np.ndarray:
-    """|<normal, lift(p)> - offset| for in-plane points; ~0 for a valid chart."""
-    return np.abs(chart.plane.signed_distance(chart.lift(points2d)))

@@ -38,13 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import galerkin
-from .fieldio import Field
 from .galerkin import (
     OperatorTensors,
     SolveResult,
     SpectralBasis,
     GalerkinState,
-    gauss_rule,
     project_divfree,
     solve_from_state,
 )
@@ -72,6 +70,12 @@ _FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _EXPON
 _UP_TO_SECOND = sum(i + j <= 2 for i, j in _EXPONENTS)
 _SHIFT_X = np.array([_INDEX[(i + 1, j)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
 _SHIFT_Y = np.array([_INDEX[(i, j + 1)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
+
+
+def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, length]."""
+    x, w = np.polynomial.legendre.leggauss(int(npoints))
+    return 0.5 * length * (x + 1.0), 0.5 * length * w
 
 
 class Jet:
@@ -211,16 +215,6 @@ class ManufacturedSolution:
         dg, g = self._amplitude(t)
         a, b, c = self._forcing_fields(xg, yg)
         return dg * a + g * b + g * g * c
-
-    def velocity_field(self, t: float, dims) -> Field:
-        xg = np.linspace(0.0, self.extents[0], int(dims[0]))
-        yg = np.linspace(0.0, self.extents[1], int(dims[1]))
-        return Field(
-            dims=(int(dims[0]), int(dims[1])),
-            extents=self.extents,
-            ncomp=3,
-            data=self.velocity(t, xg, yg),
-        )
 
     # quadrature plumbing -------------------------------------------------
     def _quad(self, basis: SpectralBasis) -> _BasisData:

@@ -59,10 +59,6 @@ class StrainMatrixField:
     def npoints(self) -> int:
         return int(np.prod(self.dims))
 
-    def trace_field(self) -> np.ndarray:
-        """Pointwise trace of the strain; equals div v up to stencil error."""
-        return self.sym[0, 0] + self.sym[1, 1] + self.sym[2, 2]
-
     def gradient_norms(self) -> np.ndarray:
         """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
 
@@ -212,19 +208,6 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
         inertia=inertia,
         pivot_tol=float(pivot_tol),
     )
-
-
-def quadform_value(matrix, w) -> float:
-    """Reference path: w^T A w for one symmetric 3x3 matrix."""
-    a = np.asarray(matrix, dtype=float)
-    ww = np.asarray(w, dtype=float)
-    return float(ww @ a @ ww)
-
-
-def canonical_value(b, transform, w) -> float:
-    """sum_j b_j y_j^2 with y the recorded change of variables applied to w."""
-    y = np.asarray(transform, dtype=float) @ np.asarray(w, dtype=float)
-    return float(np.sum(np.asarray(b) * y**2))
 
 
 def box_lambda1(extents) -> float:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from oracles import contract_triple, without_nonlinearity
 
 import nsslice.galerkin
 from nsslice.analysis import (
     ContractionReport,
     EnergyViolationError,
-    apriori_bounds,
     _cumulative,
     contraction_report,
     difference_identity_residual,
@@ -65,7 +65,7 @@ def test_zero_trajectory_zero_ledger(tensors):
 def test_single_heat_mode_closed_form(tensors):
     # linear decay of one mode: E(t) = E(0) exp(-2 nu lambda t), residual
     # limited by the centered differencing
-    lin = tensors.without_nonlinearity()
+    lin = without_nonlinearity(tensors)
     m = tensors.nmodes_total
     u = np.zeros((3, m))
     u[2, 0] = 1.0
@@ -104,8 +104,9 @@ def test_inequality_on_forced_run(tensors):
     res = solve_from_state(GalerkinState(u0, 0.0), forcing, tensors, 0.1, 5e-4, 0.3)
     led = ledger_from_run(res.trace, tensors, forcing, 0.1)
     assert led.inequality_holds()
-    bounds = apriori_bounds(led)
-    assert bounds["sup_norm_h"] <= bounds["constant"] + 1e-9
+    # the sup-norm bound that the cumulative inequality implies
+    sup_norm = np.sqrt(2.0 * np.max(led.energy))
+    assert sup_norm <= np.sqrt(2.0 * (led.energy[0] + led.cumulative_abs_work[-1])) + 1e-9
 
 
 def test_apriori_unforced_sup_is_initial(tensors):
@@ -113,17 +114,21 @@ def test_apriori_unforced_sup_is_initial(tensors):
     res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-3, 0.2)
     led = ledger_from_run(res.trace, tensors, None, 0.1)
     assert led.energy_nonincreasing()
-    bounds = apriori_bounds(led)
-    assert bounds["sup_norm_h"] == pytest.approx(tensors.norm_h(u0), rel=1e-12)
+    sup_norm = np.sqrt(2.0 * np.max(led.energy))
+    assert sup_norm == pytest.approx(tensors.norm_h(u0), rel=1e-12)
 
 
 def test_apriori_violation_on_corrupted_ledger(tensors):
     u0 = smooth_state(tensors, seed=32)
     res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-3, 0.1)
     led = ledger_from_run(res.trace, tensors, None, 0.1)
+    # only the monotone verdict passes on the honest ledger: at dt = 1e-3 the
+    # Simpson ledger's own time-discretization error already breaks the
+    # inequality tolerance at the first step
+    assert led.energy_nonincreasing()
     led.energy[len(led.energy) // 2] = 10.0 * led.energy[0]  # inject energy
-    with pytest.raises(EnergyViolationError):
-        apriori_bounds(led)
+    assert not led.inequality_holds()
+    assert not led.energy_nonincreasing()
 
 
 def test_negative_norm_rejected(tensors):
@@ -310,7 +315,7 @@ def test_difference_identity_matches_per_state_loop(oblique):
         half_wsq[i] = oblique.energy(w)
         d1, d2, dc = oblique.dissipation_terms(w)
         diss[i] = 0.1 * (d1 + d2 + dc)
-        tri[i] = oblique.trilinear.contract_triple(w, cu, w)
+        tri[i] = contract_triple(oblique.trilinear, w, cu, w)
     ref = np.gradient(half_wsq, times, edge_order=2) + diss + tri
     assert np.array_equal(difference_identity_residual(res_u, res_v, 0.1), ref)
 

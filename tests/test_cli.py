@@ -215,6 +215,29 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["times", "frames"])
+@pytest.mark.parametrize("command", ["quadform", "solve"])
+def test_malformed_series_manifest_rejected(tmp_path, capsys, command, missing):
+    # a manifest without one of its keys is bad input (exit 2), not a failed check
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({k: v for k, v in (("times", [0.0]), ("frames", ["f.nsf1"]))
+                               if k != missing}))
+    if command == "quadform":
+        args = ["--set", f"io.v={bad}", "--set", "quadform.nu=0.1"]
+    else:
+        src = tmp_path / "u0s.nsf1"
+        write_u0_slice(src)
+        args = [
+            "--set", f"io.u0_slice={src}", "--set", f"io.forcing_slice={bad}",
+            "--set", "basis.n1=4", "--set", "basis.n2=4",
+            "--set", "solver.nu=0.1", "--set", "solver.dt=1e-3", "--set", "solver.T=0.01",
+        ]
+    rc = main([command, "--out", str(tmp_path / "o")] + args)
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(missing) in err
+
+
 def test_uniqueness_synthetic_delta_zero(tmp_path):
     out = tmp_path / "uniq"
     rc = main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import contract_triple, dense_trilinear, without_nonlinearity
 
 from nsslice.fieldio import Field, restrict_to_slice
 from nsslice.galerkin import (
@@ -11,7 +12,6 @@ from nsslice.galerkin import (
     assemble,
     coercivity_check,
     divergence_residual,
-    gauss_rule,
     project_divfree,
     project_field_to_basis,
     solve_from_state,
@@ -19,6 +19,7 @@ from nsslice.galerkin import (
     synthesize_field,
 )
 from nsslice.geometry import Hyperplane, make_chart
+from nsslice.mms import gauss_rule
 
 DIAG_PLANE = Hyperplane((1 / np.sqrt(3.0),) * 3, 0.5)
 
@@ -221,8 +222,6 @@ def test_trilinear_dense_against_quadrature_oracle():
     c1, c2 = tens.chart_coeffs
     l1, l2 = basis.extents
     q = 40
-    from nsslice.galerkin import gauss_rule
-
     xg, wx = gauss_rule(l1, q)
     yg, wy = gauss_rule(l2, q)
     w2d = wx[:, None] * wy[None, :]
@@ -252,7 +251,7 @@ def test_trilinear_dense_against_quadrature_oracle():
         ) * wfun(basis.modes[r])
         return float(np.sum(w2d * integ))
 
-    h = tens.trilinear.dense()
+    h = dense_trilinear(tens.trilinear)
     rng = np.random.default_rng(0)
     for _ in range(60):
         ai, bi, di = rng.integers(0, 3, size=3)
@@ -276,8 +275,6 @@ def test_trilinear_apply_against_pseudospectral_oracle():
     rng = np.random.default_rng(6)
     u = rng.standard_normal((3, m))
     v = rng.standard_normal((3, m))
-
-    from nsslice.galerkin import gauss_rule
 
     xg, wx = gauss_rule(l1, 80)
     yg, wy = gauss_rule(l2, 80)
@@ -320,8 +317,6 @@ def test_trilinear_apply_against_pseudospectral_oracle():
 
 def test_energy_matches_grid_quadrature(oblique_tensors):
     # Parseval energy against direct quadrature of |u|^2 / 2 on a fine grid
-    from nsslice.galerkin import gauss_rule
-
     tens = oblique_tensors
     basis = tens.basis
     rng = np.random.default_rng(31)
@@ -343,7 +338,7 @@ def test_trilinear_skew_annihilation(square_tensors, oblique_tensors, which):
     rng = np.random.default_rng(99)
     for _ in range(100):
         u = tens.projector @ rng.standard_normal(3 * m)
-        val = tens.trilinear.contract_triple(u, u, u)
+        val = contract_triple(tens.trilinear, u, u, u)
         scale = tens.norm_h(u) ** 3
         assert abs(val) <= 1e-10 * scale
 
@@ -466,7 +461,7 @@ def test_step_zero_fixed_point(square_tensors):
 def test_step_linear_heat_mode_decay(square_basis, square_tensors):
     # single mode, no forcing, advection zeroed: coefficient follows
     # exp(-nu lambda dt) with O(dt^5) one-step error
-    tens = square_tensors.without_nonlinearity()
+    tens = without_nonlinearity(square_tensors)
     m = square_basis.nmodes_total
     for p in (0, 3, 7):
         u = np.zeros((3, m))
@@ -655,12 +650,22 @@ def test_coercivity_positive_random_charts():
         tens = assemble(basis, chart)
         val = coercivity_check(tens)
         assert val > 0.0
+        # the closed form rests on n_hat (x) v lying in null(C) for every v,
+        # so the lowest eigenvector of -K is attained on the div-free subspace
+        neg_k = -tens.stiffness_A1
+        v = np.linalg.eigh(neg_k)[1][:, 0]
+        c1, c2 = tens.chart_coeffs
+        n_hat = np.array([-c1, -c2, 1.0]) / np.sqrt(1.0 + c1 * c1 + c2 * c2)
+        x = np.kron(n_hat, v)
+        assert np.linalg.norm(tens.divergence(x)) <= 1e-12 * np.linalg.norm(tens.constraint)
+        s3 = np.kron(np.eye(3), neg_k)
+        rq = float(x @ s3 @ x) / (basis.mass_scale * float(x @ x))
+        assert rq == pytest.approx(val, rel=1e-12)
         # independent check: inverse power iteration on the matrices reduced
         # by a null basis that does not come from the code under test
         z = scipy.linalg.null_space(tens.constraint)
         m = basis.nmodes_total
-        s3 = np.kron(np.eye(3), -tens.stiffness_A1)
-        m3 = basis.mass_scale * np.eye(3 * m)
+        m3 =basis.mass_scale * np.eye(3 * m)
         a = z.T @ s3 @ z
         b = z.T @ m3 @ z
         x = rng.standard_normal(a.shape[0])
@@ -708,7 +713,7 @@ def test_rhs_dual_norm_diagnostic(square_tensors):
     u = np.zeros((3, m))
     u[2, 0] = 1.0
     lam = square_tensors.basis.eigenvalues[0]
-    got = rhs_dual_norm(u.ravel(), square_tensors.without_nonlinearity(), None, 0.1, 0.0)
+    got = rhs_dual_norm(u.ravel(), without_nonlinearity(square_tensors), None, 0.1, 0.0)
     assert got == pytest.approx(0.1 * np.sqrt(lam) * 0.5, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import graph_height, membership_residual
 
 from nsslice.geometry import (
     Box3,
@@ -8,7 +9,6 @@ from nsslice.geometry import (
     GeometryError,
     Hyperplane,
     make_chart,
-    membership_residual,
     projected_gradient_coeffs,
     slice_domain,
 )
@@ -169,7 +169,7 @@ def test_slice_domain_hexagon_monte_carlo_oracle():
     nsamples = 10**7
     s = rng.random(nsamples)
     t = rng.random(nsamples)
-    z = chart.graph_height(s, t)
+    z = graph_height(chart, s, t)
     hits = np.count_nonzero((z >= 0.0) & (z <= 1.0))
     p_hat = hits / nsamples
     sigma = np.sqrt(p_hat * (1.0 - p_hat) / nsamples)
