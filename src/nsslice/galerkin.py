@@ -14,7 +14,7 @@ Every operator entry is a product of 1-D integrals of sine and cosine
 products on [0, L], assembled exactly from their product-to-sum closed forms.
 The mass is L1*L2/4 times the identity and the two gradient Grams are
 diagonal, so they are kept as a scalar and two diagonals; the chart cross
-term and stiffness stay dense.  The advection tensor is stored in
+term acts through the two factors of C below.  The advection tensor is stored in
 skew-symmetrized form, so its triple contraction with any state vanishes
 identically: this is the discrete counterpart of the cancellation that drives
 the energy identity, and it holds without assuming the basis itself is
@@ -173,15 +173,6 @@ def _sum_per_state(terms: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def _matvec(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """matrix @ c for one vector or for each vector of a (..., n) stack.
-
-    Every vector gets its own GEMV, so a stacked state reads the same digits
-    as when it is projected alone (a (K, n) @ matrix.T GEMM does not).
-    """
-    return (matrix @ coeffs[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class TrilinearTensor:
     """Skew-symmetrized advection tensor in per-direction factorized form.
@@ -245,9 +236,6 @@ class TrilinearTensor:
         r = self.x.reshape(2 * n1 * n1, n1).T @ e.reshape(e.shape[:-4] + (2 * n1 * n1, n2))
         return basis.gather(r)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.apply_pair(u, u)
-
 
 @dataclass(frozen=True)
 class OperatorTensors:
@@ -256,38 +244,69 @@ class OperatorTensors:
     The operators act per scalar mode, identically on each velocity
     component.  The mass is basis.mass_scale times the identity and is not
     stored; the gradient Grams grad1 and grad2 are diagonal and stored as
-    their (M,) diagonals.  stiffness_A1 and cross couple modes through the
-    chart and stay dense (M, M).
-
-    The weak divergence C maps the composite 3M coefficient vector to its
-    pairings with the M scalar modes.  Because the sine Gram is diagonal, it
-    acts on the (N1, N2) coefficient grids as
+    their (M,) diagonals.  The chart coupling is stored once, as the factors
+    div_x and div_y: because the sine Gram is diagonal, the weak divergence
+    and the stiffness act on the (N1, N2) coefficient grids as
 
         C u = div_x @ grid(u1 + c1 u3) + grid(u2 + c2 u3) @ div_y.T,
+        K U = -((1 + c1^2) grad1 + (1 + c2^2) grad2) U
+              - (c1 c2 / m0) (div_x @ U @ div_y + div_x.T @ U @ div_y.T),
 
-    and the orthogonal (hence mass-orthogonal) projector onto its null space
-    is applied as u - C^T gram_pinv C u, with gram_pinv the pseudo-inverse of
-    C C^T on its rank-constraint_rank range.  gram_range holds the
-    orthonormal eigenvectors of that range.  The dense constraint, projector
-    and null_basis are read only by the benchmark tracer and the tests; the
-    last two are built on first access.
+    the last term being the mixed pairing <D1 w_p, D2 w_q> = kron(div_x.T,
+    div_y) / m0 and its transpose.  The orthogonal (hence mass-orthogonal)
+    projector onto null(C) is applied as u - C^T gram_pinv C u, with
+    gram_pinv the pseudo-inverse of C C^T on its rank-constraint_rank range
+    and gram_range the orthonormal eigenvectors of that range.  The dense
+    stiffness_A1 (for coercivity_check), constraint, projector and
+    null_basis are built on first access.
     """
 
     basis: SpectralBasis
     chart_coeffs: tuple[float, float]
     chart_rows: np.ndarray      # (2, 3) R3 = [[1, 0, c1], [0, 1, c2]]: u -> advecting velocity
-    stiffness_A1: np.ndarray    # (M, M), symmetric negative definite weak form
-    constraint: np.ndarray      # (M, 3M) weak projected-divergence operator
     trilinear: TrilinearTensor
     grad1: np.ndarray           # (M,) <D1 w_p, D1 w_p>
     grad2: np.ndarray           # (M,) <D2 w_p, D2 w_p>
-    cross: np.ndarray           # (M, M) <(c1 D1 + c2 D2) w_p, (c1 D1 + c2 D2) w_q>
     div_x: np.ndarray           # (N1, N1) x-direction factor of C
     div_y: np.ndarray           # (N2, N2) y-direction factor of C
-    gram_pinv: np.ndarray       # (M, M) pseudo-inverse of C C^T
-    gram_range: np.ndarray      # (M, rank) orthonormal range of C C^T
-    constraint_rank: int
-    rank_deficient: bool
+    gram_pinv: np.ndarray = field(init=False)   # (M, M) pseudo-inverse of C C^T
+    gram_range: np.ndarray = field(init=False)  # (M, rank) orthonormal range of C C^T
+    constraint_rank: int = field(init=False)
+    rank_deficient: bool = field(init=False)
+
+    def __post_init__(self):
+        # The projector needs (C C^T)^+ only.  The Gram is formed by the C^T and
+        # C kernels that project runs; both keep the parity of m + n, so it
+        # splits into two exact blocks, one symmetric eigensolve each.  On
+        # w = sigma^2 the rank test w > max(w_max * 3M * eps, (1e-12 * scale)^2)
+        # keeps sigma above sqrt(3M eps) sigma_max (6e-7 sigma_max at n = 24).
+        # For mode counts up to 32 (1.2 x 0.9 box, three charts) the kept
+        # w / w_max are >= 2.3e-4 and the odd x odd structural zero reads
+        # <= 7.1e-17, far on either side.  The absolute floor makes an
+        # all-round-off Gram read as rank zero.  The mass is m0 I, so this
+        # Euclidean projector is the mass-orthogonal one.
+        n1, n2 = self.basis.nmodes
+        m = self.nmodes_total
+        gram = self.divergence(self.divergence_adjoint(np.eye(m)))
+        w, v = np.zeros(m), np.zeros((m, m))
+        parity = self.basis.modes.sum(axis=1) % 2
+        for i in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+            w[i], v[i[:, None], i] = np.linalg.eigh(gram[i[:, None], i])
+        scale = np.pi * max(n1, n2) / min(self.basis.extents) * self.basis.mass_scale
+        tol = max(w.max() * 3 * m * np.finfo(float).eps, (1e-12 * scale) ** 2)
+        keep = w > tol
+        rank = int(np.count_nonzero(keep))
+        gram_range = v[:, keep]
+        # odd-by-odd mode counts carry one structural left-null direction of the
+        # weak divergence (a spurious-mode pair), so full rank is m minus that
+        expected_rank = m - (n1 % 2) * (n2 % 2)
+        if rank < expected_rank:
+            logger.warning("constraint matrix rank %d below the expected %d; the "
+                           "divergence-free subspace is larger than usual", rank, expected_rank)
+        object.__setattr__(self, "gram_pinv", (gram_range / w[keep]) @ gram_range.T)
+        object.__setattr__(self, "gram_range", gram_range)
+        object.__setattr__(self, "constraint_rank", rank)
+        object.__setattr__(self, "rank_deficient", rank < expected_rank)
 
     @property
     def nmodes_total(self) -> int:
@@ -305,9 +324,14 @@ class OperatorTensors:
         return float(norm) if norm.ndim == 0 else norm
 
     def dissipation_terms(self, coeffs: np.ndarray):
-        """(||D1 u||^2, ||D2 u||^2, cross-term norm^2) summed over components."""
+        """(||D1 u||^2, ||D2 u||^2, ||(c1 D1 + c2 D2) u||^2) summed over components."""
         u = _by_component(coeffs, self.nmodes_total)
-        return (*self._gradient_terms(u), _sum_per_state(u * (u @ self.cross)))
+        d1, d2 = self._gradient_terms(u)
+        c1, c2 = self.chart_coeffs
+        grid = self.basis.scatter(u)
+        mixed = _sum_per_state(u * self.basis.gather(self.div_x @ grid @ self.div_y))
+        mixed *= 2.0 * c1 * c2 / self.basis.mass_scale
+        return d1, d2, c1 * c1 * d1 + c2 * c2 * d2 + mixed
 
     def grad_norm_sq(self, coeffs: np.ndarray):
         d1, d2 = self._gradient_terms(_by_component(coeffs, self.nmodes_total))
@@ -321,16 +345,40 @@ class OperatorTensors:
         a = self.basis.scatter(self.chart_rows @ _by_component(coeffs, self.nmodes_total))
         return self.basis.gather(self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self.div_y.T)
 
+    def divergence_adjoint(self, lam: np.ndarray) -> np.ndarray:
+        """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3, M)."""
+        grid = self.basis.scatter(lam)
+        g = self.basis.gather(np.stack([self.div_x.T @ grid, grid @ self.div_y], axis=-3))
+        return self.chart_rows.T @ g
+
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """u - C^T gram_pinv C u for one (3M,) state or a (..., 3M) stack.
 
-        Every state gets its own products, so a stacked state reads the same
-        digits as when it is projected alone.
+        Every state gets its own products, GEMV included, so a stacked state
+        reads the same digits as when it is projected alone (a (K, M) @ W.T
+        GEMM does not).
         """
         c = np.asarray(coeffs)
-        lam = self.basis.scatter(_matvec(self.gram_pinv, self.divergence(c)))
-        g = self.basis.gather(np.stack([self.div_x.T @ lam, lam @ self.div_y], axis=-3))
-        return c - (self.chart_rows.T @ g).reshape(c.shape)
+        lam = (self.gram_pinv @ self.divergence(c)[..., None])[..., 0]
+        return c - self.divergence_adjoint(lam).reshape(c.shape)
+
+    def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
+        """K u of (..., M) coefficients on the (N1, N2) grids; see the class docstring."""
+        c1, c2 = self.chart_coeffs
+        grid = self.basis.scatter(u)
+        mixed = self.div_x @ grid @ self.div_y + self.div_x.T @ grid @ self.div_y.T
+        diag = (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2
+        return -(diag * u + (c1 * c2 / self.basis.mass_scale) * self.basis.gather(mixed))
+
+    @cached_property
+    def stiffness_A1(self) -> np.ndarray:
+        """Dense symmetric (M, M) stiffness K, built on first access."""
+        return self.apply_stiffness(np.eye(self.nmodes_total))
+
+    @cached_property
+    def constraint(self) -> np.ndarray:
+        """Dense (M, 3M) weak divergence C, built on first access."""
+        return self.divergence(np.eye(3 * self.nmodes_total)).T
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -396,29 +444,16 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     ss1, sc1, cc1, sss1, scs1 = _trig_tables(n1, l1)
     ss2, sc2, cc2, sss2, scs2 = _trig_tables(n2, l2)
 
-    mm = basis.modes[:, 0]
-    nn = basis.modes[:, 1]
-    im = mm - 1
-    jn = nn - 1
-    ix = np.ix_(im, im)
-    iy = np.ix_(jn, jn)
+    mm, nn = basis.modes.T
 
     # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors.  The
     # off-diagonal entries pair distinct sine modes and are exact zeros.
-    k1 = (np.pi / l1) ** 2 * (mm * mm) * cc1[im, im] * ss2[jn, jn]
-    k2 = (np.pi / l2) ** 2 * (nn * nn) * ss1[im, im] * cc2[jn, jn]
-    # <D1 w_p, D2 w_q> = (m_p pi/L1)(n_q pi/L2) * int sin_mq cos_mp dx * int sin_np cos_nq dy
-    k12 = (np.pi / l1) * (np.pi / l2) * np.outer(mm, nn) * sc1.T[ix] * sc2[iy]
-    cross = np.diag(c1 * c1 * k1 + c2 * c2 * k2) + c1 * c2 * (k12 + k12.T)
-    stiffness = -(np.diag(k1 + k2) + cross)
+    k1 = (np.pi / l1) ** 2 * (mm * mm) * cc1[mm - 1, mm - 1] * ss2[nn - 1, nn - 1]
+    k2 = (np.pi / l2) ** 2 * (nn * nn) * ss1[mm - 1, mm - 1] * cc2[nn - 1, nn - 1]
 
     # weak derivative pairings <D_i w_q, w_p>.  ss is diagonal (L/2), so each
     # pairing acts along one grid direction only: div_x[a, c] is the
     # <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1, div_y likewise in y
-    g1 = (np.pi / l1) * mm[None, :] * sc1[ix] * ss2[iy]
-    g2 = (np.pi / l2) * nn[None, :] * ss1[ix] * sc2[iy]
-    m = basis.nmodes_total
-    constraint = np.hstack([g1, g2, c1 * g1 + c2 * g2])
     bmode1 = np.arange(1, n1 + 1)
     bmode2 = np.arange(1, n2 + 1)
     div_x = (np.pi / l1) * bmode1[None, :] * sc1 * (0.5 * l2)
@@ -434,57 +469,15 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     r3 = np.array([[1.0, 0.0, c1], [0.0, 1.0, c2]])
     trilinear = TrilinearTensor(x=np.stack([x1, sss1]), y=np.stack([sss2, y2]), chart_rows=r3,
                                 basis=basis)
-
-    # the projector needs (C C^T)^+ only; the Gram is M x M and well
-    # conditioned on its range, so one symmetric eigendecomposition replaces
-    # the SVD of C.  Its eigenvalues are w = sigma^2, so the rank test acts on
-    # sigma^2:
-    #     w > max(w_max * max(C.shape) * eps, (1e-12 * scale_c)^2),
-    # i.e. sigma above sqrt(3 M eps) * sigma_max (6e-7 sigma_max at n = 24).
-    # For mode counts up to 32, even and odd, the kept w / w_max are >= 2.6e-4
-    # (sigma / sigma_max >= 0.016) and the structural zero of odd x odd counts
-    # reads |w| / w_max <= 6.6e-17, far on either side of the threshold.  The
-    # absolute floor at the operator's natural scale makes an all-round-off
-    # matrix read as rank zero.  The mass is a multiple of the identity, so
-    # the Euclidean orthogonal projector is the mass-orthogonal one.
-    w, v = np.linalg.eigh(constraint @ constraint.T)
-    scale_c = np.pi * max(n1, n2) / min(l1, l2) * basis.mass_scale
-    tol = max(
-        (w[-1] if w.size else 0.0) * max(constraint.shape) * np.finfo(float).eps,
-        (1e-12 * scale_c) ** 2,
-    )
-    keep = w > tol
-    rank = int(np.count_nonzero(keep))
-    gram_range = v[:, keep]
-    gram_pinv = (gram_range / w[keep]) @ gram_range.T
-    # odd-by-odd mode counts carry one structural left-null direction of the
-    # weak divergence (a spurious-mode pair), so full rank is m minus that
-    expected_rank = m - (n1 % 2) * (n2 % 2)
-    rank_deficient = rank < expected_rank
-    if rank_deficient:
-        logger.warning(
-            "constraint matrix rank %d below the expected %d; "
-            "the divergence-free subspace is larger than usual",
-            rank,
-            expected_rank,
-        )
-
     return OperatorTensors(
         basis=basis,
         chart_coeffs=(c1, c2),
         chart_rows=r3,
-        stiffness_A1=stiffness,
-        constraint=constraint,
         trilinear=trilinear,
         grad1=k1,
         grad2=k2,
-        cross=cross,
         div_x=div_x,
         div_y=div_y,
-        gram_pinv=gram_pinv,
-        gram_range=gram_range,
-        constraint_rank=rank,
-        rank_deficient=rank_deficient,
     )
 
 
@@ -549,8 +542,8 @@ def _rhs(coeffs3m: np.ndarray, t: float, tensors: OperatorTensors, f_of_t, nu: f
     coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t.
     """
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
-    weak = nu * (u @ tensors.stiffness_A1)
-    weak -= tensors.trilinear.apply(u)
+    weak = nu * tensors.apply_stiffness(u)
+    weak -= tensors.trilinear.apply_pair(u, u)
     udot = weak / tensors.basis.mass_scale + f_of_t(t)
     return tensors.project(udot.reshape(coeffs3m.shape))
 
@@ -712,8 +705,8 @@ def rhs_dual_norm(
     """
     f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u = np.asarray(coeffs).reshape(3, -1)
-    weak = nu * (u @ tensors.stiffness_A1)
-    weak -= tensors.trilinear.apply(u)
+    weak = nu * tensors.apply_stiffness(u)
+    weak -= tensors.trilinear.apply_pair(u, u)
     weak += tensors.basis.mass_scale * f_of_t(t)
     return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
 

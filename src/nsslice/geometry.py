@@ -70,11 +70,6 @@ class Hyperplane:
             raise GeometryError("direction must be nonzero")
         return cls(tuple(d / norm), float(offset) / norm)
 
-    def signed_distance(self, points) -> np.ndarray:
-        """<normal, x> - offset for an array of points (..., 3)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ np.asarray(self.normal) - self.offset
-
 
 @dataclass(frozen=True)
 class SliceChart:

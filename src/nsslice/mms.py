@@ -206,11 +206,6 @@ class ManufacturedSolution:
         # the advecting velocity W = (U1 + c1 U3, U2 + c2 U3) is (D2 psi, -D1 psi)
         return u[:, 0], -self.nu * a1, psi_y[0] * u[:, 1] - psi_x[0] * u[:, 2]
 
-    def velocity(self, t: float, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
-        """Exact velocity (3, nx, ny) on the tensor grid xg x yg."""
-        _, g = self._amplitude(t)
-        return g * self._forcing_fields(xg, yg)[0]
-
     def forcing_values(self, t: float, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
         dg, g = self._amplitude(t)
         a, b, c = self._forcing_fields(xg, yg)

@@ -36,6 +36,15 @@ def contract_triple(tri, u, v, w) -> float:
     return float(np.sum(tri.apply_pair(u, v) * np.asarray(w).reshape(3, -1)))
 
 
+def cross_matrix(tensors) -> np.ndarray:
+    """Dense (M, M) chart cross term <(c1 D1 + c2 D2) w_p, (c1 D1 + c2 D2) w_q>.
+
+    The factored stiffness applied to the identity, less its gradient diagonal.
+    """
+    stiffness = tensors.apply_stiffness(np.eye(tensors.nmodes_total))
+    return -stiffness - np.diag(tensors.grad1 + tensors.grad2)
+
+
 def without_nonlinearity(tensors):
     """Copy of the operators with the advection tensor zeroed, for linear runs."""
     tr = tensors.trilinear
@@ -65,9 +74,20 @@ def graph_height(chart, s, t):
     return chart.affine_offset - chart.alpha1 * np.asarray(s) - chart.alpha2 * np.asarray(t)
 
 
+def signed_distance(plane, points) -> np.ndarray:
+    """<normal, x> - offset of a plane for an array of points (..., 3)."""
+    return np.asarray(points, dtype=float) @ np.asarray(plane.normal) - plane.offset
+
+
 def membership_residual(chart, points2d) -> np.ndarray:
     """|<normal, lift(p)> - offset| for in-plane points; ~0 for a valid chart."""
-    return np.abs(chart.plane.signed_distance(chart.lift(points2d)))
+    return np.abs(signed_distance(chart.plane, chart.lift(points2d)))
+
+
+def velocity(ms, t: float, xg, yg) -> np.ndarray:
+    """Exact manufactured velocity (3, nx, ny) on the tensor grid xg x yg."""
+    _, g = ms._amplitude(t)
+    return g * ms._forcing_fields(xg, yg)[0]
 
 
 def velocity_field(ms, t: float, dims) -> Field:
@@ -75,4 +95,4 @@ def velocity_field(ms, t: float, dims) -> Field:
     xg = np.linspace(0.0, ms.extents[0], int(dims[0]))
     yg = np.linspace(0.0, ms.extents[1], int(dims[1]))
     return Field(dims=(int(dims[0]), int(dims[1])), extents=ms.extents, ncomp=3,
-                 data=ms.velocity(t, xg, yg))
+                 data=velocity(ms, t, xg, yg))

@@ -131,6 +131,18 @@ def test_apriori_violation_on_corrupted_ledger(tensors):
     assert not led.energy_nonincreasing()
 
 
+def test_inequality_verdict_flips_on_corrupted_ledger(tensors):
+    # must-PASS / must-FAIL pair for inequality_holds: the data of the test
+    # above at dt = 2.5e-4, where the honest Simpson ledger resolves the run
+    # and passes; injecting energy mid-run must then fail the verdict
+    u0 = smooth_state(tensors, seed=32)
+    res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 2.5e-4, 0.1)
+    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    assert led.inequality_holds()
+    led.energy[len(led.energy) // 2] = 10.0 * led.energy[0]  # inject energy
+    assert not led.inequality_holds()
+
+
 def test_negative_norm_rejected(tensors):
     u0 = smooth_state(tensors, seed=33)
     res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-2, 0.05)
@@ -276,12 +288,19 @@ def test_ledger_matches_per_state_loop(oblique):
     )
     led = ledger_from_run(res.trace, oblique, forcing, 0.1)
     mass, grad1, grad2 = dense_grams(oblique)
+    c1, c2 = oblique.chart_coeffs
     for i, (t, c) in enumerate(zip(res.trace.times, res.trace.coeffs)):
         u = c.reshape(3, -1)
         assert led.energy[i] == 0.5 * float(np.sum(u * (u @ mass)))
-        assert led.d1[i] == float(np.sum(u * (u @ grad1)))
-        assert led.d2[i] == float(np.sum(u * (u @ grad2)))
-        assert led.dcross[i] == float(np.sum(u * (u @ oblique.cross)))
+        d1 = float(np.sum(u * (u @ grad1)))
+        d2 = float(np.sum(u * (u @ grad2)))
+        assert led.d1[i] == d1
+        assert led.d2[i] == d2
+        # the cross term as the factored quadratic form of this one state
+        grid = oblique.basis.scatter(u)
+        mixed = float(np.sum(u * oblique.basis.gather(oblique.div_x @ grid @ oblique.div_y)))
+        dcross = c1 * c1 * d1 + c2 * c2 * d2 + (2.0 * c1 * c2 / oblique.basis.mass_scale) * mixed
+        assert led.dcross[i] == dcross
         assert led.work[i] == float(np.sum(forcing(t) * (u @ mass)))
 
 

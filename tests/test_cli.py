@@ -184,6 +184,38 @@ def test_solve_failed_certificate_exit_code(tmp_path):
     assert not manifest["checks"]["inequality_holds"]
 
 
+def test_solve_divergence_check_fails_on_leaky_projection(tmp_path, monkeypatch):
+    # must-FAIL oracle: a projection that leaves 1e-8 of C^T lambda in every
+    # stage lets the weak divergence grow past the 1e-9 check; the honest
+    # solve of the same data on the same oblique chart keeps it
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src)
+    args = [
+        "--set", f"io.u0_slice={src}",
+        "--set", "plane.normal=1,0.5,1", "--set", "plane.offset=1.75",
+        "--set", "basis.n1=6", "--set", "basis.n2=6",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=0.00025", "--set", "solver.T=0.0125",
+    ]
+    assert main(["solve", "--out", str(tmp_path / "honest"), *args]) == EXIT_OK
+    honest = json.loads((tmp_path / "honest" / "run_manifest.json").read_text())
+    assert honest["checks"]["divergence_preserved"]
+    assert honest["max_divergence_residual"] <= 1e-12
+
+    project = nsslice.galerkin.OperatorTensors.project
+
+    def leaky(self, coeffs):
+        out = project(self, coeffs)
+        return out + 1e-8 * (np.asarray(coeffs) - out)
+
+    monkeypatch.setattr(nsslice.galerkin.OperatorTensors, "project", leaky)
+    out = tmp_path / "leaky"
+    assert main(["solve", "--out", str(out), *args]) == EXIT_CHECK_FAILED
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert not manifest["checks"]["divergence_preserved"]
+    assert manifest["max_divergence_residual"] > 1e-9
+    assert manifest["checks"]["inequality_holds"]
+
+
 def test_invalid_numeric_rejected_before_compute(tmp_path):
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src)

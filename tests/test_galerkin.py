@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import contract_triple, dense_trilinear, without_nonlinearity
+from oracles import contract_triple, cross_matrix, dense_trilinear, without_nonlinearity
 
 from nsslice.fieldio import Field, restrict_to_slice
 from nsslice.galerkin import (
@@ -179,7 +179,7 @@ def test_assembly_against_closed_form_integrals():
     assert np.allclose(np.diag(tens.grad1), k1_ref, atol=1e-12)
     assert np.allclose(np.diag(tens.grad2), k2_ref, atol=1e-12)
     cross_ref = c1 * c1 * k1_ref + c2 * c2 * k2_ref + c1 * c2 * (k12_ref + k12_ref.T)
-    assert np.allclose(tens.cross, cross_ref, atol=1e-12)
+    assert np.allclose(cross_matrix(tens), cross_ref, atol=1e-12)
     assert np.allclose(tens.stiffness_A1, -(k1_ref + k2_ref + cross_ref), atol=1e-12)
     con_ref = np.hstack([g1_ref, g2_ref, c1 * g1_ref + c2 * g2_ref])
     assert np.allclose(tens.constraint, con_ref, atol=1e-12)
@@ -425,6 +425,9 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
     assert np.array_equal(stacked, single)
     if rank_ref == 0:
         assert np.array_equal(stacked, x)   # P = I
+    # C and C^T keep the parity of m + n, so no two parity classes couple
+    parity = tens.basis.modes.sum(axis=1) % 2
+    assert np.all(tens.gram_pinv[parity[:, None] != parity] == 0.0)
     # the lazily built dense forms
     z = tens.null_basis
     assert z.shape == (3 * m, 3 * m - rank_ref)
@@ -686,7 +689,7 @@ def test_axis_aligned_chart_reduces_exactly(square_basis, square_tensors):
     tens = assemble(square_basis, chart)
     assert np.array_equal(tens.stiffness_A1, square_tensors.stiffness_A1)
     assert np.array_equal(tens.constraint, square_tensors.constraint)
-    assert np.array_equal(tens.cross, np.zeros_like(tens.cross))
+    assert np.array_equal(cross_matrix(tens), np.zeros((tens.nmodes_total,) * 2))
     assert tens.chart_coeffs == (0.0, 0.0)
 
 
@@ -813,9 +816,10 @@ def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
         (basis.mass_scale * np.eye(basis.nmodes_total), mass_ref),
         (np.diag(exact.grad1), k1_ref),
         (np.diag(exact.grad2), k2_ref),
+        (cross_matrix(exact), cross_matrix(ref)),
     ] + [
         (getattr(exact, name), getattr(ref, name))
-        for name in ("stiffness_A1", "constraint", "cross", "projector")
+        for name in ("stiffness_A1", "constraint", "projector")
     ] + [
         (getattr(exact.trilinear, name), getattr(ref.trilinear, name))
         for name in ("x1", "y1", "x2", "y2")
