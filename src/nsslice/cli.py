@@ -8,7 +8,9 @@ validated before any computation starts.  Reports are JSON (deterministic
 byte-for-byte for a fixed config and seed, except the timestamp_utc field),
 fields are NSF1, tables are CSV with a header row.  Exit code 0 means every
 check the subcommand ran passed; 1 means a check failed; 2 means the run
-itself errored.
+itself errored.  quadform and stratify exit 0 whenever they complete: the
+viscosity criterion and the stratification sign are findings about the
+input field, reported as "satisfied" and "positive" in their JSON reports.
 """
 
 from __future__ import annotations
@@ -429,6 +431,8 @@ def cmd_quadform(cfg: RunConfig) -> int:
         if w_path is not None and i == 0:
             wfield = read_field(w_path)
             signed = qf.signed_integral(strain, wfield)
+        # release this frame's gradient and coefficients before the next is built
+        del strain, dec
     report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, c_gn)
     payload = report.to_dict()
     payload["inertia_histograms"] = inertia_hists

@@ -8,10 +8,11 @@ sum_jk a_jk w_j w_k.  Canonicalizing B by Jacobi's minor-ratio formulas,
 
 with M_k the leading principal k x k blocks, diagonalizes the form as
 sum_j b_j y_j^2 under a unit upper-triangular change of variables; the signs
-of (b1, b2, b3) give the inertia (Sylvester's law).  Points whose leading
-minors fall under the pivot tolerance fall back to a symmetric eigensolve
-for the inertia.  The viscosity criterion compares nu * lambda1^(1/4)
-against c^2 * sum_i ||D_i v_j||_2 per component and time.
+of (b1, b2, b3) give the inertia (Sylvester's law).  Only the coefficients
+and the inertia are kept: the change of variables itself is not formed.
+Points whose leading minors fall under the pivot tolerance fall back to a
+symmetric eigensolve for the inertia.  The viscosity criterion compares
+nu * lambda1^(1/4) against c^2 * sum_i ||D_i v_j||_2 per component and time.
 """
 
 from __future__ import annotations
@@ -29,27 +30,29 @@ _ZERO_EIG_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StrainMatrixField:
-    """Gradient tensor and its symmetric part on a 3D grid.
+    """Gradient tensor of a 3D velocity field; its symmetric part on demand.
 
-    grad[i, k] holds D_i v_k; sym[j, k] = 0.5 * (D_j v_k + D_k v_j) is
-    symmetric by construction.
+    grad[i, k] holds D_i v_k and is the only stored array.  sym[j, k] =
+    0.5 * (D_j v_k + D_k v_j) is computed on access; canonicalize takes the
+    same six entries from grad without forming it.
     """
 
     dims: tuple[int, int, int]
     extents: tuple[float, float, float]
     grad: np.ndarray  # (3, 3, nx, ny, nz)
-    sym: np.ndarray   # (3, 3, nx, ny, nz)
 
     @classmethod
     def from_gradients(cls, dims, extents, grad) -> "StrainMatrixField":
-        grad = np.asarray(grad, dtype=float)
-        sym = 0.5 * (grad + np.swapaxes(grad, 0, 1))
         return cls(
             dims=tuple(int(d) for d in dims),
             extents=tuple(float(e) for e in extents),
-            grad=grad,
-            sym=sym,
+            grad=np.asarray(grad, dtype=float),
         )
+
+    @property
+    def sym(self) -> np.ndarray:
+        """Symmetric part (3, 3, nx, ny, nz), a fresh array on every access."""
+        return 0.5 * (self.grad + np.swapaxes(self.grad, 0, 1))
 
     def matrices(self) -> np.ndarray:
         """Symmetric matrices as an (npoints, 3, 3) stack."""
@@ -91,18 +94,15 @@ def strain_field(v: Field) -> StrainMatrixField:
 
 @dataclass(frozen=True)
 class QuadFormDecomposition:
-    """Pointwise canonical coefficients, change of variables and inertia.
+    """Pointwise canonical coefficients and inertia.
 
-    b[j] and upper hold NaN at pivot-degenerate points (jacobi[point]
-    False), where only the eigensolve inertia is available.  upper rows are
-    the entries (u12, u13, u23) of the unit upper-triangular change of
-    variables, which point() assembles.  inertia rows are (n_plus, n_zero,
-    n_minus).
+    b rows are (b1, b2, b3) and hold NaN at pivot-degenerate points
+    (jacobi[point] False), where only the eigensolve inertia is available.
+    inertia rows are (n_plus, n_zero, n_minus).
     """
 
     dims: tuple[int, int, int]
     b: np.ndarray            # (npoints, 3)
-    upper: np.ndarray        # (npoints, 3) entries (u12, u13, u23)
     jacobi: np.ndarray       # (npoints,) bool, True where the minor path ran
     inertia: np.ndarray      # (npoints, 3) ints
     pivot_tol: float
@@ -124,20 +124,11 @@ class QuadFormDecomposition:
             for c in np.flatnonzero(counts)
         }
 
-    def point(self, idx: int) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-        """(b, 3x3 change of variables, jacobi, inertia) at one point; NaN where degenerate."""
-        jacobi = bool(self.jacobi[idx])
-        transform = np.eye(3) if jacobi else np.full((3, 3), np.nan)
-        transform[np.triu_indices(3, 1)] = self.upper[idx]
-        return self.b[idx], transform, jacobi, self.inertia[idx]
 
-
-def default_pivot_tol(strain: StrainMatrixField) -> float:
-    return DEFAULT_PIVOT_REL_TOL * max(float(np.max(np.abs(strain.sym))), 1e-300)
-
-
-def _eig_inertia(mats: np.ndarray, zero_tol: float) -> np.ndarray:
-    vals = np.linalg.eigvalsh(mats)
+def _eig_inertia(entries, zero_tol: float) -> np.ndarray:
+    a11, a12, a13, a22, a23, a33 = entries
+    mats = np.stack([a11, a12, a13, a12, a22, a23, a13, a23, a33], axis=-1)
+    vals = np.linalg.eigvalsh(mats.reshape(-1, 3, 3))
     n_plus = np.sum(vals > zero_tol, axis=1)
     n_minus = np.sum(vals < -zero_tol, axis=1)
     return np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
@@ -146,23 +137,23 @@ def _eig_inertia(mats: np.ndarray, zero_tol: float) -> np.ndarray:
 def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> QuadFormDecomposition:
     """Jacobi minor-ratio canonicalization with an eigensolve fallback.
 
-    Where |det M1| and |det M2| both clear pivot_tol the canonical
-    coefficients, the unit-triangular change of variables and the inertia
-    come from the minor formulas; elsewhere the coefficients are marked
-    degenerate (NaN) and the inertia comes from the eigenvalues.
+    The six entries a_jk = 0.5 * (D_j v_k + D_k v_j), j <= k, are read from
+    the gradient.  Where |det M1| and |det M2| both clear pivot_tol (default
+    DEFAULT_PIVOT_REL_TOL * max |a_jk|) the canonical coefficients and the
+    inertia come from the minor formulas; elsewhere the coefficients are
+    marked degenerate (NaN) and the inertia comes from the eigenvalues.
     """
+    g = strain.grad.reshape(3, 3, -1)
+    entries = [
+        0.5 * (g[j, k] + g[k, j]) for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    ]
+    a11, a12, a13, a22, a23, a33 = entries
+    scale = max(float(np.max([np.max(np.abs(a)) for a in entries])), 1e-300)
     if pivot_tol is None:
-        pivot_tol = default_pivot_tol(strain)
+        pivot_tol = DEFAULT_PIVOT_REL_TOL * scale
     if pivot_tol <= 0.0:
         raise ValueError("pivot_tol must be positive")
-    mats = strain.matrices()
-    npts = mats.shape[0]
-    a11 = mats[:, 0, 0]
-    a12 = mats[:, 0, 1]
-    a13 = mats[:, 0, 2]
-    a22 = mats[:, 1, 1]
-    a23 = mats[:, 1, 2]
-    a33 = mats[:, 2, 2]
+    zero_tol = _ZERO_EIG_REL_TOL * scale
     det1 = a11
     det2 = a11 * a22 - a12**2
     # cofactor expansion of the symmetric matrix along its first row
@@ -172,38 +163,22 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
         + a13 * (a12 * a23 - a13 * a22)
     )
     ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
-
-    b = np.full((npts, 3), np.nan)
-    upper = np.full((npts, 3), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        b1 = det1
-        b2 = det2 / det1
-        b3 = det3 / det2
-        # Schur complement entry feeding the second elimination step
-        s23 = a23 - a12 * a13 / det1
-        u12 = a12 / det1
-        u13 = a13 / det1
-        u23 = s23 / b2
-    b[ok, 0] = b1[ok]
-    b[ok, 1] = b2[ok]
-    b[ok, 2] = b3[ok]
-    upper[ok, 0] = u12[ok]
-    upper[ok, 1] = u13[ok]
-    upper[ok, 2] = u23[ok]
-
-    inertia = np.empty((npts, 3), dtype=int)
-    zero_tol = _ZERO_EIG_REL_TOL * max(float(np.max(np.abs(mats))), 1e-300)
-    if np.any(ok):
-        bs = b[ok]
-        n_plus = np.sum(bs > zero_tol, axis=1)
-        n_minus = np.sum(bs < -zero_tol, axis=1)
-        inertia[ok] = np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
-    if np.any(~ok):
-        inertia[~ok] = _eig_inertia(mats[~ok], zero_tol)
+        cols = (det1, det2 / det1, det3 / det2)
+    n_plus = np.zeros(ok.shape, dtype=int)
+    n_minus = np.zeros(ok.shape, dtype=int)
+    for col in cols:
+        n_plus += col > zero_tol
+        n_minus += col < -zero_tol
+    inertia = np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
+    b = np.stack(cols, axis=1)
+    bad = ~ok
+    b[bad] = np.nan
+    if np.any(bad):
+        inertia[bad] = _eig_inertia([a[bad] for a in entries], zero_tol)
     return QuadFormDecomposition(
         dims=strain.dims,
         b=b,
-        upper=upper,
         jacobi=ok,
         inertia=inertia,
         pivot_tol=float(pivot_tol),

@@ -6,7 +6,8 @@ the discrete analogue on voxel masks.  Continuous measure is approximated by
 voxel counting: a mask voxel spreads its volume uniformly over the offset
 interval its projection spans, so slab sums are exact for axis-aligned
 families and total volume is conserved for any direction.  Thresholds stand
-in for "measure greater than zero", which has no discrete meaning.
+in for "measure greater than zero", which has no discrete meaning.  A time
+series is tested through one 3D mask, the union of its frame masks.
 """
 
 from __future__ import annotations
@@ -37,18 +38,18 @@ class StratifyInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class IndicatorGrid:
-    """Boolean voxel mask (3D, or 4D with time as the trailing axis)."""
+    """Boolean voxel mask on a 3D box."""
 
-    dims: tuple[int, ...]
-    extents: tuple[float, ...]
+    dims: tuple[int, int, int]
+    extents: tuple[float, float, float]
     mask: np.ndarray
     eps: float
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         extents = tuple(float(e) for e in self.extents)
-        if len(dims) not in (3, 4) or len(extents) != len(dims):
-            raise ValueError("IndicatorGrid is 3D or 4D (trailing time axis)")
+        if len(dims) != 3 or len(extents) != 3:
+            raise ValueError("IndicatorGrid is 3D")
         if any(d < 2 for d in dims):
             raise ValueError(f"dims must be >= 2 per axis, got {dims}")
         if any(e <= 0.0 for e in extents):
@@ -66,51 +67,29 @@ class IndicatorGrid:
         return float(np.prod([e / d for e, d in zip(self.extents, self.dims)]))
 
     @property
-    def spacings(self) -> tuple[float, ...]:
+    def spacings(self) -> tuple[float, float, float]:
         return tuple(e / d for e, d in zip(self.extents, self.dims))
 
     @property
     def total_volume(self) -> float:
         return float(np.count_nonzero(self.mask)) * self.voxel_volume
 
-    def collapse_time(self, how: str = "any") -> "IndicatorGrid":
-        """Reduce a 4D mask over the time axis; no-op for 3D masks."""
-        if len(self.dims) == 3:
-            return self
-        red = np.any(self.mask, axis=-1) if how == "any" else np.all(self.mask, axis=-1)
-        return IndicatorGrid(
-            dims=self.dims[:3], extents=self.extents[:3], mask=red, eps=self.eps
-        )
-
 
 def mask_from_field(w, eps: float) -> IndicatorGrid:
     """Threshold |w| > eps pointwise (Euclidean norm over components).
 
-    Accepts a single Field (3D mask) or a TimeSeriesField (4D mask with the
-    frame times appended as the last axis).  A one-frame series has no time
-    extent and is treated as its single frame.
+    Accepts a single 3D Field or a TimeSeriesField of them.  The mask of a
+    series is the union over its frames: the voxels where |w| > eps at some
+    sample time.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    if isinstance(w, TimeSeriesField) and len(w.frames) == 1:
-        w = w.frames[0]
-    if isinstance(w, TimeSeriesField):
-        mags = [np.sqrt(np.sum(f.data**2, axis=0)) for f in w.frames]
-        mask = np.stack([m > eps for m in mags], axis=-1)
-        span = float(w.times[-1] - w.times[0])
-        ref = w.frames[0]
-        return IndicatorGrid(
-            dims=ref.dims + (len(w.frames),),
-            extents=ref.extents + (span,),
-            mask=mask,
-            eps=eps,
-        )
-    mag = np.sqrt(np.sum(w.data**2, axis=0))
-    return IndicatorGrid(dims=w.dims, extents=w.extents, mask=mag > eps, eps=eps)
-
-
-def _require_3d(mask: IndicatorGrid) -> IndicatorGrid:
-    return mask.collapse_time() if len(mask.dims) == 4 else mask
+    frames = w.frames if isinstance(w, TimeSeriesField) else (w,)
+    ref = frames[0]
+    mask = np.zeros(ref.dims, dtype=bool)
+    for f in frames:
+        mask |= np.sqrt(np.sum(f.data**2, axis=0)) > eps
+    return IndicatorGrid(dims=ref.dims, extents=ref.extents, mask=mask, eps=eps)
 
 
 def slice_measures(
@@ -123,7 +102,6 @@ def slice_measures(
     uniformly over the offset interval it spans and slab contents are scaled
     by 1/slab-thickness to areas.  Returns (slab midpoints, measures).
     """
-    mask = _require_3d(mask)
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit 3-vector")
@@ -229,7 +207,6 @@ def stratification_verdict(
     supplied), so a POSITIVE verdict reports the best family found without
     claiming exhaustiveness.
     """
-    mask = _require_3d(mask)
     extra = [tuple(float(v) for v in d) for d in (directions or [])]
     all_dirs = list(AXIS_DIRECTIONS) + [d for d in extra if d not in AXIS_DIRECTIONS]
     h = np.asarray(mask.spacings)

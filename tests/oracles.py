@@ -58,6 +58,22 @@ def quadform_value(matrix, w) -> float:
     return float(ww @ np.asarray(matrix, dtype=float) @ ww)
 
 
+def jacobi_transform(a) -> np.ndarray:
+    """Unit upper-triangular change of variables y = U w of Jacobi's method.
+
+    With it, w^T A w = sum_j b_j y_j^2 for the canonical coefficients b of a
+    symmetric 3x3 matrix A whose leading minors are nonzero.
+    """
+    a = np.asarray(a, dtype=float)
+    a11, a12, a13 = a[0, 0], a[0, 1], a[0, 2]
+    b2 = (a11 * a[1, 1] - a12**2) / a11
+    u = np.eye(3)
+    u[0, 1] = a12 / a11
+    u[0, 2] = a13 / a11
+    u[1, 2] = (a[1, 2] - a12 * a13 / a11) / b2
+    return u
+
+
 def canonical_value(b, transform, w) -> float:
     """sum_j b_j y_j^2 with y the recorded change of variables applied to w."""
     y = np.asarray(transform, dtype=float) @ np.asarray(w, dtype=float)

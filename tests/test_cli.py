@@ -13,6 +13,7 @@ import nsslice.mms
 from nsslice.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main, parse_config
 from nsslice.fieldio import Field, read_field, restrict_to_slice, write_field
 from nsslice.geometry import Hyperplane, make_chart
+from nsslice.quadform import canonicalize, strain_field
 
 
 def write_u0_3d(path, dims=(17, 17, 17)):
@@ -361,6 +362,46 @@ def test_stratify_report(tmp_path):
     assert len(rep["profiles"]) == 4  # three axes + one extra
     csv_lines = (out / "stratify_profiles.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "dir_x,dir_y,dir_z,offset,measure"
+
+
+def test_quadform_emitted_fields_are_the_canonical_coefficients(tmp_path):
+    # each canonical_b_<k>.nsf1 holds frame k's (b1, b2, b3), NaN written as 0
+    first = write_u0_3d(tmp_path / "v0.nsf1", dims=(9, 10, 11))
+    rng = np.random.default_rng(17)
+    second = Field(dims=first.dims, extents=first.extents, ncomp=3,
+                   data=rng.standard_normal(first.data.shape))
+    write_field(second, tmp_path / "v1.nsf1")
+    manifest = tmp_path / "v.json"
+    manifest.write_text(json.dumps({"times": [0.0, 0.5], "frames": ["v0.nsf1", "v1.nsf1"]}))
+    out = tmp_path / "qf"
+    rc = main(["quadform", "--out", str(out), "--set", f"io.v={manifest}",
+               "--set", "quadform.nu=0.5", "--set", "quadform.emit_fields=1"])
+    assert rc == EXIT_OK
+    for k, frame in enumerate((first, second)):
+        dec = canonicalize(strain_field(frame))
+        want = np.nan_to_num(dec.b.T.reshape((3, *frame.dims)))
+        got = read_field(out / f"canonical_b_{k:04d}.nsf1")
+        assert got.dims == frame.dims and got.ncomp == 3
+        assert np.array_equal(got.data, want)
+    assert not (out / "canonical_b_0002.nsf1").exists()
+
+
+def test_findings_about_the_input_exit_zero(tmp_path):
+    # a violated criterion and a NEGATIVE stratification are reported in JSON;
+    # the run itself succeeded, so both commands exit 0
+    src = tmp_path / "v.nsf1"
+    fld = write_u0_3d(src, dims=(9, 9, 9))
+    rc = main(["quadform", "--out", str(tmp_path / "qf"), "--set", f"io.v={src}",
+               "--set", "quadform.nu=1e-12"])
+    assert rc == EXIT_OK
+    rep = json.loads((tmp_path / "qf" / "quadform_report.json").read_text())
+    assert rep["satisfied"] is False
+    eps = 2.0 * float(np.max(np.sqrt(np.sum(fld.data**2, axis=0))))
+    rc = main(["stratify", "--out", str(tmp_path / "st"), "--set", f"io.w={src}",
+               "--set", f"stratify.eps={eps!r}"])
+    assert rc == EXIT_OK
+    rep = json.loads((tmp_path / "st" / "stratify_report.json").read_text())
+    assert rep["positive"] is False and rep["total_volume"] == 0.0
 
 
 MMS_SMALL = [

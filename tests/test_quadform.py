@@ -1,13 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from oracles import canonical_value, quadform_value, trace_field
+from oracles import canonical_value, jacobi_transform, quadform_value, trace_field
 
 from nsslice.fieldio import Field, TimeSeriesField
 from nsslice.quadform import (
     StrainMatrixField,
     box_lambda1,
     canonicalize,
-    default_pivot_tol,
     gradient_norms,
     signed_integral,
     strain_field,
@@ -139,8 +140,8 @@ def test_canonical_form_value_equivalence():
     for _ in range(50):
         a = random_symmetric_with_clear_minors(rng)
         dec = canonicalize(strain_from_matrix(a), 1e-8)
-        b, u, is_jacobi, _ = dec.point(0)
-        assert is_jacobi
+        assert dec.jacobi[0]
+        b, u = dec.b[0], jacobi_transform(a)
         for _ in range(100):
             w = rng.standard_normal(3)
             direct = quadform_value(a, w)
@@ -159,32 +160,30 @@ def test_eigen_fallback_on_degenerate_pivot():
     assert dec.degenerate_fraction == 1.0
 
 
-def test_point_matches_full_transform_construction():
-    # point() assembles the 3x3 change of variables from the stored (u12, u13,
-    # u23); compare with the full (npoints, 3, 3) array canonicalize used to fill
+def test_coefficients_match_full_transform_construction():
+    # on a field mixing Jacobi and degenerate points, the coefficients at every
+    # Jacobi point diagonalize its matrix under the oracle change of variables,
+    # A = U^T diag(b) U, and every degenerate point carries NaN coefficients
     rng = np.random.default_rng(79)
     grad = rng.standard_normal((3, 3, 4, 4, 4))
     grad[:, :, 0, 0, 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
     strain = StrainMatrixField.from_gradients((4, 4, 4), (1.0, 1.0, 1.0), grad)
     dec = canonicalize(strain, 1e-8)
-    assert dec.upper.shape == (64, 3)
+    assert dec.b.shape == (64, 3)
     assert not dec.jacobi[0] and dec.jacobi.sum() > 32
-    mats = strain.matrices()[dec.jacobi]
-    a11, a12, a13 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-    b2 = (a11 * mats[:, 1, 1] - a12**2) / a11
-    full = np.full((64, 3, 3), np.nan)
-    ok = dec.jacobi
-    full[ok] = np.eye(3)
-    full[ok, 0, 1] = a12 / a11
-    full[ok, 0, 2] = a13 / a11
-    full[ok, 1, 2] = (mats[:, 1, 2] - a12 * a13 / a11) / b2
+    mats = strain.matrices()
     for idx in range(64):
-        b, u, is_jacobi, inertia = dec.point(idx)
-        assert np.array_equal(u, full[idx], equal_nan=True)
-        assert is_jacobi == bool(ok[idx])
-        assert np.array_equal(b, dec.b[idx], equal_nan=True)
-        assert np.array_equal(inertia, dec.inertia[idx])
-    assert np.isnan(dec.point(0)[1]).all()
+        a = mats[idx]
+        if not dec.jacobi[idx]:
+            assert np.isnan(dec.b[idx]).all()
+            continue
+        u = jacobi_transform(a)
+        assert np.array_equal(np.diag(u), np.ones(3)) and not np.tril(u, -1).any()
+        rebuilt = u.T @ (dec.b[idx][:, None] * u)
+        assert np.max(np.abs(rebuilt - a)) <= 1e-10 * np.max(np.abs(a))
+        eig = np.linalg.eigvalsh(a)
+        assert tuple(dec.inertia[idx]) == (int(np.sum(eig > 0)), 0, int(np.sum(eig < 0)))
+    assert np.isnan(dec.b[0]).all()
 
 
 def test_quadform_value_examples():
@@ -194,7 +193,17 @@ def test_quadform_value_examples():
 
 def test_default_pivot_tol_scales_with_field():
     strain = strain_from_matrix(100.0 * np.eye(3))
-    assert default_pivot_tol(strain) == pytest.approx(1e-6)
+    assert canonicalize(strain).pivot_tol == pytest.approx(1e-6)
+
+
+def test_strain_stores_only_the_gradient():
+    # the symmetric part is derived on access, never stored next to grad
+    rng = np.random.default_rng(80)
+    grad = rng.standard_normal((3, 3, 3, 4, 5))
+    strain = StrainMatrixField.from_gradients((3, 4, 5), (1.0, 1.0, 1.0), grad)
+    assert [f.name for f in fields(strain)] == ["dims", "extents", "grad"]
+    assert np.array_equal(strain.sym, 0.5 * (grad + np.swapaxes(grad, 0, 1)))
+    assert np.array_equal(strain.sym, np.swapaxes(strain.sym, 0, 1))
 
 
 def test_inertia_histogram_matches_unique_rows():

@@ -60,20 +60,24 @@ def test_mask_bump_volume_within_voxel_shell():
     assert abs(mask.total_volume - exact) <= shell
 
 
-def test_mask_from_time_series_is_4d():
+def test_mask_from_time_series_is_union():
+    # the series mask is the union of the frame masks: a voxel is in it when
+    # |w| > eps at some frame, whichever frame that is
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((3, 3, 5, 6, 7))
     frames = tuple(
-        Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
-              data=np.full((1, 4, 4, 4), float(k)))
-        for k in range(3)
+        Field(dims=(5, 6, 7), extents=(1.0, 2.0, 0.5), ncomp=3, data=d) for d in data
     )
     ts = TimeSeriesField(times=np.array([0.0, 0.5, 1.0]), frames=frames)
-    mask = mask_from_field(ts, 0.5)
-    assert mask.dims == (4, 4, 4, 3)
-    assert not mask.mask[..., 0].any() and mask.mask[..., 1].all()
-    collapsed = mask.collapse_time()
-    assert collapsed.dims == (4, 4, 4)
-    assert collapsed.mask.all()
-
+    mask = mask_from_field(ts, 1.5)
+    per_frame = [mask_from_field(f, 1.5).mask for f in frames]
+    assert mask.dims == (5, 6, 7) and mask.extents == (1.0, 2.0, 0.5)
+    assert np.array_equal(mask.mask, per_frame[0] | per_frame[1] | per_frame[2])
+    # each frame contributes voxels the others lack
+    for k in range(3):
+        others = per_frame[(k + 1) % 3] | per_frame[(k + 2) % 3]
+        assert (per_frame[k] & ~others).any()
+    assert not mask.mask.all()
 
 
 def test_one_frame_series_is_its_frame(tmp_path):
@@ -216,6 +220,9 @@ def test_indicator_grid_validation():
     with pytest.raises(ValueError):
         IndicatorGrid(dims=(4, 4), extents=(1.0, 1.0),
                       mask=np.zeros((4, 4), bool), eps=0.0)
+    with pytest.raises(ValueError):
+        IndicatorGrid(dims=(4, 4, 4, 2), extents=(1.0, 1.0, 1.0, 1.0),
+                      mask=np.zeros((4, 4, 4, 2), bool), eps=0.0)
     with pytest.raises(ValueError):
         mask_from_field(
             Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
