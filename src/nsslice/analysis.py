@@ -163,8 +163,11 @@ def ledger_from_run(
     u = trace.coeffs.reshape(k, 3, -1)
     e = tensors.energy(u)
     d1, d2, dc = tensors.dissipation_terms(u)
-    f = np.stack([f_of_t(t) for t in trace.times])
-    w = (f * (tensors.basis.mass_scale * u)).reshape(k, -1).sum(axis=-1)
+    if f_of_t is None:
+        w = np.zeros(k)
+    else:
+        f = np.stack([f_of_t(t) for t in trace.times])
+        w = (f * (tensors.basis.mass_scale * u)).reshape(k, -1).sum(axis=-1)
     if k >= 3:
         dedt = np.gradient(e, trace.times, edge_order=2)
     else:

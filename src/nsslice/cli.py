@@ -40,6 +40,7 @@ from .galerkin import (
     project_field_to_basis,
     rhs_dual_norm,
     solve_from_state,
+    weak_dual_norm,
 )
 from .geometry import Box3, GeometryError, Hyperplane, make_chart, slice_domain
 
@@ -287,8 +288,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     f_of_t = _normalize_forcing(forcing, tensors)
     coeffs0 = project_field_to_basis(u0, basis)
     state0 = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
+    dual_max = -np.inf
+
+    def track_dual_norm(t, u, weak):
+        # RK4 stage k1 has formed the weak vector of every state but the last
+        nonlocal dual_max
+        dual_max = max(dual_max, weak_dual_norm(weak, tensors, f_of_t, t))
+
     result = solve_from_state(
-        state0, f_of_t, tensors, params["nu"], params["dt"], params["t_end"]
+        state0, f_of_t, tensors, params["nu"], params["dt"], params["t_end"],
+        observer=track_dual_norm,
     )
     ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, params["nu"])
     out = cfg.out_dir
@@ -305,11 +314,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
     div_max = float(np.max(divergence_residual(result.trace.coeffs, tensors)))
-    dual_max = max(
-        rhs_dual_norm(result.trace.coeffs[k], tensors, f_of_t, params["nu"],
-                      result.trace.times[k])
-        for k in range(len(result.trace))
-    )
+    dual_max = max(dual_max, rhs_dual_norm(result.trace.coeffs[-1], tensors, f_of_t,
+                                           params["nu"], result.trace.times[-1]))
     checks = {
         "inequality_holds": ledger.inequality_holds(),
         "divergence_preserved": bool(div_max <= 1e-9),

@@ -24,8 +24,16 @@ null space; a pointwise-exact discrete divergence would force the advecting
 velocity to vanish identically in any finite sine span, so the weak form is
 the meaningful discrete choice.  The projection is applied as
 u - C^T (C C^T)^+ C u: the weak divergence C factors into one matrix per
-direction on the (N1, N2) coefficient grid, and the pseudo-inverse of the
-(M, M) Gram C C^T is formed once from its eigendecomposition.
+direction on the (N1, N2) coefficient grid.  C and C^T keep the parity of
+m + n, so the (M, M) Gram C C^T is block diagonal over the two parity
+classes; the pseudo-inverse of each block is formed once from that block's
+eigendecomposition and applied as its own half-size product.  The stiffness
+splits the same way, which coercivity_check uses.
+
+The time integrator is classical RK4 with every stage projected.  A
+per-step observer sees the weak vector nu K u - B~(u, u) of stage k1, so a
+diagnostic of the trace states (the dual norm of the momentum balance) needs
+no advection apply of its own.
 """
 
 from __future__ import annotations
@@ -133,7 +141,7 @@ class SpectralBasis:
     def gather(self, grid: np.ndarray) -> np.ndarray:
         """(..., N1, N2) coefficient grid -> modal vector(s) (..., M), a view where possible."""
         g = np.asarray(grid)
-        return g.reshape(g.shape[:-2] + (-1,))
+        return g.reshape(g.shape[:-2] + (g.shape[-2] * g.shape[-1],))
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,14 @@ class GalerkinState:
             raise GalerkinError("non-finite Galerkin coefficients")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "time", float(self.time))
+
+    @classmethod
+    def _unchecked(cls, coeffs: np.ndarray, time: float) -> "GalerkinState":
+        """A state from a float array the caller has already checked (step's guard)."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", coeffs)
+        object.__setattr__(state, "time", float(time))
+        return state
 
 
 def _by_component(coeffs, m: int) -> np.ndarray:
@@ -253,12 +269,19 @@ class OperatorTensors:
               - (c1 c2 / m0) (div_x @ U @ div_y + div_x.T @ U @ div_y.T),
 
     the last term being the mixed pairing <D1 w_p, D2 w_q> = kron(div_x.T,
-    div_y) / m0 and its transpose.  The orthogonal (hence mass-orthogonal)
-    projector onto null(C) is applied as u - C^T gram_pinv C u, with
-    gram_pinv the pseudo-inverse of C C^T on its rank-constraint_rank range
-    and gram_range the orthonormal eigenvectors of that range.  The dense
-    stiffness_A1 (for coercivity_check), constraint, projector and
-    null_basis are built on first access.
+    div_y) / m0 and its transpose; stiffness_diag holds the constant
+    diagonal (1 + c1^2) grad1 + (1 + c2^2) grad2.  div_x[a, c] and
+    div_y[b, d] vanish unless a + c and b + d are odd, so C, C^T and K keep
+    the parity of m + n and no operator here couples the two classes.
+    parity_order lists the modes with m + n even, then those with m + n odd
+    (each class in mode order), and parity_place[p] is the place of mode p
+    in that list.  The orthogonal (hence mass-orthogonal) projector onto
+    null(C) is applied as u - C^T gram_pinv C u, with gram_pinv the
+    pseudo-inverse of C C^T on its rank-constraint_rank range, stored only as
+    its two parity blocks gram_pinv_blocks (even, odd), which act on C u
+    taken in parity order.  The dense gram_pinv, gram_range (orthonormal
+    eigenvectors of that range), stiffness_A1 (the dense K), constraint,
+    projector and null_basis are built on first access.
     """
 
     basis: SpectralBasis
@@ -269,15 +292,15 @@ class OperatorTensors:
     grad2: np.ndarray           # (M,) <D2 w_p, D2 w_p>
     div_x: np.ndarray           # (N1, N1) x-direction factor of C
     div_y: np.ndarray           # (N2, N2) y-direction factor of C
-    gram_pinv: np.ndarray = field(init=False)   # (M, M) pseudo-inverse of C C^T
-    gram_range: np.ndarray = field(init=False)  # (M, rank) orthonormal range of C C^T
+    stiffness_diag: np.ndarray = field(init=False)    # (M,) diagonal part of -K
+    parity_order: np.ndarray = field(init=False)      # (M,) modes, m + n even first
+    parity_place: np.ndarray = field(init=False)      # (M,) inverse of parity_order
+    gram_pinv_blocks: tuple = field(init=False)       # per class, pinv of its block of C C^T
     constraint_rank: int = field(init=False)
     rank_deficient: bool = field(init=False)
 
     def __post_init__(self):
-        # The projector needs (C C^T)^+ only.  The Gram is formed by the C^T and
-        # C kernels that project runs; both keep the parity of m + n, so it
-        # splits into two exact blocks, one symmetric eigensolve each.  On
+        # The projector needs (C C^T)^+ only, one parity block at a time.  On
         # w = sigma^2 the rank test w > max(w_max * 3M * eps, (1e-12 * scale)^2)
         # keeps sigma above sqrt(3M eps) sigma_max (6e-7 sigma_max at n = 24).
         # For mode counts up to 32 (1.2 x 0.9 box, three charts) the kept
@@ -286,27 +309,53 @@ class OperatorTensors:
         # all-round-off Gram read as rank zero.  The mass is m0 I, so this
         # Euclidean projector is the mass-orthogonal one.
         n1, n2 = self.basis.nmodes
-        m = self.nmodes_total
-        gram = self.divergence(self.divergence_adjoint(np.eye(m)))
-        w, v = np.zeros(m), np.zeros((m, m))
-        parity = self.basis.modes.sum(axis=1) % 2
-        for i in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
-            w[i], v[i[:, None], i] = np.linalg.eigh(gram[i[:, None], i])
-        scale = np.pi * max(n1, n2) / min(self.basis.extents) * self.basis.mass_scale
-        tol = max(w.max() * 3 * m * np.finfo(float).eps, (1e-12 * scale) ** 2)
-        keep = w > tol
-        rank = int(np.count_nonzero(keep))
-        gram_range = v[:, keep]
+        c1, c2 = self.chart_coeffs
+        order = np.argsort(self.basis.modes.sum(axis=1) % 2, kind="stable")
+        object.__setattr__(self, "stiffness_diag",
+                           (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2)
+        object.__setattr__(self, "parity_order", order)
+        object.__setattr__(self, "parity_place", np.argsort(order))
+        ranges = self._gram_ranges()
+        rank = sum(w.size for w, _ in ranges)
         # odd-by-odd mode counts carry one structural left-null direction of the
         # weak divergence (a spurious-mode pair), so full rank is m minus that
-        expected_rank = m - (n1 % 2) * (n2 % 2)
+        expected_rank = self.nmodes_total - (n1 % 2) * (n2 % 2)
         if rank < expected_rank:
             logger.warning("constraint matrix rank %d below the expected %d; the "
                            "divergence-free subspace is larger than usual", rank, expected_rank)
-        object.__setattr__(self, "gram_pinv", (gram_range / w[keep]) @ gram_range.T)
-        object.__setattr__(self, "gram_range", gram_range)
+        object.__setattr__(self, "gram_pinv_blocks", tuple((v / w) @ v.T for w, v in ranges))
         object.__setattr__(self, "constraint_rank", rank)
         object.__setattr__(self, "rank_deficient", rank < expected_rank)
+
+    @property
+    def parity_modes(self) -> tuple:
+        """(modes with m + n even, modes with m + n odd), slices of parity_order."""
+        n_even = int(np.count_nonzero(self.basis.modes.sum(axis=1) % 2 == 0))
+        return self.parity_order[:n_even], self.parity_order[n_even:]
+
+    def _parity_blocks(self, op) -> list:
+        """The diagonal parity blocks of the (M, M) matrix whose row j is op(e_j).
+
+        op maps a (k, M) stack of unit rows to (k, M); it is called once per
+        class, on that class's unit rows only.
+        """
+        blocks = []
+        for modes in self.parity_modes:
+            unit = np.zeros((modes.size, self.nmodes_total))
+            unit[np.arange(modes.size), modes] = 1.0
+            blocks.append(op(unit)[:, modes])
+        return blocks
+
+    def _gram_ranges(self) -> list:
+        """Per parity class, the kept eigenpairs (w, v) of its block of C C^T."""
+        n1, n2 = self.basis.nmodes
+        m = self.nmodes_total
+        spectra = [np.linalg.eigh(g) for g in
+                   self._parity_blocks(lambda e: self.divergence(self.divergence_adjoint(e)))]
+        w_max = max((w.max() for w, _ in spectra if w.size), default=0.0)
+        scale = np.pi * max(n1, n2) / min(self.basis.extents) * self.basis.mass_scale
+        tol = max(w_max * 3 * m * np.finfo(float).eps, (1e-12 * scale) ** 2)
+        return [(w[w > tol], v[:, w > tol]) for w, v in spectra]
 
     @property
     def nmodes_total(self) -> int:
@@ -348,18 +397,28 @@ class OperatorTensors:
     def divergence_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3, M)."""
         grid = self.basis.scatter(lam)
-        g = self.basis.gather(np.stack([self.div_x.T @ grid, grid @ self.div_y], axis=-3))
-        return self.chart_rows.T @ g
+        # the D1 and D2 parts, written side by side for R3^T to combine
+        parts = np.empty(grid.shape[:-2] + (2,) + grid.shape[-2:])
+        np.matmul(self.div_x.T, grid, out=parts[..., 0, :, :])
+        np.matmul(grid, self.div_y, out=parts[..., 1, :, :])
+        return self.chart_rows.T @ self.basis.gather(parts)
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """u - C^T gram_pinv C u for one (3M,) state or a (..., 3M) stack.
 
-        Every state gets its own products, GEMV included, so a stacked state
-        reads the same digits as when it is projected alone (a (K, M) @ W.T
-        GEMM does not).
+        C u is taken in parity order, so each gram_pinv block acts on a
+        contiguous half.  Every state gets one GEMV per block, so a stacked
+        state reads the same digits as when it is projected alone (a
+        (K, M) @ W.T GEMM does not).
         """
         c = np.asarray(coeffs)
-        lam = (self.gram_pinv @ self.divergence(c)[..., None])[..., 0]
+        div = self.divergence(c).take(self.parity_order, axis=-1)[..., None]
+        lam = np.empty_like(div)
+        even, odd = self.gram_pinv_blocks
+        k = even.shape[0]
+        np.matmul(even, div[..., :k, :], out=lam[..., :k, :])
+        np.matmul(odd, div[..., k:, :], out=lam[..., k:, :])
+        lam = lam[..., 0].take(self.parity_place, axis=-1)
         return c - self.divergence_adjoint(lam).reshape(c.shape)
 
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
@@ -367,8 +426,27 @@ class OperatorTensors:
         c1, c2 = self.chart_coeffs
         grid = self.basis.scatter(u)
         mixed = self.div_x @ grid @ self.div_y + self.div_x.T @ grid @ self.div_y.T
-        diag = (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2
-        return -(diag * u + (c1 * c2 / self.basis.mass_scale) * self.basis.gather(mixed))
+        cross = (c1 * c2 / self.basis.mass_scale) * self.basis.gather(mixed)
+        return -(self.stiffness_diag * u + cross)
+
+    @cached_property
+    def gram_pinv(self) -> np.ndarray:
+        """Dense (M, M) pseudo-inverse of C C^T, zero between the parity classes."""
+        m = self.nmodes_total
+        dense = np.zeros((m, m))
+        for modes, pinv in zip(self.parity_modes, self.gram_pinv_blocks):
+            dense[np.ix_(modes, modes)] = pinv
+        return dense
+
+    @cached_property
+    def gram_range(self) -> np.ndarray:
+        """Orthonormal (M, rank) eigenvectors of the range of C C^T, built on first access."""
+        cols = []
+        for modes, (_, v) in zip(self.parity_modes, self._gram_ranges()):
+            col = np.zeros((self.nmodes_total, v.shape[1]))
+            col[modes] = v
+            cols.append(col)
+        return np.hstack(cols)
 
     @cached_property
     def stiffness_A1(self) -> np.ndarray:
@@ -501,16 +579,16 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
 
 
 def _normalize_forcing(forcing, tensors: OperatorTensors):
-    """Return callable t -> (3, M) basis coefficients of the forcing.
+    """Return callable t -> (3, M) basis coefficients of the forcing, or None.
 
-    A TimeSeriesField has every frame projected onto the basis on each call,
-    so callers that evaluate the forcing repeatedly (per trace state, per
-    ledger, per solve) must normalise it once and pass the callable on.
+    None stands for no forcing, so callers add nothing.  A TimeSeriesField
+    has every frame projected onto the basis on each call, so callers that
+    evaluate the forcing repeatedly (per trace state, per ledger, per solve)
+    must normalise it once and pass the result on.
     """
     m = tensors.nmodes_total
     if forcing is None:
-        zero = np.zeros((3, m))
-        return lambda t: zero
+        return None
     if callable(forcing):
         def wrapped(t):
             f = np.asarray(forcing(t), dtype=float)
@@ -536,16 +614,32 @@ def _normalize_forcing(forcing, tensors: OperatorTensors):
     return lambda t: arr
 
 
-def _rhs(coeffs3m: np.ndarray, t: float, tensors: OperatorTensors, f_of_t, nu: float) -> np.ndarray:
+def _rhs(
+    coeffs3m: np.ndarray,
+    t: float,
+    tensors: OperatorTensors,
+    f_of_t,
+    nu: float,
+    observer=None,
+) -> np.ndarray:
     """Projected coefficient velocity of the Galerkin ODE system.
 
-    coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t.
+    coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t, and
+    f_of_t a callable t -> (3, M) or None.  observer, when given, is called
+    as observer(t, coeffs3m, weak) with the (..., 3, M) weak vector
+    nu K u - B~(u, u) before it is scaled by the mass and forced in place:
+    it must read the array during the call and not modify it.
     """
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
-    weak = nu * tensors.apply_stiffness(u)
+    weak = tensors.apply_stiffness(u)
+    weak *= nu
     weak -= tensors.trilinear.apply_pair(u, u)
-    udot = weak / tensors.basis.mass_scale + f_of_t(t)
-    return tensors.project(udot.reshape(coeffs3m.shape))
+    if observer is not None:
+        observer(t, coeffs3m, weak)
+    weak /= tensors.basis.mass_scale
+    if f_of_t is not None:
+        weak += f_of_t(t)
+    return tensors.project(weak.reshape(coeffs3m.shape))
 
 
 def step(
@@ -554,6 +648,7 @@ def step(
     f_coeffs,
     nu: float,
     dt: float,
+    observer=None,
 ) -> GalerkinState:
     """One explicit RK4 step of the projected Galerkin system.
 
@@ -561,8 +656,10 @@ def step(
     projected, so a state in the weak divergence-free subspace stays in it
     to round-off and the result is not projected again.  f_coeffs gives the
     forcing in basis coordinates: a constant (3, M) array, a callable
-    t -> (3, M), or None.  Raises BlowUpError when any coefficient passes
-    1e12 or is not finite, which signals an unstable dt.
+    t -> (3, M), or None.  observer, if given, sees stage k1 (see _rhs).
+    The stages are combined in place, in the operation order of
+    u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError when any
+    coefficient passes 1e12 or is not finite, which signals an unstable dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -571,18 +668,32 @@ def step(
     f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u0 = state.coeffs
     t0 = state.time
-    k1 = _rhs(u0, t0, tensors, f_of_t, nu)
-    k2 = _rhs(u0 + 0.5 * dt * k1, t0 + 0.5 * dt, tensors, f_of_t, nu)
-    k3 = _rhs(u0 + 0.5 * dt * k2, t0 + 0.5 * dt, tensors, f_of_t, nu)
-    k4 = _rhs(u0 + dt * k3, t0 + dt, tensors, f_of_t, nu)
-    u1 = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * dt
+    k1 = _rhs(u0, t0, tensors, f_of_t, nu, observer)
+    stage = np.multiply(k1, half)
+    stage += u0
+    k2 = _rhs(stage, t0 + half, tensors, f_of_t, nu)
+    np.multiply(k2, half, out=stage)
+    stage += u0
+    k3 = _rhs(stage, t0 + half, tensors, f_of_t, nu)
+    np.multiply(k3, dt, out=stage)
+    stage += u0
+    k4 = _rhs(stage, t0 + dt, tensors, f_of_t, nu)
+    u1 = k1
+    k2 *= 2.0
+    u1 += k2
+    k3 *= 2.0
+    u1 += k3
+    u1 += k4
+    u1 *= dt / 6.0
+    u1 += u0
     # NaN and inf compare false, so this one test also catches them
     if not np.max(np.abs(u1)) <= _BLOWUP_LIMIT:
         raise BlowUpError(
             f"coefficients exceeded {_BLOWUP_LIMIT:.0e} at t = {t0 + dt:g}; "
             f"reduce dt (rule of thumb: dt <= {RK4_REAL_LIMIT:.3f} / (nu * lambda_max))"
         )
-    return GalerkinState(coeffs=u1, time=t0 + dt)
+    return GalerkinState._unchecked(u1, t0 + dt)
 
 
 def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
@@ -656,6 +767,7 @@ def solve_from_state(
     nu: float,
     dt: float,
     t_end: float,
+    observer=None,
 ) -> SolveResult:
     """Integrate the projected Galerkin system from coefficient state to t_end.
 
@@ -664,7 +776,11 @@ def solve_from_state(
     between frames).  A (B, 3M) state integrates B trajectories in lockstep,
     each bit-identical to its own solve.  Every step is recorded in the
     returned trace; fields on a grid are left to the caller
-    (synthesize_field).
+    (synthesize_field).  observer, if given, is called once per step as
+    observer(t_n, u_n, weak), weak being the RK4 stage-k1 weak vector
+    nu K u_n - B~(u_n, u_n) before the mass scaling, the forcing and the
+    projection; it must read the array during the call.  The final state
+    gets no call.
     """
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
@@ -676,7 +792,7 @@ def solve_from_state(
     coeffs[0] = state.coeffs
     cur = state
     for k in range(nsteps):
-        cur = step(cur, tensors, f_of_t, nu, dt)
+        cur = step(cur, tensors, f_of_t, nu, dt, observer)
         times[k + 1] = cur.time
         coeffs[k + 1] = cur.coeffs
     return SolveResult(
@@ -700,14 +816,24 @@ def rhs_dual_norm(
     sqrt(F^T K^{-1} F) per component with K the (diagonal) gradient Gram
     matrix.  Useful for monitoring how hard the coefficient ODE is being
     driven; no controller consumes it.  f_coeffs is None, a (3, M) array, a
-    TimeSeriesField, or the callable t -> (3, M) that _normalize_forcing
-    returns; pass the callable when evaluating many states.
+    TimeSeriesField, or what _normalize_forcing returns; pass the latter
+    when evaluating many states.  A solve gets the same value per step from
+    weak_dual_norm on its stage-k1 weak vector.
     """
     f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u = np.asarray(coeffs).reshape(3, -1)
     weak = nu * tensors.apply_stiffness(u)
     weak -= tensors.trilinear.apply_pair(u, u)
-    weak += tensors.basis.mass_scale * f_of_t(t)
+    return weak_dual_norm(weak, tensors, f_of_t, t)
+
+
+def weak_dual_norm(weak: np.ndarray, tensors: OperatorTensors, f_of_t, t: float) -> float:
+    """rhs_dual_norm of one state from its (3, M) weak vector nu K u - B~(u, u).
+
+    f_of_t is a callable t -> (3, M) or None; weak is not modified.
+    """
+    if f_of_t is not None:
+        weak = weak + tensors.basis.mass_scale * f_of_t(t)
     return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
 
 
@@ -721,8 +847,13 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     2. I3 (x) K maps n_hat (x) R^M into itself with the spectrum of K;
     3. a minimum over null(C) is at least the unconstrained one, and 1-2 attain it.
 
+    K keeps the parity of m + n, so lambda_min(-K) is the smaller of the
+    lowest eigenvalues of its two parity blocks.
+
     A positive value certifies discrete ellipticity, but it cannot register a
     loss of ellipticity that the constraint causes; the inf-sup ratio of C
     is the certificate for that.
     """
-    return float(np.linalg.eigvalsh(-tensors.stiffness_A1)[0]) / tensors.basis.mass_scale
+    blocks = tensors._parity_blocks(tensors.apply_stiffness)
+    lowest = min(float(np.linalg.eigvalsh(-k)[0]) for k in blocks if k.size)
+    return lowest / tensors.basis.mass_scale

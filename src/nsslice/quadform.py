@@ -311,12 +311,14 @@ def signed_integral(strain: StrainMatrixField, w: Field) -> float:
     the composite rule identical to tensor-product trapezoid weights on the
     vertex grid.  The integral is signed: a strain that is positive
     semidefinite everywhere gives a nonnegative result, and indefinite strain
-    can give either sign.
+    can give either sign.  The antisymmetric part of the gradient drops out
+    of w^T grad w, so B(w, w) is contracted from grad and no symmetric part
+    is formed.
     """
     if w.ncomp != 3 or w.ndim_grid != 3:
         raise ValueError("signed_integral needs a 3-component 3D field")
     if w.dims != strain.dims:
         raise ValueError(f"shape mismatch: strain {strain.dims} vs w {w.dims}")
-    bvals = np.einsum("jk...,j...,k...->...", strain.sym, w.data, w.data)
+    bvals = np.einsum("jk...,j...,k...->...", strain.grad, w.data, w.data)
     weights = _trapezoid_weights(w.dims, w.extents)
     return float(np.sum(weights * bvals))

@@ -439,6 +439,37 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
     assert np.max(np.abs(p @ p - p)) <= 1e-13
 
 
+@pytest.mark.parametrize("chart", [None, OBLIQUE], ids=["axis", "oblique"])
+@pytest.mark.parametrize("nmodes", [(5, 5), (6, 7), (12, 12)], ids=["5x5", "6x7", "12x12"])
+def test_parity_block_projector_matches_dense_reference(nmodes, chart):
+    # project applies gram_pinv as two parity blocks on C u in parity order;
+    # it must agree with the dense SVD projector, and the rank read off the
+    # blocks with the rank of one dense eigensolve of the whole Gram
+    tens = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), chart)
+    m = tens.nmodes_total
+    n1, n2 = nmodes
+    p_ref, rank_ref = _svd_projector(tens)
+    x = np.random.default_rng(41).standard_normal((3, 3 * m))
+    got = tens.project(x)
+    want = x @ p_ref
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(tens.project(got) - got)) <= 1e-13 * np.max(np.abs(got))
+    # the parity order lists every mode once, even classes first
+    parity = tens.basis.modes.sum(axis=1) % 2
+    assert np.array_equal(np.sort(tens.parity_order), np.arange(m))
+    assert np.array_equal(tens.parity_order[tens.parity_place], np.arange(m))
+    assert np.all(np.diff(parity[tens.parity_order]) >= 0)
+    assert [b.shape[0] for b in tens.gram_pinv_blocks] == [np.sum(parity == 0), np.sum(parity == 1)]
+    # the dense-Gram rank with the same tolerance rule
+    w = np.linalg.eigvalsh(tens.constraint @ tens.constraint.T)
+    scale = np.pi * max(n1, n2) / min(tens.basis.extents) * tens.basis.mass_scale
+    tol = max(w.max() * 3 * m * np.finfo(float).eps, (1e-12 * scale) ** 2)
+    rank_dense = int(np.count_nonzero(w > tol))
+    assert tens.constraint_rank == rank_dense == rank_ref
+    assert not tens.rank_deficient
+    assert tens.constraint_rank == m - (n1 % 2) * (n2 % 2)
+
+
 def test_constraint_expected_rank():
     # even mode counts: full rank; odd-by-odd: one structural deficiency
     even = assemble(SpectralBasis(nmodes=(4, 4), extents=(1.0, 1.0)), None)

@@ -397,3 +397,26 @@ def test_strain_trace_matches_divergence():
         maxima.append(np.max(np.abs(tr)))
     rates = np.log2(np.array(maxima[:-1]) / np.array(maxima[1:]))
     assert np.all(rates >= 1.9)
+
+
+def test_signed_integral_from_gradient_matches_symmetric_part():
+    # w^T grad w = w^T sym w: contracting the stored (non-symmetric) gradient
+    # gives the integral of the symmetric part up to summation order
+    rng = np.random.default_rng(17)
+    dims = (9, 11, 10)
+    extents = (1.0, 1.3, 0.8)
+    grad = rng.standard_normal((3, 3) + dims)
+    strain = StrainMatrixField.from_gradients(dims, extents, grad)
+    w = Field(dims=dims, extents=extents, ncomp=3, data=rng.standard_normal((3,) + dims))
+    got = signed_integral(strain, w)
+    bvals = np.einsum("jk...,j...,k...->...", strain.sym, w.data, w.data)
+    weights = []
+    for d, e in zip(dims, extents):
+        wt = np.full(d, e / (d - 1))
+        wt[[0, -1]] *= 0.5
+        weights.append(wt)
+    want = np.einsum("i,j,k,ijk->", *weights, bvals)
+    assert got == pytest.approx(want, rel=1e-12)
+    # the antisymmetric part alone integrates to zero up to round-off
+    skew = StrainMatrixField.from_gradients(dims, extents, grad - np.swapaxes(grad, 0, 1))
+    assert abs(signed_integral(skew, w)) <= 1e-12
