@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import galerkin
-from .galerkin import GalerkinState, OperatorTensors, SolveResult, Trace, _normalize_forcing
+from .galerkin import GalerkinState, OperatorTensors, SolveResult, Trace
 
 logger = logging.getLogger(__name__)
 
@@ -147,18 +147,19 @@ class EnergyLedger:
 def ledger_from_run(
     trace: Trace,
     tensors: OperatorTensors,
-    forcing,
+    f_of_t,
     nu: float,
 ) -> EnergyLedger:
     """Build the per-step ledger from a coefficient trace.
 
-    The time derivative in the residual uses centered differences with
-    second-order one-sided stencils at the endpoints (np.gradient), so the
-    balance residual converges at second order in dt.
+    f_of_t is the forcing the trace was solved with: a callable
+    t -> (3, M) in basis coordinates, or None for no forcing.  The time
+    derivative in the residual uses centered differences with second-order
+    one-sided stencils at the endpoints (np.gradient), so the balance
+    residual converges at second order in dt.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    f_of_t = _normalize_forcing(forcing, tensors)
     k = len(trace)
     u = trace.coeffs.reshape(k, 3, -1)
     e = tensors.energy(u)

@@ -578,42 +578,6 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
     return float(res) if res.ndim == 0 else res
 
 
-def _normalize_forcing(forcing, tensors: OperatorTensors):
-    """Return callable t -> (3, M) basis coefficients of the forcing, or None.
-
-    None stands for no forcing, so callers add nothing.  A TimeSeriesField
-    has every frame projected onto the basis on each call, so callers that
-    evaluate the forcing repeatedly (per trace state, per ledger, per solve)
-    must normalise it once and pass the result on.
-    """
-    m = tensors.nmodes_total
-    if forcing is None:
-        return None
-    if callable(forcing):
-        def wrapped(t):
-            f = np.asarray(forcing(t), dtype=float)
-            return f.reshape(3, m)
-        return wrapped
-    if isinstance(forcing, TimeSeriesField):
-        times = forcing.times
-        frames = np.stack(
-            [project_field_to_basis(fr, tensors.basis) for fr in forcing.frames]
-        )
-
-        def interp(t):
-            if t <= times[0]:
-                return frames[0]
-            if t >= times[-1]:
-                return frames[-1]
-            j = int(np.searchsorted(times, t) - 1)
-            s = (t - times[j]) / (times[j + 1] - times[j])
-            return (1.0 - s) * frames[j] + s * frames[j + 1]
-
-        return interp
-    arr = np.asarray(forcing, dtype=float).reshape(3, m)
-    return lambda t: arr
-
-
 def _rhs(
     coeffs3m: np.ndarray,
     t: float,
@@ -645,7 +609,7 @@ def _rhs(
 def step(
     state: GalerkinState,
     tensors: OperatorTensors,
-    f_coeffs,
+    f_of_t,
     nu: float,
     dt: float,
     observer=None,
@@ -654,9 +618,10 @@ def step(
 
     The state may be a (B, 3M) stack, advanced in lockstep.  Every stage is
     projected, so a state in the weak divergence-free subspace stays in it
-    to round-off and the result is not projected again.  f_coeffs gives the
-    forcing in basis coordinates: a constant (3, M) array, a callable
-    t -> (3, M), or None.  observer, if given, sees stage k1 (see _rhs).
+    to round-off and the result is not projected again.  f_of_t is the
+    forcing in basis coordinates, a callable t -> (3, M), or None for no
+    forcing (series_forcing builds one from a TimeSeriesField).  observer,
+    if given, sees stage k1 (see _rhs).
     The stages are combined in place, in the operation order of
     u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError when any
     coefficient passes 1e12 or is not finite, which signals an unstable dt.
@@ -665,7 +630,6 @@ def step(
         raise ValueError("dt must be positive")
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u0 = state.coeffs
     t0 = state.time
     half = 0.5 * dt
@@ -723,6 +687,28 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
     return basis.gather(grid)
 
 
+def series_forcing(series: TimeSeriesField, basis: SpectralBasis):
+    """Callable t -> (3, M) basis coordinates of a forcing time series.
+
+    Every frame is projected once, here; between sample times the
+    projections are interpolated linearly, and outside them the end frames
+    are held.
+    """
+    times = series.times
+    frames = np.stack([project_field_to_basis(fr, basis) for fr in series.frames])
+
+    def f_of_t(t):
+        if t <= times[0]:
+            return frames[0]
+        if t >= times[-1]:
+            return frames[-1]
+        j = int(np.searchsorted(times, t) - 1)
+        s = (t - times[j]) / (times[j + 1] - times[j])
+        return (1.0 - s) * frames[j] + s * frames[j + 1]
+
+    return f_of_t
+
+
 @lru_cache(maxsize=8)
 def _vertex_sine_tables(nmodes: tuple, extents: tuple, dims: tuple):
     """Read-only sine tables of both axes on a vertex grid, built once per key."""
@@ -762,7 +748,7 @@ class SolveResult:
 
 def solve_from_state(
     state: GalerkinState,
-    forcing,
+    f_of_t,
     tensors: OperatorTensors,
     nu: float,
     dt: float,
@@ -771,12 +757,11 @@ def solve_from_state(
 ) -> SolveResult:
     """Integrate the projected Galerkin system from coefficient state to t_end.
 
-    forcing may be None, a constant or callable in basis coordinates, or a
-    TimeSeriesField restricted to the slice grid (linearly interpolated
-    between frames).  A (B, 3M) state integrates B trajectories in lockstep,
-    each bit-identical to its own solve.  Every step is recorded in the
-    returned trace; fields on a grid are left to the caller
-    (synthesize_field).  observer, if given, is called once per step as
+    f_of_t is the forcing in basis coordinates, a callable t -> (3, M), or
+    None for no forcing (see step).  A (B, 3M) state integrates B
+    trajectories in lockstep, each bit-identical to its own solve.  Every
+    step is recorded in the returned trace; fields on a grid are left to the
+    caller (synthesize_field).  observer, if given, is called once per step as
     observer(t_n, u_n, weak), weak being the RK4 stage-k1 weak vector
     nu K u_n - B~(u_n, u_n) before the mass scaling, the forcing and the
     projection; it must read the array during the call.  The final state
@@ -785,7 +770,6 @@ def solve_from_state(
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
-    f_of_t = _normalize_forcing(forcing, tensors)
     times = np.empty(nsteps + 1)
     coeffs = np.empty((nsteps + 1,) + state.coeffs.shape)
     times[0] = state.time
@@ -805,7 +789,7 @@ def solve_from_state(
 def rhs_dual_norm(
     coeffs: np.ndarray,
     tensors: OperatorTensors,
-    f_coeffs,
+    f_of_t,
     nu: float,
     t: float,
 ) -> float:
@@ -815,12 +799,10 @@ def rhs_dual_norm(
     measured against test functions in the gradient seminorm, i.e.
     sqrt(F^T K^{-1} F) per component with K the (diagonal) gradient Gram
     matrix.  Useful for monitoring how hard the coefficient ODE is being
-    driven; no controller consumes it.  f_coeffs is None, a (3, M) array, a
-    TimeSeriesField, or what _normalize_forcing returns; pass the latter
-    when evaluating many states.  A solve gets the same value per step from
-    weak_dual_norm on its stage-k1 weak vector.
+    driven; no controller consumes it.  f_of_t is the forcing in basis
+    coordinates, a callable t -> (3, M), or None (see step).  A solve gets
+    the same value per step from weak_dual_norm on its stage-k1 weak vector.
     """
-    f_of_t = f_coeffs if callable(f_coeffs) else _normalize_forcing(f_coeffs, tensors)
     u = np.asarray(coeffs).reshape(3, -1)
     weak = nu * tensors.apply_stiffness(u)
     weak -= tensors.trilinear.apply_pair(u, u)

@@ -181,13 +181,6 @@ class Box3:
     def from_extents(cls, extents) -> "Box3":
         return cls((0.0, 0.0, 0.0), tuple(float(e) for e in extents))
 
-    def contains(self, points, rtol: float = 1e-9) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        slack = rtol * (hi - lo)
-        return np.all((pts >= lo - slack) & (pts <= hi + slack), axis=-1)
-
 
 @dataclass(frozen=True)
 class SliceDomain:

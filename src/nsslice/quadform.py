@@ -58,10 +58,6 @@ class StrainMatrixField:
         """Symmetric matrices as an (npoints, 3, 3) stack."""
         return np.moveaxis(self.sym.reshape(3, 3, -1), -1, 0)
 
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.dims))
-
     def gradient_norms(self) -> np.ndarray:
         """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
 

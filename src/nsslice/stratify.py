@@ -225,7 +225,7 @@ def stratification_verdict(
         if at is None:
             at = AREA_TOL_FACES * mask.voxel_volume / float(np.sum(np.abs(dv) * h))
         offsets, measures = slice_measures(mask, tuple(dv), ns)
-        dbeta = offsets[1] - offsets[0] if ns > 1 else 1.0
+        dbeta = offsets[1] - offsets[0]
         it = INTERVAL_TOL_SLABS * dbeta if interval_tol is None else interval_tol
         run = _longest_run(measures >= at)
         length = run * dbeta

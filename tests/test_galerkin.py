@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from oracles import contract_triple, cross_matrix, dense_trilinear, without_nonlinearity
 
-from nsslice.fieldio import Field, restrict_to_slice
+from nsslice.fieldio import Field, TimeSeriesField, restrict_to_slice
 from nsslice.galerkin import (
     BlowUpError,
     GalerkinState,
@@ -14,6 +14,7 @@ from nsslice.galerkin import (
     divergence_residual,
     project_divfree,
     project_field_to_basis,
+    series_forcing,
     solve_from_state,
     step,
     synthesize_field,
@@ -526,7 +527,8 @@ def test_step_blowup_guard_catches_nonfinite(square_tensors, bad):
     forcing = np.zeros((3, m))
     forcing[2, 1] = bad
     with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match="reduce dt"):
-        step(GalerkinState(np.zeros(3 * m), 0.0), square_tensors, forcing, nu=0.1, dt=1e-3)
+        step(GalerkinState(np.zeros(3 * m), 0.0), square_tensors, lambda t: forcing,
+             nu=0.1, dt=1e-3)
 
 
 def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
@@ -652,6 +654,26 @@ def test_projection_grid_too_coarse(square_basis):
     fld = Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=3, data=np.zeros((3, 4, 4)))
     with pytest.raises(ValueError, match="too coarse"):
         project_field_to_basis(fld, square_basis)
+
+
+def test_series_forcing_interpolates_projected_frames(square_basis):
+    rng = np.random.default_rng(31)
+    m = square_basis.nmodes_total
+    frames = tuple(
+        synthesize_field(square_basis, rng.standard_normal((3, m)), (9, 9)) for _ in range(3)
+    )
+    times = np.array([0.0, 0.5, 1.5])
+    f_of_t = series_forcing(TimeSeriesField(times=times, frames=frames), square_basis)
+    proj = [project_field_to_basis(fr, square_basis) for fr in frames]
+    for t, p in zip(times, proj):
+        assert np.array_equal(f_of_t(t), p)
+    assert np.array_equal(f_of_t(0.25), 0.5 * (proj[0] + proj[1]))
+    assert np.array_equal(f_of_t(1.0), 0.5 * (proj[1] + proj[2]))
+    assert np.array_equal(f_of_t(-1.0), proj[0])
+    assert np.array_equal(f_of_t(7.0), proj[2])
+    single = series_forcing(TimeSeriesField(times=np.array([0.3]), frames=frames[:1]), square_basis)
+    for t in (-1.0, 0.3, 2.0):
+        assert np.array_equal(single(t), proj[0])
 
 
 def test_coercivity_axis_aligned_exact(square_tensors):
