@@ -3,10 +3,14 @@
 Subcommands: project | solve | uniqueness | quadform | stratify | mms.
 Configuration is a flat key=value text file with per-module key namespaces
 (plane.*, io.*, basis.*, solver.*, uniq.*, quadform.*, stratify.*, mms.*),
-overridable per key with --set key=value.  All numeric parameters are
-validated before any computation starts.  Reports are JSON (deterministic
-byte-for-byte for a fixed config and seed, except the timestamp_utc field),
-fields are NSF1, tables are CSV with a header row.  Exit code 0 means every
+overridable per key with --set key=value.  KEYS declares every key with its
+parser and default.  Before a command runs, RunConfig rejects a key that is
+not in KEYS (with a nearest-key hint) and parses every value, set or
+defaulted, so a mistyped key or a bad value exits 2 before any computation.
+The table is shared by all subcommands, so one file can serve them all.
+Reports are JSON (deterministic byte-for-byte for a fixed config and seed,
+except the timestamp_utc field), fields are NSF1, tables are CSV with a
+header row.  Exit code 0 means every
 check the subcommand ran passed; 1 means a check failed; 2 means the run
 itself errored.  quadform and stratify exit 0 whenever they complete: the
 viscosity criterion and the stratification sign are findings about the
@@ -72,81 +76,144 @@ def parse_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
+def _checked(parse, ok, what: str):
+    """parse, then require ok(value); what states the requirement in the error."""
+    def parse_checked(raw: str):
+        val = parse(raw)
+        if not ok(val):
+            raise ValueError(f"{what}, got {raw!r}")
+        return val
+    return parse_checked
+
+
+def _positive(parse):
+    return _checked(parse, lambda v: v > 0, "must be positive")
+
+
+def _nonnegative(parse):
+    return _checked(parse, lambda v: v >= 0, "must be nonnegative")
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _reals(raw: str) -> list:
+    return [float(v) for v in raw.replace(",", " ").split()]
+
+
+def _ints(raw: str) -> list:
+    vals = _reals(raw)
+    if not all(v.is_integer() for v in vals):
+        raise ValueError(f"expected integers, got {raw!r}")
+    return [int(v) for v in vals]
+
+
+def _triples(raw: str) -> list:
+    """';'-separated triples of reals; empty for an empty value."""
+    triples = [tuple(_reals(chunk)) for chunk in raw.split(";")] if raw else []
+    if any(len(t) != 3 for t in triples):
+        raise ValueError(f"expected ';'-separated triples, got {raw!r}")
+    return triples
+
+
+def _count(parse, n: int):
+    return _checked(parse, lambda v: len(v) == n, f"expected {n} values")
+
+
+REQUIRED = object()  # default of a key that must be set wherever a command reads it
+
+# Every config key: its parser and its default, a string parsed like a set
+# value (None: unset).  Keys not listed here are rejected before any command runs.
+KEYS = {
+    "plane.normal": (_count(_reals, 3), "0,0,1"),
+    "plane.offset": (float, "0.5"),
+    "chart.tolerance": (_positive(float), "1e-8"),
+    "io.u0": (str, REQUIRED),
+    "io.u0_slice": (str, REQUIRED),
+    "io.forcing": (str, None),
+    "io.forcing_slice": (str, None),
+    "io.v": (str, REQUIRED),
+    "io.w": (str, REQUIRED),
+    "slice.dims": (_count(_ints, 2), "33,33"),
+    "basis.n1": (_positive(int), "8"),
+    "basis.n2": (_positive(int), "8"),
+    "basis.extents": (_count(_reals, 2), "1,1"),
+    "solver.nu": (_positive(float), REQUIRED),
+    "solver.dt": (_positive(float), REQUIRED),
+    "solver.T": (_positive(float), REQUIRED),
+    "solver.record_every": (_positive(int), "1"),
+    "uniq.delta": (_nonnegative(float), "1e-8"),
+    "uniq.mode": (_checked(str, lambda v: v in ("initial", "dt"), "must be 'initial' or 'dt'"),
+                  "initial"),
+    "uniq.amplitude": (_positive(float), "1.0"),
+    "quadform.nu": (_positive(float), REQUIRED),
+    "quadform.c_gn": (_positive(float), "1.0"),
+    "quadform.lambda1": (_positive(float), None),   # None: the box's analytic value
+    "quadform.pivot_tol": (_positive(float), None),
+    "quadform.emit_fields": (_bool, "false"),
+    "stratify.eps": (_nonnegative(float), "0"),
+    "stratify.nslices": (_checked(int, lambda v: v >= 2, "must be at least 2"), None),
+    "stratify.directions": (_triples, ""),
+    "stratify.area_tol": (_positive(float), None),
+    "stratify.interval_tol": (_positive(float), None),
+    "stratify.volume_tol": (_positive(float), None),
+    "mms.nu": (_positive(float), "0.1"),
+    "mms.T": (_positive(float), "0.5"),
+    "mms.dt": (_positive(float), "1e-3"),
+    "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2,
+                            "needs at least 2 mode counts for a spatial ratio"), "8,16"),
+    "mms.n_temporal": (_positive(int), "16"),
+    "mms.dt_list": (_checked(_reals, lambda v: len(v) >= 3,
+                             "needs at least 3 steps for a temporal order"), "2e-3,1e-3,5e-4"),
+    "mms.min_ratio": (_positive(float), "10.0"),
+    "mms.min_order": (_positive(float), "3.8"),
+}
+
+# keys that no longer exist, with the reason given when one is set
+REMOVED_KEYS = {
+    "solver.quadrature_order": "the Galerkin operators are assembled exactly in closed form",
+}
+
+
+def _unknown_key(key: str) -> str:
+    if key in REMOVED_KEYS:
+        return f"config key {key!r} was removed: {REMOVED_KEYS[key]}"
+    import difflib  # only on this error path, so a normal run does not import it
+
+    near = difflib.get_close_matches(key, KEYS, n=1)
+    return f"unknown config key {key!r}" + (f"; did you mean {near[0]!r}?" if near else "")
+
+
 class RunConfig:
-    """Typed, validated access to the flat key=value namespace."""
+    """The flat key=value namespace, checked against KEYS and parsed on construction."""
 
     def __init__(self, values: dict[str, str], out_dir: str, seed: int):
-        self.values = values
+        unknown = [_unknown_key(key) for key in sorted(values) if key not in KEYS]
+        if unknown:
+            raise ConfigError("\n".join(unknown))
+        self.values = {}
+        for key, (parse, default) in KEYS.items():
+            raw = values.get(key, default)
+            try:
+                self.values[key] = raw if raw is None or raw is REQUIRED else parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
         self.out_dir = Path(out_dir)
         self.seed = int(seed)
 
-    def _get(self, key: str, default=None, required: bool = False):
-        if key in self.values:
-            return self.values[key]
-        if required:
+    def __getitem__(self, key: str):
+        if self.values[key] is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
-        return default
+        return self.values[key]
 
-    def str_(self, key: str, default=None, required=False):
-        return self._get(key, default, required)
-
-    def float_(self, key: str, default=None, required=False, positive=False):
-        raw = self._get(key, default, required)
-        if raw is None:
-            return None
-        try:
-            val = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: not a number: {raw!r}") from exc
-        if positive and val <= 0.0:
-            raise ConfigError(f"config key {key!r} must be positive, got {val}")
-        return val
-
-    def int_(self, key: str, default=None, required=False, positive=False):
-        raw = self._get(key, default, required)
-        if raw is None:
-            return None
-        try:
-            val = int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: not an integer: {raw!r}") from exc
-        if positive and val <= 0:
-            raise ConfigError(f"config key {key!r} must be positive, got {val}")
-        return val
-
-    def bool_(self, key: str, default=False):
-        raw = self._get(key, None)
-        if raw is None:
-            return default
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r}: not a boolean: {raw!r}")
-
-    def floats_(self, key: str, default=None, required=False, n=None):
-        raw = self._get(key, default, required)
-        if raw is None:
-            return None
-        if isinstance(raw, (tuple, list)):
-            vals = [float(v) for v in raw]
-        else:
-            try:
-                vals = [float(v) for v in str(raw).replace(",", " ").split()]
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: not a number list: {raw!r}") from exc
-        if n is not None and len(vals) != n:
-            raise ConfigError(f"config key {key!r}: expected {n} values, got {len(vals)}")
-        return vals
-
-    def ints_(self, key: str, default=None, required=False, n=None):
-        vals = self.floats_(key, default, required, n)
-        if vals is None:
-            return None
-        out = [int(v) for v in vals]
-        if any(o != v for o, v in zip(out, vals)):
-            raise ConfigError(f"config key {key!r}: expected integers")
-        return out
+    def get(self, key: str):
+        """The value of key, or None where a key without a default is unset."""
+        return None if self.values[key] is REQUIRED else self.values[key]
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -164,16 +231,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _plane_from_config(cfg: RunConfig) -> Hyperplane:
-    normal = cfg.floats_("plane.normal", default="0,0,1", n=3)
-    offset = cfg.float_("plane.offset", default=0.5)
-    return Hyperplane.from_vector(normal, offset)
-
-
 def _chart_from_config(cfg: RunConfig):
-    plane = _plane_from_config(cfg)
-    tol = cfg.float_("chart.tolerance", default=1e-8, positive=True)
-    return make_chart(plane, tol)
+    plane = Hyperplane.from_vector(cfg["plane.normal"], cfg["plane.offset"])
+    return make_chart(plane, cfg["chart.tolerance"])
 
 
 def _read_series_manifest(path: Path) -> TimeSeriesField:
@@ -197,29 +257,13 @@ def _read_series(path: Path) -> TimeSeriesField:
 
 
 def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
-    n1 = cfg.int_("basis.n1", default=8, positive=True)
-    n2 = cfg.int_("basis.n2", default=8, positive=True)
-    return SpectralBasis(nmodes=(n1, n2), extents=tuple(extents))
-
-
-def _solver_params(cfg: RunConfig) -> dict:
-    if "solver.quadrature_order" in cfg.values:
-        raise ConfigError(
-            "config key 'solver.quadrature_order' was removed: the Galerkin "
-            "operators are assembled exactly in closed form"
-        )
-    return {
-        "nu": cfg.float_("solver.nu", required=True, positive=True),
-        "dt": cfg.float_("solver.dt", required=True, positive=True),
-        "t_end": cfg.float_("solver.T", required=True, positive=True),
-        "record_every": cfg.int_("solver.record_every", default=1, positive=True),
-    }
+    return SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
 
 
 def cmd_project(cfg: RunConfig) -> int:
-    u0_path = cfg.str_("io.u0", required=True)
-    forcing_path = cfg.str_("io.forcing")
-    slice_dims = cfg.ints_("slice.dims", default="33,33", n=2)
+    u0_path = cfg["io.u0"]
+    forcing_path = cfg["io.forcing"]
+    slice_dims = cfg["slice.dims"]
     chart = _chart_from_config(cfg)
     u0 = read_field(u0_path)
     if u0.ndim_grid != 3:
@@ -267,15 +311,15 @@ def cmd_project(cfg: RunConfig) -> int:
 
 
 def _forcing_from_config(cfg: RunConfig):
-    path = cfg.str_("io.forcing_slice")
+    path = cfg["io.forcing_slice"]
     if not path:
         return None
     return _read_series_manifest(Path(path))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    u0_path = cfg.str_("io.u0_slice", required=True)
-    params = _solver_params(cfg)
+    u0_path = cfg["io.u0_slice"]
+    nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     chart = _chart_from_config(cfg)
     u0 = read_field(u0_path)
     if u0.ndim_grid != 2 or u0.ncomp != 3:
@@ -293,16 +337,13 @@ def cmd_solve(cfg: RunConfig) -> int:
         nonlocal dual_max
         dual_max = max(dual_max, weak_dual_norm(weak, tensors, f_of_t, t))
 
-    result = solve_from_state(
-        state0, f_of_t, tensors, params["nu"], params["dt"], params["t_end"],
-        observer=track_dual_norm,
-    )
-    ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, params["nu"])
+    result = solve_from_state(state0, f_of_t, tensors, nu, dt, t_end, observer=track_dual_norm)
+    ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, nu)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     # every record_every-th step plus the last, synthesized one at a time
     nsteps = len(result.trace) - 1
-    recorded = [*range(0, nsteps, params["record_every"]), nsteps]
+    recorded = [*range(0, nsteps, cfg["solver.record_every"]), nsteps]
     frame_files = []
     for i, k in enumerate(recorded):
         rel = f"u_{i:04d}.nsf1"
@@ -313,7 +354,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_json(out / "energy_ledger.json", ledger.to_dict())
     div_max = float(np.max(divergence_residual(result.trace.coeffs, tensors)))
     dual_max = max(dual_max, rhs_dual_norm(result.trace.coeffs[-1], tensors, f_of_t,
-                                           params["nu"], result.trace.times[-1]))
+                                           nu, result.trace.times[-1]))
     checks = {
         "inequality_holds": ledger.inequality_holds(),
         "divergence_preserved": bool(div_max <= 1e-9),
@@ -329,9 +370,9 @@ def cmd_solve(cfg: RunConfig) -> int:
                 "alpha2": chart.alpha2,
                 "eliminated_axis": chart.eliminated_axis,
             },
-            "nu": params["nu"],
-            "dt": params["dt"],
-            "T": params["t_end"],
+            "nu": nu,
+            "dt": dt,
+            "T": t_end,
             "lambda1": basis.lambda1,
             "coercivity": coercivity_check(tensors),
             "max_divergence_residual": div_max,
@@ -351,25 +392,22 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
     """Seeded smooth random divergence-free coefficients."""
     rng = np.random.default_rng(cfg.seed)
     m = tensors.nmodes_total
-    amp = cfg.float_("uniq.amplitude", default=1.0, positive=True)
+    amp = cfg["uniq.amplitude"]
     # draw and decay are listed by increasing eigenvalue, then put on the modes
     drawn = rng.standard_normal((3, m)) * np.exp(-0.5 * np.arange(m) / 4.0)
     return amp * tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
 
 
 def cmd_uniqueness(cfg: RunConfig) -> int:
-    params = _solver_params(cfg)
+    nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     chart = _chart_from_config(cfg)
-    delta = cfg.float_("uniq.delta", default=1e-8)
-    if delta is None or delta < 0.0:
-        raise ConfigError("uniq.delta must be nonnegative")
-    mode = cfg.str_("uniq.mode", default="initial")
-    u0_path = cfg.str_("io.u0_slice")
+    delta = cfg["uniq.delta"]
+    u0_path = cfg.get("io.u0_slice")
     if u0_path:
         u0 = read_field(u0_path)
         extents = u0.extents
     else:
-        extents = cfg.floats_("basis.extents", default="1,1", n=2)
+        extents = cfg["basis.extents"]
     basis = _basis_from_config(cfg, extents)
     tensors = assemble(basis, chart)
     if u0_path:
@@ -377,14 +415,7 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     else:
         u0_coeffs = _synthetic_u0(cfg, tensors)
     report = analysis.uniqueness_experiment(
-        tensors,
-        u0_coeffs,
-        params["nu"],
-        params["dt"],
-        params["t_end"],
-        delta,
-        seed=cfg.seed,
-        mode=mode,
+        tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed, mode=cfg["uniq.mode"]
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -399,17 +430,15 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
 
 
 def cmd_quadform(cfg: RunConfig) -> int:
-    v_path = cfg.str_("io.v", required=True)
-    nu = cfg.float_("quadform.nu", required=True, positive=True)
-    c_gn = cfg.float_("quadform.c_gn", default=1.0, positive=True)
-    pivot_tol = cfg.float_("quadform.pivot_tol", default=None, positive=True)
-    emit_fields = cfg.bool_("quadform.emit_fields", default=False)
-    series = _read_series(Path(v_path))
+    nu = cfg["quadform.nu"]
+    pivot_tol = cfg["quadform.pivot_tol"]
+    emit_fields = cfg["quadform.emit_fields"]
+    series = _read_series(Path(cfg["io.v"]))
     ref = series.frames[0]
     if ref.ndim_grid != 3 or ref.ncomp != 3:
         raise ConfigError("io.v must be 3D with 3 components")
-    lambda1 = cfg.float_("quadform.lambda1", default=qf.box_lambda1(ref.extents), positive=True)
-    w_path = cfg.str_("io.w")
+    lambda1 = cfg["quadform.lambda1"] or qf.box_lambda1(ref.extents)
+    w_path = cfg.get("io.w")
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -435,7 +464,7 @@ def cmd_quadform(cfg: RunConfig) -> int:
             signed = qf.signed_integral(strain, wfield)
         # release this frame's gradient and coefficients before the next is built
         del strain, dec
-    report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, c_gn)
+    report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, cfg["quadform.c_gn"])
     payload = report.to_dict()
     payload["inertia_histograms"] = inertia_hists
     payload["degenerate_fractions"] = degenerate_fracs
@@ -455,33 +484,18 @@ def cmd_quadform(cfg: RunConfig) -> int:
 
 
 def cmd_stratify(cfg: RunConfig) -> int:
-    w_path = cfg.str_("io.w", required=True)
-    eps = cfg.float_("stratify.eps", default=0.0)
-    if eps is None or eps < 0.0:
-        raise ConfigError("stratify.eps must be nonnegative")
-    nslices = cfg.int_("stratify.nslices", default=None, positive=True)
-    area_tol = cfg.float_("stratify.area_tol", default=None, positive=True)
-    interval_tol = cfg.float_("stratify.interval_tol", default=None, positive=True)
-    volume_tol = cfg.float_("stratify.volume_tol", default=None, positive=True)
-    extra = []
-    raw_dirs = cfg.str_("stratify.directions")
-    if raw_dirs:
-        for chunk in raw_dirs.split(";"):
-            vals = [float(v) for v in chunk.replace(",", " ").split()]
-            if len(vals) != 3:
-                raise ConfigError(f"stratify.directions: bad triple {chunk!r}")
-            extra.append(tuple(vals))
+    eps = cfg["stratify.eps"]
     # kept referenced to the end: with the frames freed before the verdict,
     # its temporaries took about 12k more minor page faults on four 64^3 frames
-    data = _read_series(Path(w_path))
+    data = _read_series(Path(cfg["io.w"]))
     mask = st.mask_from_field(data, eps)
     verdict = st.stratification_verdict(
         mask,
-        directions=extra,
-        nslices=nslices,
-        area_tol=area_tol,
-        interval_tol=interval_tol,
-        volume_tol=volume_tol,
+        directions=cfg["stratify.directions"],
+        nslices=cfg["stratify.nslices"],
+        area_tol=cfg["stratify.area_tol"],
+        interval_tol=cfg["stratify.interval_tol"],
+        volume_tol=cfg["stratify.volume_tol"],
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -503,31 +517,19 @@ def cmd_stratify(cfg: RunConfig) -> int:
 
 def cmd_mms(cfg: RunConfig) -> int:
     chart = _chart_from_config(cfg)
-    nu = cfg.float_("mms.nu", default=0.1, positive=True)
-    t_end = cfg.float_("mms.T", default=0.5, positive=True)
-    dt = cfg.float_("mms.dt", default=1e-3, positive=True)
-    n_list = cfg.ints_("mms.n_list", default="8,16")
-    n_temporal = cfg.int_("mms.n_temporal", default=16, positive=True)
-    dt_list = cfg.floats_("mms.dt_list", default="2e-3,1e-3,5e-4")
-    min_ratio = cfg.float_("mms.min_ratio", default=10.0, positive=True)
-    min_order = cfg.float_("mms.min_order", default=3.8, positive=True)
-    extents = cfg.floats_("basis.extents", default="1,1", n=2)
-    if len(n_list) < 2:
-        raise ConfigError("mms.n_list needs at least 2 mode counts for a spatial ratio")
-    if len(dt_list) < 3:
-        raise ConfigError("mms.dt_list needs at least 3 steps for a temporal order")
+    nu, t_end, dt_list = cfg["mms.nu"], cfg["mms.T"], cfg["mms.dt_list"]
     try:
         mms_mod.halving_steps(dt_list)
     except ValueError as exc:
         raise ConfigError(f"mms.dt_list: {exc}") from exc
-    ms = mms_mod.ManufacturedSolution(extents=tuple(extents), chart=chart, nu=nu)
-    rows = mms_mod.spatial_convergence(ms, n_list, dt, t_end)
-    temporal = mms_mod.temporal_convergence(ms, n_temporal, dt_list, t_end)
+    ms = mms_mod.ManufacturedSolution(extents=tuple(cfg["basis.extents"]), chart=chart, nu=nu)
+    rows = mms_mod.spatial_convergence(ms, cfg["mms.n_list"], cfg["mms.dt"], t_end)
+    temporal = mms_mod.temporal_convergence(ms, cfg["mms.n_temporal"], dt_list, t_end)
     ratio = rows[0]["error"] / rows[-1]["error"] if rows[-1]["error"] > 0 else float("inf")
     order = min(temporal["orders"]) if temporal["orders"] else float("nan")
     checks = {
-        "spatial_ratio_ok": bool(ratio >= min_ratio),
-        "temporal_order_ok": bool(order >= min_order),
+        "spatial_ratio_ok": bool(ratio >= cfg["mms.min_ratio"]),
+        "temporal_order_ok": bool(order >= cfg["mms.min_order"]),
     }
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -279,9 +279,9 @@ class OperatorTensors:
     null(C) is applied as u - C^T gram_pinv C u, with gram_pinv the
     pseudo-inverse of C C^T on its rank-constraint_rank range, stored only as
     its two parity blocks gram_pinv_blocks (even, odd), which act on C u
-    taken in parity order.  The dense gram_pinv, gram_range (orthonormal
-    eigenvectors of that range), stiffness_A1 (the dense K), constraint,
-    projector and null_basis are built on first access.
+    taken in parity order.  No dense K or gram_pinv is formed; the dense
+    constraint, projector and null_basis are built from the same kernels on
+    first access, for inspection only.
     """
 
     basis: SpectralBasis
@@ -430,30 +430,6 @@ class OperatorTensors:
         return -(self.stiffness_diag * u + cross)
 
     @cached_property
-    def gram_pinv(self) -> np.ndarray:
-        """Dense (M, M) pseudo-inverse of C C^T, zero between the parity classes."""
-        m = self.nmodes_total
-        dense = np.zeros((m, m))
-        for modes, pinv in zip(self.parity_modes, self.gram_pinv_blocks):
-            dense[np.ix_(modes, modes)] = pinv
-        return dense
-
-    @cached_property
-    def gram_range(self) -> np.ndarray:
-        """Orthonormal (M, rank) eigenvectors of the range of C C^T, built on first access."""
-        cols = []
-        for modes, (_, v) in zip(self.parity_modes, self._gram_ranges()):
-            col = np.zeros((self.nmodes_total, v.shape[1]))
-            col[modes] = v
-            cols.append(col)
-        return np.hstack(cols)
-
-    @cached_property
-    def stiffness_A1(self) -> np.ndarray:
-        """Dense symmetric (M, M) stiffness K, built on first access."""
-        return self.apply_stiffness(np.eye(self.nmodes_total))
-
-    @cached_property
     def constraint(self) -> np.ndarray:
         """Dense (M, 3M) weak divergence C, built on first access."""
         return self.divergence(np.eye(3 * self.nmodes_total)).T
@@ -461,17 +437,22 @@ class OperatorTensors:
     @cached_property
     def projector(self) -> np.ndarray:
         """Dense (3M, 3M) projector I - C^T gram_pinv C, built on first access."""
-        c = self.constraint
-        return np.eye(c.shape[1]) - c.T @ (self.gram_pinv @ c)
+        return self.project(np.eye(3 * self.nmodes_total)).T
 
     @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal (3M, 3M - rank) basis of the constraint null space.
 
-        Built on first access: C^T gram_range spans range(C^T), so the
-        trailing columns of its complete QR span the complement null(C).
+        Built on first access: C^T applied to the kept eigenvectors of the
+        Gram blocks spans range(C^T), so the trailing columns of its complete
+        QR span the complement null(C).
         """
-        range_t = self.constraint.T @ self.gram_range
+        lam = np.zeros((self.constraint_rank, self.nmodes_total))
+        row = 0
+        for modes, (_, v) in zip(self.parity_modes, self._gram_ranges()):
+            lam[row:row + v.shape[1], modes] = v.T
+            row += v.shape[1]
+        range_t = self.divergence_adjoint(lam).reshape(-1, 3 * self.nmodes_total).T
         return np.linalg.qr(range_t, mode="complete")[0][:, self.constraint_rank:]
 
 

@@ -36,13 +36,17 @@ def contract_triple(tri, u, v, w) -> float:
     return float(np.sum(tri.apply_pair(u, v) * np.asarray(w).reshape(3, -1)))
 
 
+def stiffness(tensors) -> np.ndarray:
+    """Dense symmetric (M, M) stiffness K: the factored stiffness applied to the identity."""
+    return tensors.apply_stiffness(np.eye(tensors.nmodes_total))
+
+
 def cross_matrix(tensors) -> np.ndarray:
     """Dense (M, M) chart cross term <(c1 D1 + c2 D2) w_p, (c1 D1 + c2 D2) w_q>.
 
-    The factored stiffness applied to the identity, less its gradient diagonal.
+    The dense stiffness less its gradient diagonal.
     """
-    stiffness = tensors.apply_stiffness(np.eye(tensors.nmodes_total))
-    return -stiffness - np.diag(tensors.grad1 + tensors.grad2)
+    return -stiffness(tensors) - np.diag(tensors.grad1 + tensors.grad2)
 
 
 def without_nonlinearity(tensors):

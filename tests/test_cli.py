@@ -314,6 +314,123 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _runnable_args(command, tmp_path):
+    """Arguments with which command runs to completion on small inputs."""
+    small = ["--set", "basis.n1=3", "--set", "basis.n2=3", "--set", "solver.nu=0.1",
+             "--set", "solver.dt=0.01", "--set", "solver.T=0.03"]
+    if command == "project":
+        write_u0_3d(tmp_path / "u0.nsf1", dims=(9, 9, 9))
+        return ["--set", f"io.u0={tmp_path / 'u0.nsf1'}", "--set", "slice.dims=9,9"]
+    if command in ("solve", "uniqueness"):
+        write_u0_slice(tmp_path / "u0s.nsf1", dims=(9, 9))
+        return ["--set", f"io.u0_slice={tmp_path / 'u0s.nsf1'}", *small]
+    if command == "mms":
+        return list(MMS_SMALL)
+    write_u0_3d(tmp_path / "v.nsf1", dims=(9, 9, 9))
+    if command == "quadform":
+        return ["--set", f"io.v={tmp_path / 'v.nsf1'}", "--set", "quadform.nu=0.5"]
+    return ["--set", f"io.w={tmp_path / 'v.nsf1'}", "--set", "stratify.eps=0.1"]
+
+
+@pytest.mark.parametrize("typo, hint", [("solver.bogus", "solver.nu"), ("basis.N1", "basis.n1")])
+@pytest.mark.parametrize("command", ["project", "solve", "uniqueness", "quadform", "stratify", "mms"])
+def test_unknown_key_rejected_with_hint(tmp_path, capsys, command, typo, hint):
+    # a key that no command reads is a typo, never a silent default: the run
+    # stops before any output is written and names the nearest known key
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", f"{typo}=4"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert repr(typo) in err and f"did you mean {hint!r}?" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["uniq.mode=bogus", "uniq.amplitude=-1"])
+def test_uniqueness_values_checked_before_assembly(tmp_path, monkeypatch, capsys, override):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before checking the config values")
+
+    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    out = tmp_path / "uniq"
+    rc = main(["uniqueness", "--out", str(out), *_runnable_args("uniqueness", tmp_path),
+               "--set", override])
+    assert rc == EXIT_ERROR
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_project_and_solve(tmp_path, capsys):
+    # the key table is global: project ignores the solver keys and solve the
+    # projection keys, while a typo in the shared file stops both
+    write_u0_3d(tmp_path / "u0.nsf1", dims=(9, 9, 9))
+    text = (
+        f"io.u0 = {tmp_path / 'u0.nsf1'}\n"
+        "slice.dims = 9,9\n"
+        "plane.normal = 0,0,1\n"
+        "plane.offset = 0.5\n"
+        f"io.u0_slice = {tmp_path / 'proj' / 'u0_slice.nsf1'}\n"
+        "basis.n1 = 3\nbasis.n2 = 3\n"
+        "solver.nu = 0.1\nsolver.dt = 0.01\nsolver.T = 0.03\n"
+    )
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert main(["project", "--config", str(cfgfile), "--out", str(tmp_path / "proj")]) == EXIT_OK
+    rc = main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "solve")])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert json.loads((tmp_path / "solve" / "run_manifest.json").read_text())["nu"] == 0.1
+    cfgfile.write_text(text + "solver.Nu = 0.2\n")
+    for command in ("project", "solve"):
+        out = tmp_path / f"typo-{command}"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_ERROR
+        assert "did you mean 'solver.nu'?" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_values_parse_to_typed_values(tmp_path):
+    cfg = nsslice.cli.RunConfig({
+        "plane.normal": "1,0.5,1", "slice.dims": "49,49", "basis.n1": "24",
+        "solver.dt": "2.5e-4", "quadform.emit_fields": "true",
+        "stratify.directions": "1,1,1;1,-1,0", "mms.n_list": "4,8",
+    }, str(tmp_path), seed=0)
+    assert cfg["plane.normal"] == [1.0, 0.5, 1.0]
+    assert cfg["slice.dims"] == [49, 49] and all(type(v) is int for v in cfg["slice.dims"])
+    assert cfg["basis.n1"] == 24 and cfg["solver.dt"] == 2.5e-4
+    assert cfg["quadform.emit_fields"] is True
+    assert cfg["stratify.directions"] == [(1.0, 1.0, 1.0), (1.0, -1.0, 0.0)]
+    assert cfg["mms.n_list"] == [4, 8]
+    # defaults are parsed like set values
+    assert cfg["basis.extents"] == [1.0, 1.0] and cfg["mms.dt_list"] == [2e-3, 1e-3, 5e-4]
+    assert cfg["stratify.eps"] == 0.0 and cfg["quadform.pivot_tol"] is None
+    assert nsslice.cli.RunConfig({}, str(tmp_path), seed=0)["stratify.directions"] == []
+    assert cfg.get("io.u0_slice") is None
+    with pytest.raises(nsslice.cli.ConfigError, match="missing required config key 'io.u0_slice'"):
+        cfg["io.u0_slice"]
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
+     "uniq.delta=-1e-8", "stratify.eps=-0.1", "stratify.nslices=1", "stratify.directions=1,1",
+     "quadform.emit_fields=maybe", "chart.tolerance=0"],
+)
+def test_bad_values_rejected_on_construction(tmp_path, override):
+    # each value breaks its key's declared type or bound; no command need read it
+    key, raw = override.split("=")
+    with pytest.raises(nsslice.cli.ConfigError) as excinfo:
+        nsslice.cli.RunConfig({key: raw}, str(tmp_path), seed=0)
+    assert repr(key) in str(excinfo.value)
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [row.split("`")[1] for row in rows]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(nsslice.cli.KEYS)
+
+
 @pytest.mark.parametrize("missing", ["times", "frames"])
 @pytest.mark.parametrize("command", ["quadform", "solve"])
 def test_malformed_series_manifest_rejected(tmp_path, capsys, command, missing):
