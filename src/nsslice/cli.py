@@ -268,20 +268,25 @@ def cmd_project(cfg: RunConfig) -> int:
     u0 = read_field(u0_path)
     if u0.ndim_grid != 3:
         raise ConfigError("io.u0 must be a 3D field")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     dom = slice_domain(Box3.from_extents(u0.extents), chart)
     if dom.is_empty:
         raise GeometryError("plane does not intersect the field's box")
+    # read and restrict every input before the output directory exists, so a
+    # run that exits 2 leaves nothing behind
     u0_slice = restrict_to_slice(u0, chart, slice_dims)
+    series = _read_series(Path(forcing_path)) if forcing_path else None
+    f_slices = [] if series is None else [
+        restrict_to_slice(frame, chart, slice_dims) for frame in series.frames
+    ]
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     write_field(u0_slice, out / "u0_slice.nsf1")
     forcing_entry = None
-    if forcing_path:
-        series = _read_series(Path(forcing_path))
+    if series is not None:
         rels = []
-        for i, frame in enumerate(series.frames):
+        for i, f_slice in enumerate(f_slices):
             rel = f"f_slice_{i:04d}.nsf1"
-            write_field(restrict_to_slice(frame, chart, slice_dims), out / rel)
+            write_field(f_slice, out / rel)
             rels.append(rel)
         forcing_entry = "forcing_slice.json"
         (out / forcing_entry).write_text(
@@ -317,6 +322,22 @@ def _forcing_from_config(cfg: RunConfig):
     return _read_series_manifest(Path(path))
 
 
+# Samples per trajectory file, in bytes.  Readers load an NSF1 file whole, so
+# a long solve is written as many files of about this size, not one large one.
+TRAJECTORY_FILE_BYTES = 1 << 20
+
+
+def _frame_runs(nframes: int, frame_bytes: int) -> list:
+    """Split frame indices 0..nframes-1 into near-equal consecutive runs, one per file.
+
+    Every run holds at least 2 frames, since an NSF1 axis needs 2 samples,
+    and at most TRAJECTORY_FILE_BYTES of samples wherever 3 frames fit in it.
+    """
+    per_file = max(1, TRAJECTORY_FILE_BYTES // frame_bytes)
+    nfiles = max(1, min(-(-nframes // per_file), nframes // 2))
+    return np.array_split(np.arange(nframes), nfiles)
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     u0_path = cfg["io.u0_slice"]
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
@@ -341,15 +362,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, nu)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    # every record_every-th step plus the last, synthesized one at a time
+    # every record_every-th step plus the last, in runs of consecutive frames,
+    # one file and one stacked synthesis per run
     nsteps = len(result.trace) - 1
-    recorded = [*range(0, nsteps, cfg["solver.record_every"]), nsteps]
+    recorded = np.array([*range(0, nsteps, cfg["solver.record_every"]), nsteps])
     frame_files = []
-    for i, k in enumerate(recorded):
-        rel = f"u_{i:04d}.nsf1"
+    for run in _frame_runs(recorded.size, u0.data.nbytes):
+        rel = f"u_{run[0]:04d}-{run[-1]:04d}.nsf1"
         # galerkin.synthesize_field: looked up where perfbench/tracer.py wraps it
-        frame = galerkin.synthesize_field(basis, result.trace.coeffs[k], u0.dims)
-        write_field(frame, out / rel)
+        frames = galerkin.synthesize_field(basis, result.trace.coeffs[recorded[run]], u0.dims)
+        write_field(frames, out / rel)
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
     div_max = float(np.max(divergence_residual(result.trace.coeffs, tensors)))
@@ -439,6 +461,9 @@ def cmd_quadform(cfg: RunConfig) -> int:
         raise ConfigError("io.v must be 3D with 3 components")
     lambda1 = cfg["quadform.lambda1"] or qf.box_lambda1(ref.extents)
     w_path = cfg.get("io.w")
+    wfield = None if w_path is None else read_field(w_path)
+    if wfield is not None and (wfield.ncomp != 3 or wfield.dims != ref.dims):
+        raise ConfigError("io.w must be a 3-component field on the grid of io.v")
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -459,8 +484,7 @@ def cmd_quadform(cfg: RunConfig) -> int:
                 Field(dims=frame.dims, extents=frame.extents, ncomp=3, data=bgrid),
                 out / f"canonical_b_{i:04d}.nsf1",
             )
-        if w_path is not None and i == 0:
-            wfield = read_field(w_path)
+        if wfield is not None and i == 0:
             signed = qf.signed_integral(strain, wfield)
         # release this frame's gradient and coefficients before the next is built
         del strain, dec

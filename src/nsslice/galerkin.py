@@ -701,10 +701,24 @@ def _vertex_sine_tables(nmodes: tuple, extents: tuple, dims: tuple):
 
 
 def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
-    """Evaluate the expansion on a vertex grid of the basis rectangle."""
+    """Evaluate the expansion on a vertex grid of the basis rectangle.
+
+    coeffs is one state, (3M,) or (ncomp, M), giving a (N1, N2) field, or a
+    (k, 3M) stack of k >= 2 states, giving the 3-component (N1, N2, k) field
+    whose frame j, data[..., j], is state j.  The third axis is the frame
+    index, with extent k - 1.  A stack is one batched matmul whose per-state
+    products are those of the single state, so each frame is bit-identical to
+    synthesizing its state alone.
+    """
     dims = tuple(int(v) for v in dims)
-    u = np.asarray(coeffs).reshape(-1, basis.nmodes_total)
+    m = basis.nmodes_total
+    u = np.asarray(coeffs)
     s1, s2 = _vertex_sine_tables(basis.nmodes, basis.extents, dims)
+    if u.ndim == 2 and u.shape[1] == 3 * m:
+        k = u.shape[0]
+        data = np.moveaxis(s1.T @ basis.scatter(u.reshape(k, 3, m)) @ s2, 0, -1)
+        return Field(dims=dims + (k,), extents=basis.extents + (k - 1.0,), ncomp=3, data=data)
+    u = u.reshape(-1, m)
     data = s1.T @ basis.scatter(u) @ s2
     return Field(dims=dims, extents=basis.extents, ncomp=u.shape[0], data=data)
 

@@ -80,6 +80,27 @@ def test_project_missing_plane_errors(tmp_path):
     assert rc == EXIT_ERROR
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("project", "plane.offset=5.0"),
+    ("quadform", "io.w={tmp}/missing.nsf1"),
+    ("quadform", "io.w={tmp}/w_coarse.nsf1"),
+])
+def test_exit_2_creates_no_output_directory(tmp_path, capsys, command, setting):
+    # every input is read and checked before the output directory is made
+    src = tmp_path / "u0.nsf1"
+    write_u0_3d(src, dims=(9, 9, 9))
+    write_u0_3d(tmp_path / "w_coarse.nsf1", dims=(5, 5, 5))
+    args = {
+        "project": ["--set", f"io.u0={src}", "--set", "plane.normal=0,0,1"],
+        "quadform": ["--set", f"io.v={src}", "--set", "quadform.nu=0.5"],
+    }[command]
+    out = tmp_path / "out"
+    rc = main([command, "--out", str(out), *args, "--set", setting.format(tmp=tmp_path)])
+    assert rc == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_project_oblique_matches_library_restriction(tmp_path):
     src = tmp_path / "u0.nsf1"
     fld = write_u0_3d(src)
@@ -140,11 +161,91 @@ def test_solve_smooth_data_passes_checks(tmp_path):
     assert min(ledger["inequality_margin"]) >= -ledger["tol_accum"]
     # 100 steps: every 20th step from 0, the last one included
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["frames"] == [f"u_{i:04d}.nsf1" for i in range(6)]
+    assert manifest["frames"] == ["u_0000-0005.nsf1"]
     assert manifest["frame_times"] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
     assert manifest["frame_times"] == [ledger["times"][k] for k in range(0, 101, 20)]
     for rel in manifest["frames"]:
-        assert read_field(out / rel).dims == (21, 21)
+        assert read_field(out / rel).dims == (21, 21, 6)
+
+
+def test_frame_runs_split_consecutive_within_budget():
+    # frames of 1/per_file of the byte budget: runs are consecutive and
+    # near-equal, hold at least 2 frames, and fit the budget wherever 3 frames do
+    for per_file in (1, 2, 3, 4, 18, 100):
+        frame_bytes = nsslice.cli.TRAJECTORY_FILE_BYTES // per_file
+        for nframes in (*range(2, 60), 1001):
+            runs = nsslice.cli._frame_runs(nframes, frame_bytes)
+            assert np.array_equal(np.concatenate(runs), np.arange(nframes))
+            sizes = [run.size for run in runs]
+            assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= max(per_file, 3)
+    # 1001 frames of a 49 x 49 x 3 slice: 56 files of 17 or 18 frames, each
+    # within 1 MiB of samples
+    assert nsslice.cli.TRAJECTORY_FILE_BYTES == 1 << 20
+    runs = nsslice.cli._frame_runs(1001, 3 * 8 * 49 * 49)
+    assert len(runs) == 56 and {run.size for run in runs} == {17, 18}
+
+
+@pytest.mark.parametrize(
+    "t_end, record_every, budget_frames, nframes",
+    [
+        (0.05, 10, None, 2),   # steps 0 and 10
+        (0.05, 5, None, 3),    # steps 0, 5 and 10
+        (0.05, 3, None, 5),    # 3 does not divide 10 steps: 0, 3, 6, 9 and 10
+        (0.05, 1, 3, 11),      # runs of 3, 3, 3 and 2 frames
+        (0.06, 5, 4, 4),       # 12 steps: 0, 5, 10 and 12 in one run of 4
+        (0.07, 1, 4, 15),      # 14 steps: runs of 4, 4, 4 and 3 frames
+    ],
+)
+def test_solve_trajectory_files_round_trip(tmp_path, monkeypatch, t_end, record_every,
+                                           budget_frames, nframes):
+    # each trajectory file, read back frame by frame, is bit-identical to
+    # synthesizing the matching trace row alone
+    src = tmp_path / "u0s.nsf1"
+    u0 = write_u0_slice(src, dims=(11, 9))
+    frame_bytes = u0.data.nbytes
+    if budget_frames is not None:
+        monkeypatch.setattr(nsslice.cli, "TRAJECTORY_FILE_BYTES", budget_frames * frame_bytes)
+    solved = []
+    solve = nsslice.cli.solve_from_state
+
+    def capturing(*a, **k):
+        solved.append(solve(*a, **k))
+        return solved[-1]
+
+    monkeypatch.setattr(nsslice.cli, "solve_from_state", capturing)
+    out = tmp_path / "solve"
+    rc = main([
+        "solve", "--out", str(out),
+        "--set", f"io.u0_slice={src}",
+        "--set", "plane.normal=1,0.5,1", "--set", "plane.offset=1.75",
+        "--set", "basis.n1=4", "--set", "basis.n2=3",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=0.005", "--set", f"solver.T={t_end}",
+        "--set", f"solver.record_every={record_every}",
+    ])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    trace = solved[0].trace
+    nsteps = len(trace) - 1
+    recorded = [*range(0, nsteps, record_every), nsteps]
+    assert len(recorded) == nframes
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["frame_times"] == trace.times[recorded].tolist()
+    assert sorted(p.name for p in out.glob("*.nsf1")) == manifest["frames"]
+    basis = nsslice.galerkin.SpectralBasis((4, 3), u0.extents)
+    budget = nsslice.cli.TRAJECTORY_FILE_BYTES
+    j = 0
+    for rel in manifest["frames"]:
+        frames = read_field(out / rel)
+        k = frames.dims[2]
+        assert frames.dims == (11, 9, k) and frames.ncomp == 3
+        assert frames.extents == (*u0.extents, k - 1.0)
+        assert rel == f"u_{j:04d}-{j + k - 1:04d}.nsf1"
+        assert 2 <= k and k * frame_bytes <= budget
+        for i in range(k):
+            single = nsslice.galerkin.synthesize_field(basis, trace.coeffs[recorded[j]], (11, 9))
+            assert np.array_equal(frames.data[..., i], single.data)
+            j += 1
+    assert j == len(manifest["frame_times"])
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])

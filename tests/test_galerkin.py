@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from oracles import contract_triple, cross_matrix, dense_trilinear, stiffness, without_nonlinearity
 
-from nsslice.fieldio import Field, TimeSeriesField, restrict_to_slice
+from nsslice.fieldio import Field, FieldFormatError, TimeSeriesField, restrict_to_slice
 from nsslice.galerkin import (
     BlowUpError,
     GalerkinState,
@@ -649,6 +649,21 @@ def test_transforms_match_einsum_oracle():
     want = np.einsum("mi,cmn,nj->cij", s1, basis.scatter(coeffs), s2)
     got = synthesize_field(basis, coeffs, fld.dims).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nstates", [2, 3, 17])
+def test_synthesize_stack_matches_single_states(nstates):
+    # a (k, 3M) stack is the (N1, N2, k) field whose frame j is state j,
+    # bit for bit, with the frame index as its third coordinate
+    basis = SpectralBasis(nmodes=(5, 6), extents=(1.3, 0.8))
+    stack = np.random.default_rng(nstates).standard_normal((nstates, 3 * basis.nmodes_total))
+    fld = synthesize_field(basis, stack, (19, 24))
+    assert fld.dims == (19, 24, nstates) and fld.ncomp == 3
+    assert fld.extents == (1.3, 0.8, nstates - 1.0)
+    for j, coeffs in enumerate(stack):
+        assert np.array_equal(fld.data[..., j], synthesize_field(basis, coeffs, (19, 24)).data)
+    with pytest.raises(FieldFormatError, match="dims must be >= 2"):
+        synthesize_field(basis, stack[:1], (19, 24))
 
 
 def test_projection_grid_too_coarse(square_basis):

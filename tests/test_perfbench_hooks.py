@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # after instrument(), drive the wrapped entry points whose callbacks read
 # attributes of their results: assemble (operator arrays and nnz),
-# ledger_from_run (inequality margin) and canonicalize (jacobi mask)
+# ledger_from_run (inequality margin) and canonicalize (jacobi mask); and
+# synthesize_field on a (k, 3M) stack, the call that writes a solve trajectory
 TRACED_CALLS = """
 import json
 import numpy as np
@@ -25,6 +26,8 @@ u0 = tensors.projector @ np.linspace(1.0, 2.0, 3 * tensors.nmodes_total)
 state = galerkin.GalerkinState(u0, 0.0)
 res = galerkin.solve_from_state(state, None, tensors, 0.1, 1e-2, 0.03)
 analysis.ledger_from_run(res.trace, tensors, None, 0.1)
+frames = galerkin.synthesize_field(tensors.basis, res.trace.coeffs, (5, 5))
+assert frames.dims == (5, 5, len(res.trace))
 v = Field.from_function((8, 8, 8), (1.0, 1.0, 1.0), 3,
                         lambda x, y, z: np.stack([np.sin(x + 2 * y), y * z, np.cos(z - x)]))
 quadform.canonicalize(quadform.strain_field(v))
@@ -49,7 +52,8 @@ def test_tracer_instruments_every_hook():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     for span in ("galerkin.assemble", "galerkin.solve", "galerkin.step", "galerkin.rhs",
-                 "galerkin.trilinear_apply", "analysis.ledger_from_run",
+                 "galerkin.trilinear_apply", "galerkin.synthesize_field",
+                 "analysis.ledger_from_run",
                  "quadform.strain_field", "quadform.canonicalize"):
         assert span in seen["spans"]
     for counter in ("galerkin.operator_bytes", "galerkin.trilinear_nnz",
