@@ -2,11 +2,12 @@
 
 Subcommands: project | solve | uniqueness | quadform | stratify | mms.
 Configuration is a flat key=value text file with per-module key namespaces
-(plane.*, io.*, basis.*, solver.*, uniq.*, quadform.*, stratify.*, mms.*),
-overridable per key with --set key=value.  KEYS declares every key with its
-parser and default.  Before a command runs, RunConfig rejects a key that is
-not in KEYS (with a nearest-key hint) and parses every value, set or
-defaulted, so a mistyped key or a bad value exits 2 before any computation.
+(plane.*, io.*, slice.*, basis.*, solver.*, uniq.*, quadform.*, stratify.*,
+mms.*), overridable per key with --set key=value.  KEYS declares every key
+with its parser and default.  Before a command runs, RunConfig rejects a key
+that is not in KEYS (with a nearest-key hint, or the reason a REMOVED_KEYS
+key went) and parses every value, set or defaulted, so a mistyped key or a
+bad value exits 2 before any computation.
 The table is shared by all subcommands, so one file can serve them all.
 Reports are JSON (deterministic byte-for-byte for a fixed config and seed,
 except the timestamp_utc field), fields are NSF1, tables are CSV with a
@@ -45,7 +46,7 @@ from .galerkin import (
     solve_from_state,
     weak_dual_norm,
 )
-from .geometry import Box3, GeometryError, Hyperplane, make_chart, slice_domain
+from .geometry import DEFAULT_CHART_TOL, Box3, GeometryError, Hyperplane, make_chart, slice_domain
 
 logger = logging.getLogger("nsslice")
 
@@ -132,7 +133,6 @@ REQUIRED = object()  # default of a key that must be set wherever a command read
 KEYS = {
     "plane.normal": (_count(_reals, 3), "0,0,1"),
     "plane.offset": (float, "0.5"),
-    "chart.tolerance": (_positive(float), "1e-8"),
     "io.u0": (str, REQUIRED),
     "io.u0_slice": (str, REQUIRED),
     "io.forcing": (str, None),
@@ -153,15 +153,9 @@ KEYS = {
     "uniq.amplitude": (_positive(float), "1.0"),
     "quadform.nu": (_positive(float), REQUIRED),
     "quadform.c_gn": (_positive(float), "1.0"),
-    "quadform.lambda1": (_positive(float), None),   # None: the box's analytic value
-    "quadform.pivot_tol": (_positive(float), None),
     "quadform.emit_fields": (_bool, "false"),
     "stratify.eps": (_nonnegative(float), "0"),
-    "stratify.nslices": (_checked(int, lambda v: v >= 2, "must be at least 2"), None),
     "stratify.directions": (_triples, ""),
-    "stratify.area_tol": (_positive(float), None),
-    "stratify.interval_tol": (_positive(float), None),
-    "stratify.volume_tol": (_positive(float), None),
     "mms.nu": (_positive(float), "0.1"),
     "mms.T": (_positive(float), "0.5"),
     "mms.dt": (_positive(float), "1e-3"),
@@ -177,6 +171,14 @@ KEYS = {
 # keys that no longer exist, with the reason given when one is set
 REMOVED_KEYS = {
     "solver.quadrature_order": "the Galerkin operators are assembled exactly in closed form",
+    "chart.tolerance": f"the chart rejects coefficients in (0, {DEFAULT_CHART_TOL:g})",
+    "quadform.lambda1": "lambda1 is the first Dirichlet eigenvalue of the input field's box",
+    "quadform.pivot_tol":
+        f"the pivot tolerance is {qf.DEFAULT_PIVOT_REL_TOL:g} times the largest strain entry",
+    "stratify.nslices": "the slab count is one slab per voxel across the projection span",
+    "stratify.area_tol": f"a positive slice carries {st.AREA_TOL_FACES:g} voxel faces or more",
+    "stratify.interval_tol": f"a positive interval spans {st.INTERVAL_TOL_SLABS:g} slabs or more",
+    "stratify.volume_tol": f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
 }
 
 
@@ -233,7 +235,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _chart_from_config(cfg: RunConfig):
     plane = Hyperplane.from_vector(cfg["plane.normal"], cfg["plane.offset"])
-    return make_chart(plane, cfg["chart.tolerance"])
+    return make_chart(plane)
 
 
 def _read_series_manifest(path: Path) -> TimeSeriesField:
@@ -315,13 +317,6 @@ def cmd_project(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _forcing_from_config(cfg: RunConfig):
-    path = cfg["io.forcing_slice"]
-    if not path:
-        return None
-    return _read_series_manifest(Path(path))
-
-
 # Samples per trajectory file, in bytes.  Readers load an NSF1 file whole, so
 # a long solve is written as many files of about this size, not one large one.
 TRAJECTORY_FILE_BYTES = 1 << 20
@@ -338,16 +333,21 @@ def _frame_runs(nframes: int, frame_bytes: int) -> list:
     return np.array_split(np.arange(nframes), nfiles)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    u0_path = cfg["io.u0_slice"]
-    nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
-    chart = _chart_from_config(cfg)
-    u0 = read_field(u0_path)
+def _read_u0_slice(path: str) -> Field:
+    u0 = read_field(path)
     if u0.ndim_grid != 2 or u0.ncomp != 3:
         raise ConfigError("io.u0_slice must be a 2D 3-component field")
+    return u0
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
+    chart = _chart_from_config(cfg)
+    u0 = _read_u0_slice(cfg["io.u0_slice"])
+    forcing_path = cfg["io.forcing_slice"]
+    forcing = _read_series(Path(forcing_path)) if forcing_path else None
     basis = _basis_from_config(cfg, u0.extents)
     tensors = assemble(basis, chart)
-    forcing = _forcing_from_config(cfg)
     f_of_t = None if forcing is None else series_forcing(forcing, basis)
     coeffs0 = project_field_to_basis(u0, basis)
     state0 = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
@@ -426,7 +426,7 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     delta = cfg["uniq.delta"]
     u0_path = cfg.get("io.u0_slice")
     if u0_path:
-        u0 = read_field(u0_path)
+        u0 = _read_u0_slice(u0_path)
         extents = u0.extents
     else:
         extents = cfg["basis.extents"]
@@ -453,13 +453,12 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
 
 def cmd_quadform(cfg: RunConfig) -> int:
     nu = cfg["quadform.nu"]
-    pivot_tol = cfg["quadform.pivot_tol"]
     emit_fields = cfg["quadform.emit_fields"]
     series = _read_series(Path(cfg["io.v"]))
     ref = series.frames[0]
     if ref.ndim_grid != 3 or ref.ncomp != 3:
         raise ConfigError("io.v must be 3D with 3 components")
-    lambda1 = cfg["quadform.lambda1"] or qf.box_lambda1(ref.extents)
+    lambda1 = qf.box_lambda1(ref.extents)
     w_path = cfg.get("io.w")
     wfield = None if w_path is None else read_field(w_path)
     if wfield is not None and (wfield.ncomp != 3 or wfield.dims != ref.dims):
@@ -475,7 +474,7 @@ def cmd_quadform(cfg: RunConfig) -> int:
     for i, frame in enumerate(series.frames):
         strain = qf.strain_field(frame)
         norms.append(strain.gradient_norms())
-        dec = qf.canonicalize(strain, pivot_tol)
+        dec = qf.canonicalize(strain)
         inertia_hists.append(dec.inertia_histogram())
         degenerate_fracs.append(dec.degenerate_fraction)
         if emit_fields:
@@ -513,14 +512,7 @@ def cmd_stratify(cfg: RunConfig) -> int:
     # its temporaries took about 12k more minor page faults on four 64^3 frames
     data = _read_series(Path(cfg["io.w"]))
     mask = st.mask_from_field(data, eps)
-    verdict = st.stratification_verdict(
-        mask,
-        directions=cfg["stratify.directions"],
-        nslices=cfg["stratify.nslices"],
-        area_tol=cfg["stratify.area_tol"],
-        interval_tol=cfg["stratify.interval_tol"],
-        volume_tol=cfg["stratify.volume_tol"],
-    )
+    verdict = st.stratification_verdict(mask, directions=cfg["stratify.directions"])
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     payload = verdict.to_dict()

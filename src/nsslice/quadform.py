@@ -281,7 +281,9 @@ class CriterionReport:
         }
 
 
-def uniqueness_criterion(v_series, nu: float, lambda1: float, c_gn: float) -> CriterionReport:
+def uniqueness_criterion(
+    v_series: TimeSeriesField, nu: float, lambda1: float, c_gn: float
+) -> CriterionReport:
     """Closed-inequality viscosity criterion, per time and per component.
 
     For each frame and each component j the right side is
@@ -294,8 +296,6 @@ def uniqueness_criterion(v_series, nu: float, lambda1: float, c_gn: float) -> Cr
     strain_field once per frame instead and passes strain.gradient_norms() to
     CriterionReport.from_norms, which gives the same report.
     """
-    if isinstance(v_series, Field):
-        v_series = TimeSeriesField(times=np.array([0.0]), frames=(v_series,))
     norms = (gradient_norms(frame) for frame in v_series.frames)
     return CriterionReport.from_norms(v_series.times, norms, nu, lambda1, c_gn)
 

@@ -24,9 +24,9 @@ AXIS_DIRECTIONS = (
     (0.0, 0.0, 1.0),
 )
 
-#: default thresholds, in voxel units: a positive slice must carry at least
+#: thresholds, in voxel units: a positive slice must carry at least
 #: this many voxel faces of area, a positive interval at least this many
-#: slabs, a positive set at least this many voxels of volume.
+#: slabs, a positive set more than this many voxels of volume.
 AREA_TOL_FACES = 4.0
 INTERVAL_TOL_SLABS = 2.0
 VOLUME_TOL_VOXELS = 8.0
@@ -75,19 +75,17 @@ class IndicatorGrid:
         return float(np.count_nonzero(self.mask)) * self.voxel_volume
 
 
-def mask_from_field(w, eps: float) -> IndicatorGrid:
+def mask_from_field(w: TimeSeriesField, eps: float) -> IndicatorGrid:
     """Threshold |w| > eps pointwise (Euclidean norm over components).
 
-    Accepts a single 3D Field or a TimeSeriesField of them.  The mask of a
-    series is the union over its frames: the voxels where |w| > eps at some
-    sample time.
+    w is a series of 3D fields; its mask is the union over its frames: the
+    voxels where |w| > eps at some sample time.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    frames = w.frames if isinstance(w, TimeSeriesField) else (w,)
-    ref = frames[0]
+    ref = w.frames[0]
     mask = np.zeros(ref.dims, dtype=bool)
-    for f in frames:
+    for f in w.frames:
         mask |= np.sqrt(np.sum(f.data**2, axis=0)) > eps
     return IndicatorGrid(dims=ref.dims, extents=ref.extents, mask=mask, eps=eps)
 
@@ -186,14 +184,7 @@ def _longest_run(flags: np.ndarray) -> int:
     return best
 
 
-def stratification_verdict(
-    mask: IndicatorGrid,
-    directions=None,
-    nslices: int | None = None,
-    area_tol: float | None = None,
-    interval_tol: float | None = None,
-    volume_tol: float | None = None,
-) -> StratifyVerdict:
+def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerdict:
     """Search plane families for a positive-measure stratification.
 
     POSITIVE iff some tested direction has a run of consecutive slabs, of
@@ -203,6 +194,12 @@ def stratification_verdict(
     least one canonical axis, the discrete form of the slicing equivalence;
     disagreement raises StratifyInconsistencyError.
 
+    The slab count and the three thresholds come from the voxel grid: one
+    slab per voxel across each direction's projection span, area_tol of
+    AREA_TOL_FACES voxel sections (a voxel's volume over its span along the
+    direction), interval_tol of INTERVAL_TOL_SLABS slabs and volume_tol of
+    VOLUME_TOL_VOXELS voxels.
+
     Only finitely many directions are tested (canonical axes plus the ones
     supplied), so a POSITIVE verdict reports the best family found without
     claiming exhaustiveness.
@@ -210,23 +207,18 @@ def stratification_verdict(
     extra = [tuple(float(v) for v in d) for d in (directions or [])]
     all_dirs = list(AXIS_DIRECTIONS) + [d for d in extra if d not in AXIS_DIRECTIONS]
     h = np.asarray(mask.spacings)
-    if volume_tol is None:
-        volume_tol = VOLUME_TOL_VOXELS * mask.voxel_volume
+    volume_tol = VOLUME_TOL_VOXELS * mask.voxel_volume
     profiles = []
     for d in all_dirs:
         dv = np.asarray(d, dtype=float)
         dv = dv / np.linalg.norm(dv)
-        ns = nslices
-        if ns is None:
-            # one slab per voxel across the projection span
-            ns = max(2, int(round(np.sum(np.abs(dv) * np.asarray(mask.dims) * h)
-                                  / np.sum(np.abs(dv) * h))))
-        at = area_tol
-        if at is None:
-            at = AREA_TOL_FACES * mask.voxel_volume / float(np.sum(np.abs(dv) * h))
+        # one slab per voxel across the projection span
+        ns = max(2, int(round(np.sum(np.abs(dv) * np.asarray(mask.dims) * h)
+                              / np.sum(np.abs(dv) * h))))
+        at = AREA_TOL_FACES * mask.voxel_volume / float(np.sum(np.abs(dv) * h))
         offsets, measures = slice_measures(mask, tuple(dv), ns)
         dbeta = offsets[1] - offsets[0]
-        it = INTERVAL_TOL_SLABS * dbeta if interval_tol is None else interval_tol
+        it = INTERVAL_TOL_SLABS * dbeta
         run = _longest_run(measures >= at)
         length = run * dbeta
         profiles.append(

@@ -415,6 +415,27 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, command", [
+    ("chart.tolerance", "1e-8", "project"),
+    ("quadform.lambda1", "1e9", "quadform"),
+    ("quadform.pivot_tol", "1e-8", "quadform"),
+    ("stratify.nslices", "8", "stratify"),
+    ("stratify.area_tol", "1", "stratify"),
+    ("stratify.interval_tol", "1", "stratify"),
+    ("stratify.volume_tol", "1", "stratify"),
+])
+def test_removed_threshold_keys_rejected(tmp_path, capsys, key, value, command):
+    # these thresholds come from the input or are fixed constants; a key that
+    # used to override one exits 2 with the reason before any output exists
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", f"{key}={value}"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"config key {key!r} was removed: {nsslice.cli.REMOVED_KEYS[key]}" in err
+    assert not out.exists()
+
+
 def _runnable_args(command, tmp_path):
     """Arguments with which command runs to completion on small inputs."""
     small = ["--set", "basis.n1=3", "--set", "basis.n2=3", "--set", "solver.nu=0.1",
@@ -461,6 +482,27 @@ def test_uniqueness_values_checked_before_assembly(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, ncomp", [((9, 9), 1), ((9, 9, 9), 3)])
+@pytest.mark.parametrize("command", ["solve", "uniqueness"])
+def test_u0_slice_shape_checked_before_assembly(tmp_path, monkeypatch, capsys, command,
+                                                dims, ncomp):
+    # both commands read io.u0_slice through one check: a field that is not 2D
+    # with 3 components exits 2 before assembly and before any output exists
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before checking io.u0_slice")
+
+    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    src = tmp_path / "bad.nsf1"
+    write_field(Field(dims=dims, extents=(1.0,) * len(dims), ncomp=ncomp,
+                      data=np.zeros((ncomp, *dims))), src)
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", f"io.u0_slice={src}"])
+    assert rc == EXIT_ERROR
+    assert "io.u0_slice must be a 2D 3-component field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_one_config_file_serves_project_and_solve(tmp_path, capsys):
     # the key table is global: project ignores the solver keys and solve the
     # projection keys, while a typo in the shared file stops both
@@ -502,7 +544,7 @@ def test_config_values_parse_to_typed_values(tmp_path):
     assert cfg["mms.n_list"] == [4, 8]
     # defaults are parsed like set values
     assert cfg["basis.extents"] == [1.0, 1.0] and cfg["mms.dt_list"] == [2e-3, 1e-3, 5e-4]
-    assert cfg["stratify.eps"] == 0.0 and cfg["quadform.pivot_tol"] is None
+    assert cfg["stratify.eps"] == 0.0 and cfg["io.forcing"] is None
     assert nsslice.cli.RunConfig({}, str(tmp_path), seed=0)["stratify.directions"] == []
     assert cfg.get("io.u0_slice") is None
     with pytest.raises(nsslice.cli.ConfigError, match="missing required config key 'io.u0_slice'"):
@@ -512,8 +554,8 @@ def test_config_values_parse_to_typed_values(tmp_path):
 @pytest.mark.parametrize(
     "override",
     ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
-     "uniq.delta=-1e-8", "stratify.eps=-0.1", "stratify.nslices=1", "stratify.directions=1,1",
-     "quadform.emit_fields=maybe", "chart.tolerance=0"],
+     "uniq.delta=-1e-8", "stratify.eps=-0.1", "uniq.amplitude=0", "stratify.directions=1,1",
+     "quadform.emit_fields=maybe", "mms.n_temporal=0"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it
@@ -848,6 +890,34 @@ def test_pipeline_project_then_solve_with_forcing(tmp_path, monkeypatch):
     # u0 once and each forcing frame once, however many states the solve,
     # the ledger and the dual-norm diagnostic evaluate the forcing at
     assert len(projected) == len(frames) + 1
+
+
+def test_single_file_forcing_is_its_one_frame_series(tmp_path):
+    # io.forcing_slice takes an NSF1 file as the series holding it at t = 0,
+    # as the other series keys do
+    def f(x, y):
+        s = np.sin(np.pi * x) * np.sin(np.pi * y)
+        return np.stack([0.3 * s, 0 * x, -0.2 * s])
+
+    write_field(Field.from_function((9, 9), (1.0, 1.0), 3, f), tmp_path / "f.nsf1")
+    (tmp_path / "f.json").write_text(json.dumps({"times": [0.0], "frames": ["f.nsf1"]}))
+    args = _runnable_args("solve", tmp_path)
+    outs = []
+    for name in ("f.nsf1", "f.json"):
+        out = tmp_path / name.replace(".", "_")
+        rc = main(["solve", "--out", str(out), *args,
+                   "--set", f"io.forcing_slice={tmp_path / name}"])
+        assert rc == EXIT_OK
+        outs.append(out)
+    assert max(map(abs, json.loads((outs[0] / "energy_ledger.json").read_text())["work"])) > 0
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        a, b = outs[0] / name, outs[1] / name
+        if name.endswith(".json"):
+            assert strip_timestamp(a) == strip_timestamp(b)
+        else:
+            assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_file_and_overrides(tmp_path):

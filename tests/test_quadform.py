@@ -16,6 +16,10 @@ from nsslice.quadform import (
 )
 
 
+def one_frame(fld):
+    return TimeSeriesField(times=np.array([0.0]), frames=(fld,))
+
+
 def field_from(func, dims=(17, 17, 17), extents=(1.0, 1.0, 1.0)):
     return Field.from_function(dims, extents, 3, func)
 
@@ -254,7 +258,8 @@ def test_box_lambda1():
 def test_criterion_zero_field_satisfied():
     fld = Field(dims=(5, 5, 5), extents=(1.0, 1.0, 1.0), ncomp=3,
                 data=np.zeros((3, 5, 5, 5)))
-    rep = uniqueness_criterion(fld, nu=0.01, lambda1=box_lambda1(fld.extents), c_gn=1.0)
+    rep = uniqueness_criterion(one_frame(fld), nu=0.01, lambda1=box_lambda1(fld.extents),
+                               c_gn=1.0)
     assert rep.satisfied
     assert all(r.rhs_per_component == (0.0, 0.0, 0.0) for r in rep.rows)
 
@@ -272,7 +277,7 @@ def test_criterion_boundary_case_closed_inequality():
     c_gn = 1.0
     norms = gradient_norms(fld)
     nu_star = float(c_gn**2 * np.sum(norms[:, 0])) / lam1**0.25
-    rep = uniqueness_criterion(fld, nu=nu_star, lambda1=lam1, c_gn=c_gn)
+    rep = uniqueness_criterion(one_frame(fld), nu=nu_star, lambda1=lam1, c_gn=c_gn)
     assert rep.rows[0].satisfied_per_component[0]  # equality counts as satisfied
     assert rep.satisfied
 
@@ -292,7 +297,7 @@ def test_criterion_doubling_flips_to_violated():
     doubled = Field(dims=fld.dims, extents=fld.extents, ncomp=3, data=2.0 * fld.data)
     # homogeneity: doubling the field doubles the right side exactly
     assert np.array_equal(gradient_norms(doubled), 2.0 * norms)
-    rep = uniqueness_criterion(doubled, nu=nu_star, lambda1=lam1, c_gn=1.0)
+    rep = uniqueness_criterion(one_frame(doubled), nu=nu_star, lambda1=lam1, c_gn=1.0)
     assert not rep.rows[0].satisfied_per_component[0]
     assert not rep.satisfied
 

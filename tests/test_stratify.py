@@ -14,6 +14,10 @@ from nsslice.stratify import (
 )
 
 
+def one_frame(fld):
+    return TimeSeriesField(times=np.array([0.0]), frames=(fld,))
+
+
 def grid_from_mask(mask, extents=(1.0, 1.0, 1.0), eps=0.0):
     return IndicatorGrid(dims=mask.shape, extents=extents, mask=mask, eps=eps)
 
@@ -30,7 +34,7 @@ def ball_mask(n=32, radius=0.3, center=(0.5, 0.5, 0.5)):
 def test_mask_from_zero_field_empty():
     fld = Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=3,
                 data=np.zeros((3, 4, 4, 4)))
-    mask = mask_from_field(fld, 0.0)
+    mask = mask_from_field(one_frame(fld), 0.0)
     assert not mask.mask.any()
     assert mask.total_volume == 0.0
 
@@ -38,7 +42,7 @@ def test_mask_from_zero_field_empty():
 def test_mask_from_constant_field_full():
     fld = Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
                 data=np.ones((1, 4, 4, 4)))
-    mask = mask_from_field(fld, 0.5)
+    mask = mask_from_field(one_frame(fld), 0.5)
     assert mask.mask.all()
     assert mask.total_volume == pytest.approx(1.0)
 
@@ -53,7 +57,7 @@ def test_mask_bump_volume_within_voxel_shell():
         return np.stack([np.maximum(0.0, 1.0 - r2 / R**2)])
 
     fld = Field.from_function((n, n, n), (1.0, 1.0, 1.0), 1, bump)
-    mask = mask_from_field(fld, 0.5)
+    mask = mask_from_field(one_frame(fld), 0.5)
     r_eff = R / np.sqrt(2.0)
     exact = 4.0 / 3.0 * np.pi * r_eff**3
     shell = 4.0 * np.pi * r_eff**2 * (np.sqrt(3.0) / n)  # one voxel-diagonal shell
@@ -70,7 +74,7 @@ def test_mask_from_time_series_is_union():
     )
     ts = TimeSeriesField(times=np.array([0.0, 0.5, 1.0]), frames=frames)
     mask = mask_from_field(ts, 1.5)
-    per_frame = [mask_from_field(f, 1.5).mask for f in frames]
+    per_frame = [mask_from_field(one_frame(f), 1.5).mask for f in frames]
     assert mask.dims == (5, 6, 7) and mask.extents == (1.0, 2.0, 0.5)
     assert np.array_equal(mask.mask, per_frame[0] | per_frame[1] | per_frame[2])
     # each frame contributes voxels the others lack
@@ -172,7 +176,7 @@ def test_verdict_monotone_in_eps():
     flips = 0
     prev_positive = None
     for eps in (0.0, 0.5, 1.0, 2.0, 5.0):
-        mask = mask_from_field(fld, eps)
+        mask = mask_from_field(one_frame(fld), eps)
         try:
             verdict = stratification_verdict(mask)
             positive = verdict.positive
@@ -225,7 +229,7 @@ def test_indicator_grid_validation():
                       mask=np.zeros((4, 4, 4, 2), bool), eps=0.0)
     with pytest.raises(ValueError):
         mask_from_field(
-            Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
-                  data=np.zeros((1, 4, 4, 4))),
+            one_frame(Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
+                            data=np.zeros((1, 4, 4, 4)))),
             -1.0,
         )
