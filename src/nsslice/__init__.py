@@ -16,7 +16,6 @@ from .geometry import (
 )
 from .fieldio import Field, TimeSeriesField, read_field, restrict_to_slice, write_field
 from .galerkin import (
-    GalerkinState,
     OperatorTensors,
     SpectralBasis,
     assemble,
@@ -42,7 +41,6 @@ __all__ = [
     "write_field",
     "restrict_to_slice",
     "SpectralBasis",
-    "GalerkinState",
     "OperatorTensors",
     "assemble",
     "project_divfree",

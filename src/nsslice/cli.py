@@ -34,7 +34,6 @@ import numpy as np
 from . import analysis, galerkin, mms as mms_mod, quadform as qf, stratify as st
 from .fieldio import Field, TimeSeriesField, read_field, restrict_to_slice, write_field
 from .galerkin import (
-    GalerkinState,
     SpectralBasis,
     assemble,
     coercivity_check,
@@ -258,13 +257,24 @@ def _read_series(path: Path) -> TimeSeriesField:
     return TimeSeriesField(times=np.array([0.0]), frames=(read_field(path),))
 
 
+def _read_forcing(cfg: RunConfig, key: str, ndim: int) -> TimeSeriesField | None:
+    """The forcing series at key, or None where key is unset; checks its frames' shape."""
+    path = cfg[key]
+    if not path:
+        return None
+    series = _read_series(Path(path))
+    # frames share dims and ncomp, so the first one speaks for all
+    if series.frames[0].ndim_grid != ndim or series.frames[0].ncomp != 3:
+        raise ConfigError(f"{key} must hold {ndim}D 3-component fields")
+    return series
+
+
 def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
     return SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
 
 
 def cmd_project(cfg: RunConfig) -> int:
     u0_path = cfg["io.u0"]
-    forcing_path = cfg["io.forcing"]
     slice_dims = cfg["slice.dims"]
     chart = _chart_from_config(cfg)
     u0 = read_field(u0_path)
@@ -276,7 +286,7 @@ def cmd_project(cfg: RunConfig) -> int:
     # read and restrict every input before the output directory exists, so a
     # run that exits 2 leaves nothing behind
     u0_slice = restrict_to_slice(u0, chart, slice_dims)
-    series = _read_series(Path(forcing_path)) if forcing_path else None
+    series = _read_forcing(cfg, "io.forcing", 3)
     f_slices = [] if series is None else [
         restrict_to_slice(frame, chart, slice_dims) for frame in series.frames
     ]
@@ -344,13 +354,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     chart = _chart_from_config(cfg)
     u0 = _read_u0_slice(cfg["io.u0_slice"])
-    forcing_path = cfg["io.forcing_slice"]
-    forcing = _read_series(Path(forcing_path)) if forcing_path else None
+    forcing = _read_forcing(cfg, "io.forcing_slice", 2)
     basis = _basis_from_config(cfg, u0.extents)
     tensors = assemble(basis, chart)
     f_of_t = None if forcing is None else series_forcing(forcing, basis)
-    coeffs0 = project_field_to_basis(u0, basis)
-    state0 = project_divfree(GalerkinState(coeffs=coeffs0.ravel(), time=0.0), tensors)
+    coeffs0 = project_divfree(project_field_to_basis(u0, basis).ravel(), tensors)
     dual_max = -np.inf
 
     def track_dual_norm(t, u, weak):
@@ -358,25 +366,25 @@ def cmd_solve(cfg: RunConfig) -> int:
         nonlocal dual_max
         dual_max = max(dual_max, weak_dual_norm(weak, tensors, f_of_t, t))
 
-    result = solve_from_state(state0, f_of_t, tensors, nu, dt, t_end, observer=track_dual_norm)
-    ledger = analysis.ledger_from_run(result.trace, tensors, f_of_t, nu)
+    trace = solve_from_state(coeffs0, f_of_t, tensors, nu, dt, t_end, observer=track_dual_norm)
+    ledger = analysis.ledger_from_run(trace, tensors, f_of_t, nu)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     # every record_every-th step plus the last, in runs of consecutive frames,
     # one file and one stacked synthesis per run
-    nsteps = len(result.trace) - 1
+    nsteps = len(trace) - 1
     recorded = np.array([*range(0, nsteps, cfg["solver.record_every"]), nsteps])
     frame_files = []
     for run in _frame_runs(recorded.size, u0.data.nbytes):
         rel = f"u_{run[0]:04d}-{run[-1]:04d}.nsf1"
         # galerkin.synthesize_field: looked up where perfbench/tracer.py wraps it
-        frames = galerkin.synthesize_field(basis, result.trace.coeffs[recorded[run]], u0.dims)
+        frames = galerkin.synthesize_field(basis, trace.coeffs[recorded[run]], u0.dims)
         write_field(frames, out / rel)
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
-    div_max = float(np.max(divergence_residual(result.trace.coeffs, tensors)))
-    dual_max = max(dual_max, rhs_dual_norm(result.trace.coeffs[-1], tensors, f_of_t,
-                                           nu, result.trace.times[-1]))
+    div_max = float(np.max(divergence_residual(trace.coeffs, tensors)))
+    dual_max = max(dual_max, rhs_dual_norm(trace.coeffs[-1], tensors, f_of_t, nu,
+                                           trace.times[-1]))
     checks = {
         "inequality_holds": ledger.inequality_holds(),
         "divergence_preserved": bool(div_max <= 1e-9),
@@ -401,7 +409,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "max_rhs_dual_norm": dual_max,
             "ledger": "energy_ledger.json",
             "frames": frame_files,
-            "frame_times": result.trace.times[recorded].tolist(),
+            "frame_times": trace.times[recorded].tolist(),
             "checks": checks,
         },
     )
@@ -460,9 +468,14 @@ def cmd_quadform(cfg: RunConfig) -> int:
         raise ConfigError("io.v must be 3D with 3 components")
     lambda1 = qf.box_lambda1(ref.extents)
     w_path = cfg.get("io.w")
-    wfield = None if w_path is None else read_field(w_path)
-    if wfield is not None and (wfield.ncomp != 3 or wfield.dims != ref.dims):
-        raise ConfigError("io.w must be a 3-component field on the grid of io.v")
+    wfield = None
+    if w_path is not None:
+        w_series = _read_series(Path(w_path))
+        if len(w_series) != 1:
+            raise ConfigError(f"io.w must be one field in quadform, got {len(w_series)} frames")
+        wfield = w_series.frames[0]
+        if (wfield.ncomp, wfield.dims, wfield.extents) != (3, ref.dims, ref.extents):
+            raise ConfigError("io.w must be a 3-component field on the grid and box of io.v")
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -30,6 +30,12 @@ classes; the pseudo-inverse of each block is formed once from that block's
 eigendecomposition and applied as its own half-size product.  The stiffness
 splits the same way, which coercivity_check uses.
 
+A state is a plain float array of length 3M, component-major:
+coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
+SpectralBasis) in velocity component c, so coeffs.reshape(3, N1, N2)[c, m - 1,
+n - 1] is that of w_{mn}.  A (B, 3M) stack holds B states that the solver
+advances together; the times of a solve are those of its Trace.
+
 The time integrator is classical RK4 with every stage projected.  A
 per-step observer sees the weak vector nu K u - B~(u, u) of stage k1, so a
 diagnostic of the trace states (the dual norm of the momentum balance) needs
@@ -142,38 +148,6 @@ class SpectralBasis:
         """(..., N1, N2) coefficient grid -> modal vector(s) (..., M), a view where possible."""
         g = np.asarray(grid)
         return g.reshape(g.shape[:-2] + (g.shape[-2] * g.shape[-1],))
-
-
-@dataclass(frozen=True)
-class GalerkinState:
-    """Time-dependent coefficient vector of the 3-component expansion.
-
-    coeffs is flat of length 3 * M, component-major: coeffs[c * M + p] is the
-    coefficient of basis mode p (row-major, see SpectralBasis) in velocity
-    component c, so coeffs.reshape(3, N1, N2)[c, m - 1, n - 1] is that of
-    w_{mn}.  A (B, 3M) stack holds B states that share the time; the solver
-    advances them together.
-    """
-
-    coeffs: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[-1] % 3 != 0:
-            raise ValueError("coeffs must be (3 * nmodes,) or a (B, 3 * nmodes) stack")
-        if not np.all(np.isfinite(c)):
-            raise GalerkinError("non-finite Galerkin coefficients")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "time", float(self.time))
-
-    @classmethod
-    def _unchecked(cls, coeffs: np.ndarray, time: float) -> "GalerkinState":
-        """A state from a float array the caller has already checked (step's guard)."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "coeffs", coeffs)
-        object.__setattr__(state, "time", float(time))
-        return state
 
 
 def _by_component(coeffs, m: int) -> np.ndarray:
@@ -540,13 +514,25 @@ def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
     )
 
 
-def project_divfree(state: GalerkinState, tensors: OperatorTensors) -> GalerkinState:
+def _checked_state(coeffs, tensors: OperatorTensors) -> np.ndarray:
+    """coeffs as a float (3M,) state or (B, 3M) stack; raises on another shape or on NaN/inf."""
+    c = np.asarray(coeffs, dtype=float)
+    m3 = 3 * tensors.nmodes_total
+    if c.ndim not in (1, 2) or c.shape[-1] != m3:
+        raise ValueError(f"coeffs must be ({m3},) or a (B, {m3}) stack, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise GalerkinError("non-finite Galerkin coefficients")
+    return c
+
+
+def project_divfree(coeffs, tensors: OperatorTensors) -> np.ndarray:
     """Mass-orthogonal projection onto the weak divergence-free subspace.
 
+    coeffs is a (3M,) state or a (B, 3M) stack; a new array is returned.
     Idempotent and self-adjoint in the mass inner product; states already in
     the subspace are returned unchanged up to round-off.
     """
-    return GalerkinState(coeffs=tensors.project(state.coeffs), time=state.time)
+    return tensors.project(_checked_state(coeffs, tensors))
 
 
 def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
@@ -588,21 +574,23 @@ def _rhs(
 
 
 def step(
-    state: GalerkinState,
+    coeffs: np.ndarray,
+    t: float,
     tensors: OperatorTensors,
     f_of_t,
     nu: float,
     dt: float,
     observer=None,
-) -> GalerkinState:
-    """One explicit RK4 step of the projected Galerkin system.
+) -> np.ndarray:
+    """One explicit RK4 step of the projected Galerkin system from time t.
 
-    The state may be a (B, 3M) stack, advanced in lockstep.  Every stage is
-    projected, so a state in the weak divergence-free subspace stays in it
-    to round-off and the result is not projected again.  f_of_t is the
-    forcing in basis coordinates, a callable t -> (3, M), or None for no
-    forcing (series_forcing builds one from a TimeSeriesField).  observer,
-    if given, sees stage k1 (see _rhs).
+    coeffs is a float (3M,) state or a (B, 3M) stack, advanced in lockstep;
+    the new array holds the state at t + dt.  Every stage is projected, so a
+    state in the weak divergence-free subspace stays in it to round-off and
+    the result is not projected again.  f_of_t is the forcing in basis
+    coordinates, a callable t -> (3, M), or None for no forcing
+    (series_forcing builds one from a TimeSeriesField).  observer, if
+    given, sees stage k1 (see _rhs).
     The stages are combined in place, in the operation order of
     u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError when any
     coefficient passes 1e12 or is not finite, which signals an unstable dt.
@@ -611,19 +599,18 @@ def step(
         raise ValueError("dt must be positive")
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    u0 = state.coeffs
-    t0 = state.time
+    u0 = coeffs
     half = 0.5 * dt
-    k1 = _rhs(u0, t0, tensors, f_of_t, nu, observer)
+    k1 = _rhs(u0, t, tensors, f_of_t, nu, observer)
     stage = np.multiply(k1, half)
     stage += u0
-    k2 = _rhs(stage, t0 + half, tensors, f_of_t, nu)
+    k2 = _rhs(stage, t + half, tensors, f_of_t, nu)
     np.multiply(k2, half, out=stage)
     stage += u0
-    k3 = _rhs(stage, t0 + half, tensors, f_of_t, nu)
+    k3 = _rhs(stage, t + half, tensors, f_of_t, nu)
     np.multiply(k3, dt, out=stage)
     stage += u0
-    k4 = _rhs(stage, t0 + dt, tensors, f_of_t, nu)
+    k4 = _rhs(stage, t + dt, tensors, f_of_t, nu)
     u1 = k1
     k2 *= 2.0
     u1 += k2
@@ -635,10 +622,10 @@ def step(
     # NaN and inf compare false, so this one test also catches them
     if not np.max(np.abs(u1)) <= _BLOWUP_LIMIT:
         raise BlowUpError(
-            f"coefficients exceeded {_BLOWUP_LIMIT:.0e} at t = {t0 + dt:g}; "
+            f"coefficients exceeded {_BLOWUP_LIMIT:.0e} at t = {t + dt:g}; "
             f"reduce dt (rule of thumb: dt <= {RK4_REAL_LIMIT:.3f} / (nu * lambda_max))"
         )
-    return GalerkinState._unchecked(u1, t0 + dt)
+    return u1
 
 
 def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
@@ -734,51 +721,44 @@ class Trace:
         return self.times.size
 
 
-@dataclass
-class SolveResult:
-    trace: Trace
-    tensors: OperatorTensors
-    final_state: GalerkinState
-
-
 def solve_from_state(
-    state: GalerkinState,
+    coeffs,
     f_of_t,
     tensors: OperatorTensors,
     nu: float,
     dt: float,
     t_end: float,
     observer=None,
-) -> SolveResult:
-    """Integrate the projected Galerkin system from coefficient state to t_end.
+) -> Trace:
+    """Integrate the projected Galerkin system from coefficients at t = 0 to t_end.
 
-    f_of_t is the forcing in basis coordinates, a callable t -> (3, M), or
-    None for no forcing (see step).  A (B, 3M) state integrates B
-    trajectories in lockstep, each bit-identical to its own solve.  Every
-    step is recorded in the returned trace; fields on a grid are left to the
-    caller (synthesize_field).  observer, if given, is called once per step as
+    coeffs is a (3M,) state or a (B, 3M) stack of B trajectories integrated
+    in lockstep, each bit-identical to its own solve.  f_of_t is the forcing
+    in basis coordinates, a callable t -> (3, M), or None for no forcing
+    (see step).  Every step is recorded in the returned trace, its last
+    state being trace.coeffs[-1]; fields on a grid are left to the caller
+    (synthesize_field).  observer, if given, is called once per step as
     observer(t_n, u_n, weak), weak being the RK4 stage-k1 weak vector
     nu K u_n - B~(u_n, u_n) before the mass scaling, the forcing and the
     projection; it must read the array during the call.  The final state
     gets no call.
     """
+    cur = _checked_state(coeffs, tensors)
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
     times = np.empty(nsteps + 1)
-    coeffs = np.empty((nsteps + 1,) + state.coeffs.shape)
-    times[0] = state.time
-    coeffs[0] = state.coeffs
-    cur = state
+    trajectory = np.empty((nsteps + 1,) + cur.shape)
+    t = 0.0
+    times[0] = t
+    trajectory[0] = cur
     for k in range(nsteps):
-        cur = step(cur, tensors, f_of_t, nu, dt, observer)
-        times[k + 1] = cur.time
-        coeffs[k + 1] = cur.coeffs
-    return SolveResult(
-        trace=Trace(times=times, coeffs=coeffs),
-        tensors=tensors,
-        final_state=cur,
-    )
+        cur = step(cur, t, tensors, f_of_t, nu, dt, observer)
+        # times accumulate as t + dt, the stage times step uses
+        t += dt
+        times[k + 1] = t
+        trajectory[k + 1] = cur
+    return Trace(times=times, coeffs=trajectory)
 
 
 def rhs_dual_norm(

@@ -9,7 +9,7 @@ eliminated derivative as a combination of the two in-plane derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,6 @@ _UNIT_NORM_TOL = 1e-12
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
-
-
-class DegenerateNormalError(GeometryError):
-    """All normal components fall below the chart tolerance."""
 
 
 class CoefficientOverflowError(GeometryError):
@@ -88,7 +84,6 @@ class SliceChart:
     alpha2: float
     affine_offset: float
     inplane_axes: tuple[int, int]
-    tolerance: float = field(default=DEFAULT_CHART_TOL)
 
     def lift(self, points2d) -> np.ndarray:
         """Map in-plane parameter points (..., 2) to 3D points (..., 3)."""
@@ -102,30 +97,25 @@ class SliceChart:
         return out
 
 
-def make_chart(plane: Hyperplane, tolerance: float = DEFAULT_CHART_TOL) -> SliceChart:
+def make_chart(plane: Hyperplane) -> SliceChart:
     """Chart the plane over the axis pair complementary to its dominant normal component.
 
     The eliminated axis is the largest-magnitude normal component (ties broken
-    by the largest index) for conditioning.  Renamed coefficients in the open
-    interval (0, tolerance) are rejected: they would produce reciprocal
-    couplings beyond 1/tolerance downstream.
+    by the largest index) for conditioning; a unit normal has one of at
+    least 1/sqrt(3).  Renamed coefficients in the open interval
+    (0, DEFAULT_CHART_TOL) are rejected: they would produce reciprocal
+    couplings beyond 1/DEFAULT_CHART_TOL downstream.
     """
-    if tolerance <= 0.0:
-        raise GeometryError("tolerance must be positive")
     n = np.asarray(plane.normal, dtype=float)
     mags = np.abs(n)
-    if np.all(mags < tolerance):
-        raise DegenerateNormalError(
-            f"all normal components below tolerance {tolerance}; cannot chart"
-        )
     # argmax with ties broken by the largest index
     k = int(np.max(np.nonzero(mags == mags.max())[0]))
     retained = [i for i in range(3) if i != k]
     alphas = [n[i] / n[k] for i in retained]
     for a in alphas:
-        if 0.0 < abs(a) < tolerance:
+        if 0.0 < abs(a) < DEFAULT_CHART_TOL:
             raise CoefficientOverflowError(
-                f"renamed coefficient {a!r} in (0, {tolerance}); "
+                f"renamed coefficient {a!r} in (0, {DEFAULT_CHART_TOL}); "
                 "plane is too close to axis-aligned to invert its coupling"
             )
     return SliceChart(
@@ -135,7 +125,6 @@ def make_chart(plane: Hyperplane, tolerance: float = DEFAULT_CHART_TOL) -> Slice
         alpha2=float(alphas[1]),
         affine_offset=float(plane.offset / n[k]),
         inplane_axes=(retained[0] + 1, retained[1] + 1),
-        tolerance=float(tolerance),
     )
 
 
@@ -151,9 +140,9 @@ def projected_gradient_coeffs(chart: SliceChart) -> tuple[float, float]:
     for a in (chart.alpha1, chart.alpha2):
         if a == 0.0:
             coeffs.append(0.0)
-        elif abs(a) < chart.tolerance:
+        elif abs(a) < DEFAULT_CHART_TOL:
             raise CoefficientOverflowError(
-                f"renamed coefficient {a!r} below chart tolerance {chart.tolerance}"
+                f"renamed coefficient {a!r} below chart tolerance {DEFAULT_CHART_TOL}"
             )
         else:
             coeffs.append(-1.0 / (2.0 * a))

@@ -38,14 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import galerkin
-from .galerkin import (
-    OperatorTensors,
-    SolveResult,
-    SpectralBasis,
-    GalerkinState,
-    project_divfree,
-    solve_from_state,
-)
+from .galerkin import OperatorTensors, SpectralBasis, Trace, project_divfree, solve_from_state
 from .geometry import SliceChart, projected_gradient_coeffs
 
 # A jet holds the Taylor coefficients f_ij = D1^i D2^j f / (i! j!), i + j <= 3,
@@ -278,20 +271,10 @@ class ManufacturedSolution:
         tensors: OperatorTensors,
         dt: float,
         t_end: float,
-    ) -> SolveResult:
+    ) -> Trace:
         basis = tensors.basis
-        state = project_divfree(
-            GalerkinState(coeffs=self.exact_coeffs(0.0, basis).ravel(), time=0.0),
-            tensors,
-        )
-        return solve_from_state(
-            state,
-            self.forcing_coeffs(basis),
-            tensors,
-            self.nu,
-            dt,
-            t_end,
-        )
+        start = project_divfree(self.exact_coeffs(0.0, basis).ravel(), tensors)
+        return solve_from_state(start, self.forcing_coeffs(basis), tensors, self.nu, dt, t_end)
 
 
 def halving_steps(dt_list) -> list[float]:
@@ -312,8 +295,7 @@ def spatial_convergence(
     rows = []
     for n in n_list:
         tensors = ms.operators(n)
-        res = ms.solve(tensors, dt, t_end)
-        err = ms.l2_error(res.final_state.coeffs, t_end, tensors.basis)
+        err = ms.l2_error(ms.solve(tensors, dt, t_end).coeffs[-1], t_end, tensors.basis)
         rows.append({"n": int(n), "dt": dt, "error": err})
     return rows
 
@@ -331,7 +313,7 @@ def temporal_convergence(
     """
     dts = halving_steps(dt_list)
     tensors = ms.operators(n)
-    finals = [ms.solve(tensors, dt, t_end).final_state.coeffs for dt in dts]
+    finals = [ms.solve(tensors, dt, t_end).coeffs[-1] for dt in dts]
     diffs = [
         tensors.norm_h(a - b) for a, b in zip(finals, finals[1:])
     ]

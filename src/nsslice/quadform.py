@@ -130,12 +130,12 @@ def _eig_inertia(entries, zero_tol: float) -> np.ndarray:
     return np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
 
 
-def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> QuadFormDecomposition:
+def canonicalize(strain: StrainMatrixField) -> QuadFormDecomposition:
     """Jacobi minor-ratio canonicalization with an eigensolve fallback.
 
     The six entries a_jk = 0.5 * (D_j v_k + D_k v_j), j <= k, are read from
-    the gradient.  Where |det M1| and |det M2| both clear pivot_tol (default
-    DEFAULT_PIVOT_REL_TOL * max |a_jk|) the canonical coefficients and the
+    the gradient.  Where |det M1| and |det M2| both clear pivot_tol =
+    DEFAULT_PIVOT_REL_TOL * max |a_jk| the canonical coefficients and the
     inertia come from the minor formulas; elsewhere the coefficients are
     marked degenerate (NaN) and the inertia comes from the eigenvalues.
     """
@@ -145,10 +145,7 @@ def canonicalize(strain: StrainMatrixField, pivot_tol: float | None = None) -> Q
     ]
     a11, a12, a13, a22, a23, a33 = entries
     scale = max(float(np.max([np.max(np.abs(a)) for a in entries])), 1e-300)
-    if pivot_tol is None:
-        pivot_tol = DEFAULT_PIVOT_REL_TOL * scale
-    if pivot_tol <= 0.0:
-        raise ValueError("pivot_tol must be positive")
+    pivot_tol = DEFAULT_PIVOT_REL_TOL * scale
     zero_tol = _ZERO_EIG_REL_TOL * scale
     det1 = a11
     det2 = a11 * a22 - a12**2

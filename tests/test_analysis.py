@@ -14,7 +14,6 @@ from nsslice.analysis import (
     uniqueness_experiment,
 )
 from nsslice.galerkin import (
-    GalerkinState,
     SpectralBasis,
     assemble,
     project_divfree,
@@ -53,10 +52,8 @@ def dense_grams(tensors):
 
 def test_zero_trajectory_zero_ledger(tensors):
     m = tensors.nmodes_total
-    res = solve_from_state(
-        GalerkinState(np.zeros(3 * m), 0.0), None, tensors, nu=0.1, dt=1e-2, t_end=0.1
-    )
-    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    res = solve_from_state(np.zeros(3 * m), None, tensors, nu=0.1, dt=1e-2, t_end=0.1)
+    led = ledger_from_run(res, tensors, None, 0.1)
     for arr in (led.energy, led.d1, led.d2, led.dcross, led.work, led.residual):
         assert np.max(np.abs(arr)) == 0.0
     assert led.inequality_holds()
@@ -70,10 +67,10 @@ def test_single_heat_mode_closed_form(tensors):
     u = np.zeros((3, m))
     u[2, 0] = 1.0
     nu, dt, t_end = 0.2, 1e-3, 0.2
-    res = solve_from_state(GalerkinState(u.ravel(), 0.0), None, lin, nu, dt, t_end)
-    led = ledger_from_run(res.trace, lin, None, nu)
+    res = solve_from_state(u.ravel(), None, lin, nu, dt, t_end)
+    led = ledger_from_run(res, lin, None, nu)
     lam = lin.basis.eigenvalues[0]
-    expect = led.energy[0] * np.exp(-2.0 * nu * lam * res.trace.times)
+    expect = led.energy[0] * np.exp(-2.0 * nu * lam * res.times)
     assert np.max(np.abs(led.energy - expect)) <= 1e-6 * led.energy[0]
     # residual ~ (dt^2 / 6) E''' for the exponential mode
     bound = 2.0 * dt**2 * (2 * nu * lam) ** 3 * led.energy[0]
@@ -84,8 +81,8 @@ def test_residual_second_order_in_dt(tensors):
     u0 = smooth_state(tensors, seed=11)
     norms = []
     for dt in (2e-3, 1e-3, 5e-4):
-        res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, dt, 0.4)
-        led = ledger_from_run(res.trace, tensors, None, 0.1)
+        res = solve_from_state(u0, None, tensors, 0.1, dt, 0.4)
+        led = ledger_from_run(res, tensors, None, 0.1)
         norms.append(np.sqrt(np.mean(led.residual**2)))
     slope = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(norms), 1)[0]
     assert slope >= 1.9
@@ -101,8 +98,8 @@ def test_inequality_on_forced_run(tensors):
         return f0 * (1.0 + 0.5 * np.sin(3.0 * t))
 
     u0 = smooth_state(tensors, seed=24)
-    res = solve_from_state(GalerkinState(u0, 0.0), forcing, tensors, 0.1, 5e-4, 0.3)
-    led = ledger_from_run(res.trace, tensors, forcing, 0.1)
+    res = solve_from_state(u0, forcing, tensors, 0.1, 5e-4, 0.3)
+    led = ledger_from_run(res, tensors, forcing, 0.1)
     assert led.inequality_holds()
     # the sup-norm bound that the cumulative inequality implies
     sup_norm = np.sqrt(2.0 * np.max(led.energy))
@@ -111,8 +108,8 @@ def test_inequality_on_forced_run(tensors):
 
 def test_apriori_unforced_sup_is_initial(tensors):
     u0 = smooth_state(tensors, seed=31)
-    res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-3, 0.2)
-    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    res = solve_from_state(u0, None, tensors, 0.1, 1e-3, 0.2)
+    led = ledger_from_run(res, tensors, None, 0.1)
     assert led.energy_nonincreasing()
     sup_norm = np.sqrt(2.0 * np.max(led.energy))
     assert sup_norm == pytest.approx(tensors.norm_h(u0), rel=1e-12)
@@ -120,8 +117,8 @@ def test_apriori_unforced_sup_is_initial(tensors):
 
 def test_apriori_violation_on_corrupted_ledger(tensors):
     u0 = smooth_state(tensors, seed=32)
-    res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-3, 0.1)
-    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    res = solve_from_state(u0, None, tensors, 0.1, 1e-3, 0.1)
+    led = ledger_from_run(res, tensors, None, 0.1)
     # only the monotone verdict passes on the honest ledger: at dt = 1e-3 the
     # Simpson ledger's own time-discretization error already breaks the
     # inequality tolerance at the first step
@@ -136,8 +133,8 @@ def test_inequality_verdict_flips_on_corrupted_ledger(tensors):
     # above at dt = 2.5e-4, where the honest Simpson ledger resolves the run
     # and passes; injecting energy mid-run must then fail the verdict
     u0 = smooth_state(tensors, seed=32)
-    res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 2.5e-4, 0.1)
-    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    res = solve_from_state(u0, None, tensors, 0.1, 2.5e-4, 0.1)
+    led = ledger_from_run(res, tensors, None, 0.1)
     assert led.inequality_holds()
     led.energy[len(led.energy) // 2] = 10.0 * led.energy[0]  # inject energy
     assert not led.inequality_holds()
@@ -145,16 +142,15 @@ def test_inequality_verdict_flips_on_corrupted_ledger(tensors):
 
 def test_negative_norm_rejected(tensors):
     u0 = smooth_state(tensors, seed=33)
-    res = solve_from_state(GalerkinState(u0, 0.0), None, tensors, 0.1, 1e-2, 0.05)
-    led = ledger_from_run(res.trace, tensors, None, 0.1)
+    res = solve_from_state(u0, None, tensors, 0.1, 1e-2, 0.05)
+    led = ledger_from_run(res, tensors, None, 0.1)
     led.d1[0] = -1.0
     with pytest.raises(EnergyViolationError):
         led.__post_init__()
 
 
 def solve_projected(tensors, u0, nu, dt, t_end):
-    state = project_divfree(GalerkinState(u0, 0.0), tensors)
-    return solve_from_state(state, None, tensors, nu, dt, t_end)
+    return solve_from_state(project_divfree(u0, tensors), None, tensors, nu, dt, t_end)
 
 
 def test_uniqueness_twin_runs_identical(tensors):
@@ -193,15 +189,13 @@ def test_difference_identity_residual_second_order(oblique):
     pert = smooth_state(oblique, seed=52, amp=1e-3)
     resids = []
     for dt in (2e-3, 1e-3):
-        res_u = solve_from_state(GalerkinState(u0, 0.0), None, oblique, 0.1, dt, 0.1)
-        res_v = solve_from_state(
-            GalerkinState(u0 + pert, 0.0), None, oblique, 0.1, dt, 0.1
-        )
-        r = difference_identity_residual(res_u, res_v, 0.1)
+        res_u = solve_from_state(u0, None, oblique, 0.1, dt, 0.1)
+        res_v = solve_from_state(u0 + pert, None, oblique, 0.1, dt, 0.1)
+        r = difference_identity_residual(oblique, res_u.times, res_u.coeffs, res_v.coeffs, 0.1)
         # scale of the balance terms themselves: the w-dissipation
         scale = max(
             0.1 * sum(oblique.dissipation_terms(cu - cv))
-            for cu, cv in zip(res_u.trace.coeffs, res_v.trace.coeffs)
+            for cu, cv in zip(res_u.coeffs, res_v.coeffs)
         )
         resids.append(np.max(np.abs(r)))
         assert np.max(np.abs(r)) <= 0.05 * scale + 1e-10 * scale
@@ -212,9 +206,9 @@ def test_contraction_corrupted_pair_fails(tensors):
     u0 = smooth_state(tensors, seed=62)
     res_u = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_v = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
-    res_v.trace.coeffs[-1] += 1e-3  # inject a spurious late difference
+    res_v.coeffs[-1] += 1e-3  # inject a spurious late difference
     rep = contraction_report(
-        tensors, res_u.trace.times, res_u.trace.coeffs, res_v.trace.coeffs, 0.0
+        tensors, res_u.times, res_u.coeffs, res_v.coeffs, 0.0
     )
     assert not rep.passed
 
@@ -223,7 +217,7 @@ def test_contraction_report_alignment_guard(tensors):
     u0 = smooth_state(tensors, seed=61)
     res_a = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
     res_b = solve_projected(tensors, u0, 0.1, 5e-4, 0.05)
-    times, ca, cb = res_a.trace.times, res_a.trace.coeffs, res_b.trace.coeffs
+    times, ca, cb = res_a.times, res_a.coeffs, res_b.coeffs
     with pytest.raises(ValueError):
         contraction_report(tensors, times, ca, cb, 0.0)
     rep = contraction_report(tensors, times, ca, cb[::2], 0.0)
@@ -251,9 +245,9 @@ def count_solves(monkeypatch):
     calls = []
     solve = nsslice.galerkin.solve_from_state
 
-    def counting_solve(state, *args, **kwargs):
-        calls.append(state.coeffs.shape)
-        return solve(state, *args, **kwargs)
+    def counting_solve(coeffs, *args, **kwargs):
+        calls.append(coeffs.shape)
+        return solve(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(nsslice.galerkin, "solve_from_state", counting_solve)
     return calls
@@ -269,7 +263,7 @@ def test_uniqueness_twins_run_in_lockstep(oblique, monkeypatch):
     res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.05)
     res_v = solve_projected(oblique, u0 + 1e-6 * perturbation_coeffs(oblique, 8), 0.1, 1e-3, 0.05)
     ref = contraction_report(
-        oblique, res_u.trace.times, res_u.trace.coeffs, res_v.trace.coeffs, 1e-6
+        oblique, res_u.times, res_u.coeffs, res_v.coeffs, 1e-6
     )
     assert rep.to_dict() == ref.to_dict()
     calls.clear()
@@ -283,13 +277,11 @@ def test_ledger_matches_per_state_loop(oblique):
     m = oblique.nmodes_total
     f = 0.2 * np.random.default_rng(65).standard_normal((3, m))
     forcing = lambda t: f * (1.0 + t)  # noqa: E731
-    res = solve_from_state(
-        GalerkinState(smooth_state(oblique, seed=65), 0.0), forcing, oblique, 0.1, 1e-3, 0.03
-    )
-    led = ledger_from_run(res.trace, oblique, forcing, 0.1)
+    res = solve_from_state(smooth_state(oblique, seed=65), forcing, oblique, 0.1, 1e-3, 0.03)
+    led = ledger_from_run(res, oblique, forcing, 0.1)
     mass, grad1, grad2 = dense_grams(oblique)
     c1, c2 = oblique.chart_coeffs
-    for i, (t, c) in enumerate(zip(res.trace.times, res.trace.coeffs)):
+    for i, (t, c) in enumerate(zip(res.times, res.coeffs)):
         u = c.reshape(3, -1)
         assert led.energy[i] == 0.5 * float(np.sum(u * (u @ mass)))
         d1 = float(np.sum(u * (u @ grad1)))
@@ -310,7 +302,7 @@ def test_contraction_norms_match_per_state_loop(oblique):
     res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
     res_v = solve_projected(oblique, u0 + 1e-6 * perturbation_coeffs(oblique, 9), 0.1, 1e-3, 0.03)
     mass, grad1, grad2 = dense_grams(oblique)
-    for i, (cu, cv) in enumerate(zip(res_u.trace.coeffs, res_v.trace.coeffs)):
+    for i, (cu, cv) in enumerate(zip(res_u.coeffs, res_v.coeffs)):
         w = (cu - cv).reshape(3, -1)
         u = cu.reshape(3, -1)
         energy = 0.5 * float(np.sum(w * (w @ mass)))
@@ -326,17 +318,18 @@ def test_difference_identity_matches_per_state_loop(oblique):
     res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
     pert = smooth_state(oblique, seed=68, amp=1e-3)
     res_v = solve_projected(oblique, u0 + pert, 0.1, 1e-3, 0.03)
-    times = res_u.trace.times
+    times = res_u.times
     k = len(times)
     half_wsq, diss, tri = np.empty(k), np.empty(k), np.empty(k)
-    for i, (cu, cv) in enumerate(zip(res_u.trace.coeffs, res_v.trace.coeffs)):
+    for i, (cu, cv) in enumerate(zip(res_u.coeffs, res_v.coeffs)):
         w = cu - cv
         half_wsq[i] = oblique.energy(w)
         d1, d2, dc = oblique.dissipation_terms(w)
         diss[i] = 0.1 * (d1 + d2 + dc)
         tri[i] = contract_triple(oblique.trilinear, w, cu, w)
     ref = np.gradient(half_wsq, times, edge_order=2) + diss + tri
-    assert np.array_equal(difference_identity_residual(res_u, res_v, 0.1), ref)
+    got = difference_identity_residual(oblique, times, res_u.coeffs, res_v.coeffs, 0.1)
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 201, 1001, 1002])

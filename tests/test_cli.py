@@ -224,7 +224,7 @@ def test_solve_trajectory_files_round_trip(tmp_path, monkeypatch, t_end, record_
         "--set", f"solver.record_every={record_every}",
     ])
     assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
-    trace = solved[0].trace
+    trace = solved[0]
     nsteps = len(trace) - 1
     recorded = [*range(0, nsteps, record_every), nsteps]
     assert len(recorded) == nframes
@@ -277,8 +277,8 @@ def test_solve_dual_norm_streamed_from_stage_k1(tmp_path, monkeypatch, forced):
     solved = []
     solve = nsslice.cli.solve_from_state
 
-    def capturing(state, forcing, tensors, *a, **k):
-        solved.append((solve(state, forcing, tensors, *a, **k), forcing))
+    def capturing(coeffs, forcing, tensors, *a, **k):
+        solved.append((solve(coeffs, forcing, tensors, *a, **k), forcing, tensors))
         return solved[-1][0]
 
     applies = []
@@ -300,13 +300,13 @@ def test_solve_dual_norm_streamed_from_stage_k1(tmp_path, monkeypatch, forced):
     monkeypatch.setattr(nsslice.galerkin.TrilinearTensor, "apply_pair", counted)
     out = tmp_path / "solve"
     assert main(["solve", "--out", str(out), *args]) in (EXIT_OK, EXIT_CHECK_FAILED)
-    (res, f_of_t), = solved
-    nsteps = len(res.trace) - 1
+    (trace, f_of_t, tensors), = solved
+    nsteps = len(trace) - 1
     assert nsteps == 10
     assert len(applies) == 4 * nsteps + 1
     assert (f_of_t is not None) == forced
-    norms = [nsslice.cli.rhs_dual_norm(c, res.tensors, f_of_t, 0.1, t)
-             for c, t in zip(res.trace.coeffs, res.trace.times)]
+    norms = [nsslice.cli.rhs_dual_norm(c, tensors, f_of_t, 0.1, t)
+             for c, t in zip(trace.coeffs, trace.times)]
     assert streamed == norms[:-1]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["max_rhs_dual_norm"] == max(norms)
@@ -918,6 +918,68 @@ def test_single_file_forcing_is_its_one_frame_series(tmp_path):
             assert strip_timestamp(a) == strip_timestamp(b)
         else:
             assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command, key, dims", [
+    ("project", "io.forcing", (9, 9, 9)),
+    ("solve", "io.forcing_slice", (13, 13)),
+])
+def test_one_component_forcing_rejected_before_any_work(tmp_path, monkeypatch, capsys,
+                                                        command, key, dims):
+    # a 1-component forcing would be added to all three velocity components:
+    # exit 2 naming the key, before assembly and before any output exists
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before checking the forcing")
+
+    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    f1 = tmp_path / "f1.nsf1"
+    write_field(Field(dims=dims, extents=(1.0,) * len(dims), ncomp=1,
+                      data=np.ones((1, *dims))), f1)
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", f"{key}={f1}"])
+    assert rc == EXIT_ERROR
+    assert f"error: {key} must hold {len(dims)}D 3-component fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quadform_w_manifest_is_its_one_frame(tmp_path):
+    # io.w takes a one-frame series manifest as the field it holds
+    args = _runnable_args("quadform", tmp_path)
+    write_u0_3d(tmp_path / "w.nsf1", dims=(9, 9, 9))
+    (tmp_path / "w.json").write_text(json.dumps({"times": [0.0], "frames": ["w.nsf1"]}))
+    reports = []
+    for name in ("w.nsf1", "w.json"):
+        out = tmp_path / name.replace(".", "_")
+        assert main(["quadform", "--out", str(out), *args,
+                     "--set", f"io.w={tmp_path / name}"]) == EXIT_OK
+        reports.append(strip_timestamp(out / "quadform_report.json"))
+    assert reports[0] == reports[1]
+    assert "signed_integral" in json.loads(reports[0])
+
+
+@pytest.mark.parametrize("w, message", [
+    ("two_frames", "io.w must be one field in quadform, got 2 frames"),
+    ("other_box", "io.w must be a 3-component field on the grid and box of io.v"),
+])
+def test_quadform_rejects_w_unlike_v(tmp_path, capsys, w, message):
+    # the signed integral weighs w on io.v's box: a series of several frames,
+    # or a field with v's dims on another box, exits 2 before any output
+    args = _runnable_args("quadform", tmp_path)
+    fld = read_field(tmp_path / "v.nsf1")
+    write_field(fld, tmp_path / "w0.nsf1")
+    write_field(fld, tmp_path / "w1.nsf1")
+    (tmp_path / "two_frames.json").write_text(
+        json.dumps({"times": [0.0, 1.0], "frames": ["w0.nsf1", "w1.nsf1"]})
+    )
+    write_field(Field(dims=fld.dims, extents=(3.0, 3.0, 3.0), ncomp=3, data=fld.data),
+                tmp_path / "other_box.nsf1")
+    path = tmp_path / ("two_frames.json" if w == "two_frames" else "other_box.nsf1")
+    out = tmp_path / "qf"
+    rc = main(["quadform", "--out", str(out), *args, "--set", f"io.w={path}"])
+    assert rc == EXIT_ERROR
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_overrides(tmp_path):

@@ -6,7 +6,7 @@ from oracles import contract_triple, cross_matrix, dense_trilinear, stiffness, w
 from nsslice.fieldio import Field, FieldFormatError, TimeSeriesField, restrict_to_slice
 from nsslice.galerkin import (
     BlowUpError,
-    GalerkinState,
+    GalerkinError,
     SpectralBasis,
     _trig_tables,
     assemble,
@@ -347,20 +347,19 @@ def test_trilinear_skew_annihilation(square_tensors, oblique_tensors, which):
 def test_project_divfree_idempotent(square_tensors):
     rng = np.random.default_rng(3)
     m = square_tensors.nmodes_total
-    state = GalerkinState(rng.standard_normal(3 * m), 0.0)
-    once = project_divfree(state, square_tensors)
+    once = project_divfree(rng.standard_normal(3 * m), square_tensors)
     twice = project_divfree(once, square_tensors)
-    assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-13
+    assert np.max(np.abs(twice - once)) < 1e-13
     # already divergence-free states are returned unchanged
-    assert np.max(np.abs(project_divfree(once, square_tensors).coeffs - once.coeffs)) < 1e-12
+    assert np.max(np.abs(project_divfree(once, square_tensors) - once)) < 1e-12
 
 
 def test_project_divfree_rowspace_to_zero(square_tensors):
     rng = np.random.default_rng(4)
     coeffs = square_tensors.constraint.T @ rng.standard_normal(square_tensors.nmodes_total)
-    out = project_divfree(GalerkinState(coeffs, 0.0), square_tensors)
-    assert divergence_residual(out.coeffs, square_tensors) <= 1e-10
-    assert np.max(np.abs(out.coeffs)) < 1e-10 * max(1.0, np.max(np.abs(coeffs)))
+    out = project_divfree(coeffs, square_tensors)
+    assert divergence_residual(out, square_tensors) <= 1e-10
+    assert np.max(np.abs(out)) < 1e-10 * max(1.0, np.max(np.abs(coeffs)))
 
 
 def test_project_divfree_matches_kkt_oracle(oblique_tensors):
@@ -376,7 +375,7 @@ def test_project_divfree_matches_kkt_oracle(oblique_tensors):
     ])
     rhs = np.concatenate([u, np.zeros(m)])
     x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: 3 * m]
-    proj = project_divfree(GalerkinState(u, 0.0), tens).coeffs
+    proj = project_divfree(u, tens)
     assert np.max(np.abs(proj - x)) < 1e-9
     assert divergence_residual(proj, tens) <= 1e-10 * np.sqrt(tens.grad_norm_sq(proj))
 
@@ -422,7 +421,7 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
     want = x @ p_ref
     assert np.max(np.abs(stacked - want)) <= 1e-12 * np.max(np.abs(want))
     # each state of a stack gets its own products
-    single = np.stack([project_divfree(GalerkinState(xi, 0.0), tens).coeffs for xi in x])
+    single = np.stack([project_divfree(xi, tens) for xi in x])
     assert np.array_equal(stacked, single)
     if rank_ref == 0:
         assert np.array_equal(stacked, x)   # P = I
@@ -488,10 +487,8 @@ def test_constraint_expected_rank():
 
 def test_step_zero_fixed_point(square_tensors):
     m = square_tensors.nmodes_total
-    state = GalerkinState(np.zeros(3 * m), 0.0)
-    out = step(state, square_tensors, None, nu=0.5, dt=1e-2)
-    assert np.all(out.coeffs == 0.0)
-    assert out.time == pytest.approx(1e-2)
+    out = step(np.zeros(3 * m), 0.0, square_tensors, None, nu=0.5, dt=1e-2)
+    assert np.all(out == 0.0)
 
 
 def test_step_linear_heat_mode_decay(square_basis, square_tensors):
@@ -502,24 +499,20 @@ def test_step_linear_heat_mode_decay(square_basis, square_tensors):
     for p in (0, 3, 7):
         u = np.zeros((3, m))
         u[2, p] = 1.0  # third component is unconstrained for alpha = 0
-        state = GalerkinState(u.ravel(), 0.0)
         nu, dt = 0.3, 2e-3
         lam = square_basis.eigenvalues[p]
-        out = step(state, tens, None, nu, dt)
-        got = out.coeffs.reshape(3, -1)[2, p]
+        out = step(u.ravel(), 0.0, tens, None, nu, dt)
+        got = out.reshape(3, -1)[2, p]
         assert abs(got - np.exp(-nu * lam * dt)) <= (nu * lam * dt) ** 5 / 120.0 + 1e-14
 
 
 def test_step_blowup_guard(square_tensors):
     rng = np.random.default_rng(1)
     m = square_tensors.nmodes_total
-    state = project_divfree(
-        GalerkinState(10.0 * rng.standard_normal(3 * m), 0.0), square_tensors
-    )
+    cur = project_divfree(10.0 * rng.standard_normal(3 * m), square_tensors)
     with pytest.raises(BlowUpError, match="reduce dt"):
-        cur = state
-        for _ in range(200):
-            cur = step(cur, square_tensors, None, nu=1.0, dt=1.0)
+        for k in range(200):
+            cur = step(cur, float(k), square_tensors, None, nu=1.0, dt=1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -528,8 +521,7 @@ def test_step_blowup_guard_catches_nonfinite(square_tensors, bad):
     forcing = np.zeros((3, m))
     forcing[2, 1] = bad
     with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match="reduce dt"):
-        step(GalerkinState(np.zeros(3 * m), 0.0), square_tensors, lambda t: forcing,
-             nu=0.1, dt=1e-3)
+        step(np.zeros(3 * m), 0.0, square_tensors, lambda t: forcing, nu=0.1, dt=1e-3)
 
 
 def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
@@ -542,8 +534,7 @@ def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
         return project(self, coeffs)
 
     monkeypatch.setattr(type(oblique_tensors), "project", counted)
-    state = GalerkinState(np.zeros(3 * oblique_tensors.nmodes_total), 0.0)
-    step(state, oblique_tensors, None, nu=0.1, dt=1e-3)
+    step(np.zeros(3 * oblique_tensors.nmodes_total), 0.0, oblique_tensors, None, nu=0.1, dt=1e-3)
     assert len(calls) == 4
 
 
@@ -555,27 +546,26 @@ def test_long_run_stays_divergence_free_without_reprojection():
     m = tens.nmodes_total
     rng = np.random.default_rng(3)
     u0 = tens.project(rng.standard_normal((3, m)) * np.exp(-0.1 * tens.basis.eigen_rank))
-    res = solve_from_state(GalerkinState(u0.ravel(), 0.0), None, tens, 0.1, 2.5e-4, 0.25)
-    assert len(res.trace) == 1001
-    assert np.max(divergence_residual(res.trace.coeffs, tens)) <= 1e-12
+    res = solve_from_state(u0.ravel(), None, tens, 0.1, 2.5e-4, 0.25)
+    assert len(res) == 1001
+    assert np.max(divergence_residual(res.coeffs, tens)) <= 1e-12
 
 
 def test_solve_requires_integral_step_count(square_tensors):
     m = square_tensors.nmodes_total
     with pytest.raises(ValueError, match="integer multiple"):
-        solve_from_state(
-            GalerkinState(np.zeros(3 * m), 0.0), None, square_tensors,
-            nu=0.1, dt=3e-3, t_end=0.01,
-        )
+        solve_from_state(np.zeros(3 * m), None, square_tensors, nu=0.1, dt=3e-3, t_end=0.01)
 
 
 def test_solve_zero_data_zero_trajectory(square_basis, square_tensors):
     u0 = Field(dims=(9, 9), extents=(1.0, 1.0), ncomp=3, data=np.zeros((3, 9, 9)))
     coeffs0 = project_field_to_basis(u0, square_basis)
-    state = project_divfree(GalerkinState(coeffs0.ravel(), 0.0), square_tensors)
+    state = project_divfree(coeffs0.ravel(), square_tensors)
     res = solve_from_state(state, None, square_tensors, nu=0.1, dt=1e-2, t_end=0.1)
-    assert np.max(np.abs(res.trace.coeffs)) == 0.0
-    frames = [synthesize_field(square_basis, c, u0.dims) for c in res.trace.coeffs]
+    assert np.max(np.abs(res.coeffs)) == 0.0
+    # times accumulate one dt at a time from t = 0 (cumsum adds in order)
+    assert np.array_equal(res.times, np.cumsum([0.0] + [1e-2] * 10))
+    frames = [synthesize_field(square_basis, c, u0.dims) for c in res.coeffs]
     assert all(np.max(np.abs(f.data)) == 0.0 for f in frames)
 
 
@@ -585,15 +575,13 @@ def test_solve_divergence_preserved_and_energy_decay(oblique_tensors):
     u0 = oblique_tensors.projector @ (
         rng.standard_normal(3 * m) * np.exp(-0.4 * np.tile(np.arange(m), 3))
     )
-    res = solve_from_state(
-        GalerkinState(u0, 0.0), None, oblique_tensors, nu=0.1, dt=2e-3, t_end=0.2
-    )
-    grads = [np.sqrt(oblique_tensors.grad_norm_sq(c)) for c in res.trace.coeffs]
-    for k in range(len(res.trace)):
-        r = divergence_residual(res.trace.coeffs[k], oblique_tensors)
+    res = solve_from_state(u0, None, oblique_tensors, nu=0.1, dt=2e-3, t_end=0.2)
+    grads = [np.sqrt(oblique_tensors.grad_norm_sq(c)) for c in res.coeffs]
+    for k in range(len(res)):
+        r = divergence_residual(res.coeffs[k], oblique_tensors)
         assert r <= 1e-9
         assert r <= 1e-10 * max(grads[k], 1e-12)
-    e = np.array([oblique_tensors.energy(c) for c in res.trace.coeffs])
+    e = np.array([oblique_tensors.energy(c) for c in res.coeffs])
     assert np.all(np.diff(e) <= 1e-12 * e[0])
 
 
@@ -609,10 +597,10 @@ def test_third_component_passive_at_axis_aligned(square_tensors):
     finals = []
     actives = []
     for u0 in (base, alt):
-        state = project_divfree(GalerkinState(u0.ravel(), 0.0), square_tensors)
+        state = project_divfree(u0.ravel(), square_tensors)
         res = solve_from_state(state, None, square_tensors, 0.1, 1e-3, 0.05)
-        finals.append(res.final_state.coeffs.reshape(3, -1))
-        actives.append(state.coeffs.reshape(3, -1)[:2])
+        finals.append(res.coeffs[-1].reshape(3, -1))
+        actives.append(state.reshape(3, -1)[:2])
     # the constraint at alpha = 0 does not couple u3, so the projected
     # in-plane initial data agree and so must their whole trajectories
     assert np.allclose(actives[0], actives[1], atol=1e-13)
@@ -818,13 +806,12 @@ def test_solve_stack_matches_separate_solves(odd_even_oblique, forced):
     u0 = tens.projector @ rng.standard_normal((3 * m, 2))
     f = 0.3 * rng.standard_normal((3, m))
     forcing = (lambda t: f * np.cos(4.0 * t)) if forced else None
-    pair = solve_from_state(GalerkinState(u0.T, 0.0), forcing, tens, 0.1, 2e-3, 0.04)
-    assert pair.trace.coeffs.shape == (21, 2, 3 * m)
+    pair = solve_from_state(u0.T, forcing, tens, 0.1, 2e-3, 0.04)
+    assert pair.coeffs.shape == (21, 2, 3 * m)
     for i in range(2):
-        alone = solve_from_state(GalerkinState(u0[:, i], 0.0), forcing, tens, 0.1, 2e-3, 0.04)
-        assert np.array_equal(pair.trace.times, alone.trace.times)
-        assert np.array_equal(pair.trace.coeffs[:, i], alone.trace.coeffs)
-        assert np.array_equal(pair.final_state.coeffs[i], alone.final_state.coeffs)
+        alone = solve_from_state(u0[:, i], forcing, tens, 0.1, 2e-3, 0.04)
+        assert np.array_equal(pair.times, alone.times)
+        assert np.array_equal(pair.coeffs[:, i], alone.coeffs)
 
 
 def test_stacked_diagnostics_match_per_state(odd_even_oblique):
@@ -845,14 +832,23 @@ def test_stacked_diagnostics_match_per_state(odd_even_oblique):
     assert isinstance(divergence_residual(c[0], tens), float)
 
 
-def test_state_shape_guard():
-    assert GalerkinState(np.zeros((2, 12)), 0.0).coeffs.shape == (2, 12)
-    with pytest.raises(ValueError):
-        GalerkinState(np.zeros((2, 2, 12)), 0.0)
-    with pytest.raises(ValueError):
-        GalerkinState(np.zeros((2, 13)), 0.0)
-    with pytest.raises(ValueError):
-        GalerkinState(np.zeros(13), 0.0)
+def test_state_shape_guard(square_tensors):
+    # both entry points take a (3M,) state or a (B, 3M) stack of finite values
+    m3 = 3 * square_tensors.nmodes_total
+    assert project_divfree(np.zeros((2, m3)), square_tensors).shape == (2, m3)
+    bad_shapes = [(2, 2, m3), (2, m3 + 1), (m3 + 1,), (2, 12), (12,)]
+    for shape in bad_shapes:
+        with pytest.raises(ValueError, match="coeffs must be"):
+            project_divfree(np.zeros(shape), square_tensors)
+        with pytest.raises(ValueError, match="coeffs must be"):
+            solve_from_state(np.zeros(shape), None, square_tensors, 0.1, 1e-2, 0.02)
+    nan = np.zeros(m3)
+    nan[5] = np.nan
+    for stack in (nan, np.stack([np.zeros(m3), nan])):
+        with pytest.raises(GalerkinError, match="non-finite"):
+            project_divfree(stack, square_tensors)
+        with pytest.raises(GalerkinError, match="non-finite"):
+            solve_from_state(stack, None, square_tensors, 0.1, 1e-2, 0.02)
 
 
 def _quadrature_tables(n, length):

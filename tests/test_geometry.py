@@ -5,7 +5,6 @@ from oracles import graph_height, membership_residual
 from nsslice.geometry import (
     Box3,
     CoefficientOverflowError,
-    DegenerateNormalError,
     GeometryError,
     Hyperplane,
     make_chart,
@@ -39,12 +38,6 @@ def test_make_chart_axis_aligned_y():
     assert chart.alpha1 == 0.0 and chart.alpha2 == 0.0
     assert chart.affine_offset == 0.5
     assert chart.inplane_axes == (1, 3)
-
-
-def test_make_chart_degenerate_guard():
-    plane = Hyperplane((1 / SQ3, 1 / SQ3, 1 / SQ3), 0.0)
-    with pytest.raises(DegenerateNormalError):
-        make_chart(plane, tolerance=0.9)
 
 
 def test_make_chart_rejects_tiny_coefficients():

@@ -153,7 +153,7 @@ def test_solver_tracks_exact_solution(oblique_ms):
     basis = SpectralBasis((10, 10), (1.0, 1.0))
     tens = assemble(basis, oblique_ms.chart)
     res = oblique_ms.solve(tens, dt=1e-3, t_end=0.1)
-    err = oblique_ms.l2_error(res.final_state.coeffs, 0.1, basis)
+    err = oblique_ms.l2_error(res.coeffs[-1], 0.1, basis)
     norm = oblique_ms.l2_error(np.zeros(3 * basis.nmodes_total), 0.1, basis)
     assert err < 2e-2 * norm
 
@@ -174,7 +174,7 @@ def test_self_convergence_coarse_vs_fine():
         basis = SpectralBasis((n, n), (1.0, 1.0))
         tens = assemble(basis, None)
         res = ms.solve(tens, dt=dt, t_end=0.2)
-        finals[n] = (basis, res.final_state.coeffs.reshape(3, -1))
+        finals[n] = (basis, res.coeffs[-1].reshape(3, -1))
     basis16, c16 = finals[16]
     basis24, c24 = finals[24]
     grid16 = basis16.scatter(c16)

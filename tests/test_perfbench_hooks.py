@@ -23,11 +23,10 @@ t = tracer.Tracer()
 tracer.instrument(t)
 tensors = galerkin.assemble(galerkin.SpectralBasis((3, 3), (1.0, 1.0)), None)
 u0 = tensors.projector @ np.linspace(1.0, 2.0, 3 * tensors.nmodes_total)
-state = galerkin.GalerkinState(u0, 0.0)
-res = galerkin.solve_from_state(state, None, tensors, 0.1, 1e-2, 0.03)
-analysis.ledger_from_run(res.trace, tensors, None, 0.1)
-frames = galerkin.synthesize_field(tensors.basis, res.trace.coeffs, (5, 5))
-assert frames.dims == (5, 5, len(res.trace))
+trace = galerkin.solve_from_state(u0, None, tensors, 0.1, 1e-2, 0.03)
+analysis.ledger_from_run(trace, tensors, None, 0.1)
+frames = galerkin.synthesize_field(tensors.basis, trace.coeffs, (5, 5))
+assert frames.dims == (5, 5, len(trace))
 v = Field.from_function((8, 8, 8), (1.0, 1.0, 1.0), 3,
                         lambda x, y, z: np.stack([np.sin(x + 2 * y), y * z, np.cos(z - x)]))
 quadform.canonicalize(quadform.strain_field(v))

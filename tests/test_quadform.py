@@ -85,7 +85,7 @@ def test_strain_trig_convergence_rate():
 
 def test_canonicalize_identity():
     strain = strain_from_matrix(np.eye(3))
-    dec = canonicalize(strain, 1e-10)
+    dec = canonicalize(strain)
     assert np.allclose(dec.b, 1.0)
     assert np.all(dec.inertia == (3, 0, 0))
     assert dec.jacobi.all()
@@ -93,7 +93,7 @@ def test_canonicalize_identity():
 
 def test_canonicalize_diagonal_case():
     strain = strain_from_matrix(np.diag([1.0, -2.0, 3.0]))
-    dec = canonicalize(strain, 1e-10)
+    dec = canonicalize(strain)
     assert np.allclose(dec.b, [1.0, -2.0, 3.0])
     assert np.all(dec.inertia == (2, 0, 1))
 
@@ -102,7 +102,7 @@ def test_canonicalize_minor_formulas_random():
     rng = np.random.default_rng(77)
     for _ in range(50):
         a = random_symmetric_with_clear_minors(rng)
-        dec = canonicalize(strain_from_matrix(a), 1e-8)
+        dec = canonicalize(strain_from_matrix(a))
         b1, b2, b3 = dec.b[0]
         d1 = a[0, 0]
         d2 = np.linalg.det(a[:2, :2])
@@ -119,7 +119,7 @@ def test_canonical_coefficients_multiply_to_det():
     strain = StrainMatrixField.from_gradients((16, 16, 16), (1.0, 1.0, 1.0), a)
     mats = strain.matrices()
     det = np.linalg.det(mats)
-    dec = canonicalize(strain, 1e-8)
+    dec = canonicalize(strain)
     pts = dec.jacobi & (np.abs(det) > 1e-3)
     assert np.count_nonzero(pts) > 3000
     np.testing.assert_allclose(np.prod(dec.b[pts], axis=1), det[pts], rtol=1e-12, atol=0.0)
@@ -130,7 +130,7 @@ def test_sylvester_agreement_1000_random():
     agree = 0
     for _ in range(1000):
         a = random_symmetric_with_clear_minors(rng)
-        dec = canonicalize(strain_from_matrix(a), 1e-6)
+        dec = canonicalize(strain_from_matrix(a))
         assert dec.jacobi.all()
         eig = np.linalg.eigvalsh(a)
         oracle = (int(np.sum(eig > 0)), int(np.sum(np.abs(eig) <= 0)), int(np.sum(eig < 0)))
@@ -143,7 +143,7 @@ def test_canonical_form_value_equivalence():
     rng = np.random.default_rng(55)
     for _ in range(50):
         a = random_symmetric_with_clear_minors(rng)
-        dec = canonicalize(strain_from_matrix(a), 1e-8)
+        dec = canonicalize(strain_from_matrix(a))
         assert dec.jacobi[0]
         b, u = dec.b[0], jacobi_transform(a)
         for _ in range(100):
@@ -157,7 +157,7 @@ def test_canonical_form_value_equivalence():
 def test_eigen_fallback_on_degenerate_pivot():
     # leading entry exactly zero: the minor path is unavailable
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    dec = canonicalize(strain_from_matrix(a), 1e-8)
+    dec = canonicalize(strain_from_matrix(a))
     assert not dec.jacobi.any()
     assert np.isnan(dec.b).all()
     assert np.all(dec.inertia == (2, 0, 1))  # eigenvalues (-1, 1, 2)
@@ -172,7 +172,7 @@ def test_coefficients_match_full_transform_construction():
     grad = rng.standard_normal((3, 3, 4, 4, 4))
     grad[:, :, 0, 0, 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
     strain = StrainMatrixField.from_gradients((4, 4, 4), (1.0, 1.0, 1.0), grad)
-    dec = canonicalize(strain, 1e-8)
+    dec = canonicalize(strain)
     assert dec.b.shape == (64, 3)
     assert not dec.jacobi[0] and dec.jacobi.sum() > 32
     mats = strain.matrices()
