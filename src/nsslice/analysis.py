@@ -125,18 +125,12 @@ class EnergyLedger:
         return bool(np.all(np.diff(self.energy) <= MONOTONE_SLACK * self.energy[0]))
 
     def to_dict(self) -> dict:
+        """The stored fields plus the derived series and the verdict."""
         return {
-            "nu": self.nu,
-            "times": self.times.tolist(),
-            "energy": self.energy.tolist(),
-            "d1": self.d1.tolist(),
-            "d2": self.d2.tolist(),
-            "dcross": self.dcross.tolist(),
-            "work": self.work.tolist(),
-            "residual": self.residual.tolist(),
-            "cumulative_dissipation": self.cumulative_dissipation.tolist(),
-            "cumulative_abs_work": self.cumulative_abs_work.tolist(),
-            "inequality_margin": self.inequality_margin().tolist(),
+            **vars(self),
+            "cumulative_dissipation": self.cumulative_dissipation,
+            "cumulative_abs_work": self.cumulative_abs_work,
+            "inequality_margin": self.inequality_margin(),
             "tol_accum": self.tol_accum(),
             "inequality_holds": self.inequality_holds(),
         }
@@ -197,19 +191,6 @@ class ContractionReport:
     passed: bool
     scale: float              # ||u0|| of the reference run
     max_w_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "times": self.times.tolist(),
-            "w_norm": self.w_norm.tolist(),
-            "grad_u_sq": self.grad_u_sq.tolist(),
-            "fitted_c": self.fitted_c,
-            "bound": self.bound.tolist(),
-            "passed": self.passed,
-            "scale": self.scale,
-            "max_w_norm": self.max_w_norm,
-        }
 
 
 def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:

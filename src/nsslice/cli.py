@@ -7,7 +7,9 @@ mms.*), overridable per key with --set key=value.  KEYS declares every key
 with its parser and default.  Before a command runs, RunConfig rejects a key
 that is not in KEYS (with a nearest-key hint, or the reason a REMOVED_KEYS
 key went) and parses every value, set or defaulted, so a mistyped key or a
-bad value exits 2 before any computation.
+bad value exits 2 before any computation.  Every io.* input is read and
+checked by _read_input before any computation and before any output exists;
+an input error exits 2 and names its key and file.
 The table is shared by all subcommands, so one file can serve them all.
 Reports are JSON (deterministic byte-for-byte for a fixed config and seed,
 except the timestamp_utc field), fields are NSF1, tables are CSV with a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -217,11 +220,19 @@ class RunConfig:
         return None if self.values[key] is REQUIRED else self.values[key]
 
 
+def _json_value(obj):
+    """json.dumps default: arrays and numpy scalars as lists and numbers, dataclasses as fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["timestamp_utc"] = datetime.now(timezone.utc).isoformat()
+    payload = {**payload, "timestamp_utc": datetime.now(timezone.utc).isoformat()}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -242,9 +253,9 @@ def _read_series_manifest(path: Path) -> TimeSeriesField:
     # "times" holds numbers and "frames" paths relative to the manifest
     for key, kind, what in (("times", (int, float), "numbers"), ("frames", str, "strings")):
         if not isinstance(spec, dict) or key not in spec:
-            raise ConfigError(f"series manifest {path}: missing key {key!r}")
+            raise ConfigError(f"series manifest misses key {key!r}")
         if not isinstance(spec[key], list) or not all(isinstance(v, kind) for v in spec[key]):
-            raise ConfigError(f"series manifest {path}: key {key!r} must be a list of {what}")
+            raise ConfigError(f"series manifest key {key!r} must be a list of {what}")
     times = np.asarray(spec["times"], dtype=float)
     frames = tuple(read_field(path.parent / rel) for rel in spec["frames"])
     return TimeSeriesField(times=times, frames=frames)
@@ -257,15 +268,43 @@ def _read_series(path: Path) -> TimeSeriesField:
     return TimeSeriesField(times=np.array([0.0]), frames=(read_field(path),))
 
 
-def _read_forcing(cfg: RunConfig, key: str, ndim: int) -> TimeSeriesField | None:
-    """The forcing series at key, or None where key is unset; checks its frames' shape."""
-    path = cfg[key]
-    if not path:
+def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
+                one_field: bool = False, ncomp: int | None = 3, on=None,
+                same_grid: bool = False) -> TimeSeriesField | None:
+    """The series at the io.* key, held to the one input contract.
+
+    The value is a series manifest or an NSF1 file (_read_series).  Its frames
+    are ndim-D with ncomp components (None: 1 or 3), a one_field key holds
+    exactly one frame, and on = (ref_key, ref_field) puts the frames on the
+    box of ref_field, and on its grid too where same_grid.  Returns None where
+    an optional key is unset.  Every error is a ConfigError that starts with
+    key=path, so it names the key and the file.
+    """
+    path = cfg.get(key) if optional else cfg[key]
+    if optional and not path:
         return None
-    series = _read_series(Path(path))
-    # frames share dims and ncomp, so the first one speaks for all
-    if series.frames[0].ndim_grid != ndim or series.frames[0].ncomp != 3:
-        raise ConfigError(f"{key} must hold {ndim}D 3-component fields")
+
+    def rejected(problem) -> ConfigError:
+        return ConfigError(f"{key}={path}: {problem}")
+
+    try:
+        series = _read_series(Path(path))
+    except (OSError, ValueError) as exc:
+        raise rejected(exc) from exc
+    # frames share dims, extents and ncomp, so the first one speaks for all
+    frame = series.frames[0]
+    if frame.ndim_grid != ndim or ncomp not in (None, frame.ncomp):
+        want = f"{ndim}D" if ncomp is None else f"{ndim}D {ncomp}-component"
+        raise rejected(f"must hold {want} fields, got {frame.ndim_grid}D {frame.ncomp}-component")
+    if one_field and len(series) != 1:
+        raise rejected(f"must be one field, got {len(series)} frames")
+    if on is not None:
+        ref_key, ref = on
+        if same_grid and frame.dims != ref.dims:
+            raise rejected(f"must lie on the grid {ref.dims} of {ref_key}, got {frame.dims}")
+        # the relative tolerance of project_field_to_basis
+        if any(abs(e - r) > 1e-12 * r for e, r in zip(frame.extents, ref.extents)):
+            raise rejected(f"must lie on the box {ref.extents} of {ref_key}, got {frame.extents}")
     return series
 
 
@@ -274,19 +313,16 @@ def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
 
 
 def cmd_project(cfg: RunConfig) -> int:
-    u0_path = cfg["io.u0"]
     slice_dims = cfg["slice.dims"]
     chart = _chart_from_config(cfg)
-    u0 = read_field(u0_path)
-    if u0.ndim_grid != 3:
-        raise ConfigError("io.u0 must be a 3D field")
+    # read and restrict every input before the output directory exists, so a
+    # run that exits 2 leaves nothing behind
+    u0 = _read_input(cfg, "io.u0", 3, one_field=True).frames[0]
+    series = _read_input(cfg, "io.forcing", 3, optional=True, on=("io.u0", u0))
     dom = slice_domain(Box3.from_extents(u0.extents), chart)
     if dom.is_empty:
         raise GeometryError("plane does not intersect the field's box")
-    # read and restrict every input before the output directory exists, so a
-    # run that exits 2 leaves nothing behind
     u0_slice = restrict_to_slice(u0, chart, slice_dims)
-    series = _read_forcing(cfg, "io.forcing", 3)
     f_slices = [] if series is None else [
         restrict_to_slice(frame, chart, slice_dims) for frame in series.frames
     ]
@@ -323,7 +359,7 @@ def cmd_project(cfg: RunConfig) -> int:
             "files": {"u0_slice": "u0_slice.nsf1", "forcing": forcing_entry},
         },
     )
-    logger.info("projected %s onto plane, section area %.6g", u0_path, dom.area)
+    logger.info("projected %s onto plane, section area %.6g", cfg["io.u0"], dom.area)
     return EXIT_OK
 
 
@@ -343,18 +379,11 @@ def _frame_runs(nframes: int, frame_bytes: int) -> list:
     return np.array_split(np.arange(nframes), nfiles)
 
 
-def _read_u0_slice(path: str) -> Field:
-    u0 = read_field(path)
-    if u0.ndim_grid != 2 or u0.ncomp != 3:
-        raise ConfigError("io.u0_slice must be a 2D 3-component field")
-    return u0
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     chart = _chart_from_config(cfg)
-    u0 = _read_u0_slice(cfg["io.u0_slice"])
-    forcing = _read_forcing(cfg, "io.forcing_slice", 2)
+    u0 = _read_input(cfg, "io.u0_slice", 2, one_field=True).frames[0]
+    forcing = _read_input(cfg, "io.forcing_slice", 2, optional=True, on=("io.u0_slice", u0))
     basis = _basis_from_config(cfg, u0.extents)
     tensors = assemble(basis, chart)
     f_of_t = None if forcing is None else series_forcing(forcing, basis)
@@ -432,24 +461,19 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     chart = _chart_from_config(cfg)
     delta = cfg["uniq.delta"]
-    u0_path = cfg.get("io.u0_slice")
-    if u0_path:
-        u0 = _read_u0_slice(u0_path)
-        extents = u0.extents
-    else:
-        extents = cfg["basis.extents"]
-    basis = _basis_from_config(cfg, extents)
+    u0 = _read_input(cfg, "io.u0_slice", 2, optional=True, one_field=True)
+    basis = _basis_from_config(cfg, cfg["basis.extents"] if u0 is None else u0.frames[0].extents)
     tensors = assemble(basis, chart)
-    if u0_path:
-        u0_coeffs = project_field_to_basis(u0, basis).ravel()
-    else:
+    if u0 is None:
         u0_coeffs = _synthetic_u0(cfg, tensors)
+    else:
+        u0_coeffs = project_field_to_basis(u0.frames[0], basis).ravel()
     report = analysis.uniqueness_experiment(
         tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed, mode=cfg["uniq.mode"]
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "contraction_report.json", report.to_dict())
+    write_json(out / "contraction_report.json", vars(report))
     logger.info(
         "uniqueness experiment: delta=%g fitted C=%g passed=%s",
         delta,
@@ -462,21 +486,12 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
 def cmd_quadform(cfg: RunConfig) -> int:
     nu = cfg["quadform.nu"]
     emit_fields = cfg["quadform.emit_fields"]
-    series = _read_series(Path(cfg["io.v"]))
+    series = _read_input(cfg, "io.v", 3)
     ref = series.frames[0]
-    if ref.ndim_grid != 3 or ref.ncomp != 3:
-        raise ConfigError("io.v must be 3D with 3 components")
     lambda1 = qf.box_lambda1(ref.extents)
-    w_path = cfg.get("io.w")
-    wfield = None
-    if w_path is not None:
-        w_series = _read_series(Path(w_path))
-        if len(w_series) != 1:
-            raise ConfigError(f"io.w must be one field in quadform, got {len(w_series)} frames")
-        wfield = w_series.frames[0]
-        if (wfield.ncomp, wfield.dims, wfield.extents) != (3, ref.dims, ref.extents):
-            raise ConfigError("io.w must be a 3-component field on the grid and box of io.v")
-
+    # io.w is optional here: it adds the signed integral of B(w, w)
+    w = _read_input(cfg, "io.w", 3, optional=True, one_field=True, on=("io.v", ref),
+                    same_grid=True)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     norms = []
@@ -496,8 +511,8 @@ def cmd_quadform(cfg: RunConfig) -> int:
                 Field(dims=frame.dims, extents=frame.extents, ncomp=3, data=bgrid),
                 out / f"canonical_b_{i:04d}.nsf1",
             )
-        if wfield is not None and i == 0:
-            signed = qf.signed_integral(strain, wfield)
+        if w is not None and i == 0:
+            signed = qf.signed_integral(strain, w.frames[0])
         # release this frame's gradient and coefficients before the next is built
         del strain, dec
     report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, cfg["quadform.c_gn"])
@@ -511,7 +526,7 @@ def cmd_quadform(cfg: RunConfig) -> int:
         out / "quadform_criterion.csv",
         ["time", "lhs", "rhs_1", "rhs_2", "rhs_3", "satisfied"],
         [
-            [r.time, r.lhs, *r.rhs_per_component, int(r.satisfied)]
+            [r.time, report.lhs, *r.rhs_per_component, int(r.satisfied)]
             for r in report.rows
         ],
     )
@@ -523,14 +538,12 @@ def cmd_stratify(cfg: RunConfig) -> int:
     eps = cfg["stratify.eps"]
     # kept referenced to the end: with the frames freed before the verdict,
     # its temporaries took about 12k more minor page faults on four 64^3 frames
-    data = _read_series(Path(cfg["io.w"]))
+    data = _read_input(cfg, "io.w", 3, ncomp=None)
     mask = st.mask_from_field(data, eps)
     verdict = st.stratification_verdict(mask, directions=cfg["stratify.directions"])
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    payload = verdict.to_dict()
-    payload["eps"] = eps
-    write_json(out / "stratify_report.json", payload)
+    write_json(out / "stratify_report.json", {**vars(verdict), "eps": eps})
     rows = []
     for p in verdict.profiles:
         for off, meas in zip(p.offsets, p.measures):

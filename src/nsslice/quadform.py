@@ -214,7 +214,6 @@ def gradient_norms(v: Field) -> np.ndarray:
 class CriterionRow:
     time: float
     rhs_per_component: tuple[float, float, float]  # c^2 sum_i ||D_i v_j||
-    lhs: float                                     # nu * lambda1^(1/4)
     satisfied_per_component: tuple[bool, bool, bool]
     satisfied: bool
 
@@ -248,7 +247,6 @@ class CriterionReport:
                 CriterionRow(
                     time=float(t),
                     rhs_per_component=rhs,
-                    lhs=lhs,
                     satisfied_per_component=sat,
                     satisfied=all(sat),
                 )
@@ -256,26 +254,16 @@ class CriterionReport:
         return cls(nu=nu, lambda1=lambda1, c_gn=c_gn, rows=rows)
 
     @property
+    def lhs(self) -> float:
+        """nu * lambda1^(1/4), the left side of every row."""
+        return self.nu * self.lambda1**0.25
+
+    @property
     def satisfied(self) -> bool:
         return all(r.satisfied for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "lambda1": self.lambda1,
-            "c_gn": self.c_gn,
-            "lhs": self.nu * self.lambda1**0.25,
-            "satisfied": self.satisfied,
-            "rows": [
-                {
-                    "time": r.time,
-                    "rhs_per_component": list(r.rhs_per_component),
-                    "satisfied_per_component": list(r.satisfied_per_component),
-                    "satisfied": r.satisfied,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**vars(self), "lhs": self.lhs, "satisfied": self.satisfied}
 
 
 def uniqueness_criterion(

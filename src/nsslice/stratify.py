@@ -145,18 +145,6 @@ class DirectionProfile:
     interval_length: float
     positive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": list(self.direction),
-            "offsets": self.offsets.tolist(),
-            "measures": self.measures.tolist(),
-            "area_tol": self.area_tol,
-            "interval_tol": self.interval_tol,
-            "best_run_slabs": self.best_run_slabs,
-            "interval_length": self.interval_length,
-            "positive": self.positive,
-        }
-
 
 @dataclass
 class StratifyVerdict:
@@ -165,15 +153,6 @@ class StratifyVerdict:
     total_volume: float
     volume_tol: float
     profiles: list[DirectionProfile]
-
-    def to_dict(self) -> dict:
-        return {
-            "positive": self.positive,
-            "oracle_positive": self.oracle_positive,
-            "total_volume": self.total_volume,
-            "volume_tol": self.volume_tol,
-            "profiles": [p.to_dict() for p in self.profiles],
-        }
 
 
 def _longest_run(flags: np.ndarray) -> int:

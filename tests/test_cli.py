@@ -84,20 +84,36 @@ def test_project_missing_plane_errors(tmp_path):
     ("project", "plane.offset=5.0"),
     ("quadform", "io.w={tmp}/missing.nsf1"),
     ("quadform", "io.w={tmp}/w_coarse.nsf1"),
+    ("project", "io.u0={tmp}/missing.nsf1"),
+    ("project", "io.u0={tmp}/one_component.nsf1"),
+    ("project", "io.forcing={tmp}/box_2.nsf1"),
+    ("solve", "io.forcing_slice={tmp}/slice_box_2.nsf1"),
+    ("stratify", "io.w={tmp}/slice.nsf1"),
 ])
-def test_exit_2_creates_no_output_directory(tmp_path, capsys, command, setting):
-    # every input is read and checked before the output directory is made
-    src = tmp_path / "u0.nsf1"
-    write_u0_3d(src, dims=(9, 9, 9))
+def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, command, setting):
+    # every input is read and checked before assembly and before the output
+    # directory is made, and an input error names its key and file
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before checking the inputs")
+
+    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
     write_u0_3d(tmp_path / "w_coarse.nsf1", dims=(5, 5, 5))
-    args = {
-        "project": ["--set", f"io.u0={src}", "--set", "plane.normal=0,0,1"],
-        "quadform": ["--set", f"io.v={src}", "--set", "quadform.nu=0.5"],
-    }[command]
+    for name, dims, extents, ncomp in [
+        ("one_component.nsf1", (9, 9, 9), (1.0, 1.0, 1.0), 1),
+        ("box_2.nsf1", (9, 9, 9), (2.0, 2.0, 2.0), 3),
+        ("slice_box_2.nsf1", (9, 9), (2.0, 2.0), 3),
+        ("slice.nsf1", (9, 9), (1.0, 1.0), 3),
+    ]:
+        write_field(Field(dims, extents, ncomp, np.ones((ncomp, *dims))), tmp_path / name)
+    setting = setting.format(tmp=tmp_path)
     out = tmp_path / "out"
-    rc = main([command, "--out", str(out), *args, "--set", setting.format(tmp=tmp_path)])
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", setting])
     assert rc == EXIT_ERROR
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if setting.startswith("io."):
+        assert f"error: {setting}: " in err
     assert not out.exists()
 
 
@@ -499,7 +515,8 @@ def test_u0_slice_shape_checked_before_assembly(tmp_path, monkeypatch, capsys, c
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
                "--set", f"io.u0_slice={src}"])
     assert rc == EXIT_ERROR
-    assert "io.u0_slice must be a 2D 3-component field" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: io.u0_slice={src}: must hold 2D 3-component fields, got " in err
     assert not out.exists()
 
 
@@ -939,7 +956,8 @@ def test_one_component_forcing_rejected_before_any_work(tmp_path, monkeypatch, c
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
                "--set", f"{key}={f1}"])
     assert rc == EXIT_ERROR
-    assert f"error: {key} must hold {len(dims)}D 3-component fields" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {key}={f1}: must hold {len(dims)}D 3-component fields, got " in err
     assert not out.exists()
 
 
@@ -958,11 +976,12 @@ def test_quadform_w_manifest_is_its_one_frame(tmp_path):
     assert "signed_integral" in json.loads(reports[0])
 
 
-@pytest.mark.parametrize("w, message", [
-    ("two_frames", "io.w must be one field in quadform, got 2 frames"),
-    ("other_box", "io.w must be a 3-component field on the grid and box of io.v"),
+@pytest.mark.parametrize("w, problem", [
+    pytest.param("two_frames", "must be one field, got 2 frames", id="two_frames"),
+    pytest.param("other_box", "must lie on the box (1.0, 1.0, 1.0) of io.v, got (3.0, 3.0, 3.0)",
+                 id="other_box"),
 ])
-def test_quadform_rejects_w_unlike_v(tmp_path, capsys, w, message):
+def test_quadform_rejects_w_unlike_v(tmp_path, capsys, w, problem):
     # the signed integral weighs w on io.v's box: a series of several frames,
     # or a field with v's dims on another box, exits 2 before any output
     args = _runnable_args("quadform", tmp_path)
@@ -978,7 +997,7 @@ def test_quadform_rejects_w_unlike_v(tmp_path, capsys, w, message):
     out = tmp_path / "qf"
     rc = main(["quadform", "--out", str(out), *args, "--set", f"io.w={path}"])
     assert rc == EXIT_ERROR
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: io.w={path}: {problem}" in capsys.readouterr().err
     assert not out.exists()
 
 
