@@ -150,9 +150,6 @@ KEYS = {
     "solver.T": (_positive(float), REQUIRED),
     "solver.record_every": (_positive(int), "1"),
     "uniq.delta": (_nonnegative(float), "1e-8"),
-    "uniq.mode": (_checked(str, lambda v: v in ("initial", "dt"), "must be 'initial' or 'dt'"),
-                  "initial"),
-    "uniq.amplitude": (_positive(float), "1.0"),
     "quadform.nu": (_positive(float), REQUIRED),
     "quadform.c_gn": (_positive(float), "1.0"),
     "quadform.emit_fields": (_bool, "false"),
@@ -181,6 +178,8 @@ REMOVED_KEYS = {
     "stratify.area_tol": f"a positive slice carries {st.AREA_TOL_FACES:g} voxel faces or more",
     "stratify.interval_tol": f"a positive interval spans {st.INTERVAL_TOL_SLABS:g} slabs or more",
     "stratify.volume_tol": f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
+    "uniq.mode": "the dt/2 difference is the time error, which mms measures",
+    "uniq.amplitude": "the seeded state has unit amplitude; set io.u0_slice for another field",
 }
 
 
@@ -451,10 +450,9 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
     """Seeded smooth random divergence-free coefficients."""
     rng = np.random.default_rng(cfg.seed)
     m = tensors.nmodes_total
-    amp = cfg["uniq.amplitude"]
     # draw and decay are listed by increasing eigenvalue, then put on the modes
     drawn = rng.standard_normal((3, m)) * np.exp(-0.5 * np.arange(m) / 4.0)
-    return amp * tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
+    return tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
 
 
 def cmd_uniqueness(cfg: RunConfig) -> int:
@@ -468,9 +466,7 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
         u0_coeffs = _synthetic_u0(cfg, tensors)
     else:
         u0_coeffs = project_field_to_basis(u0.frames[0], basis).ravel()
-    report = analysis.uniqueness_experiment(
-        tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed, mode=cfg["uniq.mode"]
-    )
+    report = analysis.uniqueness_experiment(tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "contraction_report.json", vars(report))

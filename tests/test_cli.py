@@ -439,10 +439,13 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     ("stratify.area_tol", "1", "stratify"),
     ("stratify.interval_tol", "1", "stratify"),
     ("stratify.volume_tol", "1", "stratify"),
+    ("uniq.mode", "dt", "uniqueness"),
+    ("uniq.amplitude", "2", "uniqueness"),
 ])
 def test_removed_threshold_keys_rejected(tmp_path, capsys, key, value, command):
-    # these thresholds come from the input or are fixed constants; a key that
-    # used to override one exits 2 with the reason before any output exists
+    # these thresholds come from the input or are fixed constants, and uniqueness
+    # runs one experiment on one seeded state; a removed key exits 2 with the
+    # reason before any output exists
     out = tmp_path / "o"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
                "--set", f"{key}={value}"])
@@ -484,7 +487,7 @@ def test_unknown_key_rejected_with_hint(tmp_path, capsys, command, typo, hint):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", ["uniq.mode=bogus", "uniq.amplitude=-1"])
+@pytest.mark.parametrize("override", ["uniq.delta=-1e-8", "uniq.delta=nan"])
 def test_uniqueness_values_checked_before_assembly(tmp_path, monkeypatch, capsys, override):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the config values")
@@ -571,8 +574,8 @@ def test_config_values_parse_to_typed_values(tmp_path):
 @pytest.mark.parametrize(
     "override",
     ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
-     "uniq.delta=-1e-8", "stratify.eps=-0.1", "uniq.amplitude=0", "stratify.directions=1,1",
-     "quadform.emit_fields=maybe", "mms.n_temporal=0"],
+     "uniq.delta=-1e-8", "stratify.eps=-0.1", "solver.record_every=0",
+     "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_temporal=0"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it
