@@ -161,7 +161,8 @@ KEYS = {
     "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2,
                             "needs at least 2 mode counts for a spatial ratio"), "8,16"),
     "mms.n_temporal": (_positive(int), "16"),
-    "mms.dt_list": (_checked(_reals, lambda v: len(v) >= 3,
+    # halving_steps raises on a list whose steps do not halve
+    "mms.dt_list": (_checked(_reals, lambda v: len(v) >= 3 and mms_mod.halving_steps(v),
                              "needs at least 3 steps for a temporal order"), "2e-3,1e-3,5e-4"),
     "mms.min_ratio": (_positive(float), "10.0"),
     "mms.min_order": (_positive(float), "3.8"),
@@ -301,8 +302,8 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
         ref_key, ref = on
         if same_grid and frame.dims != ref.dims:
             raise rejected(f"must lie on the grid {ref.dims} of {ref_key}, got {frame.dims}")
-        # the relative tolerance of project_field_to_basis
-        if any(abs(e - r) > 1e-12 * r for e, r in zip(frame.extents, ref.extents)):
+        if any(abs(e - r) > galerkin.EXTENTS_REL_TOL * r
+               for e, r in zip(frame.extents, ref.extents)):
             raise rejected(f"must lie on the box {ref.extents} of {ref_key}, got {frame.extents}")
     return series
 
@@ -555,14 +556,10 @@ def cmd_stratify(cfg: RunConfig) -> int:
 
 def cmd_mms(cfg: RunConfig) -> int:
     chart = _chart_from_config(cfg)
-    nu, t_end, dt_list = cfg["mms.nu"], cfg["mms.T"], cfg["mms.dt_list"]
-    try:
-        mms_mod.halving_steps(dt_list)
-    except ValueError as exc:
-        raise ConfigError(f"mms.dt_list: {exc}") from exc
+    nu, t_end = cfg["mms.nu"], cfg["mms.T"]
     ms = mms_mod.ManufacturedSolution(extents=tuple(cfg["basis.extents"]), chart=chart, nu=nu)
     rows = mms_mod.spatial_convergence(ms, cfg["mms.n_list"], cfg["mms.dt"], t_end)
-    temporal = mms_mod.temporal_convergence(ms, cfg["mms.n_temporal"], dt_list, t_end)
+    temporal = mms_mod.temporal_convergence(ms, cfg["mms.n_temporal"], cfg["mms.dt_list"], t_end)
     ratio = rows[0]["error"] / rows[-1]["error"] if rows[-1]["error"] > 0 else float("inf")
     order = min(temporal["orders"]) if temporal["orders"] else float("nan")
     checks = {

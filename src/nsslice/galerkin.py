@@ -62,6 +62,9 @@ RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
 
+#: Relative per-axis tolerance within which a field lies on a basis's box.
+EXTENTS_REL_TOL = 1e-12
+
 
 class GalerkinError(RuntimeError):
     """Solver-level failure."""
@@ -643,7 +646,7 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
             f"grid {fld.dims} too coarse for modes {basis.nmodes}; need dims >= N + 2"
         )
     for axis in range(2):
-        if abs(fld.extents[axis] - basis.extents[axis]) > 1e-12 * basis.extents[axis]:
+        if abs(fld.extents[axis] - basis.extents[axis]) > EXTENTS_REL_TOL * basis.extents[axis]:
             raise ValueError(
                 f"field extents {fld.extents} do not match basis extents {basis.extents}"
             )

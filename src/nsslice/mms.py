@@ -23,8 +23,8 @@ evaluated on the grid by forward-mode differentiation: psi and u3b are built
 from sines, products, integer powers and exp in order-3 bivariate truncated
 Taylor arithmetic (:class:`Jet`), which carries every partial derivative up to
 order 3 exactly to round-off (Griewank & Walther, *Evaluating Derivatives*,
-2008).  The projections of a, b and c are computed once per basis, so the
-forcing at a stage time costs three scaled sums.  Shapes use squared-sine
+2008).  The projections of a, b and c are computed once per mode count, so
+the forcing at a stage time costs three scaled sums.  Shapes use squared-sine
 boundary envelopes times exp(sin(...)) factors: smooth, zero on the boundary,
 and with slowly enough decaying sine coefficients that spatial convergence is
 measurable above the round-off floor.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import galerkin
-from .galerkin import OperatorTensors, SpectralBasis, Trace, project_divfree, solve_from_state
+from .galerkin import OperatorTensors, SpectralBasis, project_divfree, solve_from_state
 from .geometry import SliceChart, projected_gradient_coeffs
 
 # A jet holds the Taylor coefficients f_ij = D1^i D2^j f / (i! j!), i + j <= 3,
@@ -125,19 +125,21 @@ class Jet:
         return self.coeffs * _FACTORIALS[:, None, None]
 
 
-@dataclass
-class _BasisData:
-    """Quadrature grid and sine tables of one basis, with what is built on them once."""
+@dataclass(frozen=True)
+class _Record:
+    """The n x n basis on the solution's box and everything built on it, once."""
 
-    xg: np.ndarray
+    basis: SpectralBasis
+    xg: np.ndarray           # Gauss grid and weights
     wx: np.ndarray
     yg: np.ndarray
     wy: np.ndarray
-    s1: np.ndarray
+    s1: np.ndarray           # sine tables on the grid
     s2: np.ndarray
-    u_grid: np.ndarray | None = None       # a = U on the grid
-    forcing: tuple | None = None           # projections of a, b, c
-    tensors: OperatorTensors | None = None
+    u_grid: np.ndarray       # a = U on the grid
+    forcing: tuple           # projections of a, b, c
+    tensors: OperatorTensors
+    finals: dict             # (dt, t_end) -> read-only final state
 
 
 @dataclass
@@ -157,6 +159,9 @@ class ManufacturedSolution:
     g(t)^2 c with a = U, b = -nu A1 U and c = (W . grad) U fixed in time,
     read off the Taylor jets of psi and u3b on the requested grid.  The split
     holds only while g(t) is the sole time dependence of the solution.
+
+    Every method that needs a basis takes a mode count n and uses the n x n
+    basis on extents; what is built for n is kept and reused.
     """
 
     extents: tuple[float, float] = (1.0, 1.0)
@@ -176,7 +181,7 @@ class ManufacturedSolution:
         self.c1, self.c2 = float(c1v), float(c2v)
         if int(self.envelope_power) < 2:
             raise ValueError("envelope_power must be >= 2")
-        self._proj_cache: dict = {}
+        self._records: dict[int, _Record] = {}
 
     def _amplitude(self, t: float) -> tuple[float, float]:
         """g'(t) and g(t) for g(t) = 1 + sin(omega t) / 2."""
@@ -204,53 +209,42 @@ class ManufacturedSolution:
         a, b, c = self._forcing_fields(xg, yg)
         return dg * a + g * b + g * g * c
 
-    # quadrature plumbing -------------------------------------------------
-    def _quad(self, basis: SpectralBasis) -> _BasisData:
-        key = basis.nmodes
-        if key not in self._proj_cache:
-            q = 3 * max(basis.nmodes) + 16
+    def _record(self, n: int) -> _Record:
+        """The record of the n x n basis, built on the first request for n."""
+        n = int(n)
+        if n not in self._records:
+            basis = SpectralBasis(nmodes=(n, n), extents=self.extents)
+            q = 3 * n + 16
             xg, wx = gauss_rule(basis.extents[0], q)
             yg, wy = gauss_rule(basis.extents[1], q)
-            s1 = basis.sine_table(0, xg)
-            s2 = basis.sine_table(1, yg)
-            self._proj_cache[key] = _BasisData(xg, wx, yg, wy, s1, s2)
-        return self._proj_cache[key]
-
-    def _project(self, values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-        quad = self._quad(basis)
-        weighted = values * quad.wx[None, :, None] * quad.wy[None, None, :]
-        grid = (quad.s1 @ weighted @ quad.s2.T) / basis.mass_scale
-        return basis.gather(grid)
-
-    def _split(self, basis: SpectralBasis) -> _BasisData:
-        """The basis data with a = U on its grid and a, b, c projected, once per basis."""
-        quad = self._quad(basis)
-        if quad.forcing is None:
-            fields = self._forcing_fields(quad.xg, quad.yg)
-            quad.u_grid = fields[0]
-            quad.forcing = tuple(self._project(v, basis) for v in fields)
-        return quad
+            s1, s2 = basis.sine_table(0, xg), basis.sine_table(1, yg)
+            fields = self._forcing_fields(xg, yg)
+            forcing = tuple(
+                basis.gather((s1 @ (v * wx[None, :, None] * wy[None, None, :]) @ s2.T)
+                             / basis.mass_scale)
+                for v in fields
+            )
+            tensors = galerkin.assemble(basis, self.chart)
+            self._records[n] = _Record(basis, xg, wx, yg, wy, s1, s2, fields[0], forcing,
+                                       tensors, {})
+        return self._records[n]
 
     def operators(self, n: int) -> OperatorTensors:
-        """Galerkin operators of the n x n basis on this chart, assembled once."""
-        basis = SpectralBasis(nmodes=(int(n), int(n)), extents=self.extents)
-        quad = self._quad(basis)
-        if quad.tensors is None:
-            quad.tensors = galerkin.assemble(basis, self.chart)
-        return quad.tensors
+        """Galerkin operators of the n x n basis on this chart."""
+        return self._record(n).tensors
 
-    def exact_coeffs(self, t: float, basis: SpectralBasis) -> np.ndarray:
+    def exact_coeffs(self, t: float, n: int) -> np.ndarray:
+        """(3, M) coordinates of the exact velocity at t in the n x n basis."""
         _, g = self._amplitude(t)
-        return g * self._split(basis).forcing[0]
+        return g * self._record(n).forcing[0]
 
-    def forcing_coeffs(self, basis: SpectralBasis):
-        """Callable t -> (3, M) basis coordinates of the forcing.
+    def forcing_coeffs(self, n: int):
+        """Callable t -> (3, M) coordinates of the forcing in the n x n basis.
 
-        The three fixed fields a, b, c are projected on the first request for
-        a basis and kept with its quadrature grid; each call then combines
-        the projections with g'(t), g(t) and g(t)^2.
+        Each call combines the projections of the fixed fields a, b, c with
+        g'(t), g(t) and g(t)^2.
         """
-        pa, pb, pc = self._split(basis).forcing
+        pa, pb, pc = self._record(n).forcing
 
         def f_of_t(t: float) -> np.ndarray:
             dg, g = self._amplitude(t)
@@ -258,23 +252,29 @@ class ManufacturedSolution:
 
         return f_of_t
 
-    def l2_error(self, coeffs: np.ndarray, t: float, basis: SpectralBasis) -> float:
+    def l2_error(self, coeffs: np.ndarray, t: float, n: int) -> float:
         """True L2 distance between the expansion and the exact velocity."""
-        quad = self._split(basis)
+        rec = self._record(n)
         _, g = self._amplitude(t)
-        grids = basis.scatter(np.asarray(coeffs).reshape(3, -1))
-        diff = quad.s1.T @ grids @ quad.s2 - g * quad.u_grid
-        return float(np.sqrt(np.sum(diff**2 * quad.wx[None, :, None] * quad.wy[None, None, :])))
+        grids = rec.basis.scatter(np.asarray(coeffs).reshape(3, -1))
+        diff = rec.s1.T @ grids @ rec.s2 - g * rec.u_grid
+        return float(np.sqrt(np.sum(diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :])))
 
-    def solve(
-        self,
-        tensors: OperatorTensors,
-        dt: float,
-        t_end: float,
-    ) -> Trace:
-        basis = tensors.basis
-        start = project_divfree(self.exact_coeffs(0.0, basis).ravel(), tensors)
-        return solve_from_state(start, self.forcing_coeffs(basis), tensors, self.nu, dt, t_end)
+    def final(self, n: int, dt: float, t_end: float) -> np.ndarray:
+        """Read-only (3M,) state at t_end of the forced solve from the exact start.
+
+        The start is the exact velocity at t = 0 projected on the n x n basis
+        and its divergence-free subspace.  Each (dt, t_end) is solved once.
+        """
+        rec = self._record(n)
+        key = (float(dt), float(t_end))
+        if key not in rec.finals:
+            start = project_divfree(self.exact_coeffs(0.0, n).ravel(), rec.tensors)
+            trace = solve_from_state(start, self.forcing_coeffs(n), rec.tensors, self.nu, dt, t_end)
+            state = trace.coeffs[-1].copy()
+            state.flags.writeable = False
+            rec.finals[key] = state
+        return rec.finals[key]
 
 
 def halving_steps(dt_list) -> list[float]:
@@ -292,12 +292,10 @@ def spatial_convergence(
     t_end: float,
 ) -> list[dict]:
     """L2 error at t_end for each mode count; errors should drop spectrally."""
-    rows = []
-    for n in n_list:
-        tensors = ms.operators(n)
-        err = ms.l2_error(ms.solve(tensors, dt, t_end).coeffs[-1], t_end, tensors.basis)
-        rows.append({"n": int(n), "dt": dt, "error": err})
-    return rows
+    return [
+        {"n": int(n), "dt": dt, "error": ms.l2_error(ms.final(n, dt, t_end), t_end, n)}
+        for n in n_list
+    ]
 
 
 def temporal_convergence(
@@ -312,11 +310,8 @@ def temporal_convergence(
     order reflects the time integrator alone.
     """
     dts = halving_steps(dt_list)
-    tensors = ms.operators(n)
-    finals = [ms.solve(tensors, dt, t_end).coeffs[-1] for dt in dts]
-    diffs = [
-        tensors.norm_h(a - b) for a, b in zip(finals, finals[1:])
-    ]
+    finals = [ms.final(n, dt, t_end) for dt in dts]
+    diffs = [ms.operators(n).norm_h(a - b) for a, b in zip(finals, finals[1:])]
     orders = [
         float(np.log2(d0 / d1)) for d0, d1 in zip(diffs, diffs[1:]) if d1 > 0.0
     ]

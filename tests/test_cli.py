@@ -810,7 +810,7 @@ def test_mms_degenerate_lists_rejected_before_solving(tmp_path, monkeypatch, cap
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the study lists")
 
-    monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "solve", no_solve)
+    monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "final", no_solve)
     out = tmp_path / "mms"
     assert main(["mms", "--out", str(out), *MMS_SMALL, "--set", override]) == EXIT_ERROR
     assert override.split("=")[0] in capsys.readouterr().err
@@ -818,18 +818,26 @@ def test_mms_degenerate_lists_rejected_before_solving(tmp_path, monkeypatch, cap
 
 
 def test_mms_assembles_each_basis_once(tmp_path, monkeypatch):
-    # default study shape: the spatial study's n=16 basis is the temporal one
-    calls = []
+    # default study shape: the spatial study's n=16 basis is the temporal one,
+    # and its (n=16, dt=1e-3) final is the temporal study's middle step
+    calls, solves = [], []
     assemble = nsslice.galerkin.assemble
+    solve = nsslice.mms.solve_from_state
 
     def counted(basis, chart):
         calls.append(basis.nmodes)
         return assemble(basis, chart)
 
+    def counted_solve(start, f_of_t, tensors, nu, dt, t_end):
+        solves.append((tensors.basis.nmodes[0], dt))
+        return solve(start, f_of_t, tensors, nu, dt, t_end)
+
     monkeypatch.setattr(nsslice.galerkin, "assemble", counted)
+    monkeypatch.setattr(nsslice.mms, "solve_from_state", counted_solve)
     rc = main(["mms", "--out", str(tmp_path / "mms"), "--set", "mms.T=0.01"])
     assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
     assert calls == [(8, 8), (16, 16)]
+    assert solves == [(8, 1e-3), (16, 1e-3), (16, 2e-3), (16, 5e-4)]
 
 
 def test_mms_runs_without_sympy(tmp_path):

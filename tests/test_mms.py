@@ -4,7 +4,8 @@ import sympy as sp
 from mms_symbolic import SymbolicMMS
 from oracles import velocity, velocity_field
 
-from nsslice.galerkin import SpectralBasis, assemble, divergence_residual
+import nsslice.galerkin
+from nsslice.galerkin import divergence_residual
 from nsslice.geometry import Hyperplane, make_chart
 from nsslice.mms import ManufacturedSolution, gauss_rule
 
@@ -55,11 +56,11 @@ def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
     # oracle: project the full time-dependent forcing expressions directly
     t, x, y = oblique_sym.symbols
     full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_sym.f_exprs]
-    for nmodes in ((10, 10), (7, 10)):
-        basis = SpectralBasis(nmodes, (1.0, 1.0))
-        quad = oblique_ms._quad(basis)
+    for n in (10, 7):
+        quad = oblique_ms._record(n)
+        basis = quad.basis
         xm, ym = np.meshgrid(quad.xg, quad.yg, indexing="ij")
-        f_of_t = oblique_ms.forcing_coeffs(basis)
+        f_of_t = oblique_ms.forcing_coeffs(n)
         for tv in (0.0, 0.0137, 0.25, 1.3):
             vals = np.stack([np.broadcast_to(f(tv, xm, ym), xm.shape) for f in full])
             pointwise = oblique_ms.forcing_values(tv, quad.xg, quad.yg)
@@ -101,23 +102,32 @@ def test_jet_fields_match_symbolic_oracle(chart, extents, power):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_forcing_projected_once_per_basis(oblique_ms, monkeypatch):
+def test_forcing_projected_once_per_basis(monkeypatch):
     calls = []
-    project = ManufacturedSolution._project
+    fields = ManufacturedSolution._forcing_fields
+    assemble = nsslice.galerkin.assemble
 
-    def counted(self, values, basis):
+    def counted_fields(self, xg, yg):
+        calls.append("fields")
+        return fields(self, xg, yg)
+
+    def counted_assemble(basis, chart):
         calls.append(basis.nmodes)
-        return project(self, values, basis)
+        return assemble(basis, chart)
 
-    monkeypatch.setattr(ManufacturedSolution, "_project", counted)
-    basis = SpectralBasis((9, 6), (1.0, 1.0))
-    first = oblique_ms.forcing_coeffs(basis)
-    assert len(calls) == 3  # the three fixed fields a, b, c
-    again = oblique_ms.forcing_coeffs(basis)
+    monkeypatch.setattr(ManufacturedSolution, "_forcing_fields", counted_fields)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", counted_assemble)
+    ms = ManufacturedSolution(chart=OBLIQUE, nu=0.2)
+    first = ms.forcing_coeffs(9)
+    assert calls == ["fields", (9, 9)]
+    again = ms.forcing_coeffs(9)
+    ms.exact_coeffs(0.3, 9)
+    ms.l2_error(np.zeros(3 * 81), 0.3, 9)
+    ms.operators(9)
     for k in range(100):
         tv = 0.001 * k
         assert np.array_equal(again(tv), first(tv))
-    assert len(calls) == 3
+    assert calls == ["fields", (9, 9)]
 
 
 def test_boundary_values_zero(oblique_ms):
@@ -130,19 +140,17 @@ def test_boundary_values_zero(oblique_ms):
 
 
 def test_projection_error_only(oblique_ms):
-    basis = SpectralBasis((10, 10), (1.0, 1.0))
-    coeffs = oblique_ms.exact_coeffs(0.2, basis)
-    err = oblique_ms.l2_error(coeffs, 0.2, basis)
-    norm = oblique_ms.l2_error(np.zeros_like(coeffs), 0.2, basis)
+    coeffs = oblique_ms.exact_coeffs(0.2, 10)
+    err = oblique_ms.l2_error(coeffs, 0.2, 10)
+    norm = oblique_ms.l2_error(np.zeros_like(coeffs), 0.2, 10)
     assert err < 1e-2 * norm
 
 
 def test_exact_projection_weak_divergence_spectrally_small(oblique_ms):
     prev = None
     for n in (6, 10, 14):
-        basis = SpectralBasis((n, n), (1.0, 1.0))
-        tens = assemble(basis, oblique_ms.chart)
-        res = divergence_residual(oblique_ms.exact_coeffs(0.0, basis).ravel(), tens)
+        tens = oblique_ms.operators(n)
+        res = divergence_residual(oblique_ms.exact_coeffs(0.0, n).ravel(), tens)
         if prev is not None:
             assert res < prev
         prev = res
@@ -150,12 +158,28 @@ def test_exact_projection_weak_divergence_spectrally_small(oblique_ms):
 
 
 def test_solver_tracks_exact_solution(oblique_ms):
-    basis = SpectralBasis((10, 10), (1.0, 1.0))
-    tens = assemble(basis, oblique_ms.chart)
-    res = oblique_ms.solve(tens, dt=1e-3, t_end=0.1)
-    err = oblique_ms.l2_error(res.coeffs[-1], 0.1, basis)
-    norm = oblique_ms.l2_error(np.zeros(3 * basis.nmodes_total), 0.1, basis)
+    final = oblique_ms.final(10, 1e-3, 0.1)
+    err = oblique_ms.l2_error(final, 0.1, 10)
+    norm = oblique_ms.l2_error(np.zeros_like(final), 0.1, 10)
     assert err < 2e-2 * norm
+
+
+def test_final_solved_once_read_only_and_per_mode_count():
+    # a final is bit-identical to a fresh instance's, and a record built for
+    # another mode count leaves the error of the exact coefficients unchanged
+    ms = ManufacturedSolution(extents=(1.2, 0.9), chart=OBLIQUE, nu=0.15)
+    fresh = ManufacturedSolution(extents=(1.2, 0.9), chart=OBLIQUE, nu=0.15)
+    ms.final(6, 1e-2, 0.05)
+    final = ms.final(8, 1e-2, 0.05)
+    assert not final.flags.writeable
+    with pytest.raises(ValueError):
+        final[0] = 1.0
+    assert final.shape == (3 * 64,)
+    assert np.array_equal(final, fresh.final(8, 1e-2, 0.05))
+    assert ms.final(8, 1e-2, 0.05) is final
+    ms.forcing_coeffs(12)
+    exact = ms.l2_error(ms.exact_coeffs(0.0, 8), 0.0, 8)
+    assert exact == fresh.l2_error(fresh.exact_coeffs(0.0, 8), 0.0, 8)
 
 
 def test_velocity_field_sampling(oblique_ms):
@@ -171,16 +195,12 @@ def test_self_convergence_coarse_vs_fine():
     ms = ManufacturedSolution(nu=0.1, sigma=1.0, envelope_power=8)
     finals = {}
     for n, dt in ((16, 1e-3), (24, 5e-4)):
-        basis = SpectralBasis((n, n), (1.0, 1.0))
-        tens = assemble(basis, None)
-        res = ms.solve(tens, dt=dt, t_end=0.2)
-        finals[n] = (basis, res.coeffs[-1].reshape(3, -1))
+        finals[n] = (ms.operators(n).basis, ms.final(n, dt, 0.2).reshape(3, -1))
     basis16, c16 = finals[16]
     basis24, c24 = finals[24]
     grid16 = basis16.scatter(c16)
     padded = np.zeros((3,) + basis24.nmodes)
     padded[:, :16, :16] = grid16
     diff = basis24.gather(padded) - c24
-    tens24 = assemble(basis24, None)
-    l2 = tens24.norm_h(diff)
+    l2 = ms.operators(24).norm_h(diff)
     assert l2 < 1e-6

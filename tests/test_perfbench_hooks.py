@@ -10,13 +10,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # after instrument(), drive the wrapped entry points whose callbacks read
 # attributes of their results: assemble (operator arrays and nnz),
-# ledger_from_run (inequality margin) and canonicalize (jacobi mask); and
-# synthesize_field on a (k, 3M) stack, the call that writes a solve trajectory
+# ledger_from_run (inequality margin) and canonicalize (jacobi mask);
+# synthesize_field on a (k, 3M) stack, the call that writes a solve trajectory;
+# and one manufactured final, whose forcing requests the tracer counts by
+# wrapping forcing_coeffs(self, n) with n passed on positionally
 TRACED_CALLS = """
 import json
 import numpy as np
 import tracer
-from nsslice import analysis, galerkin, quadform
+from nsslice import analysis, galerkin, mms, quadform
 from nsslice.fieldio import Field
 
 t = tracer.Tracer()
@@ -30,6 +32,7 @@ assert frames.dims == (5, 5, len(trace))
 v = Field.from_function((8, 8, 8), (1.0, 1.0, 1.0), 3,
                         lambda x, y, z: np.stack([np.sin(x + 2 * y), y * z, np.cos(z - x)]))
 quadform.canonicalize(quadform.strain_field(v))
+mms.ManufacturedSolution().final(3, 1e-2, 0.03)
 print(json.dumps({"spans": sorted({s[0] for s in t.spans}), "counters": sorted(t.counters)}))
 """
 
@@ -53,7 +56,8 @@ def test_tracer_instruments_every_hook():
     for span in ("galerkin.assemble", "galerkin.solve", "galerkin.step", "galerkin.rhs",
                  "galerkin.trilinear_apply", "galerkin.synthesize_field",
                  "analysis.ledger_from_run",
-                 "quadform.strain_field", "quadform.canonicalize"):
+                 "quadform.strain_field", "quadform.canonicalize",
+                 "mms.setup", "mms.forcing_request"):
         assert span in seen["spans"]
     for counter in ("galerkin.operator_bytes", "galerkin.trilinear_nnz",
                     "analysis.margin_over_tol", "quadform.jacobi_points", "quadform.points"):
