@@ -155,17 +155,11 @@ KEYS = {
     "quadform.emit_fields": (_bool, "false"),
     "stratify.eps": (_nonnegative(float), "0"),
     "stratify.directions": (_triples, ""),
-    "mms.nu": (_positive(float), "0.1"),
     "mms.T": (_positive(float), "0.5"),
     "mms.dt": (_positive(float), "1e-3"),
-    "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2,
-                            "needs at least 2 mode counts for a spatial ratio"), "8,16"),
-    "mms.n_temporal": (_positive(int), "16"),
-    # halving_steps raises on a list whose steps do not halve
-    "mms.dt_list": (_checked(_reals, lambda v: len(v) >= 3 and mms_mod.halving_steps(v),
-                             "needs at least 3 steps for a temporal order"), "2e-3,1e-3,5e-4"),
-    "mms.min_ratio": (_positive(float), "10.0"),
-    "mms.min_order": (_positive(float), "3.8"),
+    # increasing, so the last count is the finest, where the temporal study runs
+    "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2 and sorted(set(v)) == v,
+                            "needs at least 2 increasing mode counts"), "8,16"),
 }
 
 # keys that no longer exist, with the reason given when one is set
@@ -181,6 +175,11 @@ REMOVED_KEYS = {
     "stratify.volume_tol": f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
     "uniq.mode": "the dt/2 difference is the time error, which mms measures",
     "uniq.amplitude": "the seeded state has unit amplitude; set io.u0_slice for another field",
+    "mms.nu": f"the study runs at the solution's own nu = {mms_mod.ManufacturedSolution.nu:g}",
+    "mms.n_temporal": "the temporal study runs at the finest mode count of mms.n_list",
+    "mms.dt_list": "the temporal study's steps are 2*mms.dt, mms.dt and mms.dt/2",
+    "mms.min_ratio": f"the spatial error ratio gate is fixed at {mms_mod.MIN_SPATIAL_RATIO:g}",
+    "mms.min_order": f"the temporal order gate is fixed at {mms_mod.MIN_TEMPORAL_ORDER:g}",
 }
 
 
@@ -308,6 +307,15 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
     return series
 
 
+def _check_step_count(cfg: RunConfig, t_key: str, dt_key: str, scale: float = 1.0) -> None:
+    """Require cfg[t_key] to be a whole number of steps of scale * cfg[dt_key], before any solve."""
+    try:
+        galerkin.step_count(scale * cfg[dt_key], cfg[t_key])
+    except ValueError as exc:
+        step = dt_key if scale == 1.0 else f"{scale:g}*{dt_key}"
+        raise ConfigError(f"config keys {t_key!r} and {dt_key!r}: {exc} ({step})") from exc
+
+
 def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
     return SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
 
@@ -381,6 +389,7 @@ def _frame_runs(nframes: int, frame_bytes: int) -> list:
 
 def cmd_solve(cfg: RunConfig) -> int:
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
+    _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
     u0 = _read_input(cfg, "io.u0_slice", 2, one_field=True).frames[0]
     forcing = _read_input(cfg, "io.forcing_slice", 2, optional=True, on=("io.u0_slice", u0))
@@ -458,6 +467,7 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
 
 def cmd_uniqueness(cfg: RunConfig) -> int:
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
+    _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
     delta = cfg["uniq.delta"]
     u0 = _read_input(cfg, "io.u0_slice", 2, optional=True, one_field=True)
@@ -555,23 +565,26 @@ def cmd_stratify(cfg: RunConfig) -> int:
 
 
 def cmd_mms(cfg: RunConfig) -> int:
+    n_list, dt, t_end = cfg["mms.n_list"], cfg["mms.dt"], cfg["mms.T"]
+    # the temporal study's largest step is 2 dt
+    _check_step_count(cfg, "mms.T", "mms.dt", scale=2.0)
     chart = _chart_from_config(cfg)
-    nu, t_end = cfg["mms.nu"], cfg["mms.T"]
-    ms = mms_mod.ManufacturedSolution(extents=tuple(cfg["basis.extents"]), chart=chart, nu=nu)
-    rows = mms_mod.spatial_convergence(ms, cfg["mms.n_list"], cfg["mms.dt"], t_end)
-    temporal = mms_mod.temporal_convergence(ms, cfg["mms.n_temporal"], cfg["mms.dt_list"], t_end)
+    ms = mms_mod.ManufacturedSolution(extents=tuple(cfg["basis.extents"]), chart=chart)
+    rows = mms_mod.spatial_convergence(ms, n_list, dt, t_end)
+    # at the finest count, so the spatial study's last final is the middle step here
+    temporal = mms_mod.temporal_convergence(ms, n_list[-1], dt, t_end)
     ratio = rows[0]["error"] / rows[-1]["error"] if rows[-1]["error"] > 0 else float("inf")
     order = min(temporal["orders"]) if temporal["orders"] else float("nan")
     checks = {
-        "spatial_ratio_ok": bool(ratio >= cfg["mms.min_ratio"]),
-        "temporal_order_ok": bool(order >= cfg["mms.min_order"]),
+        "spatial_ratio_ok": bool(ratio >= mms_mod.MIN_SPATIAL_RATIO),
+        "temporal_order_ok": bool(order >= mms_mod.MIN_TEMPORAL_ORDER),
     }
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "mms_report.json",
         {
-            "nu": nu,
+            "nu": ms.nu,
             "T": t_end,
             "chart": {"alpha1": chart.alpha1, "alpha2": chart.alpha2},
             "spatial": rows,

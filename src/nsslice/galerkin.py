@@ -724,6 +724,14 @@ class Trace:
         return self.times.size
 
 
+def step_count(dt: float, t_end: float) -> int:
+    """The number of dt steps to t_end; raises ValueError unless it is a whole number >= 1."""
+    nsteps = int(round(t_end / dt))
+    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
+    return nsteps
+
+
 def solve_from_state(
     coeffs,
     f_of_t,
@@ -747,9 +755,7 @@ def solve_from_state(
     gets no call.
     """
     cur = _checked_state(coeffs, tensors)
-    nsteps = int(round(t_end / dt))
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
+    nsteps = step_count(dt, t_end)
     times = np.empty(nsteps + 1)
     trajectory = np.empty((nsteps + 1,) + cur.shape)
     t = 0.0

@@ -64,6 +64,11 @@ _UP_TO_SECOND = sum(i + j <= 2 for i, j in _EXPONENTS)
 _SHIFT_X = np.array([_INDEX[(i + 1, j)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
 _SHIFT_Y = np.array([_INDEX[(i, j + 1)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
 
+# The gates of the study.  Errors fall like N^-4.5 (see ManufacturedSolution),
+# about 23 times per doubling of N, and RK4 is fourth order in dt.
+MIN_SPATIAL_RATIO = 10.0   # error at the coarsest mode count over that at the finest
+MIN_TEMPORAL_ORDER = 3.8   # order observed on the steps 2 dt, dt and dt / 2
+
 
 def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, length]."""
@@ -277,14 +282,6 @@ class ManufacturedSolution:
         return rec.finals[key]
 
 
-def halving_steps(dt_list) -> list[float]:
-    """dt_list from the largest step down; raises ValueError unless each step halves the last."""
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    if any(abs(a / b - 2.0) > 1e-12 for a, b in zip(dts, dts[1:])):
-        raise ValueError("dt_list must halve between entries")
-    return dts
-
-
 def spatial_convergence(
     ms: ManufacturedSolution,
     n_list,
@@ -301,15 +298,15 @@ def spatial_convergence(
 def temporal_convergence(
     ms: ManufacturedSolution,
     n: int,
-    dt_list,
+    dt: float,
     t_end: float,
 ) -> dict:
-    """Richardson study on dt halving at fixed mode count.
+    """Richardson study on the steps 2 dt, dt and dt / 2 at fixed mode count.
 
     Successive-solution differences cancel the spatial error, so the observed
     order reflects the time integrator alone.
     """
-    dts = halving_steps(dt_list)
+    dts = [2.0 * dt, dt, dt / 2.0]
     finals = [ms.final(n, dt, t_end) for dt in dts]
     diffs = [ms.operators(n).norm_h(a - b) for a, b in zip(finals, finals[1:])]
     orders = [

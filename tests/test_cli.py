@@ -441,17 +441,45 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     ("stratify.volume_tol", "1", "stratify"),
     ("uniq.mode", "dt", "uniqueness"),
     ("uniq.amplitude", "2", "uniqueness"),
+    ("mms.nu", "0.2", "mms"),
+    ("mms.n_temporal", "6", "mms"),
+    ("mms.dt_list", "0.004,0.002,0.001", "mms"),
+    ("mms.min_ratio", "3", "mms"),
+    ("mms.min_order", "3.5", "mms"),
 ])
 def test_removed_threshold_keys_rejected(tmp_path, capsys, key, value, command):
-    # these thresholds come from the input or are fixed constants, and uniqueness
-    # runs one experiment on one seeded state; a removed key exits 2 with the
-    # reason before any output exists
+    # these thresholds come from the input or are fixed constants, uniqueness
+    # runs one experiment on one seeded state, and mms derives its temporal
+    # study from the spatial one; a removed key exits 2 with the reason before
+    # any output exists
     out = tmp_path / "o"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
                "--set", f"{key}={value}"])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
     assert f"config key {key!r} was removed: {nsslice.cli.REMOVED_KEYS[key]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, t_key, dt_key, t_end", [
+    ("solve", "solver.T", "solver.dt", "0.055"),
+    ("uniqueness", "solver.T", "solver.dt", "0.055"),
+    # a whole number of mms.dt = 0.002 steps, but not of the temporal study's 2*mms.dt
+    ("mms", "mms.T", "mms.dt", "0.006"),
+])
+def test_step_count_rejected_before_assembly(tmp_path, monkeypatch, capsys, command, t_key,
+                                             dt_key, t_end):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before checking the step count")
+
+    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
+               "--set", f"{t_key}={t_end}"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"config keys {t_key!r} and {dt_key!r}" in err and "integer multiple" in err
     assert not out.exists()
 
 
@@ -563,7 +591,7 @@ def test_config_values_parse_to_typed_values(tmp_path):
     assert cfg["stratify.directions"] == [(1.0, 1.0, 1.0), (1.0, -1.0, 0.0)]
     assert cfg["mms.n_list"] == [4, 8]
     # defaults are parsed like set values
-    assert cfg["basis.extents"] == [1.0, 1.0] and cfg["mms.dt_list"] == [2e-3, 1e-3, 5e-4]
+    assert cfg["basis.extents"] == [1.0, 1.0] and cfg["mms.dt"] == 1e-3
     assert cfg["stratify.eps"] == 0.0 and cfg["io.forcing"] is None
     assert nsslice.cli.RunConfig({}, str(tmp_path), seed=0)["stratify.directions"] == []
     assert cfg.get("io.u0_slice") is None
@@ -575,7 +603,7 @@ def test_config_values_parse_to_typed_values(tmp_path):
     "override",
     ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
      "uniq.delta=-1e-8", "stratify.eps=-0.1", "solver.record_every=0",
-     "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_temporal=0"],
+     "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_list=16,8"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it
@@ -750,14 +778,11 @@ def test_findings_about_the_input_exit_zero(tmp_path):
     assert rep["positive"] is False and rep["total_volume"] == 0.0
 
 
+# the temporal study runs at n = 8 on the steps 0.004, 0.002 and 0.001
 MMS_SMALL = [
     "--set", "mms.n_list=4,8",
     "--set", "mms.dt=0.002",
     "--set", "mms.T=0.1",
-    "--set", "mms.n_temporal=6",
-    "--set", "mms.dt_list=0.005,0.0025,0.00125",
-    "--set", "mms.min_ratio=3",
-    "--set", "mms.min_order=3.5",
 ]
 
 
@@ -767,21 +792,14 @@ def test_mms_subcommand_small(tmp_path):
     assert rc == EXIT_OK
     rep = json.loads((out / "mms_report.json").read_text())
     assert rep["checks"]["spatial_ratio_ok"] and rep["checks"]["temporal_order_ok"]
+    assert rep["temporal"]["dts"] == [0.004, 0.002, 0.001] and rep["nu"] == 0.1
     assert (out / "mms_spatial.csv").exists()
     assert (out / "mms_temporal.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "dropped, gates",
-    [
-        (1, []),
-        # without c the n=4 -> 8 error ratio is still about 3.7, above the small
-        # gate of 3, so the advection field needs the shipped spatial gate
-        (2, ["--set", "mms.n_list=8,16", "--set", "mms.min_ratio=10"]),
-    ],
-    ids=["diffusion-b", "advection-c"],
-)
-def test_mms_gates_fail_on_corrupted_forcing(tmp_path, monkeypatch, dropped, gates):
+# without c the n=4 -> 8 error ratio reads about 3.7, below the fixed gate of 10
+@pytest.mark.parametrize("dropped", [1, 2], ids=["diffusion-b", "advection-c"])
+def test_mms_gates_fail_on_corrupted_forcing(tmp_path, monkeypatch, dropped):
     # must-FAIL oracle: a forcing that omits one of its fixed fields no longer
     # manufactures the exact solution, so the spatial gate must trip
     fields = nsslice.mms.ManufacturedSolution._forcing_fields
@@ -793,17 +811,34 @@ def test_mms_gates_fail_on_corrupted_forcing(tmp_path, monkeypatch, dropped, gat
 
     monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "_forcing_fields", corrupted)
     out = tmp_path / "mms"
-    assert main(["mms", "--out", str(out), *MMS_SMALL, *gates]) == EXIT_CHECK_FAILED
+    assert main(["mms", "--out", str(out), *MMS_SMALL]) == EXIT_CHECK_FAILED
     checks = json.loads((out / "mms_report.json").read_text())["checks"]
     assert not checks["spatial_ratio_ok"]
+
+
+def test_mms_temporal_gate_fails_on_second_order_integrator(tmp_path, monkeypatch):
+    # must-FAIL oracle: midpoint RK2 in place of RK4 is accurate enough for the
+    # spatial gate on the small shape, but its observed order is about 2
+    rhs = nsslice.galerkin._rhs
+
+    def midpoint(coeffs, t, tensors, f_of_t, nu, dt, observer=None):
+        k1 = rhs(coeffs, t, tensors, f_of_t, nu, observer)
+        return coeffs + dt * rhs(coeffs + 0.5 * dt * k1, t + 0.5 * dt, tensors, f_of_t, nu)
+
+    monkeypatch.setattr(nsslice.galerkin, "step", midpoint)
+    out = tmp_path / "mms"
+    assert main(["mms", "--out", str(out), *MMS_SMALL]) == EXIT_CHECK_FAILED
+    rep = json.loads((out / "mms_report.json").read_text())
+    assert rep["checks"] == {"spatial_ratio_ok": True, "temporal_order_ok": False}
+    assert rep["temporal_order"] < 2.5
 
 
 @pytest.mark.parametrize(
     "override",
     [
         "mms.n_list=8",
-        "mms.dt_list=2e-3,1e-3",
-        "mms.dt_list=2e-3,1e-3,4e-4",
+        "mms.n_list=16,8",
+        "mms.n_list=8,8",
     ],
 )
 def test_mms_degenerate_lists_rejected_before_solving(tmp_path, monkeypatch, capsys, override):

@@ -17,6 +17,7 @@ from nsslice.galerkin import (
     series_forcing,
     solve_from_state,
     step,
+    step_count,
     synthesize_field,
 )
 from nsslice.geometry import Hyperplane, make_chart
@@ -552,6 +553,10 @@ def test_long_run_stays_divergence_free_without_reprojection():
 
 
 def test_solve_requires_integral_step_count(square_tensors):
+    assert step_count(1e-3, 0.5) == 500 and step_count(0.004, 0.1) == 25
+    for dt, t_end in ((0.01, 0.055), (0.004, 0.006), (0.1, 0.04)):
+        with pytest.raises(ValueError, match="integer multiple"):
+            step_count(dt, t_end)
     m = square_tensors.nmodes_total
     with pytest.raises(ValueError, match="integer multiple"):
         solve_from_state(np.zeros(3 * m), None, square_tensors, nu=0.1, dt=3e-3, t_end=0.01)
