@@ -8,6 +8,9 @@ also the NSF1 payload order.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,58 +166,70 @@ def write_field(fld: Field, path, mode: str = "binary") -> None:
 
 
 def read_field(path) -> Field:
-    """Read an NSF1 file; validates the header, payload size and finiteness."""
+    """Read an NSF1 file; validates the header, payload size and finiteness.
+
+    A binary payload is sized from the file length before anything is
+    allocated and read straight into one float array.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl1 = raw.find(b"\n")
-    if nl1 < 0:
-        raise FieldFormatError("missing header line")
-    nl2 = raw.find(b"\n", nl1 + 1)
-    if nl2 < 0:
-        raise FieldFormatError("missing payload-mode line")
-    try:
-        header = raw[:nl1].decode("ascii").split()
-        mode = raw[nl1 + 1:nl2].decode("ascii").strip()
-    except UnicodeDecodeError as exc:
-        raise FieldFormatError("header is not ASCII") from exc
-    if not header or header[0] != _MAGIC:
-        raise FieldFormatError(f"bad magic in header: {header[:1]}")
-    try:
-        k = int(header[1])
-        dims = [int(v) for v in header[2:2 + k]]
-        ncomp = int(header[2 + k])
-        extents = [float(v) for v in header[3 + k:3 + 2 * k]]
-    except (IndexError, ValueError) as exc:
-        raise FieldFormatError(f"malformed header: {raw[:nl1]!r}") from exc
-    if len(dims) != k or len(extents) != k or len(header) != 3 + 2 * k:
-        raise FieldFormatError(f"malformed header: {raw[:nl1]!r}")
-    nvals = ncomp * int(np.prod(dims))
-    payload = raw[nl2 + 1:]
-    if mode == "binary":
-        if len(payload) < 8 * nvals:
-            raise FieldFormatError(
-                f"truncated payload: {len(payload)} bytes, expected {8 * nvals}"
-            )
-        if len(payload) > 8 * nvals:
-            raise FieldFormatError(
-                f"oversized payload: {len(payload)} bytes, expected {8 * nvals}"
-            )
-        flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    elif mode == "text":
+        line1 = fh.readline()
+        if not line1.endswith(b"\n"):
+            raise FieldFormatError("missing header line")
+        line2 = fh.readline()
+        if not line2.endswith(b"\n"):
+            raise FieldFormatError("missing payload-mode line")
+        raw_header = line1[:-1]
         try:
-            flat = np.array(payload.split(), dtype=float)
-        except ValueError as exc:
-            raise FieldFormatError("unparseable text payload") from exc
-        if flat.size < nvals:
-            raise FieldFormatError(
-                f"truncated payload: {flat.size} values, expected {nvals}"
-            )
-        if flat.size > nvals:
-            raise FieldFormatError(
-                f"oversized payload: {flat.size} values, expected {nvals}"
-            )
-    else:
-        raise FieldFormatError(f"unknown payload mode {mode!r}")
+            header = raw_header.decode("ascii").split()
+            mode = line2.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise FieldFormatError("header is not ASCII") from exc
+        if not header or header[0] != _MAGIC:
+            raise FieldFormatError(f"bad magic in header: {header[:1]}")
+        try:
+            k = int(header[1])
+            dims = [int(v) for v in header[2:2 + k]]
+            ncomp = int(header[2 + k])
+            extents = [float(v) for v in header[3 + k:3 + 2 * k]]
+        except (IndexError, ValueError) as exc:
+            raise FieldFormatError(f"malformed header: {raw_header!r}") from exc
+        nvals = ncomp * math.prod(dims)
+        if (
+            k not in (2, 3)
+            or len(dims) != k
+            or len(extents) != k
+            or len(header) != 3 + 2 * k
+            or any(d < 2 for d in dims)
+            or ncomp not in (1, 3)
+            or 8 * nvals > sys.maxsize
+        ):
+            raise FieldFormatError(f"malformed header: {raw_header!r}")
+        if mode == "binary":
+            nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+            if nbytes < 8 * nvals:
+                raise FieldFormatError(
+                    f"truncated payload: {nbytes} bytes, expected {8 * nvals}"
+                )
+            if nbytes > 8 * nvals:
+                raise FieldFormatError(
+                    f"oversized payload: {nbytes} bytes, expected {8 * nvals}"
+                )
+            flat = np.fromfile(fh, dtype="<f8", count=nvals)
+        elif mode == "text":
+            try:
+                flat = np.array(fh.read().split(), dtype=float)
+            except ValueError as exc:
+                raise FieldFormatError("unparseable text payload") from exc
+            if flat.size < nvals:
+                raise FieldFormatError(
+                    f"truncated payload: {flat.size} values, expected {nvals}"
+                )
+            if flat.size > nvals:
+                raise FieldFormatError(
+                    f"oversized payload: {flat.size} values, expected {nvals}"
+                )
+        else:
+            raise FieldFormatError(f"unknown payload mode {mode!r}")
     return Field.from_flat(dims, extents, ncomp, flat)
 
 

@@ -27,6 +27,12 @@ DEFAULT_PIVOT_REL_TOL = 1e-8
 
 _ZERO_EIG_REL_TOL = 1e-12
 
+#: points per chunk of canonicalize: 256 KiB per float temporary
+CHUNK_POINTS = 1 << 15
+
+# (j, k) of the six upper-triangle entries, in the order a11 a12 a13 a22 a23 a33
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 
 @dataclass(frozen=True)
 class StrainMatrixField:
@@ -130,6 +136,11 @@ def _eig_inertia(entries, zero_tol: float) -> np.ndarray:
     return np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
 
 
+def _upper_entries(g: np.ndarray, sl: slice) -> list[np.ndarray]:
+    """a11, a12, a13, a22, a23, a33 of the symmetric part, at the points sl."""
+    return [0.5 * (g[j, k, sl] + g[k, j, sl]) for j, k in _UPPER]
+
+
 def canonicalize(strain: StrainMatrixField) -> QuadFormDecomposition:
     """Jacobi minor-ratio canonicalization with an eigensolve fallback.
 
@@ -138,41 +149,53 @@ def canonicalize(strain: StrainMatrixField) -> QuadFormDecomposition:
     DEFAULT_PIVOT_REL_TOL * max |a_jk| the canonical coefficients and the
     inertia come from the minor formulas; elsewhere the coefficients are
     marked degenerate (NaN) and the inertia comes from the eigenvalues.
+
+    The points are worked through in chunks of CHUNK_POINTS, so the
+    temporaries stay that small whatever the grid: a first pass takes the
+    global max |a_jk| (exact in any order), a second fills the outputs.
     """
     g = strain.grad.reshape(3, 3, -1)
-    entries = [
-        0.5 * (g[j, k] + g[k, j]) for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    ]
-    a11, a12, a13, a22, a23, a33 = entries
-    scale = max(float(np.max([np.max(np.abs(a)) for a in entries])), 1e-300)
+    npoints = g.shape[-1]
+    chunks = [slice(s, s + CHUNK_POINTS) for s in range(0, npoints, CHUNK_POINTS)]
+    peaks = [np.max(np.abs(a)) for sl in chunks for a in _upper_entries(g, sl)]
+    scale = max(float(np.max(peaks)), 1e-300)
     pivot_tol = DEFAULT_PIVOT_REL_TOL * scale
     zero_tol = _ZERO_EIG_REL_TOL * scale
-    det1 = a11
-    det2 = a11 * a22 - a12**2
-    # cofactor expansion of the symmetric matrix along its first row
-    det3 = (
-        a11 * (a22 * a33 - a23**2)
-        - a12 * (a12 * a33 - a13 * a23)
-        + a13 * (a12 * a23 - a13 * a22)
-    )
-    ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols = (det1, det2 / det1, det3 / det2)
-    n_plus = np.zeros(ok.shape, dtype=int)
-    n_minus = np.zeros(ok.shape, dtype=int)
-    for col in cols:
-        n_plus += col > zero_tol
-        n_minus += col < -zero_tol
-    inertia = np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
-    b = np.stack(cols, axis=1)
-    bad = ~ok
-    b[bad] = np.nan
-    if np.any(bad):
-        inertia[bad] = _eig_inertia([a[bad] for a in entries], zero_tol)
+    b = np.empty((npoints, 3))
+    inertia = np.empty((npoints, 3), dtype=int)
+    jacobi = np.empty(npoints, dtype=bool)
+    for sl in chunks:
+        entries = _upper_entries(g, sl)
+        a11, a12, a13, a22, a23, a33 = entries
+        det1 = a11
+        det2 = a11 * a22 - a12**2
+        # cofactor expansion of the symmetric matrix along its first row
+        det3 = (
+            a11 * (a22 * a33 - a23**2)
+            - a12 * (a12 * a33 - a13 * a23)
+            + a13 * (a12 * a23 - a13 * a22)
+        )
+        ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
+        jacobi[sl] = ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols = (det1, det2 / det1, det3 / det2)
+        n_plus = np.zeros(ok.shape, dtype=int)
+        n_minus = np.zeros(ok.shape, dtype=int)
+        for c, col in enumerate(cols):
+            b[sl, c] = col
+            n_plus += col > zero_tol
+            n_minus += col < -zero_tol
+        inertia[sl, 0] = n_plus
+        inertia[sl, 1] = 3 - n_plus - n_minus
+        inertia[sl, 2] = n_minus
+        bad = ~ok
+        if np.any(bad):
+            b[sl][bad] = np.nan
+            inertia[sl][bad] = _eig_inertia([a[bad] for a in entries], zero_tol)
     return QuadFormDecomposition(
         dims=strain.dims,
         b=b,
-        jacobi=ok,
+        jacobi=jacobi,
         inertia=inertia,
         pivot_tol=float(pivot_tol),
     )

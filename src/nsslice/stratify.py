@@ -13,6 +13,7 @@ series is tested through one 3D mask, the union of its frame masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class StratifyInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class IndicatorGrid:
-    """Boolean voxel mask on a 3D box."""
+    """Boolean voxel mask on a 3D box.
+
+    The mask is a read-only copy of the one given, so the voxel centres,
+    computed once on first use, cannot go stale.
+    """
 
     dims: tuple[int, int, int]
     extents: tuple[float, float, float]
@@ -54,9 +59,10 @@ class IndicatorGrid:
             raise ValueError(f"dims must be >= 2 per axis, got {dims}")
         if any(e <= 0.0 for e in extents):
             raise ValueError(f"extents must be positive, got {extents}")
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)
         if mask.shape != dims:
             raise ValueError(f"mask shape {mask.shape} != dims {dims}")
+        mask.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "mask", mask)
@@ -73,6 +79,13 @@ class IndicatorGrid:
     @property
     def total_volume(self) -> float:
         return float(np.count_nonzero(self.mask)) * self.voxel_volume
+
+    @cached_property
+    def voxel_centers(self) -> np.ndarray:
+        """Centres (nvoxels, 3) of the mask voxels, in argwhere order; read-only."""
+        centers = (np.argwhere(self.mask) + 0.5) * np.asarray(self.spacings)
+        centers.flags.writeable = False
+        return centers
 
 
 def mask_from_field(w: TimeSeriesField, eps: float) -> IndicatorGrid:
@@ -110,12 +123,11 @@ def slice_measures(
     beta_min = float(np.sum(np.minimum(0.0, d * ext)))
     beta_max = float(np.sum(np.maximum(0.0, d * ext)))
     dbeta = (beta_max - beta_min) / nslices
-    idx = np.argwhere(mask.mask)
+    centers = mask.voxel_centers
     measures = np.zeros(nslices)
     mids = beta_min + dbeta * (np.arange(nslices) + 0.5)
-    if idx.shape[0] == 0:
+    if centers.shape[0] == 0:
         return mids, measures
-    centers = (idx + 0.5) * h
     beta_c = centers @ d
     half_span = 0.5 * float(np.sum(np.abs(d) * h))
     # voxel beta-interval in slab units

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from nsslice.fieldio import Field
+from nsslice.quadform import _ZERO_EIG_REL_TOL, DEFAULT_PIVOT_REL_TOL, QuadFormDecomposition
 
 
 def dense_trilinear(tri) -> np.ndarray:
@@ -82,6 +83,51 @@ def canonical_value(b, transform, w) -> float:
     """sum_j b_j y_j^2 with y the recorded change of variables applied to w."""
     y = np.asarray(transform, dtype=float) @ np.asarray(w, dtype=float)
     return float(np.sum(np.asarray(b) * y**2))
+
+
+def canonicalize_whole(strain) -> QuadFormDecomposition:
+    """canonicalize over all points at once: one full-size array per temporary.
+
+    The reference for the chunked canonicalize, which must reproduce it bit
+    for bit: the same entries, minors, tolerances and eigensolve fallback.
+    """
+    g = strain.grad.reshape(3, 3, -1)
+    entries = [
+        0.5 * (g[j, k] + g[k, j]) for j, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    ]
+    a11, a12, a13, a22, a23, a33 = entries
+    scale = max(float(np.max([np.max(np.abs(a)) for a in entries])), 1e-300)
+    pivot_tol = DEFAULT_PIVOT_REL_TOL * scale
+    zero_tol = _ZERO_EIG_REL_TOL * scale
+    det1 = a11
+    det2 = a11 * a22 - a12**2
+    det3 = (
+        a11 * (a22 * a33 - a23**2)
+        - a12 * (a12 * a33 - a13 * a23)
+        + a13 * (a12 * a23 - a13 * a22)
+    )
+    ok = (np.abs(det1) > pivot_tol) & (np.abs(det2) > pivot_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = (det1, det2 / det1, det3 / det2)
+    n_plus = np.zeros(ok.shape, dtype=int)
+    n_minus = np.zeros(ok.shape, dtype=int)
+    for col in cols:
+        n_plus += col > zero_tol
+        n_minus += col < -zero_tol
+    inertia = np.column_stack([n_plus, 3 - n_plus - n_minus, n_minus])
+    b = np.stack(cols, axis=1)
+    bad = ~ok
+    b[bad] = np.nan
+    if np.any(bad):
+        sub = [a[bad] for a in entries]
+        mats = np.stack([sub[0], sub[1], sub[2], sub[1], sub[3], sub[4],
+                         sub[2], sub[4], sub[5]], axis=-1)
+        vals = np.linalg.eigvalsh(mats.reshape(-1, 3, 3))
+        bp = np.sum(vals > zero_tol, axis=1)
+        bm = np.sum(vals < -zero_tol, axis=1)
+        inertia[bad] = np.column_stack([bp, 3 - bp - bm, bm])
+    return QuadFormDecomposition(dims=strain.dims, b=b, jacobi=ok, inertia=inertia,
+                                 pivot_tol=float(pivot_tol))
 
 
 def trace_field(strain) -> np.ndarray:

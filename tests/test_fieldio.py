@@ -41,20 +41,27 @@ def test_truncated_payload(tmp_path):
         read_field(path)
 
 
+# a 4 x 4 one-component field holds 16 doubles: 128 payload bytes
+HEADER_4X4 = b"NSF1 2 4 4 1 1.0 1.0\nbinary\n"
+DOUBLES = np.arange(32, dtype="<f8").tobytes()
+
+
 def test_truncated_binary_payload(tmp_path):
+    # 119 to 127 bytes: whole values missing and a partial trailing value
     path = tmp_path / "trunc.bin.nsf1"
-    payload = np.arange(15, dtype="<f8").tobytes()
-    path.write_bytes(b"NSF1 2 4 4 1 1.0 1.0\nbinary\n" + payload)
-    with pytest.raises(FieldFormatError, match="truncated"):
-        read_field(path)
+    for nbytes in range(128 - 9, 128):
+        path.write_bytes(HEADER_4X4 + DOUBLES[:nbytes])
+        with pytest.raises(FieldFormatError, match=f"truncated payload: {nbytes} bytes"):
+            read_field(path)
 
 
 def test_oversized_payload(tmp_path):
+    # 129 to 137 bytes: a partial trailing value and whole extra values
     path = tmp_path / "over.nsf1"
-    payload = np.arange(17, dtype="<f8").tobytes()
-    path.write_bytes(b"NSF1 2 4 4 1 1.0 1.0\nbinary\n" + payload)
-    with pytest.raises(FieldFormatError, match="oversized"):
-        read_field(path)
+    for nbytes in range(128 + 1, 128 + 10):
+        path.write_bytes(HEADER_4X4 + DOUBLES[:nbytes])
+        with pytest.raises(FieldFormatError, match=f"oversized payload: {nbytes} bytes"):
+            read_field(path)
     values = " ".join(str(float(i)) for i in range(17))
     path.write_bytes(f"NSF1 2 4 4 1 1.0 1.0\ntext\n{values}\n".encode())
     with pytest.raises(FieldFormatError, match="oversized"):
@@ -78,6 +85,18 @@ def test_malformed_header(tmp_path):
     path.write_bytes(b"NSF1 2 4\ntext\n")
     with pytest.raises(FieldFormatError):
         read_field(path)
+    # impossible headers are malformed, whatever payload follows
+    impossible = [
+        b"NSF1 2 -4 -4 3 1 1\nbinary\n" + DOUBLES + DOUBLES[:128],    # negative dims
+        b"NSF1 2 4 4 0 1.0 1.0\nbinary\n",                           # no component
+        b"NSF1 3 4294967296 4294967296 2 1 1.0 1.0 1.0\nbinary\n",   # 2^65 values
+        b"NSF1 3 -8 8 8 3 1.0 1.0 1.0\ntext\n0 0\n",                 # negative size
+        b"NSF1 1 16 1 1.0\nbinary\n" + DOUBLES[:128],                # a 1D grid
+    ]
+    for content in impossible:
+        path.write_bytes(content)
+        with pytest.raises(FieldFormatError, match="malformed header"):
+            read_field(path)
 
 
 def test_field_invariants():

@@ -2,8 +2,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import canonical_value, jacobi_transform, quadform_value, trace_field
+from oracles import (
+    canonical_value,
+    canonicalize_whole,
+    jacobi_transform,
+    quadform_value,
+    trace_field,
+)
 
+from nsslice import quadform
 from nsslice.fieldio import Field, TimeSeriesField
 from nsslice.quadform import (
     StrainMatrixField,
@@ -188,6 +195,36 @@ def test_coefficients_match_full_transform_construction():
         eig = np.linalg.eigvalsh(a)
         assert tuple(dec.inertia[idx]) == (int(np.sum(eig > 0)), 0, int(np.sum(eig < 0)))
     assert np.isnan(dec.b[0]).all()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_chunked_canonicalize_matches_whole_array_oracle(monkeypatch, chunk):
+    # 41^3 = 68921 points: two full chunks of 2^15 and a partial third; with
+    # chunks of 7 the edges fall mid-row.  The global max |a_jk| sits in the
+    # last chunk and degenerate points sit in every chunk, so a per-chunk
+    # tolerance or a misplaced fallback would show.
+    if chunk is not None:
+        monkeypatch.setattr(quadform, "CHUNK_POINTS", chunk)
+    dims = (41, 41, 41)
+    rng = np.random.default_rng(24)
+    grad = rng.standard_normal((3, 3) + dims)
+    flat = grad.reshape(3, 3, -1)
+    flat[0, 1, 68000] = flat[1, 0, 68000] = 50.0               # global max in chunk 3
+    for p in (10, 40000, 68900):                               # a11 = 0
+        flat[0, :, p] = 0.0
+        flat[:, 0, p] = 0.0
+    flat[0, 0, 20000] = 2e-7                                   # under the global pivot_tol only
+    flat[:, :, 32768] = 0.0                                    # zero matrix at a chunk edge
+    flat[:, :, 50001] = np.diag([1.0, 0.0, -1.0])              # det M2 = 0
+    strain = StrainMatrixField.from_gradients(dims, (1.0, 1.0, 1.0), grad)
+    got = canonicalize(strain)
+    want = canonicalize_whole(strain)
+    assert got.pivot_tol == want.pivot_tol == quadform.DEFAULT_PIVOT_REL_TOL * 50.0
+    assert not got.jacobi[[10, 20000, 32768, 40000, 50001, 68900]].any()
+    for name in ("b", "inertia", "jacobi"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=name == "b"), name
 
 
 def test_quadform_value_examples():

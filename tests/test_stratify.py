@@ -124,6 +124,19 @@ def test_slice_measures_half_cube_step():
     assert np.allclose(meas[offsets > 0.5 + 1e-12], 0.0, atol=1e-12)
 
 
+def test_grid_voxel_centers_follow_a_private_mask():
+    # the grid copies its mask read-only, so the cached centres cannot go stale
+    m = ball_mask(12, 0.3)
+    grid = grid_from_mask(m, extents=(1.0, 2.0, 0.5))
+    m[:] = False
+    assert grid.mask.any() and not grid.mask.flags.writeable
+    want = (np.argwhere(grid.mask) + 0.5) * np.array([1.0 / 12, 2.0 / 12, 0.5 / 12])
+    assert np.array_equal(grid.voxel_centers, want)
+    assert grid.voxel_centers is grid.voxel_centers
+    with pytest.raises(ValueError):
+        grid.mask[0, 0, 0] = True
+
+
 def test_slice_measures_validation():
     full = grid_from_mask(np.ones((4, 4, 4), bool))
     with pytest.raises(ValueError):
