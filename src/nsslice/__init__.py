@@ -7,12 +7,11 @@ uniqueness criteria on the results.
 """
 
 from .geometry import (
-    Box3,
     Hyperplane,
     SliceChart,
     make_chart,
     projected_gradient_coeffs,
-    slice_domain,
+    section_rectangle,
 )
 from .fieldio import Field, TimeSeriesField, read_field, restrict_to_slice, write_field
 from .galerkin import (
@@ -29,12 +28,11 @@ from .galerkin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box3",
     "Hyperplane",
     "SliceChart",
     "make_chart",
     "projected_gradient_coeffs",
-    "slice_domain",
+    "section_rectangle",
     "Field",
     "TimeSeriesField",
     "read_field",

@@ -48,7 +48,7 @@ from .galerkin import (
     solve_from_state,
     weak_dual_norm,
 )
-from .geometry import DEFAULT_CHART_TOL, Box3, GeometryError, Hyperplane, make_chart, slice_domain
+from .geometry import DEFAULT_CHART_TOL, Hyperplane, make_chart, section_rectangle
 
 logger = logging.getLogger("nsslice")
 
@@ -105,8 +105,15 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _real(raw: str) -> float:
+    val = float(raw)
+    if not np.isfinite(val):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return val
+
+
 def _reals(raw: str) -> list:
-    return [float(v) for v in raw.replace(",", " ").split()]
+    return [_real(v) for v in raw.replace(",", " ").split()]
 
 
 def _ints(raw: str) -> list:
@@ -134,7 +141,7 @@ REQUIRED = object()  # default of a key that must be set wherever a command read
 # value (None: unset).  Keys not listed here are rejected before any command runs.
 KEYS = {
     "plane.normal": (_count(_reals, 3), "0,0,1"),
-    "plane.offset": (float, "0.5"),
+    "plane.offset": (_real, "0.5"),
     "io.u0": (str, REQUIRED),
     "io.u0_slice": (str, REQUIRED),
     "io.forcing": (str, None),
@@ -145,18 +152,18 @@ KEYS = {
     "basis.n1": (_positive(int), "8"),
     "basis.n2": (_positive(int), "8"),
     "basis.extents": (_count(_reals, 2), "1,1"),
-    "solver.nu": (_positive(float), REQUIRED),
-    "solver.dt": (_positive(float), REQUIRED),
-    "solver.T": (_positive(float), REQUIRED),
+    "solver.nu": (_positive(_real), REQUIRED),
+    "solver.dt": (_positive(_real), REQUIRED),
+    "solver.T": (_positive(_real), REQUIRED),
     "solver.record_every": (_positive(int), "1"),
-    "uniq.delta": (_nonnegative(float), "1e-8"),
-    "quadform.nu": (_positive(float), REQUIRED),
-    "quadform.c_gn": (_positive(float), "1.0"),
+    "uniq.delta": (_nonnegative(_real), "1e-8"),
+    "quadform.nu": (_positive(_real), REQUIRED),
+    "quadform.c_gn": (_positive(_real), "1.0"),
     "quadform.emit_fields": (_bool, "false"),
-    "stratify.eps": (_nonnegative(float), "0"),
+    "stratify.eps": (_nonnegative(_real), "0"),
     "stratify.directions": (_triples, ""),
-    "mms.T": (_positive(float), "0.5"),
-    "mms.dt": (_positive(float), "1e-3"),
+    "mms.T": (_positive(_real), "0.5"),
+    "mms.dt": (_positive(_real), "1e-3"),
     # increasing, so the last count is the finest, where the temporal study runs
     "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2 and sorted(set(v)) == v,
                             "needs at least 2 increasing mode counts"), "8,16"),
@@ -253,7 +260,9 @@ def _read_series_manifest(path: Path) -> TimeSeriesField:
     for key, kind, what in (("times", (int, float), "numbers"), ("frames", str, "strings")):
         if not isinstance(spec, dict) or key not in spec:
             raise ConfigError(f"series manifest misses key {key!r}")
-        if not isinstance(spec[key], list) or not all(isinstance(v, kind) for v in spec[key]):
+        # bool is an int subclass, but a JSON true is no time
+        if not isinstance(spec[key], list) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in spec[key]):
             raise ConfigError(f"series manifest key {key!r} must be a list of {what}")
     times = np.asarray(spec["times"], dtype=float)
     frames = tuple(read_field(path.parent / rel) for rel in spec["frames"])
@@ -327,9 +336,8 @@ def cmd_project(cfg: RunConfig) -> int:
     # run that exits 2 leaves nothing behind
     u0 = _read_input(cfg, "io.u0", 3, one_field=True).frames[0]
     series = _read_input(cfg, "io.forcing", 3, optional=True, on=("io.u0", u0))
-    dom = slice_domain(Box3.from_extents(u0.extents), chart)
-    if dom.is_empty:
-        raise GeometryError("plane does not intersect the field's box")
+    (smin, smax), (tmin, tmax) = section_rectangle(u0.extents, chart)
+    area = (smax - smin) * (tmax - tmin)
     u0_slice = restrict_to_slice(u0, chart, slice_dims)
     f_slices = [] if series is None else [
         restrict_to_slice(frame, chart, slice_dims) for frame in series.frames
@@ -360,14 +368,14 @@ def cmd_project(cfg: RunConfig) -> int:
                 "inplane_axes": list(chart.inplane_axes),
             },
             "section": {
-                "area": dom.area,
-                "bounds": [list(b) for b in dom.bounds],
-                "vertices": dom.vertices.tolist(),
+                "area": area,
+                "bounds": [[smin, smax], [tmin, tmax]],
+                "vertices": [[smin, tmin], [smax, tmin], [smax, tmax], [smin, tmax]],
             },
             "files": {"u0_slice": "u0_slice.nsf1", "forcing": forcing_entry},
         },
     )
-    logger.info("projected %s onto plane, section area %.6g", cfg["io.u0"], dom.area)
+    logger.info("projected %s onto plane, section area %.6g", cfg["io.u0"], area)
     return EXIT_OK
 
 

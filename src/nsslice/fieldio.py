@@ -3,7 +3,8 @@
 Fields are vertex-centered: axis ``i`` carries ``dims[i]`` samples at
 ``x = j * extents[i] / (dims[i] - 1)``, so boundaries are sampled.  Sample
 storage is component-major with the first grid axis varying fastest, which is
-also the NSF1 payload order.
+also the NSF1 payload order.  A 3D field is restricted to a plane on the
+plane's section rectangle (geometry.section_rectangle).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3, SliceChart, slice_domain
+from .geometry import BOX_REL_SLACK, SliceChart, SliceOutsideDomainError, section_rectangle
 
 
 class FieldFormatError(ValueError):
@@ -24,10 +25,6 @@ class FieldFormatError(ValueError):
 
 class NonFiniteSampleError(FieldFormatError):
     """A NaN or Inf sample was found on ingest."""
-
-
-class SliceOutsideDomainError(ValueError):
-    """Lifted slice points leave the 3D box (or the slice misses it)."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +117,8 @@ class TimeSeriesField:
             raise FieldFormatError("times and frames must have equal length")
         if t.size == 0:
             raise FieldFormatError("time series must be nonempty")
+        if not np.all(np.isfinite(t)):
+            raise FieldFormatError("times must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise FieldFormatError("times must be strictly increasing")
         ref = frames[0]
@@ -237,14 +236,14 @@ def trilinear_sample(fld: Field, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a 3D field at physical points (n, 3).
 
     Exact for fields affine in the coordinates.  Points must lie inside the
-    field's box up to a relative slack of 1e-9.
+    field's box up to a relative slack of BOX_REL_SLACK per axis.
     """
     if fld.ndim_grid != 3:
         raise ValueError("trilinear_sample needs a 3D field")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ext = np.asarray(fld.extents)
     dims = np.asarray(fld.dims)
-    slack = 1e-9 * ext
+    slack = BOX_REL_SLACK * ext
     inside = np.all((pts >= -slack) & (pts <= ext + slack), axis=1)
     if not np.all(inside):
         bad = pts[~inside][0]
@@ -268,23 +267,17 @@ def restrict_to_slice(field3d: Field, chart: SliceChart, slice_dims) -> Field:
     """Restrict a 3D field to the chart's plane by trilinear interpolation.
 
     The output is a 2D field with the same component count, sampled on a
-    ``slice_dims`` vertex grid over the bounding box of the plane's section
-    through the field's box.  Lifted sample points falling outside the box
-    raise rather than extrapolate, so oblique planes need a section whose
-    parameter-plane polygon is its own bounding rectangle.
+    ``slice_dims`` vertex grid over the plane's section rectangle through the
+    field's box (geometry.section_rectangle), which raises
+    SliceOutsideDomainError where the section is empty, degenerate or not a
+    rectangle.
     """
     if field3d.ndim_grid != 3:
         raise ValueError("restrict_to_slice needs a 3D field")
     n1, n2 = (int(v) for v in slice_dims)
     if n1 < 2 or n2 < 2:
         raise ValueError("slice_dims must both be >= 2")
-    box = Box3.from_extents(field3d.extents)
-    dom = slice_domain(box, chart)
-    if dom.is_empty:
-        raise SliceOutsideDomainError("slice misses the field's box")
-    (smin, smax), (tmin, tmax) = dom.bounds
-    if smax - smin <= 0.0 or tmax - tmin <= 0.0:
-        raise SliceOutsideDomainError("slice section is degenerate")
+    (smin, smax), (tmin, tmax) = section_rectangle(field3d.extents, chart)
     s = np.linspace(smin, smax, n1)
     t = np.linspace(tmin, tmax, n2)
     ss, tt = np.meshgrid(s, t, indexing="ij")

@@ -464,16 +464,9 @@ def _trig_tables(n: int, length: float):
     return ss, sc, cc, sss, scs
 
 
-def assemble(basis: SpectralBasis, chart: SliceChart | None) -> OperatorTensors:
-    """Assemble the gradient, stiffness, constraint and advection operators exactly.
-
-    chart=None means an axis-aligned slice (no eliminated-derivative
-    coupling).
-    """
-    if chart is None:
-        c1, c2 = 0.0, 0.0
-    else:
-        c1, c2 = projected_gradient_coeffs(chart)
+def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
+    """Assemble the gradient, stiffness, constraint and advection operators exactly."""
+    c1, c2 = projected_gradient_coeffs(chart)
     n1, n2 = basis.nmodes
     l1, l2 = basis.extents
 
@@ -726,7 +719,10 @@ class Trace:
 
 def step_count(dt: float, t_end: float) -> int:
     """The number of dt steps to t_end; raises ValueError unless it is a whole number >= 1."""
-    nsteps = int(round(t_end / dt))
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} is not finite")
+    nsteps = int(round(ratio))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
     return nsteps

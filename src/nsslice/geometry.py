@@ -1,10 +1,12 @@
-"""Slicing hyperplanes and their in-plane charts.
+"""Slicing hyperplanes, their in-plane charts and their box sections.
 
 A hyperplane ``<normal, x> = offset`` cuts a 3D box along a planar
 cross-section.  Eliminating the normal's dominant axis turns the plane into
 an affine graph over the two retained coordinates; the chart records the
 renamed graph coefficients and the coupling coefficients that model the
 eliminated derivative as a combination of the two in-plane derivatives.
+The projected problem is posed on a rectangle of the chart, so a section is
+accepted only where it is one (section_rectangle).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ DEFAULT_CHART_TOL = 1e-8
 
 _UNIT_NORM_TOL = 1e-12
 
+# relative slack per axis within which a point counts as inside its box
+BOX_REL_SLACK = 1e-9
+
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
@@ -24,6 +29,10 @@ class GeometryError(ValueError):
 
 class CoefficientOverflowError(GeometryError):
     """A nonzero renamed coefficient is too small to invert safely."""
+
+
+class SliceOutsideDomainError(GeometryError):
+    """A slice leaves its box: the section is empty, degenerate or not a rectangle."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,10 @@ def make_chart(plane: Hyperplane) -> SliceChart:
     )
 
 
+# the chart of an axis-normal plane: no eliminated-derivative coupling, (c1, c2) = (0, 0)
+AXIS_ALIGNED_CHART = make_chart(Hyperplane((0.0, 0.0, 1.0), 0.0))
+
+
 def projected_gradient_coeffs(chart: SliceChart) -> tuple[float, float]:
     """Coefficients (c1, c2) modeling the eliminated derivative.
 
@@ -149,117 +162,40 @@ def projected_gradient_coeffs(chart: SliceChart) -> tuple[float, float]:
     return coeffs[0], coeffs[1]
 
 
-@dataclass(frozen=True)
-class Box3:
-    """Axis-aligned 3D box [lo, hi]."""
+def section_rectangle(extents, chart: SliceChart):
+    """((smin, smax), (tmin, tmax)): the plane's section through the box [0, extents].
 
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise GeometryError("box corners must be 3-vectors")
-        if not np.all(hi > lo):
-            raise GeometryError(f"degenerate box: lo={self.lo} hi={self.hi}")
-        object.__setattr__(self, "lo", tuple(float(v) for v in lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in hi))
-
-    @classmethod
-    def from_extents(cls, extents) -> "Box3":
-        return cls((0.0, 0.0, 0.0), tuple(float(e) for e in extents))
-
-
-@dataclass(frozen=True)
-class SliceDomain:
-    """Convex polygon: the box cross-section in the chart's parameter plane.
-
-    Vertices are counter-clockwise in the retained (s, t) coordinates; the
-    area is the parameter-plane (projected) measure, not the 3D section area.
+    The projected problem is posed on a rectangle of the chart's (s, t) plane,
+    so the section must be one.  It starts as the retained axes' ranges; a
+    graph that varies along one retained axis only is trimmed along that axis
+    to where 0 <= c0 - a1 s - a2 t <= extents[k].  Every corner must then lift
+    inside the box within BOX_REL_SLACK, as sampling requires.  An empty or
+    degenerate section and one that is not a rectangle (a graph varying along
+    both axes that leaves the box) raise SliceOutsideDomainError.
     """
-
-    vertices: np.ndarray  # (k, 2), k = 0 for an empty section
-    inplane_axes: tuple[int, int]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.vertices.shape[0] < 3
-
-    @property
-    def area(self) -> float:
-        if self.is_empty:
-            return 0.0
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-    @property
-    def bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """((smin, smax), (tmin, tmax)); raises on an empty domain."""
-        if self.is_empty:
-            raise GeometryError("empty slice domain has no bounds")
-        v = self.vertices
-        return (
-            (float(v[:, 0].min()), float(v[:, 0].max())),
-            (float(v[:, 1].min()), float(v[:, 1].max())),
-        )
-
-
-def _clip_halfplane(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of polygon against {p : <a, p> <= b}."""
-    if poly.shape[0] == 0:
-        return poly
-    out = []
-    vals = poly @ a - b
-    n = poly.shape[0]
-    for i in range(n):
-        j = (i + 1) % n
-        pi, pj = poly[i], poly[j]
-        vi, vj = vals[i], vals[j]
-        if vi <= 0.0:
-            out.append(pi)
-        if (vi < 0.0 < vj) or (vj < 0.0 < vi):
-            t = vi / (vi - vj)
-            out.append(pi + t * (pj - pi))
-    if not out:
-        return np.zeros((0, 2))
-    return np.asarray(out)
-
-
-def slice_domain(box: Box3, chart: SliceChart) -> SliceDomain:
-    """Intersect the box with the chart's plane, in retained coordinates.
-
-    The result is the (possibly empty) convex polygon of parameter points
-    whose lift lands inside the box: a rectangle clipped by the band that the
-    eliminated-axis bounds impose on the affine graph.
-    """
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    i1, i2 = chart.inplane_axes[0] - 1, chart.inplane_axes[1] - 1
+    ext = [float(e) for e in extents]
     k = chart.eliminated_axis - 1
-    rect = np.array(
-        [
-            [lo[i1], lo[i2]],
-            [hi[i1], lo[i2]],
-            [hi[i1], hi[i2]],
-            [lo[i1], hi[i2]],
-        ]
-    )
-    # graph height must satisfy lo_k <= c0 - a1 s - a2 t <= hi_k
     a1, a2, c0 = chart.alpha1, chart.alpha2, chart.affine_offset
-    poly = _clip_halfplane(rect, np.array([a1, a2]), c0 - lo[k])
-    poly = _clip_halfplane(poly, np.array([-a1, -a2]), hi[k] - c0)
-    if poly.shape[0] >= 3:
-        # collapse nearly-duplicate vertices produced by clipping at corners
-        scale = max(np.max(hi - lo), 1.0)
-        keep = [0]
-        for i in range(1, poly.shape[0]):
-            if np.linalg.norm(poly[i] - poly[keep[-1]]) > 1e-12 * scale:
-                keep.append(i)
-        if len(keep) > 1 and np.linalg.norm(poly[keep[-1]] - poly[keep[0]]) <= 1e-12 * scale:
-            keep.pop()
-        poly = poly[keep]
-    if poly.shape[0] < 3:
-        poly = np.zeros((0, 2))
-    return SliceDomain(vertices=poly, inplane_axes=chart.inplane_axes)
+    bounds = [[0.0, ext[axis - 1]] for axis in chart.inplane_axes]
+    for axis, (a, other) in enumerate(((a1, a2), (a2, a1))):
+        if a != 0.0 and other == 0.0:
+            lo, hi = sorted(((c0 - ext[k]) / a, c0 / a))
+            bounds[axis] = [max(bounds[axis][0], lo), min(bounds[axis][1], hi)]
+    (smin, smax), (tmin, tmax) = bounds
+    where = (f"plane {chart.plane.normal} . x = {chart.plane.offset!r}: "
+             f"section through the box [0, {tuple(ext)}]")
+    rect = f"s in [{smin!r}, {smax!r}], t in [{tmin!r}, {tmax!r}]"
+    if not (smin < smax and tmin < tmax):
+        raise SliceOutsideDomainError(f"{where} is empty or degenerate: {rect}")
+    heights = chart.lift([[smin, tmin], [smax, tmin], [smax, tmax], [smin, tmax]])[:, k]
+    slack = BOX_REL_SLACK * ext[k]
+    if np.any((heights < -slack) | (heights > ext[k] + slack)):
+        spans = f"x{k + 1} in [{float(heights.min())!r}, {float(heights.max())!r}]"
+        if heights.max() <= 0.0 or heights.min() >= ext[k]:
+            raise SliceOutsideDomainError(
+                f"{where} is empty or degenerate: the plane spans {spans}")
+        raise SliceOutsideDomainError(
+            f"{where} is not a rectangle in the chart: the corners of {rect} lift to {spans}, "
+            f"outside [0, {ext[k]!r}]"
+        )
+    return (smin, smax), (tmin, tmax)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import galerkin
 from .galerkin import OperatorTensors, SpectralBasis, project_divfree, solve_from_state
-from .geometry import SliceChart, projected_gradient_coeffs
+from .geometry import AXIS_ALIGNED_CHART, SliceChart, projected_gradient_coeffs
 
 # A jet holds the Taylor coefficients f_ij = D1^i D2^j f / (i! j!), i + j <= 3,
 # degree by degree: 00, 10, 01, 20, 11, 02, 30, 21, 12, 03.
@@ -170,7 +170,7 @@ class ManufacturedSolution:
     """
 
     extents: tuple[float, float] = (1.0, 1.0)
-    chart: SliceChart | None = None
+    chart: SliceChart = AXIS_ALIGNED_CHART
     nu: float = 0.1
     amp_psi: float = 0.05
     amp_w: float = 0.4
@@ -179,11 +179,7 @@ class ManufacturedSolution:
     envelope_power: int = 4
 
     def __post_init__(self):
-        if self.chart is None:
-            c1v, c2v = 0.0, 0.0
-        else:
-            c1v, c2v = projected_gradient_coeffs(self.chart)
-        self.c1, self.c2 = float(c1v), float(c2v)
+        self.c1, self.c2 = projected_gradient_coeffs(self.chart)
         if int(self.envelope_power) < 2:
             raise ValueError("envelope_power must be >= 2")
         self._records: dict[int, _Record] = {}

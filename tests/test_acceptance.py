@@ -21,7 +21,7 @@ from nsslice.galerkin import (
     project_divfree,
     solve_from_state,
 )
-from nsslice.geometry import Hyperplane, make_chart
+from nsslice.geometry import AXIS_ALIGNED_CHART, Hyperplane, make_chart
 from nsslice.mms import ManufacturedSolution, temporal_convergence
 from nsslice.quadform import canonicalize
 from nsslice.quadform import StrainMatrixField, box_lambda1, gradient_norms, uniqueness_criterion
@@ -44,7 +44,7 @@ def basis8():
 
 @pytest.fixture(scope="module")
 def tensors_axis(basis8):
-    return assemble(basis8, None)
+    return assemble(basis8, AXIS_ALIGNED_CHART)
 
 
 @pytest.fixture(scope="module")

@@ -19,12 +19,12 @@ from nsslice.galerkin import (
     project_divfree,
     solve_from_state,
 )
-from nsslice.geometry import Hyperplane, make_chart
+from nsslice.geometry import AXIS_ALIGNED_CHART, Hyperplane, make_chart
 
 
 @pytest.fixture(scope="module")
 def tensors():
-    return assemble(SpectralBasis(nmodes=(6, 6), extents=(1.0, 1.0)), None)
+    return assemble(SpectralBasis(nmodes=(6, 6), extents=(1.0, 1.0)), AXIS_ALIGNED_CHART)
 
 
 @pytest.fixture(scope="module")

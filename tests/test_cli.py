@@ -80,6 +80,22 @@ def test_project_missing_plane_errors(tmp_path):
     assert rc == EXIT_ERROR
 
 
+@pytest.mark.parametrize("normal, offset", [
+    ("1,1,1", "1.5"), ("1,1,1", "0.5"), ("1,0.5,1", "1.0"),
+], ids=["hexagon", "triangle", "skewed-quadrilateral"])
+def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offset):
+    # the slice problem is posed on a rectangle: any other section exits 2,
+    # says why and leaves no output directory
+    src = tmp_path / "u0.nsf1"
+    write_u0_3d(src)
+    out = tmp_path / "o"
+    rc = main(["project", "--out", str(out), "--set", f"io.u0={src}",
+               "--set", f"plane.normal={normal}", "--set", f"plane.offset={offset}"])
+    assert rc == EXIT_ERROR
+    assert "is not a rectangle in the chart" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, setting", [
     ("project", "plane.offset=5.0"),
     ("quadform", "io.w={tmp}/missing.nsf1"),
@@ -603,7 +619,10 @@ def test_config_values_parse_to_typed_values(tmp_path):
     "override",
     ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
      "uniq.delta=-1e-8", "stratify.eps=-0.1", "solver.record_every=0",
-     "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_list=16,8"],
+     "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_list=16,8",
+     # non-finite reals, which would overflow the step count or the chart downstream
+     "solver.T=inf", "mms.T=inf", "plane.offset=inf", "basis.extents=inf,1",
+     "stratify.directions=1,1,nan"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it
@@ -622,13 +641,20 @@ def test_readme_config_table_lists_every_key():
     assert set(documented) == set(nsslice.cli.KEYS)
 
 
-@pytest.mark.parametrize("missing", ["times", "frames"])
+@pytest.mark.parametrize("fault", ["times", "frames", "boolean-time"])
 @pytest.mark.parametrize("command", ["quadform", "solve"])
-def test_malformed_series_manifest_rejected(tmp_path, capsys, command, missing):
-    # a manifest without one of its keys is bad input (exit 2), not a failed check
+def test_malformed_series_manifest_rejected(tmp_path, capsys, command, fault):
+    # a manifest without one of its keys, or with a JSON true (a Python int)
+    # for a time, is bad input (exit 2), not a failed check
+    spec = {"times": [0.0], "frames": ["f.nsf1"]}
+    if fault == "boolean-time":
+        key = "times"
+        spec[key] = [0.0, True]
+    else:
+        key = fault
+        del spec[key]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({k: v for k, v in (("times", [0.0]), ("frames", ["f.nsf1"]))
-                               if k != missing}))
+    bad.write_text(json.dumps(spec))
     if command == "quadform":
         args = ["--set", f"io.v={bad}", "--set", "quadform.nu=0.1"]
     else:
@@ -642,7 +668,7 @@ def test_malformed_series_manifest_rejected(tmp_path, capsys, command, missing):
     rc = main([command, "--out", str(tmp_path / "o")] + args)
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert str(bad) in err and repr(missing) in err
+    assert str(bad) in err and repr(key) in err
 
 
 def test_uniqueness_synthetic_delta_zero(tmp_path):

@@ -118,6 +118,10 @@ def test_timeseries_invariants():
     f2 = random_field(rng)
     with pytest.raises(FieldFormatError):
         TimeSeriesField(times=np.array([0.0, 0.0]), frames=(f1, f2))
+    # NaN compares False in the increasing check, so finiteness is its own check
+    for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(FieldFormatError, match="times must be finite"):
+            TimeSeriesField(times=np.array(bad), frames=(f1, f2))
     with pytest.raises(FieldFormatError):
         TimeSeriesField(times=np.array([0.0]), frames=(f1, f2))
     small = random_field(rng, dims=(4, 4, 4))
@@ -181,13 +185,13 @@ def test_restrict_trig_convergence_rate():
 def test_restrict_outside_domain_errors():
     fld = Field(dims=(9, 9, 9), extents=(1.0, 1.0, 1.0), ncomp=1,
                 data=np.zeros((1, 9, 9, 9)))
-    # hexagonal section: bounding-box corners lift outside the cube
+    # hexagonal section: the square's corners lift outside the cube
     chart = make_chart(Hyperplane.from_vector((1.0, 1.0, 1.0), 1.5))
-    with pytest.raises(SliceOutsideDomainError):
+    with pytest.raises(SliceOutsideDomainError, match="is not a rectangle"):
         restrict_to_slice(fld, chart, (9, 9))
     # plane missing the cube entirely
     miss = make_chart(Hyperplane((0.0, 0.0, 1.0), 3.0))
-    with pytest.raises(SliceOutsideDomainError):
+    with pytest.raises(SliceOutsideDomainError, match="is empty or degenerate"):
         restrict_to_slice(fld, miss, (9, 9))
 
 

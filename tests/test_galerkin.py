@@ -20,7 +20,7 @@ from nsslice.galerkin import (
     step_count,
     synthesize_field,
 )
-from nsslice.geometry import Hyperplane, make_chart
+from nsslice.geometry import AXIS_ALIGNED_CHART, Hyperplane, make_chart
 from nsslice.mms import gauss_rule
 
 DIAG_PLANE = Hyperplane((1 / np.sqrt(3.0),) * 3, 0.5)
@@ -73,7 +73,7 @@ def square_basis():
 
 @pytest.fixture(scope="module")
 def square_tensors(square_basis):
-    return assemble(square_basis, None)
+    return assemble(square_basis, AXIS_ALIGNED_CHART)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ def test_assembly_against_closed_form_integrals():
 
 def test_trilinear_factors_against_closed_form():
     basis = SpectralBasis(nmodes=(5, 4), extents=(1.1, 0.9))
-    tens = assemble(basis, None)
+    tens = assemble(basis, AXIS_ALIGNED_CHART)
     tri = tens.trilinear
     l1, l2 = basis.extents
     n1, n2 = basis.nmodes
@@ -408,7 +408,7 @@ OBLIQUE = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
 
 @pytest.mark.parametrize(
     "nmodes, chart",
-    [((4, 4), None), ((24, 24), OBLIQUE), ((5, 5), OBLIQUE), ((7, 10), OBLIQUE),
+    [((4, 4), AXIS_ALIGNED_CHART), ((24, 24), OBLIQUE), ((5, 5), OBLIQUE), ((7, 10), OBLIQUE),
      ((1, 1), OBLIQUE)],
     ids=["axis-4x4", "oblique-24x24", "odd-5x5", "odd-even-7x10", "rank0-1x1"],
 )
@@ -441,7 +441,7 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
     assert np.max(np.abs(p @ p - p)) <= 1e-13
 
 
-@pytest.mark.parametrize("chart", [None, OBLIQUE], ids=["axis", "oblique"])
+@pytest.mark.parametrize("chart", [AXIS_ALIGNED_CHART, OBLIQUE], ids=["axis", "oblique"])
 @pytest.mark.parametrize("nmodes", [(5, 5), (6, 7), (12, 12)], ids=["5x5", "6x7", "12x12"])
 def test_parity_block_projector_matches_dense_reference(nmodes, chart):
     # project applies gram_pinv as two parity blocks on C u in parity order;
@@ -474,14 +474,14 @@ def test_parity_block_projector_matches_dense_reference(nmodes, chart):
 
 def test_constraint_expected_rank():
     # even mode counts: full rank; odd-by-odd: one structural deficiency
-    even = assemble(SpectralBasis(nmodes=(4, 4), extents=(1.0, 1.0)), None)
+    even = assemble(SpectralBasis(nmodes=(4, 4), extents=(1.0, 1.0)), AXIS_ALIGNED_CHART)
     assert even.constraint_rank == even.basis.nmodes_total
     assert not even.rank_deficient
-    odd = assemble(SpectralBasis(nmodes=(3, 3), extents=(1.0, 1.0)), None)
+    odd = assemble(SpectralBasis(nmodes=(3, 3), extents=(1.0, 1.0)), AXIS_ALIGNED_CHART)
     assert odd.constraint_rank == odd.basis.nmodes_total - 1
     assert not odd.rank_deficient
     # single-mode basis: the constraint is vacuous by parity
-    tiny = assemble(SpectralBasis(nmodes=(1, 1), extents=(1.0, 1.0)), None)
+    tiny = assemble(SpectralBasis(nmodes=(1, 1), extents=(1.0, 1.0)), AXIS_ALIGNED_CHART)
     assert tiny.constraint_rank == 0
     assert not tiny.rank_deficient
 
@@ -556,6 +556,9 @@ def test_solve_requires_integral_step_count(square_tensors):
     assert step_count(1e-3, 0.5) == 500 and step_count(0.004, 0.1) == 25
     for dt, t_end in ((0.01, 0.055), (0.004, 0.006), (0.1, 0.04)):
         with pytest.raises(ValueError, match="integer multiple"):
+            step_count(dt, t_end)
+    for dt, t_end in ((1e-3, np.inf), (1e-3, np.nan), (1e-320, 1.0)):
+        with pytest.raises(ValueError, match="is not finite"):
             step_count(dt, t_end)
     m = square_tensors.nmodes_total
     with pytest.raises(ValueError, match="integer multiple"):
@@ -708,7 +711,7 @@ def test_coercivity_positive_random_charts():
         # odd x odd carries the structural null direction; on the axis-aligned
         # chart the minimum sits on the chart-normal (third component) piece
         yield (5, 5), OBLIQUE
-        yield (4, 6), None
+        yield (4, 6), AXIS_ALIGNED_CHART
 
     for nmodes, chart in cases():
         basis = SpectralBasis(nmodes=nmodes, extents=(1.0, 1.0))

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from oracles import graph_height, membership_residual
 
+from nsslice.fieldio import Field, restrict_to_slice
 from nsslice.geometry import (
-    Box3,
     CoefficientOverflowError,
     GeometryError,
     Hyperplane,
+    SliceOutsideDomainError,
     make_chart,
     projected_gradient_coeffs,
-    slice_domain,
+    section_rectangle,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -132,54 +133,85 @@ def test_lift_round_trip_membership():
         assert np.max(membership_residual(chart, pts)) < 1e-10
 
 
-def test_slice_domain_axis_aligned_unit_square():
-    box = Box3.from_extents((1.0, 1.0, 1.0))
+def test_section_rectangle_axis_aligned_unit_square():
     chart = make_chart(Hyperplane((0.0, 0.0, 1.0), 0.5))
-    dom = slice_domain(box, chart)
-    assert not dom.is_empty
-    assert dom.area == pytest.approx(1.0, abs=1e-14)
-    assert dom.bounds == (pytest.approx((0.0, 1.0)), pytest.approx((0.0, 1.0)))
+    assert section_rectangle((1.0, 1.0, 1.0), chart) == ((0.0, 1.0), (0.0, 1.0))
 
 
-def test_slice_domain_missing_plane_is_empty():
-    box = Box3.from_extents((1.0, 1.0, 1.0))
+def test_section_rectangle_rejects_missing_plane():
     chart = make_chart(Hyperplane((0.0, 0.0, 1.0), 2.0))
-    dom = slice_domain(box, chart)
-    assert dom.is_empty
-    assert dom.area == 0.0
+    with pytest.raises(SliceOutsideDomainError, match=r"x = 2.0: .* is empty or degenerate"):
+        section_rectangle((1.0, 1.0, 1.0), chart)
 
 
-def test_slice_domain_hexagon_monte_carlo_oracle():
-    # plane x + y + z = 1.5 through the unit cube; the parameter-plane
-    # section is the square minus two corner triangles, area 3/4
-    box = Box3.from_extents((1.0, 1.0, 1.0))
-    chart = make_chart(Hyperplane((1 / SQ3, 1 / SQ3, 1 / SQ3), 1.5 / SQ3))
-    dom = slice_domain(box, chart)
-    assert dom.vertices.shape[0] == 6
-    assert dom.area == pytest.approx(0.75, abs=1e-12)
-
-    rng = np.random.default_rng(2024)
-    nsamples = 10**7
-    s = rng.random(nsamples)
-    t = rng.random(nsamples)
-    z = graph_height(chart, s, t)
-    hits = np.count_nonzero((z >= 0.0) & (z <= 1.0))
-    p_hat = hits / nsamples
-    sigma = np.sqrt(p_hat * (1.0 - p_hat) / nsamples)
-    assert abs(dom.area - p_hat) <= 3.0 * sigma
+def test_section_rectangle_rejects_degenerate_box():
+    chart = make_chart(Hyperplane((0.0, 0.0, 1.0), 0.5))
+    with pytest.raises(SliceOutsideDomainError, match="is empty or degenerate"):
+        section_rectangle((1.0, 0.0, 1.0), chart)
 
 
-def test_slice_domain_oblique_rectangle():
-    # normal ~ (1, 0, 1): section {0 <= s <= 0.75} x {0 <= t <= 1}
-    box = Box3.from_extents((1.0, 1.0, 1.0))
-    chart = make_chart(Hyperplane.from_vector((1.0, 0.0, 1.0), 0.75))
-    dom = slice_domain(box, chart)
-    (smin, smax), (tmin, tmax) = dom.bounds
-    assert (smin, smax) == (pytest.approx(0.0), pytest.approx(0.75))
-    assert (tmin, tmax) == (pytest.approx(0.0), pytest.approx(1.0))
-    assert dom.area == pytest.approx(0.75, abs=1e-12)
+@pytest.mark.parametrize("direction, offset", [
+    ((1.0, 1.0, 1.0), 1.5),   # hexagon: the square less two corner triangles
+    ((1.0, 1.0, 1.0), 0.5),   # triangle at the origin corner
+    ((1.0, 0.5, 1.0), 1.0),   # skewed quadrilateral
+], ids=["hexagon", "triangle", "skewed-quadrilateral"])
+def test_section_rectangle_rejects_non_rectangles(direction, offset):
+    chart = make_chart(Hyperplane.from_vector(direction, offset))
+    with pytest.raises(SliceOutsideDomainError, match="is not a rectangle in the chart"):
+        section_rectangle((1.0, 1.0, 1.0), chart)
 
 
-def test_box_validation():
-    with pytest.raises(GeometryError):
-        Box3((0.0, 0.0, 0.0), (1.0, 0.0, 1.0))
+@pytest.mark.parametrize("direction, offset, trimmed", [
+    ((1.0, 0.0, 1.0), 0.75, 0),   # s in [0, 0.75], t in [0, 1]
+    ((0.0, 1.0, 1.0), 0.3, 1),    # s in [0, 1], t in [0, 0.3]
+], ids=["s-trimmed", "t-trimmed"])
+def test_section_rectangle_trimmed_edges(direction, offset, trimmed):
+    # the graph varies along one retained axis, so its zero level is one edge
+    # of the section, with one bound: both corners on it lift onto the face z = 0
+    chart = make_chart(Hyperplane.from_vector(direction, offset))
+    bounds = section_rectangle((1.0, 1.0, 1.0), chart)
+    expect = [(0.0, 1.0), (0.0, 1.0)]
+    expect[trimmed] = (0.0, chart.affine_offset)
+    assert bounds == tuple(expect)
+    assert bounds[trimmed][1] == pytest.approx(offset, abs=1e-15)
+    (smin, smax), (tmin, tmax) = bounds
+    edge = [[smax, tmin], [smax, tmax]] if trimmed == 0 else [[smin, tmax], [smax, tmax]]
+    assert np.array_equal(chart.lift(edge)[:, 2], [0.0, 0.0])
+
+
+def test_section_rectangle_random_planes():
+    # every accepted rectangle lifts inside the box, reaches the box faces
+    # where it is trimmed, and restricts; the draws put exact zeros in the
+    # normal so that trimmed rectangles occur
+    rng = np.random.default_rng(25)
+    accepted = trimmed = 0
+    for _ in range(400):
+        direction = rng.uniform(-1.0, 1.0, 3)
+        direction[rng.random(3) < 0.4] = 0.0
+        if not direction.any():
+            continue
+        ext = tuple(rng.choice([0.5, 1.0, 2.0], 3))
+        span = np.abs(direction) @ np.asarray(ext)
+        chart = make_chart(Hyperplane.from_vector(direction, rng.uniform(-span, span)))
+        try:
+            bounds = section_rectangle(ext, chart)
+        except SliceOutsideDomainError:
+            continue
+        accepted += 1
+        k = chart.eliminated_axis - 1
+        ranges = [ext[axis - 1] for axis in chart.inplane_axes]
+        (smin, smax), (tmin, tmax) = bounds
+        assert 0.0 <= smin < smax <= ranges[0] and 0.0 <= tmin < tmax <= ranges[1]
+        s, t = np.meshgrid(np.linspace(smin, smax, 5), np.linspace(tmin, tmax, 5))
+        z = graph_height(chart, s, t)
+        assert np.all((z >= -1e-9 * ext[k]) & (z <= ext[k] * (1.0 + 1e-9)))
+        for axis, (lo, hi) in enumerate(bounds):
+            for bound, end in ((lo, 0.0), (hi, ranges[axis])):
+                if bound != end:
+                    trimmed += 1
+                    corner = (bound, tmin) if axis == 0 else (smin, bound)
+                    z = graph_height(chart, *corner)
+                    assert min(abs(z), abs(z - ext[k])) <= 1e-12 * ext[k]
+        fld = Field((3, 3, 3), ext, 1, np.ones((1, 3, 3, 3)))
+        assert np.allclose(restrict_to_slice(fld, chart, (7, 5)).data, 1.0)
+    assert accepted >= 50 and trimmed >= 20

@@ -6,7 +6,7 @@ from oracles import velocity, velocity_field
 
 import nsslice.galerkin
 from nsslice.galerkin import divergence_residual
-from nsslice.geometry import Hyperplane, make_chart
+from nsslice.geometry import AXIS_ALIGNED_CHART, Hyperplane, make_chart
 from nsslice.mms import ManufacturedSolution, gauss_rule
 
 OBLIQUE = make_chart(Hyperplane((1 / np.sqrt(3.0),) * 3, 0.4))
@@ -85,7 +85,10 @@ def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
     ],
 )
 def test_jet_fields_match_symbolic_oracle(chart, extents, power):
-    ms = ManufacturedSolution(extents=extents, chart=chart, nu=0.15, envelope_power=power)
+    # chart None: the default, axis-aligned chart
+    ms = ManufacturedSolution(extents=extents, nu=0.15, envelope_power=power,
+                              **({} if chart is None else {"chart": chart}))
+    assert ms.chart == (chart or AXIS_ALIGNED_CHART)
     xg, _ = gauss_rule(extents[0], 40)
     yg, _ = gauss_rule(extents[1], 33)
     sym = SymbolicMMS(ms)

@@ -18,12 +18,13 @@ TRACED_CALLS = """
 import json
 import numpy as np
 import tracer
-from nsslice import analysis, galerkin, mms, quadform
+from nsslice import analysis, galerkin, geometry, mms, quadform
 from nsslice.fieldio import Field
 
 t = tracer.Tracer()
 tracer.instrument(t)
-tensors = galerkin.assemble(galerkin.SpectralBasis((3, 3), (1.0, 1.0)), None)
+tensors = galerkin.assemble(galerkin.SpectralBasis((3, 3), (1.0, 1.0)),
+                           geometry.AXIS_ALIGNED_CHART)
 u0 = tensors.projector @ np.linspace(1.0, 2.0, 3 * tensors.nmodes_total)
 trace = galerkin.solve_from_state(u0, None, tensors, 0.1, 1e-2, 0.03)
 analysis.ledger_from_run(trace, tensors, None, 0.1)
