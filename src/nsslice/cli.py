@@ -151,7 +151,8 @@ KEYS = {
     "slice.dims": (_count(_ints, 2), "33,33"),
     "basis.n1": (_positive(int), "8"),
     "basis.n2": (_positive(int), "8"),
-    "basis.extents": (_count(_reals, 2), "1,1"),
+    "basis.extents": (_checked(_count(_reals, 2), lambda v: min(v) > 0, "must be positive"),
+                      "1,1"),
     "solver.nu": (_positive(_real), REQUIRED),
     "solver.dt": (_positive(_real), REQUIRED),
     "solver.T": (_positive(_real), REQUIRED),

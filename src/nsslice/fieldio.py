@@ -1,10 +1,9 @@
 """Structured-grid field model, NSF1 persistence, and slice restriction.
 
 Fields are vertex-centered: axis ``i`` carries ``dims[i]`` samples at
-``x = j * extents[i] / (dims[i] - 1)``, so boundaries are sampled.  Sample
-storage is component-major with the first grid axis varying fastest, which is
-also the NSF1 payload order.  A 3D field is restricted to a plane on the
-plane's section rectangle (geometry.section_rectangle).
+``x = j * extents[i] / (dims[i] - 1)``, so boundaries are sampled.  A 3D
+field is restricted to a plane on the plane's section rectangle
+(geometry.section_rectangle).
 """
 
 from __future__ import annotations
@@ -25,6 +24,11 @@ class FieldFormatError(ValueError):
 
 class NonFiniteSampleError(FieldFormatError):
     """A NaN or Inf sample was found on ingest."""
+
+
+def _payload_axes(k: int) -> tuple[int, ...]:
+    """(0, k, ..., 1): transposes (ncomp, *dims) data to payload order and back."""
+    return (0,) + tuple(range(k, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class Field:
         return self.extents[axis] / (self.dims[axis] - 1)
 
     def flat_samples(self) -> np.ndarray:
-        """Component-major, first-axis-fastest flat view (NSF1 payload order)."""
-        return np.concatenate([self.data[c].ravel(order="F") for c in range(self.ncomp)])
+        """Flat copy in NSF1 payload order: component-major, first grid axis fastest."""
+        return self.data.transpose(_payload_axes(self.ndim_grid)).ravel()
 
     @classmethod
     def from_flat(cls, dims, extents, ncomp, flat) -> "Field":
@@ -89,8 +93,8 @@ class Field:
             raise FieldFormatError(
                 f"payload has {flat.size} samples, expected {ncomp * npts}"
             )
-        comps = [flat[c * npts:(c + 1) * npts].reshape(dims, order="F") for c in range(ncomp)]
-        return cls(dims=dims, extents=tuple(extents), ncomp=ncomp, data=np.stack(comps))
+        data = flat.reshape((ncomp,) + dims[::-1]).transpose(_payload_axes(len(dims)))
+        return cls(dims=dims, extents=tuple(extents), ncomp=ncomp, data=data)
 
     @classmethod
     def from_function(cls, dims, extents, ncomp, func) -> "Field":
@@ -135,17 +139,19 @@ class TimeSeriesField:
 # NSF1 on-disk format:
 #   line 1: "NSF1 <ndims> <dim1> ... <dimk> <ncomp> <ext1> ... <extk>"
 #   line 2: "binary" or "text"
-#   payload: ncomp * prod(dims) doubles, component-major, first axis fastest;
+#   payload: ncomp * prod(dims) doubles in Field.flat_samples order;
 #            little-endian IEEE-754 for binary, whitespace-separated decimals
-#            for text (printed with %.17g so the round trip is bit exact).
+#            for text.
 
 _MAGIC = "NSF1"
 
 
-def write_field(fld: Field, path, mode: str = "binary") -> None:
-    """Write a field to an NSF1 file; mode is 'binary' or 'text'."""
-    if mode not in ("binary", "text"):
-        raise FieldFormatError(f"unknown payload mode {mode!r}")
+def write_field(fld: Field, path) -> None:
+    """Write a field to a binary NSF1 file.
+
+    The payload is written from the one contiguous copy that flat_samples
+    makes.  read_field also reads text payloads, which other tools may write.
+    """
     k = len(fld.dims)
     header = " ".join(
         [_MAGIC, str(k)]
@@ -153,15 +159,10 @@ def write_field(fld: Field, path, mode: str = "binary") -> None:
         + [str(fld.ncomp)]
         + [f"{e:.17g}" for e in fld.extents]
     )
-    flat = fld.flat_samples()
+    flat = fld.flat_samples().astype("<f8", copy=False)
     with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        fh.write((mode + "\n").encode("ascii"))
-        if mode == "binary":
-            fh.write(flat.astype("<f8").tobytes())
-        else:
-            lines = [" ".join(f"{v:.17g}" for v in flat[i:i + 6]) for i in range(0, flat.size, 6)]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write((header + "\nbinary\n").encode("ascii"))
+        fh.write(flat.data)
 
 
 def read_field(path) -> Field:
@@ -248,7 +249,7 @@ def trilinear_sample(fld: Field, points: np.ndarray) -> np.ndarray:
     if not np.all(inside):
         bad = pts[~inside][0]
         raise SliceOutsideDomainError(
-            f"point {tuple(bad)} lies outside the box [0, {tuple(ext)}]"
+            f"point {tuple(bad.tolist())} lies outside the box [0, {tuple(ext.tolist())}]"
         )
     h = ext / (dims - 1)
     rel = np.clip(pts / h, 0.0, (dims - 1).astype(float))

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class SpectralBasis:
         """First Dirichlet eigenvalue, pi^2 (1/L1^2 + 1/L2^2), in closed form."""
         l1, l2 = self.extents
         return float(np.pi**2 * (1.0 / l1**2 + 1.0 / l2**2))
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues.max())
 
     @property
     def eigen_rank(self) -> np.ndarray:
@@ -673,16 +669,6 @@ def series_forcing(series: TimeSeriesField, basis: SpectralBasis):
     return f_of_t
 
 
-@lru_cache(maxsize=8)
-def _vertex_sine_tables(nmodes: tuple, extents: tuple, dims: tuple):
-    """Read-only sine tables of both axes on a vertex grid, built once per key."""
-    basis = SpectralBasis(nmodes, extents)
-    tables = [basis.sine_table(i, np.linspace(0.0, extents[i], dims[i])) for i in range(2)]
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     """Evaluate the expansion on a vertex grid of the basis rectangle.
 
@@ -696,7 +682,7 @@ def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     dims = tuple(int(v) for v in dims)
     m = basis.nmodes_total
     u = np.asarray(coeffs)
-    s1, s2 = _vertex_sine_tables(basis.nmodes, basis.extents, dims)
+    s1, s2 = (basis.sine_table(i, np.linspace(0.0, basis.extents[i], dims[i])) for i in range(2))
     if u.ndim == 2 and u.shape[1] == 3 * m:
         k = u.shape[0]
         data = np.moveaxis(s1.T @ basis.scatter(u.reshape(k, 3, m)) @ s2, 0, -1)

@@ -98,12 +98,13 @@ def strain_field(v: Field) -> StrainMatrixField:
 class QuadFormDecomposition:
     """Pointwise canonical coefficients and inertia.
 
-    b rows are (b1, b2, b3) and hold NaN at pivot-degenerate points
-    (jacobi[point] False), where only the eigensolve inertia is available.
-    inertia rows are (n_plus, n_zero, n_minus).
+    Rows follow the C-order points of the strain's grid, so a caller
+    reshapes them with that grid's dims.  b rows are (b1, b2, b3) and hold
+    NaN at pivot-degenerate points (jacobi[point] False), where only the
+    eigensolve inertia is available.  inertia rows are (n_plus, n_zero,
+    n_minus).
     """
 
-    dims: tuple[int, int, int]
     b: np.ndarray            # (npoints, 3)
     jacobi: np.ndarray       # (npoints,) bool, True where the minor path ran
     inertia: np.ndarray      # (npoints, 3) ints
@@ -192,13 +193,7 @@ def canonicalize(strain: StrainMatrixField) -> QuadFormDecomposition:
         if np.any(bad):
             b[sl][bad] = np.nan
             inertia[sl][bad] = _eig_inertia([a[bad] for a in entries], zero_tol)
-    return QuadFormDecomposition(
-        dims=strain.dims,
-        b=b,
-        jacobi=jacobi,
-        inertia=inertia,
-        pivot_tol=float(pivot_tol),
-    )
+    return QuadFormDecomposition(b=b, jacobi=jacobi, inertia=inertia, pivot_tol=float(pivot_tol))
 
 
 def box_lambda1(extents) -> float:

@@ -42,13 +42,13 @@ class IndicatorGrid:
     """Boolean voxel mask on a 3D box.
 
     The mask is a read-only copy of the one given, so the voxel centres,
-    computed once on first use, cannot go stale.
+    computed once on first use, cannot go stale.  The grid does not keep
+    the threshold that made the mask; a caller that reports it keeps it.
     """
 
     dims: tuple[int, int, int]
     extents: tuple[float, float, float]
     mask: np.ndarray
-    eps: float
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -66,7 +66,6 @@ class IndicatorGrid:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "eps", float(self.eps))
 
     @property
     def voxel_volume(self) -> float:
@@ -100,7 +99,7 @@ def mask_from_field(w: TimeSeriesField, eps: float) -> IndicatorGrid:
     mask = np.zeros(ref.dims, dtype=bool)
     for f in w.frames:
         mask |= np.sqrt(np.sum(f.data**2, axis=0)) > eps
-    return IndicatorGrid(dims=ref.dims, extents=ref.extents, mask=mask, eps=eps)
+    return IndicatorGrid(dims=ref.dims, extents=ref.extents, mask=mask)
 
 
 def slice_measures(

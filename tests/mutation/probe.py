@@ -1,0 +1,232 @@
+"""Mutation probe: weaken one verdict line at a time and see whether tests notice.
+
+Usage, from the repository root:
+
+    python3 tests/mutation/probe.py
+
+Each row of MUTANTS names a file under src/nsslice, a line that must occur in
+it exactly once (compared without its indentation), the line that replaces
+it, and the tests to run.  Every mutant runs in a fresh temporary copy of
+src/ and tests/, never in the working tree, and runs only its named tests:
+
+- killed:   the tests fail with the mutant in place (pytest exit 1);
+- survived: they pass (pytest exit 0).
+
+Anything else is an error: an old line that matches zero or several times (so
+a refactor cannot retire a mutant silently), a named test that pytest cannot
+find, or the named tests failing on the unmutated copy, which is checked
+first.  The probe prints one row per mutant, then "killed k of n".  It exits
+2 on an error and 0 otherwise, whatever k is.  It needs the standard library
+only; the tests it runs need the test extra.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str          # relative to src/nsslice
+    old: str           # the whole line, without its indentation
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "contraction passes whenever the envelope base is positive",
+        "analysis.py",
+        "passed = bool(np.all(w_norm <= bound * (1.0 + ENVELOPE_SLACK)))",
+        "passed = True",
+        ("tests/test_analysis.py::test_contraction_corrupted_pair_fails",
+         "tests/test_analysis.py::test_uniqueness_perturbed_envelope",
+         "tests/test_acceptance.py::test_criterion_05_uniqueness_contraction"),
+    ),
+    Mutant(
+        "ledger residual adds the work",
+        "analysis.py",
+        "residual = dedt + nu * (d1 + d2 + dc) - w",
+        "residual = dedt + nu * (d1 + d2 + dc) + w",
+        ("tests/test_analysis.py::test_residual_second_order_in_dt",
+         "tests/test_analysis.py::test_single_heat_mode_closed_form",
+         "tests/test_acceptance.py::test_criterion_03_energy_identity"),
+    ),
+    Mutant(
+        "ledger bound counts the work twice",
+        "analysis.py",
+        "rhs = self.energy[0] + self.cumulative_abs_work",
+        "rhs = self.energy[0] + 2.0 * self.cumulative_abs_work",
+        ("tests/test_analysis.py::test_inequality_on_forced_run",
+         "tests/test_analysis.py::test_inequality_fails_when_energy_outgrows_work"),
+    ),
+    Mutant(
+        "INEQUALITY_RTOL 1e-8 -> 1e-6",
+        "analysis.py",
+        "INEQUALITY_RTOL = 1e-8",
+        "INEQUALITY_RTOL = 1e-6",
+        ("tests/test_analysis.py::test_inequality_verdict_flips_on_corrupted_ledger",
+         "tests/test_analysis.py::test_inequality_fails_on_small_unworked_energy_rise"),
+    ),
+    Mutant(
+        "MONOTONE_SLACK 1e-12 -> 1e-6",
+        "analysis.py",
+        "MONOTONE_SLACK = 1e-12",
+        "MONOTONE_SLACK = 1e-6",
+        ("tests/test_analysis.py::test_apriori_violation_on_corrupted_ledger",
+         "tests/test_analysis.py::test_monotone_fails_on_one_step_rise"),
+    ),
+    Mutant(
+        "divergence_preserved 1e-9 -> 1e-6",
+        "cli.py",
+        '"divergence_preserved": bool(div_max <= 1e-9),',
+        '"divergence_preserved": bool(div_max <= 1e-6),',
+        ("tests/test_cli.py::test_solve_divergence_check_fails_on_leaky_projection",),
+    ),
+    Mutant(
+        "MIN_SPATIAL_RATIO 10 -> 3",
+        "mms.py",
+        "MIN_SPATIAL_RATIO = 10.0   # error at the coarsest mode count over that at the finest",
+        "MIN_SPATIAL_RATIO = 3.0",
+        ("tests/test_cli.py::test_mms_gates_fail_on_corrupted_forcing",),
+    ),
+    Mutant(
+        "MIN_TEMPORAL_ORDER 3.8 -> 3.0",
+        "mms.py",
+        "MIN_TEMPORAL_ORDER = 3.8   # order observed on the steps 2 dt, dt and dt / 2",
+        "MIN_TEMPORAL_ORDER = 3.0",
+        ("tests/test_cli.py::test_mms_gates_fail_on_corrupted_forcing",
+         "tests/test_cli.py::test_mms_subcommand_small"),
+    ),
+    Mutant(
+        "quadform criterion with 10 % slack",
+        "quadform.py",
+        "sat = tuple(bool(lhs >= r) for r in rhs)",
+        "sat = tuple(bool(lhs >= 0.9 * r) for r in rhs)",
+        ("tests/test_quadform.py::test_criterion_boundary_case_closed_inequality",
+         "tests/test_quadform.py::test_criterion_doubling_flips_to_violated",
+         "tests/test_acceptance.py::test_criterion_07_criterion_homogeneity_and_threshold"),
+    ),
+    Mutant(
+        "stratify AREA_TOL_FACES 4 -> 1",
+        "stratify.py",
+        "AREA_TOL_FACES = 4.0",
+        "AREA_TOL_FACES = 1.0",
+        ("tests/test_stratify.py",
+         "tests/test_acceptance.py::test_criterion_08_stratification_equivalence"),
+    ),
+    Mutant(
+        "stratify verdict ignores the extra directions",
+        "stratify.py",
+        "positive = any(p.positive for p in profiles)",
+        "positive = any(p.positive for p in profiles[:3])",
+        ("tests/test_stratify.py",
+         "tests/test_acceptance.py::test_criterion_08_stratification_equivalence"),
+    ),
+    Mutant(
+        "stratify oracle > -> >=",
+        "stratify.py",
+        "oracle_positive = mask.total_volume > volume_tol",
+        "oracle_positive = mask.total_volume >= volume_tol",
+        ("tests/test_stratify.py",
+         "tests/test_acceptance.py::test_criterion_08_stratification_equivalence"),
+    ),
+    Mutant(
+        "_BLOWUP_LIMIT 1e12 -> 1e300",
+        "galerkin.py",
+        "_BLOWUP_LIMIT = 1e12",
+        "_BLOWUP_LIMIT = 1e300",
+        ("tests/test_galerkin.py::test_step_blowup_guard",
+         "tests/test_galerkin.py::test_step_blowup_guard_catches_nonfinite",
+         "tests/test_cli.py::test_solve_unstable_dt_blowup_exit"),
+    ),
+)
+
+
+class ProbeError(RuntimeError):
+    pass
+
+
+def mutate(text: str, old: str, new: str) -> str:
+    """Replace the one line whose stripped text is old, keeping its indentation."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == old]
+    if len(hits) != 1:
+        raise ProbeError(f"old line matches {len(hits)} times, not once: {old!r}")
+    line = lines[hits[0]]
+    indent = line[:len(line) - len(line.lstrip())]
+    lines[hits[0]] = indent + new + "\n"
+    return "".join(lines)
+
+
+def run_tests(workdir: Path, tests) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    tail = (proc.stdout.strip().splitlines() or [""])[-1]
+    return proc.returncode, tail
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="nsslice-probe-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        # every old line must match once before anything runs
+        try:
+            for m in MUTANTS:
+                mutate((base / "src" / "nsslice" / m.file).read_text(), m.old, m.new)
+        except ProbeError as exc:
+            print(f"error: {exc}")
+            return 2
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        code, tail = run_tests(base, named)
+        if code != 0:
+            print(f"error: the named tests do not pass unmutated (pytest exit {code}): {tail}")
+            return 2
+
+        killed = 0
+        errors = 0
+        for i, m in enumerate(MUTANTS, 1):
+            work = Path(tmp) / f"mutant-{i:02d}"
+            shutil.copytree(base, work)
+            target = work / "src" / "nsslice" / m.file
+            target.write_text(mutate(target.read_text(), m.old, m.new))
+            start = time.perf_counter()
+            code, tail = run_tests(work, m.tests)
+            elapsed = time.perf_counter() - start
+            shutil.rmtree(work)
+            if code == 1:
+                killed += 1
+                status = "killed"
+            elif code == 0:
+                status = "SURVIVED"
+            else:
+                errors += 1
+                status = f"ERROR (pytest exit {code})"
+            print(f"{i:2d}. {status:<10} {elapsed:6.1f} s  {m.file}: {m.name}  [{tail}]",
+                  flush=True)
+
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 2 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

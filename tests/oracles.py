@@ -126,8 +126,7 @@ def canonicalize_whole(strain) -> QuadFormDecomposition:
         bp = np.sum(vals > zero_tol, axis=1)
         bm = np.sum(vals < -zero_tol, axis=1)
         inertia[bad] = np.column_stack([bp, 3 - bp - bm, bm])
-    return QuadFormDecomposition(dims=strain.dims, b=b, jacobi=ok, inertia=inertia,
-                                 pivot_tol=float(pivot_tol))
+    return QuadFormDecomposition(b=b, jacobi=ok, inertia=inertia, pivot_tol=float(pivot_tol))
 
 
 def trace_field(strain) -> np.ndarray:

@@ -260,8 +260,7 @@ def test_criterion_08_stratification_equivalence():
     def check(mask_array, extents=(1.0, 1.0, 1.0)):
         nonlocal inconsistencies, cases
         cases += 1
-        grid = IndicatorGrid(dims=mask_array.shape, extents=extents,
-                             mask=mask_array, eps=0.0)
+        grid = IndicatorGrid(dims=mask_array.shape, extents=extents, mask=mask_array)
         try:
             verdict = stratification_verdict(grid)
         except Exception:

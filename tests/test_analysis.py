@@ -5,6 +5,7 @@ from oracles import contract_triple, without_nonlinearity
 import nsslice.galerkin
 from nsslice.analysis import (
     ContractionReport,
+    EnergyLedger,
     EnergyViolationError,
     _cumulative,
     contraction_report,
@@ -138,6 +139,44 @@ def test_inequality_verdict_flips_on_corrupted_ledger(tensors):
     assert led.inequality_holds()
     led.energy[len(led.energy) // 2] = 10.0 * led.energy[0]  # inject energy
     assert not led.inequality_holds()
+
+
+def flat_ledger(energy, work=None):
+    # a ledger with no dissipation: the verdicts see only energy and work
+    k = energy.size
+    zero = np.zeros(k)
+    return EnergyLedger(times=np.linspace(0.0, 1.0, k), energy=energy, d1=zero, d2=zero,
+                        dcross=zero, work=zero if work is None else work, residual=zero,
+                        nu=0.1)
+
+
+def test_inequality_fails_on_small_unworked_energy_rise():
+    # must-FAIL at 10 times the accumulation tolerance INEQUALITY_RTOL * E(0):
+    # energy that rises by 1e-7 E(0) with no work done breaks the inequality
+    energy = np.ones(11)
+    assert flat_ledger(energy).inequality_holds()
+    energy[5:] += 1e-7
+    assert not flat_ledger(energy).inequality_holds()
+
+
+def test_monotone_fails_on_one_step_rise():
+    # must-FAIL at 1000 times the per-step slack MONOTONE_SLACK * E(0); the rise
+    # stays inside the inequality's tolerance, so only the monotone verdict sees it
+    energy = np.ones(11)
+    assert flat_ledger(energy).energy_nonincreasing()
+    energy[5:] += 1e-9
+    led = flat_ledger(energy)
+    assert led.inequality_holds()
+    assert not led.energy_nonincreasing()
+
+
+def test_inequality_fails_when_energy_outgrows_work():
+    # constant unit work, which Simpson integrates exactly: energy that grows
+    # by the work done passes, and energy that grows by 1.5 times it fails
+    t = np.linspace(0.0, 1.0, 11)
+    work = np.ones(11)
+    assert flat_ledger(1.0 + t, work).inequality_holds()
+    assert not flat_ledger(1.0 + 1.5 * t, work).inequality_holds()
 
 
 def test_negative_norm_rejected(tensors):

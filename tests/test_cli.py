@@ -622,7 +622,7 @@ def test_config_values_parse_to_typed_values(tmp_path):
      "stratify.directions=1,1", "quadform.emit_fields=maybe", "mms.n_list=16,8",
      # non-finite reals, which would overflow the step count or the chart downstream
      "solver.T=inf", "mms.T=inf", "plane.offset=inf", "basis.extents=inf,1",
-     "stratify.directions=1,1,nan"],
+     "stratify.directions=1,1,nan", "basis.extents=0,1", "basis.extents=-1,1"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it

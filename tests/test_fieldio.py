@@ -20,12 +20,21 @@ def random_field(rng, dims=(8, 8, 8), ncomp=3):
     return Field(dims=dims, extents=tuple(1.0 for _ in dims), ncomp=ncomp, data=data)
 
 
+def write_text_field(fld, path):
+    # the package writes binary only; text NSF1 comes from other tools, and
+    # %.17g decimals make its round trip bit exact
+    header = " ".join(["NSF1", str(len(fld.dims)), *map(str, fld.dims), str(fld.ncomp),
+                       *(f"{e:.17g}" for e in fld.extents)])
+    values = " ".join(f"{v:.17g}" for v in fld.flat_samples())
+    path.write_bytes(f"{header}\ntext\n{values}\n".encode("ascii"))
+
+
 @pytest.mark.parametrize("mode", ["binary", "text"])
 def test_round_trip_bitwise(tmp_path, mode):
     rng = np.random.default_rng(1)
     fld = random_field(rng)
     path = tmp_path / f"f_{mode}.nsf1"
-    write_field(fld, path, mode=mode)
+    (write_field if mode == "binary" else write_text_field)(fld, path)
     back = read_field(path)
     assert back.dims == fld.dims
     assert back.extents == fld.extents
@@ -140,6 +149,19 @@ def test_flat_sample_order_x_fastest():
     assert np.array_equal(flat, np.array(expect))
 
 
+@pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3)])
+@pytest.mark.parametrize("ncomp", [1, 3])
+def test_payload_order_matches_per_component_layout(dims, ncomp):
+    # reference: each component raveled first-axis-fastest, components in turn
+    data = np.random.default_rng(7).standard_normal((ncomp,) + dims)
+    fld = Field(dims=dims, extents=(1.0,) * len(dims), ncomp=ncomp, data=data)
+    expect = np.concatenate([data[c].ravel(order="F") for c in range(ncomp)])
+    flat = fld.flat_samples()
+    assert flat.flags.c_contiguous and np.array_equal(flat, expect)
+    back = Field.from_flat(dims, fld.extents, ncomp, expect)
+    assert np.array_equal(back.data, data) and np.shares_memory(back.data, expect)
+
+
 def test_restrict_constant_field():
     fld = Field(dims=(9, 9, 9), extents=(1.0, 1.0, 1.0), ncomp=3,
                 data=np.full((3, 9, 9, 9), 2.5))
@@ -193,6 +215,14 @@ def test_restrict_outside_domain_errors():
     miss = make_chart(Hyperplane((0.0, 0.0, 1.0), 3.0))
     with pytest.raises(SliceOutsideDomainError, match="is empty or degenerate"):
         restrict_to_slice(fld, miss, (9, 9))
+
+
+def test_trilinear_outside_point_reported_as_plain_floats():
+    fld = Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1, data=np.zeros((1, 4, 4, 4)))
+    with pytest.raises(SliceOutsideDomainError, match=r"point \(0\.0, 0\.0, 1\.5\)") as excinfo:
+        trilinear_sample(fld, np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 1.5]]))
+    assert "np.float64" not in str(excinfo.value)
+    assert "box [0, (1.0, 1.0, 1.0)]" in str(excinfo.value)
 
 
 def test_trilinear_affine_exactness():

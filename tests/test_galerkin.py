@@ -91,7 +91,6 @@ def test_basis_mode_table_row_major():
     lam = np.pi**2 * (m**2 / 1.3**2 + n**2 / 0.7**2)
     np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-15, atol=0.0)
     assert basis.lambda1 == pytest.approx(basis.eigenvalues.min(), rel=1e-15)
-    assert basis.lambda_max == basis.eigenvalues.max()
     coeffs = np.arange(2 * 3 * 15, dtype=float).reshape(2, 3, 15)
     grid = basis.scatter(coeffs)
     assert grid.shape == (2, 3, 5, 3) and np.shares_memory(grid, coeffs)

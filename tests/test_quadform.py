@@ -317,6 +317,10 @@ def test_criterion_boundary_case_closed_inequality():
     rep = uniqueness_criterion(one_frame(fld), nu=nu_star, lambda1=lam1, c_gn=c_gn)
     assert rep.rows[0].satisfied_per_component[0]  # equality counts as satisfied
     assert rep.satisfied
+    # 1 % below the threshold the criterion must read violated
+    rep = uniqueness_criterion(one_frame(fld), nu=0.99 * nu_star, lambda1=lam1, c_gn=c_gn)
+    assert not rep.rows[0].satisfied_per_component[0]
+    assert not rep.satisfied
 
 
 def test_criterion_doubling_flips_to_violated():

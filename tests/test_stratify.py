@@ -18,8 +18,8 @@ def one_frame(fld):
     return TimeSeriesField(times=np.array([0.0]), frames=(fld,))
 
 
-def grid_from_mask(mask, extents=(1.0, 1.0, 1.0), eps=0.0):
-    return IndicatorGrid(dims=mask.shape, extents=extents, mask=mask, eps=eps)
+def grid_from_mask(mask, extents=(1.0, 1.0, 1.0)):
+    return IndicatorGrid(dims=mask.shape, extents=extents, mask=mask)
 
 
 def ball_mask(n=32, radius=0.3, center=(0.5, 0.5, 0.5)):
@@ -233,13 +233,13 @@ def test_verdict_oracle_agreement_50_random_masks():
 def test_indicator_grid_validation():
     with pytest.raises(ValueError):
         IndicatorGrid(dims=(1, 4, 4), extents=(1.0, 1.0, 1.0),
-                      mask=np.zeros((1, 4, 4), bool), eps=0.0)
+                      mask=np.zeros((1, 4, 4), bool))
     with pytest.raises(ValueError):
         IndicatorGrid(dims=(4, 4), extents=(1.0, 1.0),
-                      mask=np.zeros((4, 4), bool), eps=0.0)
+                      mask=np.zeros((4, 4), bool))
     with pytest.raises(ValueError):
         IndicatorGrid(dims=(4, 4, 4, 2), extents=(1.0, 1.0, 1.0, 1.0),
-                      mask=np.zeros((4, 4, 4, 2), bool), eps=0.0)
+                      mask=np.zeros((4, 4, 4, 2), bool))
     with pytest.raises(ValueError):
         mask_from_field(
             one_frame(Field(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1,
