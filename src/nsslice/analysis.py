@@ -274,31 +274,3 @@ def contraction_report(
         max_w_norm=float(np.max(w_norm)),
     )
 
-
-def difference_identity_residual(
-    tensors: OperatorTensors,
-    times: np.ndarray,
-    cu: np.ndarray,
-    cv: np.ndarray,
-    nu: float,
-) -> np.ndarray:
-    """Residual of the difference-energy balance along two trajectories.
-
-    For w = u - v the semi-discrete system satisfies
-
-        0.5 d/dt ||w||^2 + nu (D1 + D2 + Dcross)(w) + b~(w, u, w) = 0
-
-    exactly (the skew part b~(v, w, w) drops out), so the recomputed left
-    side is zero up to the centered-difference error O(dt^2) plus round-off.
-    cu and cv are the (K, 3M) coefficient trajectories of u and v at the K
-    times, as in contraction_report.
-    """
-    if cv.shape != cu.shape or cu.shape[0] != len(times):
-        raise ValueError("runs do not share a common time grid")
-    k = len(times)
-    w = cu - cv
-    half_wsq = tensors.energy(w)
-    d1, d2, dc = tensors.dissipation_terms(w)
-    tri = (tensors.trilinear.apply_pair(w, cu).reshape(k, -1) * w).sum(axis=-1)
-    dwdt = np.gradient(half_wsq, times, edge_order=2 if k >= 3 else 1)
-    return dwdt + nu * (d1 + d2 + dc) + tri

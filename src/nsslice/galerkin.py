@@ -36,10 +36,7 @@ SpectralBasis) in velocity component c, so coeffs.reshape(3, N1, N2)[c, m - 1,
 n - 1] is that of w_{mn}.  A (B, 3M) stack holds B states that the solver
 advances together; the times of a solve are those of its Trace.
 
-The time integrator is classical RK4 with every stage projected.  A
-per-step observer sees the weak vector nu K u - B~(u, u) of stage k1, so a
-diagnostic of the trace states (the dual norm of the momentum balance) needs
-no advection apply of its own.
+The time integrator is classical RK4 with every stage projected.
 """
 
 from __future__ import annotations
@@ -543,22 +540,16 @@ def _rhs(
     tensors: OperatorTensors,
     f_of_t,
     nu: float,
-    observer=None,
 ) -> np.ndarray:
     """Projected coefficient velocity of the Galerkin ODE system.
 
     coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t, and
-    f_of_t a callable t -> (3, M) or None.  observer, when given, is called
-    as observer(t, coeffs3m, weak) with the (..., 3, M) weak vector
-    nu K u - B~(u, u) before it is scaled by the mass and forced in place:
-    it must read the array during the call and not modify it.
+    f_of_t a callable t -> (3, M) or None.
     """
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
     weak = tensors.apply_stiffness(u)
     weak *= nu
     weak -= tensors.trilinear.apply_pair(u, u)
-    if observer is not None:
-        observer(t, coeffs3m, weak)
     weak /= tensors.basis.mass_scale
     if f_of_t is not None:
         weak += f_of_t(t)
@@ -572,7 +563,6 @@ def step(
     f_of_t,
     nu: float,
     dt: float,
-    observer=None,
 ) -> np.ndarray:
     """One explicit RK4 step of the projected Galerkin system from time t.
 
@@ -581,8 +571,7 @@ def step(
     state in the weak divergence-free subspace stays in it to round-off and
     the result is not projected again.  f_of_t is the forcing in basis
     coordinates, a callable t -> (3, M), or None for no forcing
-    (series_forcing builds one from a TimeSeriesField).  observer, if
-    given, sees stage k1 (see _rhs).
+    (series_forcing builds one from a TimeSeriesField).
     The stages are combined in place, in the operation order of
     u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError when any
     coefficient passes 1e12 or is not finite, which signals an unstable dt.
@@ -593,7 +582,7 @@ def step(
         raise ValueError("nu must be positive")
     u0 = coeffs
     half = 0.5 * dt
-    k1 = _rhs(u0, t, tensors, f_of_t, nu, observer)
+    k1 = _rhs(u0, t, tensors, f_of_t, nu)
     stage = np.multiply(k1, half)
     stage += u0
     k2 = _rhs(stage, t + half, tensors, f_of_t, nu)
@@ -625,7 +614,11 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
 
     Uses the trapezoid rule on the vertex grid, which by discrete sine
     orthogonality is exact for fields already in the span as long as the grid
-    resolves the modes (dims[i] >= N_i + 2).
+    resolves the modes (dims[i] >= N_i + 2).  The matmul rounds by the
+    memory layout of its operand, so the samples are taken in read_field's
+    layout (each component's first axis fastest), copied only when they are
+    not in it: a field in memory and the same field read back from NSF1
+    project to bit-identical coefficients.
     """
     if fld.ndim_grid != 2:
         raise ValueError("project_field_to_basis needs a 2D field")
@@ -643,7 +636,8 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
     j2 = fld.dims[1] - 1
     s1 = basis.sine_table(0, fld.axis_coords(0))  # (N1, n1grid)
     s2 = basis.sine_table(1, fld.axis_coords(1))
-    grid = (s1 @ fld.data @ s2.T) * (4.0 / (j1 * j2))
+    data = np.ascontiguousarray(fld.data.swapaxes(1, 2)).swapaxes(1, 2)
+    grid = (s1 @ data @ s2.T) * (4.0 / (j1 * j2))
     return basis.gather(grid)
 
 
@@ -721,7 +715,6 @@ def solve_from_state(
     nu: float,
     dt: float,
     t_end: float,
-    observer=None,
 ) -> Trace:
     """Integrate the projected Galerkin system from coefficients at t = 0 to t_end.
 
@@ -730,11 +723,7 @@ def solve_from_state(
     in basis coordinates, a callable t -> (3, M), or None for no forcing
     (see step).  Every step is recorded in the returned trace, its last
     state being trace.coeffs[-1]; fields on a grid are left to the caller
-    (synthesize_field).  observer, if given, is called once per step as
-    observer(t_n, u_n, weak), weak being the RK4 stage-k1 weak vector
-    nu K u_n - B~(u_n, u_n) before the mass scaling, the forcing and the
-    projection; it must read the array during the call.  The final state
-    gets no call.
+    (synthesize_field).
     """
     cur = _checked_state(coeffs, tensors)
     nsteps = step_count(dt, t_end)
@@ -744,7 +733,7 @@ def solve_from_state(
     times[0] = t
     trajectory[0] = cur
     for k in range(nsteps):
-        cur = step(cur, t, tensors, f_of_t, nu, dt, observer)
+        cur = step(cur, t, tensors, f_of_t, nu, dt)
         # times accumulate as t + dt, the stage times step uses
         t += dt
         times[k + 1] = t
@@ -766,22 +755,13 @@ def rhs_dual_norm(
     sqrt(F^T K^{-1} F) per component with K the (diagonal) gradient Gram
     matrix.  Useful for monitoring how hard the coefficient ODE is being
     driven; no controller consumes it.  f_of_t is the forcing in basis
-    coordinates, a callable t -> (3, M), or None (see step).  A solve gets
-    the same value per step from weak_dual_norm on its stage-k1 weak vector.
+    coordinates, a callable t -> (3, M), or None (see step).
     """
     u = np.asarray(coeffs).reshape(3, -1)
     weak = nu * tensors.apply_stiffness(u)
     weak -= tensors.trilinear.apply_pair(u, u)
-    return weak_dual_norm(weak, tensors, f_of_t, t)
-
-
-def weak_dual_norm(weak: np.ndarray, tensors: OperatorTensors, f_of_t, t: float) -> float:
-    """rhs_dual_norm of one state from its (3, M) weak vector nu K u - B~(u, u).
-
-    f_of_t is a callable t -> (3, M) or None; weak is not modified.
-    """
     if f_of_t is not None:
-        weak = weak + tensors.basis.mass_scale * f_of_t(t)
+        weak += tensors.basis.mass_scale * f_of_t(t)
     return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
 
 

@@ -58,6 +58,7 @@ MUTANTS = (
         "residual = dedt + nu * (d1 + d2 + dc) - w",
         "residual = dedt + nu * (d1 + d2 + dc) + w",
         ("tests/test_analysis.py::test_residual_second_order_in_dt",
+         "tests/test_analysis.py::test_forced_residual_second_order_in_dt",
          "tests/test_analysis.py::test_single_heat_mode_closed_form",
          "tests/test_acceptance.py::test_criterion_03_energy_identity"),
     ),
@@ -147,6 +148,7 @@ MUTANTS = (
         "_BLOWUP_LIMIT = 1e300",
         ("tests/test_galerkin.py::test_step_blowup_guard",
          "tests/test_galerkin.py::test_step_blowup_guard_catches_nonfinite",
+         "tests/test_galerkin.py::test_step_blowup_guard_fires_before_overflow",
          "tests/test_cli.py::test_solve_unstable_dt_blowup_exit"),
     ),
 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import contract_triple, without_nonlinearity
+from oracles import without_nonlinearity
 
 import nsslice.galerkin
 from nsslice.analysis import (
@@ -9,7 +9,6 @@ from nsslice.analysis import (
     EnergyViolationError,
     _cumulative,
     contraction_report,
-    difference_identity_residual,
     ledger_from_run,
     perturbation_coeffs,
     uniqueness_experiment,
@@ -84,6 +83,28 @@ def test_residual_second_order_in_dt(tensors):
     for dt in (2e-3, 1e-3, 5e-4):
         res = solve_from_state(u0, None, tensors, 0.1, dt, 0.4)
         led = ledger_from_run(res, tensors, None, 0.1)
+        norms.append(np.sqrt(np.mean(led.residual**2)))
+    slope = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(norms), 1)[0]
+    assert slope >= 1.9
+
+
+def test_forced_residual_second_order_in_dt():
+    # with forcing the work term enters the balance, so a sign error in it
+    # leaves a residual that no longer falls with dt
+    chart = make_chart(Hyperplane((1 / np.sqrt(3.0),) * 3, 0.4))
+    tens = assemble(SpectralBasis(nmodes=(6, 5), extents=(1.0, 1.0)), chart)
+    rng = np.random.default_rng(25)
+    m = tens.nmodes_total
+    f0 = rng.standard_normal((3, m)) * np.exp(-np.arange(m) / 3.0)
+
+    def forcing(t):
+        return f0 * (1.0 + 0.5 * np.sin(3.0 * t))
+
+    u0 = smooth_state(tens, seed=26)
+    norms = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        res = solve_from_state(u0, forcing, tens, 0.1, dt, 0.2)
+        led = ledger_from_run(res, tens, forcing, 0.1)
         norms.append(np.sqrt(np.mean(led.residual**2)))
     slope = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(norms), 1)[0]
     assert slope >= 1.9
@@ -216,24 +237,6 @@ def test_uniqueness_fitted_c_decreases_with_viscosity(tensors):
     assert reports[1].fitted_c < reports[0].fitted_c
 
 
-def test_difference_identity_residual_second_order(oblique):
-    u0 = smooth_state(oblique, seed=51)
-    pert = smooth_state(oblique, seed=52, amp=1e-3)
-    resids = []
-    for dt in (2e-3, 1e-3):
-        res_u = solve_from_state(u0, None, oblique, 0.1, dt, 0.1)
-        res_v = solve_from_state(u0 + pert, None, oblique, 0.1, dt, 0.1)
-        r = difference_identity_residual(oblique, res_u.times, res_u.coeffs, res_v.coeffs, 0.1)
-        # scale of the balance terms themselves: the w-dissipation
-        scale = max(
-            0.1 * sum(oblique.dissipation_terms(cu - cv))
-            for cu, cv in zip(res_u.coeffs, res_v.coeffs)
-        )
-        resids.append(np.max(np.abs(r)))
-        assert np.max(np.abs(r)) <= 0.05 * scale + 1e-10 * scale
-    assert resids[0] / resids[1] >= 3.0  # ~ dt^2
-
-
 def test_contraction_corrupted_pair_fails(tensors):
     u0 = smooth_state(tensors, seed=62)
     res_u = solve_projected(tensors, u0, 0.1, 1e-3, 0.05)
@@ -340,27 +343,6 @@ def test_contraction_norms_match_per_state_loop(oblique):
         assert rep.w_norm[i] == float(np.sqrt(max(0.0, 2.0 * energy)))
         grad = float(np.sum(u * (u @ grad1))) + float(np.sum(u * (u @ grad2)))
         assert rep.grad_u_sq[i] == grad
-
-
-def test_difference_identity_matches_per_state_loop(oblique):
-    # reference: the per-state loop the residual ran before it became stack
-    # expressions; both must give the same digits
-    u0 = smooth_state(oblique, seed=67)
-    res_u = solve_projected(oblique, u0, 0.1, 1e-3, 0.03)
-    pert = smooth_state(oblique, seed=68, amp=1e-3)
-    res_v = solve_projected(oblique, u0 + pert, 0.1, 1e-3, 0.03)
-    times = res_u.times
-    k = len(times)
-    half_wsq, diss, tri = np.empty(k), np.empty(k), np.empty(k)
-    for i, (cu, cv) in enumerate(zip(res_u.coeffs, res_v.coeffs)):
-        w = cu - cv
-        half_wsq[i] = oblique.energy(w)
-        d1, d2, dc = oblique.dissipation_terms(w)
-        diss[i] = 0.1 * (d1 + d2 + dc)
-        tri[i] = contract_triple(oblique.trilinear, w, cu, w)
-    ref = np.gradient(half_wsq, times, edge_order=2) + diss + tri
-    got = difference_identity_residual(oblique, times, res_u.coeffs, res_v.coeffs, 0.1)
-    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 201, 1001, 1002])

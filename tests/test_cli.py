@@ -280,72 +280,6 @@ def test_solve_trajectory_files_round_trip(tmp_path, monkeypatch, t_end, record_
     assert j == len(manifest["frame_times"])
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-def test_solve_dual_norm_streamed_from_stage_k1(tmp_path, monkeypatch, forced):
-    # every state but the last gets its dual norm from the weak vector RK4
-    # stage k1 formed: the reported max must equal the max of rhs_dual_norm
-    # over the trace bit for bit, at one advection apply per stage plus one
-    src = tmp_path / "u0s.nsf1"
-    write_u0_slice(src)
-    args = [
-        "--set", f"io.u0_slice={src}",
-        "--set", "plane.normal=1,0.5,1", "--set", "plane.offset=1.75",
-        "--set", "basis.n1=5", "--set", "basis.n2=4",
-        "--set", "solver.nu=0.1", "--set", "solver.dt=0.005", "--set", "solver.T=0.05",
-    ]
-    if forced:
-        def f(x, y):
-            env = np.sin(np.pi * x) * np.sin(np.pi * y)
-            return np.stack([0.0 * x, 2.0 * env, np.sin(2 * np.pi * x) * env])
-
-        frame = Field.from_function((21, 21), (1.0, 1.0), 3, f)
-        for k, scale in enumerate((0.5, 3.0)):
-            write_field(Field(frame.dims, frame.extents, 3, scale * frame.data),
-                        tmp_path / f"f_{k}.nsf1")
-        (tmp_path / "forcing.json").write_text(
-            json.dumps({"times": [0.0, 0.05], "frames": ["f_0.nsf1", "f_1.nsf1"]})
-        )
-        args += ["--set", f"io.forcing_slice={tmp_path / 'forcing.json'}"]
-    solved = []
-    solve = nsslice.cli.solve_from_state
-
-    def capturing(coeffs, forcing, tensors, *a, **k):
-        solved.append((solve(coeffs, forcing, tensors, *a, **k), forcing, tensors))
-        return solved[-1][0]
-
-    applies = []
-    apply_pair = nsslice.galerkin.TrilinearTensor.apply_pair
-
-    def counted(self, u, v):
-        applies.append(1)
-        return apply_pair(self, u, v)
-
-    streamed = []
-    weak_dual_norm = nsslice.cli.weak_dual_norm
-
-    def recorded(*a, **k):
-        streamed.append(weak_dual_norm(*a, **k))
-        return streamed[-1]
-
-    monkeypatch.setattr(nsslice.cli, "solve_from_state", capturing)
-    monkeypatch.setattr(nsslice.cli, "weak_dual_norm", recorded)
-    monkeypatch.setattr(nsslice.galerkin.TrilinearTensor, "apply_pair", counted)
-    out = tmp_path / "solve"
-    assert main(["solve", "--out", str(out), *args]) in (EXIT_OK, EXIT_CHECK_FAILED)
-    (trace, f_of_t, tensors), = solved
-    nsteps = len(trace) - 1
-    assert nsteps == 10
-    assert len(applies) == 4 * nsteps + 1
-    assert (f_of_t is not None) == forced
-    norms = [nsslice.cli.rhs_dual_norm(c, tensors, f_of_t, 0.1, t)
-             for c, t in zip(trace.coeffs, trace.times)]
-    assert streamed == norms[:-1]
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["max_rhs_dual_norm"] == max(norms)
-    # the maximum comes from a streamed state in one case, the final one in the other
-    assert (int(np.argmax(norms)) == nsteps) == forced
-
-
 def test_solve_unstable_dt_blowup_exit(tmp_path, capsys):
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src)
@@ -847,8 +781,8 @@ def test_mms_temporal_gate_fails_on_second_order_integrator(tmp_path, monkeypatc
     # spatial gate on the small shape, but its observed order is about 2
     rhs = nsslice.galerkin._rhs
 
-    def midpoint(coeffs, t, tensors, f_of_t, nu, dt, observer=None):
-        k1 = rhs(coeffs, t, tensors, f_of_t, nu, observer)
+    def midpoint(coeffs, t, tensors, f_of_t, nu, dt):
+        k1 = rhs(coeffs, t, tensors, f_of_t, nu)
         return coeffs + dt * rhs(coeffs + 0.5 * dt * k1, t + 0.5 * dt, tensors, f_of_t, nu)
 
     monkeypatch.setattr(nsslice.galerkin, "step", midpoint)

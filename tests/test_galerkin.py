@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 from oracles import contract_triple, cross_matrix, dense_trilinear, stiffness, without_nonlinearity
 
-from nsslice.fieldio import Field, FieldFormatError, TimeSeriesField, restrict_to_slice
+from nsslice.fieldio import (
+    Field,
+    FieldFormatError,
+    TimeSeriesField,
+    read_field,
+    restrict_to_slice,
+    write_field,
+)
 from nsslice.galerkin import (
     BlowUpError,
     GalerkinError,
@@ -524,6 +531,17 @@ def test_step_blowup_guard_catches_nonfinite(square_tensors, bad):
         step(np.zeros(3 * m), 0.0, square_tensors, lambda t: forcing, nu=0.1, dt=1e-3)
 
 
+def test_step_blowup_guard_fires_before_overflow(square_tensors):
+    # the limit sits far enough below the float range that the guard, not an
+    # overflow in the next step's products, is what stops the run
+    rng = np.random.default_rng(1)
+    m = square_tensors.nmodes_total
+    cur = project_divfree(10.0 * rng.standard_normal(3 * m), square_tensors)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(BlowUpError):
+        for k in range(200):
+            cur = step(cur, float(k), square_tensors, None, nu=1.0, dt=1.0)
+
+
 def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
     # the four RK4 stages are projected and the result is not projected again
     calls = []
@@ -621,6 +639,22 @@ def test_projection_roundtrip_field(square_basis):
     fld = synthesize_field(square_basis, coeffs, (33, 33))
     back = project_field_to_basis(fld, square_basis)
     assert np.max(np.abs(back - coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_projection_independent_of_memory_layout(tmp_path, n):
+    # a C-ordered field in memory and the same field read back from NSF1
+    # (each component's first axis fastest) project bit for bit alike
+    basis = SpectralBasis(nmodes=(n, n), extents=(1.3, 0.8))
+    rng = np.random.default_rng(n)
+    for case in range(5):
+        fld = Field(dims=(49, 49), extents=basis.extents, ncomp=3,
+                    data=np.ascontiguousarray(rng.standard_normal((3, 49, 49))))
+        write_field(fld, tmp_path / f"f{case}.nsf1")
+        back = read_field(tmp_path / f"f{case}.nsf1")
+        assert np.array_equal(back.data, fld.data)
+        assert np.array_equal(project_field_to_basis(fld, basis),
+                              project_field_to_basis(back, basis))
 
 
 def test_transforms_match_einsum_oracle():
@@ -782,6 +816,9 @@ def test_rhs_dual_norm_diagnostic(square_tensors):
     lam = square_tensors.basis.eigenvalues[0]
     got = rhs_dual_norm(u.ravel(), without_nonlinearity(square_tensors), None, 0.1, 0.0)
     assert got == pytest.approx(0.1 * np.sqrt(lam) * 0.5, rel=1e-12)
+    # forcing by that mode alone, from rest: m0 * ||w|| / |grad w| = sqrt(m0 / lambda)
+    got = rhs_dual_norm(zero, square_tensors, lambda t: u, 0.1, 0.0)
+    assert got == pytest.approx(np.sqrt(0.25 / lam), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
