@@ -161,7 +161,8 @@ KEYS = {
     "quadform.c_gn": (_positive(_real), "1.0"),
     "quadform.emit_fields": (_bool, "false"),
     "stratify.eps": (_nonnegative(_real), "0"),
-    "stratify.directions": (_triples, ""),
+    "stratify.directions": (_checked(_triples, lambda v: all(any(t) for t in v),
+                                     "each direction must be nonzero"), ""),
     "mms.T": (_positive(_real), "0.5"),
     "mms.dt": (_positive(_real), "1e-3"),
     # increasing, so the last count is the finest, where the temporal study runs
@@ -454,8 +455,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
-    """Seeded smooth random divergence-free coefficients."""
-    rng = np.random.default_rng(cfg.seed)
+    """Seeded smooth random divergence-free coefficients.
+
+    Drawn from the seed's second stream, so the state is independent of the
+    uniqueness perturbation, which analysis.perturbation_coeffs draws from
+    its first.
+    """
+    rng = np.random.default_rng([cfg.seed, 1])
     m = tensors.nmodes_total
     # draw and decay are listed by increasing eigenvalue, then put on the modes
     drawn = rng.standard_normal((3, m)) * np.exp(-0.5 * np.arange(m) / 4.0)

@@ -192,16 +192,23 @@ def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerd
 
     Only finitely many directions are tested (canonical axes plus the ones
     supplied), so a POSITIVE verdict reports the best family found without
-    claiming exhaustiveness.
+    claiming exhaustiveness.  Directions are normalized, then deduplicated:
+    the axes first, then the supplied ones in the order given.  A zero
+    (or non-finite) direction raises ValueError.
     """
-    extra = [tuple(float(v) for v in d) for d in (directions or [])]
-    all_dirs = list(AXIS_DIRECTIONS) + [d for d in extra if d not in AXIS_DIRECTIONS]
+    unit_dirs = []
+    for d in (*AXIS_DIRECTIONS, *(directions or [])):
+        dv = np.asarray(d, dtype=float)
+        norm = np.linalg.norm(dv)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"direction {tuple(d)} is not a nonzero finite vector")
+        dv = dv / norm
+        if not any(np.max(np.abs(dv - u)) <= 1e-12 for u in unit_dirs):
+            unit_dirs.append(dv)
     h = np.asarray(mask.spacings)
     volume_tol = VOLUME_TOL_VOXELS * mask.voxel_volume
     profiles = []
-    for d in all_dirs:
-        dv = np.asarray(d, dtype=float)
-        dv = dv / np.linalg.norm(dv)
+    for dv in unit_dirs:
         # one slab per voxel across the projection span
         ns = max(2, int(round(np.sum(np.abs(dv) * np.asarray(mask.dims) * h)
                               / np.sum(np.abs(dv) * h))))

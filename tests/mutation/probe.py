@@ -106,7 +106,8 @@ MUTANTS = (
         "MIN_TEMPORAL_ORDER = 3.8   # order observed on the steps 2 dt, dt and dt / 2",
         "MIN_TEMPORAL_ORDER = 3.0",
         ("tests/test_cli.py::test_mms_gates_fail_on_corrupted_forcing",
-         "tests/test_cli.py::test_mms_subcommand_small"),
+         "tests/test_cli.py::test_mms_subcommand_small",
+         "tests/test_cli.py::test_mms_temporal_gate_fails_on_second_order_integrator"),
     ),
     Mutant(
         "quadform criterion with 10 % slack",

@@ -175,6 +175,43 @@ def test_single_layer_negative_perpendicular():
     assert verdict.positive
 
 
+def scattered_voxels():
+    # 8 voxels, the volume threshold exactly, no two sharing a slab on any axis
+    m = np.zeros((16, 16, 16), bool)
+    i = np.arange(8)
+    m[2 * i, (5 * i) % 16, (3 * i + 1) % 16] = True
+    return m
+
+
+def voxel_line():
+    m = np.zeros((16, 16, 16), bool)
+    m[7, 7, 6:9] = True
+    return m
+
+
+@pytest.mark.parametrize("mask", [scattered_voxels(), voxel_line()],
+                         ids=["8-scattered-voxels", "1x1x3-line"])
+def test_sparse_masks_negative_on_both_proxies(mask):
+    # no axis slab holds more than 3 voxel faces and the volume is at most the
+    # 8-voxel threshold, which a positive set must exceed: the oracle and the
+    # axis families both read NEGATIVE, so nothing raises
+    verdict = stratification_verdict(grid_from_mask(mask))
+    assert not verdict.positive and not verdict.oracle_positive
+    assert all(np.max(p.measures) < p.area_tol for p in verdict.profiles[:3])
+
+
+def test_directions_normalized_then_deduplicated():
+    mask = grid_from_mask(ball_mask(12, 0.3))
+    verdict = stratification_verdict(mask, [(2.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                            (3.0, 3.0, 3.0), (0.0, -1.0, 1.0)])
+    dirs = np.array([p.direction for p in verdict.profiles])
+    want = [*np.eye(3), np.full(3, 3.0 ** -0.5), [0.0, -0.5 ** 0.5, 0.5 ** 0.5]]
+    assert dirs.shape == (5, 3)
+    assert np.allclose(dirs, want, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="not a nonzero finite vector"):
+        stratification_verdict(mask, [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)])
+
+
 def test_empty_mask_negative_everywhere():
     verdict = stratification_verdict(grid_from_mask(np.zeros((8, 8, 8), bool)))
     assert not verdict.positive
