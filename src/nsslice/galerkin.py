@@ -14,7 +14,8 @@ Every operator entry is a product of 1-D integrals of sine and cosine
 products on [0, L], assembled exactly from their product-to-sum closed forms.
 The mass is L1*L2/4 times the identity and the two gradient Grams are
 diagonal, so they are kept as a scalar and two diagonals; the chart cross
-term acts through the two factors of C below.  The advection tensor is stored in
+term acts through the two factors of C below, stored exactly antisymmetric
+as integration by parts makes them.  The advection tensor is stored in
 skew-symmetrized form, so its triple contraction with any state vanishes
 identically: this is the discrete counterpart of the cancellation that drives
 the energy identity, and it holds without assuming the basis itself is
@@ -194,6 +195,12 @@ class TrilinearTensor:
         n2 = np.count_nonzero(self.x2) * np.count_nonzero(self.y2)
         return 3 * 2 * (n1 + n2)  # components x advecting slots
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """(y as (2, N2, N2 * N2), x as (N1, 2 * N1 * N1)), the GEMM operands of apply_pair."""
+        n1, n2 = self.basis.nmodes
+        return self.y.reshape(2, n2, n2 * n2), self.x.reshape(2 * n1 * n1, n1).T
+
     def apply_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Weak advection vector <B~(u, v), w_(d,r)>, shaped (..., 3, M).
 
@@ -207,20 +214,17 @@ class TrilinearTensor:
 
             R[m, n] = sum_{t,a,b,c,d} A_t[a, b] V[c, d] X_t[a, c, m] Y_t[b, d, n].
         """
-        basis = self.basis
-        m = basis.nmodes_total
-        n1, n2 = basis.nmodes
-        adv = basis.scatter(self.chart_rows @ _by_component(u, m))
-        # (..., 3, 1, 1, N1, N2): the grid V_k of each transported component
-        # k, broadcast over the term t and the row index a of tmp below
-        vgrid = basis.scatter(_by_component(v, m))[..., None, None, :, :]
+        n1, n2 = self.basis.nmodes
+        lead = u.shape[:-1] if u.shape[-1] == 3 * n1 * n2 else u.shape[:-2]
+        y_rows, x_cols = self._factors
+        adv = (self.chart_rows @ u.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
         # tmp[t, a, d, n] = sum_b A_t[a, b] Y_t[b, d, n]
-        tmp = adv @ self.y.reshape(2, n2, n2 * n2)
-        # e[k, t, a, c, n] = sum_d V_k[c, d] tmp[t, a, d, n], one GEMM per (k, t, a)
-        e = vgrid @ tmp.reshape(tmp.shape[:-3] + (1, 2, n1, n2, n2))
+        tmp = adv @ y_rows
+        # e[k, t, a, c, n] = sum_d V_k[c, d] tmp[t, a, d, n], one GEMM per (k, t, a);
+        # the grid V_k of each transported component k is broadcast over t and a
+        e = v.reshape(lead + (3, 1, 1, n1, n2)) @ tmp.reshape(lead + (1, 2, n1, n2, n2))
         # R_k[m, n] = sum_{t, a, c} X_t[a, c, m] e[k, t, a, c, n]
-        r = self.x.reshape(2 * n1 * n1, n1).T @ e.reshape(e.shape[:-4] + (2 * n1 * n1, n2))
-        return basis.gather(r)
+        return (x_cols @ e.reshape(lead + (3, 2 * n1 * n1, n2))).reshape(lead + (3, n1 * n2))
 
 
 @dataclass(frozen=True)
@@ -235,14 +239,15 @@ class OperatorTensors:
     and the stiffness act on the (N1, N2) coefficient grids as
 
         C u = div_x @ grid(u1 + c1 u3) + grid(u2 + c2 u3) @ div_y.T,
-        K U = -((1 + c1^2) grad1 + (1 + c2^2) grad2) U
-              - (c1 c2 / m0) (div_x @ U @ div_y + div_x.T @ U @ div_y.T),
+        K U = -((1 + c1^2) grad1 + (1 + c2^2) grad2) U - cross_scale div_x @ U @ div_y,
 
     the last term being the mixed pairing <D1 w_p, D2 w_q> = kron(div_x.T,
-    div_y) / m0 and its transpose; stiffness_diag holds the constant
-    diagonal (1 + c1^2) grad1 + (1 + c2^2) grad2.  div_x[a, c] and
-    div_y[b, d] vanish unless a + c and b + d are odd, so C, C^T and K keep
-    the parity of m + n and no operator here couples the two classes.
+    div_y) / m0 plus its transpose, with cross_scale = 2 c1 c2 / m0: the
+    factors are exactly antisymmetric (<D1 w_c, w_a> = -<w_c, D1 w_a>), so
+    the transpose div_x.T @ U @ div_y.T is div_x @ U @ div_y.  stiffness_diag
+    holds the constant diagonal (1 + c1^2) grad1 + (1 + c2^2) grad2.  div_x
+    and div_y vanish unless their two mode numbers differ in parity, so C,
+    C^T and K keep the parity of m + n and no operator couples the classes.
     parity_order lists the modes with m + n even, then those with m + n odd
     (each class in mode order), and parity_place[p] is the place of mode p
     in that list.  The orthogonal (hence mass-orthogonal) projector onto
@@ -263,6 +268,7 @@ class OperatorTensors:
     div_x: np.ndarray           # (N1, N1) x-direction factor of C
     div_y: np.ndarray           # (N2, N2) y-direction factor of C
     stiffness_diag: np.ndarray = field(init=False)    # (M,) diagonal part of -K
+    cross_scale: float = field(init=False)            # 2 c1 c2 / m0, the weight of the mixed term
     parity_order: np.ndarray = field(init=False)      # (M,) modes, m + n even first
     parity_place: np.ndarray = field(init=False)      # (M,) inverse of parity_order
     gram_pinv_blocks: tuple = field(init=False)       # per class, pinv of its block of C C^T
@@ -283,6 +289,7 @@ class OperatorTensors:
         order = np.argsort(self.basis.modes.sum(axis=1) % 2, kind="stable")
         object.__setattr__(self, "stiffness_diag",
                            (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2)
+        object.__setattr__(self, "cross_scale", 2.0 * c1 * c2 / self.basis.mass_scale)
         object.__setattr__(self, "parity_order", order)
         object.__setattr__(self, "parity_place", np.argsort(order))
         ranges = self._gram_ranges()
@@ -349,7 +356,7 @@ class OperatorTensors:
         c1, c2 = self.chart_coeffs
         grid = self.basis.scatter(u)
         mixed = _sum_per_state(u * self.basis.gather(self.div_x @ grid @ self.div_y))
-        mixed *= 2.0 * c1 * c2 / self.basis.mass_scale
+        mixed *= self.cross_scale
         return d1, d2, c1 * c1 * d1 + c2 * c2 * d2 + mixed
 
     def grad_norm_sq(self, coeffs: np.ndarray):
@@ -359,19 +366,28 @@ class OperatorTensors:
     def _gradient_terms(self, u: np.ndarray):
         return tuple(_sum_per_state(u * (u * diag)) for diag in (self.grad1, self.grad2))
 
+    @cached_property
+    def _transposes(self) -> tuple:  # the transposed views C and C^T read
+        return self.div_x.T, self.div_y.T, self.chart_rows.T
+
     def divergence(self, coeffs: np.ndarray) -> np.ndarray:
         """Weak divergence C u of one state or a (..., 3M) stack, shaped (..., M)."""
-        a = self.basis.scatter(self.chart_rows @ _by_component(coeffs, self.nmodes_total))
-        return self.basis.gather(self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self.div_y.T)
+        n1, n2 = self.basis.nmodes
+        lead = coeffs.shape[:-1] if coeffs.shape[-1] == 3 * n1 * n2 else coeffs.shape[:-2]
+        a = (self.chart_rows @ coeffs.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
+        div = self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self._transposes[1]
+        return div.reshape(lead + (n1 * n2,))
 
     def divergence_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3, M)."""
-        grid = self.basis.scatter(lam)
+        n1, n2 = self.basis.nmodes
+        div_xt, _, rows_t = self._transposes
+        grid = lam.reshape(lam.shape[:-1] + (n1, n2))
         # the D1 and D2 parts, written side by side for R3^T to combine
-        parts = np.empty(grid.shape[:-2] + (2,) + grid.shape[-2:])
-        np.matmul(self.div_x.T, grid, out=parts[..., 0, :, :])
+        parts = np.empty(lam.shape[:-1] + (2, n1, n2))
+        np.matmul(div_xt, grid, out=parts[..., 0, :, :])
         np.matmul(grid, self.div_y, out=parts[..., 1, :, :])
-        return self.chart_rows.T @ self.basis.gather(parts)
+        return rows_t @ parts.reshape(lam.shape[:-1] + (2, n1 * n2))
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """u - C^T gram_pinv C u for one (3M,) state or a (..., 3M) stack.
@@ -381,23 +397,19 @@ class OperatorTensors:
         state reads the same digits as when it is projected alone (a
         (K, M) @ W.T GEMM does not).
         """
-        c = np.asarray(coeffs)
-        div = self.divergence(c).take(self.parity_order, axis=-1)[..., None]
+        div = self.divergence(coeffs).take(self.parity_order, axis=-1)[..., None]
         lam = np.empty_like(div)
         even, odd = self.gram_pinv_blocks
         k = even.shape[0]
         np.matmul(even, div[..., :k, :], out=lam[..., :k, :])
         np.matmul(odd, div[..., k:, :], out=lam[..., k:, :])
         lam = lam[..., 0].take(self.parity_place, axis=-1)
-        return c - self.divergence_adjoint(lam).reshape(c.shape)
+        return coeffs - self.divergence_adjoint(lam).reshape(coeffs.shape)
 
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
         """K u of (..., M) coefficients on the (N1, N2) grids; see the class docstring."""
-        c1, c2 = self.chart_coeffs
-        grid = self.basis.scatter(u)
-        mixed = self.div_x @ grid @ self.div_y + self.div_x.T @ grid @ self.div_y.T
-        cross = (c1 * c2 / self.basis.mass_scale) * self.basis.gather(mixed)
-        return -(self.stiffness_diag * u + cross)
+        mixed = self.div_x @ u.reshape(u.shape[:-1] + self.basis.nmodes) @ self.div_y
+        return -(self.stiffness_diag * u + self.cross_scale * mixed.reshape(u.shape))
 
     @cached_property
     def constraint(self) -> np.ndarray:
@@ -475,11 +487,13 @@ def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
 
     # weak derivative pairings <D_i w_q, w_p>.  ss is diagonal (L/2), so each
     # pairing acts along one grid direction only: div_x[a, c] is the
-    # <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1, div_y likewise in y
+    # <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1, div_y likewise in y;
+    # the strictly upper triangle mirrored negated makes each exactly antisymmetric
     bmode1 = np.arange(1, n1 + 1)
     bmode2 = np.arange(1, n2 + 1)
-    div_x = (np.pi / l1) * bmode1[None, :] * sc1 * (0.5 * l2)
-    div_y = (np.pi / l2) * bmode2[None, :] * sc2 * (0.5 * l1)
+    div_x, div_y = (np.triu(d, 1) - np.triu(d, 1).T for d in (
+        (np.pi / l1) * bmode1[None, :] * sc1 * (0.5 * l2),
+        (np.pi / l2) * bmode2[None, :] * sc2 * (0.5 * l1)))
 
     # skewed advective factors; antisymmetric in the last two slots
     x1 = 0.5 * (np.pi / l1) * (

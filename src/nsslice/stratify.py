@@ -192,9 +192,10 @@ def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerd
 
     Only finitely many directions are tested (canonical axes plus the ones
     supplied), so a POSITIVE verdict reports the best family found without
-    claiming exhaustiveness.  Directions are normalized, then deduplicated:
-    the axes first, then the supplied ones in the order given.  A zero
-    (or non-finite) direction raises ValueError.
+    claiming exhaustiveness.  Directions are normalized, then deduplicated,
+    a direction and its opposite being one plane family: of each, the first
+    met is kept, the axes first, then the supplied ones in the order given.
+    A zero (or non-finite) direction raises ValueError.
     """
     unit_dirs = []
     for d in (*AXIS_DIRECTIONS, *(directions or [])):
@@ -203,7 +204,7 @@ def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerd
         if not 0.0 < norm < np.inf:
             raise ValueError(f"direction {tuple(d)} is not a nonzero finite vector")
         dv = dv / norm
-        if not any(np.max(np.abs(dv - u)) <= 1e-12 for u in unit_dirs):
+        if not any(np.max(np.abs(dv - s * u)) <= 1e-12 for u in unit_dirs for s in (1, -1)):
             unit_dirs.append(dv)
     h = np.asarray(mask.spacings)
     volume_tol = VOLUME_TOL_VOXELS * mask.voxel_volume

@@ -193,6 +193,41 @@ def test_assembly_against_closed_form_integrals():
     assert np.allclose(tens.constraint, con_ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("tables", ["closed-form", "quadrature"])
+@pytest.mark.parametrize(
+    "nmodes, extents",
+    [((4, 4), (1.0, 1.0)), ((5, 4), (1.2, 0.9)), ((7, 9), (1.5, 0.8)), ((1, 2), (0.7, 1.3))],
+    ids=["even-square", "odd-even", "odd-odd", "1x2"],
+)
+def test_divergence_factors_exactly_antisymmetric(monkeypatch, tables, nmodes, extents):
+    # <D1 w_c, w_a> = -<w_c, D1 w_a> for Dirichlet sines, and assemble stores
+    # the factors so to the last bit, zero diagonal included, whichever tables
+    # they are built from
+    import nsslice.galerkin as galerkin
+
+    if tables == "quadrature":
+        monkeypatch.setattr(galerkin, "_trig_tables", _quadrature_tables)
+    tens = assemble(SpectralBasis(nmodes=nmodes, extents=extents), OBLIQUE)
+    for d in (tens.div_x, tens.div_y):
+        assert np.array_equal(d, -d.T)
+        assert np.all(np.diag(d) == 0.0)
+
+
+@pytest.mark.parametrize("nmodes", [(5, 4), (12, 12), (24, 24)], ids=["5x4", "12x12", "24x24"])
+def test_one_product_stiffness_matches_both_mixed_terms(nmodes):
+    # with exactly antisymmetric factors div_x.T @ U @ div_y.T is div_x @ U @ div_y,
+    # so the one-product stiffness reads the two-term form bit for bit
+    tens = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), OBLIQUE)
+    c1, c2 = tens.chart_coeffs
+    dx, dy = tens.div_x, tens.div_y
+    m = tens.nmodes_total
+    for u in (np.random.default_rng(24).standard_normal((2, 3, m)), np.eye(m)):
+        grid = tens.basis.scatter(u)
+        mixed = tens.basis.gather(dx @ grid @ dy + dx.T @ grid @ dy.T)
+        want = -(tens.stiffness_diag * u + (c1 * c2 / tens.basis.mass_scale) * mixed)
+        assert np.array_equal(tens.apply_stiffness(u), want)
+
+
 def test_trilinear_factors_against_closed_form():
     basis = SpectralBasis(nmodes=(5, 4), extents=(1.1, 0.9))
     tens = assemble(basis, AXIS_ALIGNED_CHART)
@@ -937,3 +972,5 @@ def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert exact.constraint_rank == ref.constraint_rank
+    # the quadrature factors come from their own tables, not the closed forms
+    assert not np.array_equal(exact.div_x, ref.div_x)

@@ -212,6 +212,19 @@ def test_directions_normalized_then_deduplicated():
         stratification_verdict(mask, [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)])
 
 
+def test_opposite_directions_are_one_family():
+    # a direction and its opposite slice by the same planes, offsets reversed:
+    # only the first one met is tested, the x axis before (-1, 0, 0)
+    cube = np.zeros((12, 12, 12), bool)
+    cube[3:9, 3:9, 3:9] = True
+    verdict = stratification_verdict(grid_from_mask(cube), [(-1.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                                            (-1.0, -1.0, -1.0)])
+    dirs = np.array([p.direction for p in verdict.profiles])
+    assert dirs.shape == (4, 3)
+    assert np.allclose(dirs, [*np.eye(3), np.full(3, 3.0 ** -0.5)], rtol=0.0, atol=1e-15)
+    assert verdict.positive
+
+
 def test_empty_mask_negative_everywhere():
     verdict = stratification_verdict(grid_from_mask(np.zeros((8, 8, 8), bool)))
     assert not verdict.positive
