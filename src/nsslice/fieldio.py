@@ -205,31 +205,20 @@ def read_field(path) -> Field:
         ):
             raise FieldFormatError(f"malformed header: {raw_header!r}")
         if mode == "binary":
-            nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
-            if nbytes < 8 * nvals:
-                raise FieldFormatError(
-                    f"truncated payload: {nbytes} bytes, expected {8 * nvals}"
-                )
-            if nbytes > 8 * nvals:
-                raise FieldFormatError(
-                    f"oversized payload: {nbytes} bytes, expected {8 * nvals}"
-                )
-            flat = np.fromfile(fh, dtype="<f8", count=nvals)
+            size, want, unit = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * nvals, "bytes"
         elif mode == "text":
             try:
                 flat = np.array(fh.read().split(), dtype=float)
             except ValueError as exc:
                 raise FieldFormatError("unparseable text payload") from exc
-            if flat.size < nvals:
-                raise FieldFormatError(
-                    f"truncated payload: {flat.size} values, expected {nvals}"
-                )
-            if flat.size > nvals:
-                raise FieldFormatError(
-                    f"oversized payload: {flat.size} values, expected {nvals}"
-                )
+            size, want, unit = flat.size, nvals, "values"
         else:
             raise FieldFormatError(f"unknown payload mode {mode!r}")
+        if size != want:
+            state = "truncated" if size < want else "oversized"
+            raise FieldFormatError(f"{state} payload: {size} {unit}, expected {want}")
+        if mode == "binary":
+            flat = np.fromfile(fh, dtype="<f8", count=nvals)
     return Field.from_flat(dims, extents, ncomp, flat)
 
 

@@ -111,9 +111,8 @@ class SpectralBasis:
 
     @property
     def lambda1(self) -> float:
-        """First Dirichlet eigenvalue, pi^2 (1/L1^2 + 1/L2^2), in closed form."""
-        l1, l2 = self.extents
-        return float(np.pi**2 * (1.0 / l1**2 + 1.0 / l2**2))
+        """First Dirichlet eigenvalue pi^2 (1/L1^2 + 1/L2^2), that of mode 0 = (1, 1)."""
+        return float(self.eigenvalues[0])
 
     @property
     def eigen_rank(self) -> np.ndarray:
@@ -135,16 +134,6 @@ class SpectralBasis:
         length = self.extents[axis]
         a = np.arange(1, n + 1)
         return np.sin(np.pi / length * np.outer(a, np.asarray(coords)))
-
-    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """Modal vector(s) (..., M) -> (..., N1, N2) coefficient grid, a view where possible."""
-        c = np.asarray(coeffs)
-        return c.reshape(c.shape[:-1] + self.nmodes)
-
-    def gather(self, grid: np.ndarray) -> np.ndarray:
-        """(..., N1, N2) coefficient grid -> modal vector(s) (..., M), a view where possible."""
-        g = np.asarray(grid)
-        return g.reshape(g.shape[:-2] + (g.shape[-2] * g.shape[-1],))
 
 
 def _by_component(coeffs, m: int) -> np.ndarray:
@@ -354,8 +343,8 @@ class OperatorTensors:
         u = _by_component(coeffs, self.nmodes_total)
         d1, d2 = self._gradient_terms(u)
         c1, c2 = self.chart_coeffs
-        grid = self.basis.scatter(u)
-        mixed = _sum_per_state(u * self.basis.gather(self.div_x @ grid @ self.div_y))
+        grid = u.reshape(u.shape[:-1] + self.basis.nmodes)
+        mixed = _sum_per_state(u * (self.div_x @ grid @ self.div_y).reshape(u.shape))
         mixed *= self.cross_scale
         return d1, d2, c1 * c1 * d1 + c2 * c2 * d2 + mixed
 
@@ -441,11 +430,10 @@ class OperatorTensors:
 def _trig_tables(n: int, length: float):
     """Exact 1-D integrals over [0, length] of products of the n sine modes.
 
-    With s_a = sin(a pi x / L) and c_a = cos(a pi x / L), returns ss[a, b] =
-    int s_a s_b, sc = int s_a c_b, cc = int c_a c_b, sss[a, b, c] =
-    int s_a s_b s_c and scs = int s_a c_b s_c, each reduced by product-to-sum
-    to the integrals int cos(k pi x / L) = L [k = 0] and
-    int sin(k pi x / L) = 2L / (k pi) for odd k, else 0.
+    With s_a = sin(a pi x / L) and c_a = cos(a pi x / L), returns sc[a, b] =
+    int s_a c_b, sss[a, b, c] = int s_a s_b s_c and scs = int s_a c_b s_c,
+    each reduced by product-to-sum to the integrals int cos(k pi x / L) =
+    L [k = 0] and int sin(k pi x / L) = 2L / (k pi) for odd k, else 0.
     """
     def cos_int(k):
         return np.where(k == 0, length, 0.0)
@@ -456,9 +444,7 @@ def _trig_tables(n: int, length: float):
 
     a = np.arange(1, n + 1)
     i, j = a[:, None], a[None, :]
-    ss = 0.5 * (cos_int(i - j) - cos_int(i + j))
     sc = 0.5 * (sin_int(i + j) + sin_int(i - j))
-    cc = 0.5 * (cos_int(i - j) + cos_int(i + j))
     i, j, k = a[:, None, None], a[None, :, None], a[None, None, :]
     sss = 0.25 * (
         sin_int(k + i - j) + sin_int(k - i + j) - sin_int(k + i + j) - sin_int(k - i - j)
@@ -466,7 +452,7 @@ def _trig_tables(n: int, length: float):
     scs = 0.25 * (
         cos_int(i + j - k) + cos_int(i - j - k) - cos_int(i + j + k) - cos_int(i - j + k)
     )
-    return ss, sc, cc, sss, scs
+    return sc, sss, scs
 
 
 def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
@@ -475,20 +461,22 @@ def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
     n1, n2 = basis.nmodes
     l1, l2 = basis.extents
 
-    ss1, sc1, cc1, sss1, scs1 = _trig_tables(n1, l1)
-    ss2, sc2, cc2, sss2, scs2 = _trig_tables(n2, l2)
+    sc1, sss1, scs1 = _trig_tables(n1, l1)
+    sc2, sss2, scs2 = _trig_tables(n2, l2)
 
     mm, nn = basis.modes.T
 
-    # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors.  The
+    # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors, and the
+    # 1-D integrals int s_a s_a and int c_a c_a are both L/2.  The
     # off-diagonal entries pair distinct sine modes and are exact zeros.
-    k1 = (np.pi / l1) ** 2 * (mm * mm) * cc1[mm - 1, mm - 1] * ss2[nn - 1, nn - 1]
-    k2 = (np.pi / l2) ** 2 * (nn * nn) * ss1[mm - 1, mm - 1] * cc2[nn - 1, nn - 1]
+    k1 = (np.pi / l1) ** 2 * (mm * mm) * (0.5 * l1) * (0.5 * l2)
+    k2 = (np.pi / l2) ** 2 * (nn * nn) * (0.5 * l1) * (0.5 * l2)
 
-    # weak derivative pairings <D_i w_q, w_p>.  ss is diagonal (L/2), so each
-    # pairing acts along one grid direction only: div_x[a, c] is the
-    # <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1, div_y likewise in y;
-    # the strictly upper triangle mirrored negated makes each exactly antisymmetric
+    # weak derivative pairings <D_i w_q, w_p>.  The sine pair integral is
+    # diagonal (L/2), so each pairing acts along one grid direction only:
+    # div_x[a, c] is the <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1,
+    # div_y likewise in y; the strictly upper triangle mirrored negated makes
+    # each exactly antisymmetric
     bmode1 = np.arange(1, n1 + 1)
     bmode2 = np.arange(1, n2 + 1)
     div_x, div_y = (np.triu(d, 1) - np.triu(d, 1).T for d in (
@@ -652,7 +640,7 @@ def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
     s2 = basis.sine_table(1, fld.axis_coords(1))
     data = np.ascontiguousarray(fld.data.swapaxes(1, 2)).swapaxes(1, 2)
     grid = (s1 @ data @ s2.T) * (4.0 / (j1 * j2))
-    return basis.gather(grid)
+    return grid.reshape(fld.ncomp, -1)
 
 
 def series_forcing(series: TimeSeriesField, basis: SpectralBasis):
@@ -693,10 +681,10 @@ def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     s1, s2 = (basis.sine_table(i, np.linspace(0.0, basis.extents[i], dims[i])) for i in range(2))
     if u.ndim == 2 and u.shape[1] == 3 * m:
         k = u.shape[0]
-        data = np.moveaxis(s1.T @ basis.scatter(u.reshape(k, 3, m)) @ s2, 0, -1)
+        data = np.moveaxis(s1.T @ u.reshape((k, 3) + basis.nmodes) @ s2, 0, -1)
         return Field(dims=dims + (k,), extents=basis.extents + (k - 1.0,), ncomp=3, data=data)
-    u = u.reshape(-1, m)
-    data = s1.T @ basis.scatter(u) @ s2
+    u = u.reshape((-1,) + basis.nmodes)
+    data = s1.T @ u @ s2
     return Field(dims=dims, extents=basis.extents, ncomp=u.shape[0], data=data)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -151,9 +152,10 @@ class _Record:
 class ManufacturedSolution:
     """Closed-form solution/forcing pair for a given chart coupling.
 
-    amp_psi scales the advecting stream function, amp_w the third component,
-    sigma the non-polynomial spectral richness; omega drives the amplitude
-    modulation g(t) = 1 + 0.5 sin(omega t).  Quartic/cubic sine envelopes
+    sigma sets the non-polynomial spectral richness.  The class constants
+    amp_psi and amp_w scale the advecting stream function and the third
+    component, and omega drives the amplitude modulation
+    g(t) = 1 + 0.5 sin(omega t).  Quartic/cubic sine envelopes
     keep the first few even derivatives zero on the walls, so the sine-basis
     coefficients decay like k^-5 and truncation errors like N^-4.5; a pure
     sine basis cannot do better than a fixed algebraic order for velocities
@@ -172,11 +174,11 @@ class ManufacturedSolution:
     extents: tuple[float, float] = (1.0, 1.0)
     chart: SliceChart = AXIS_ALIGNED_CHART
     nu: float = 0.1
-    amp_psi: float = 0.05
-    amp_w: float = 0.4
     sigma: float = 4.0
-    omega: float = 3.0
     envelope_power: int = 4
+    amp_psi: ClassVar[float] = 0.05
+    amp_w: ClassVar[float] = 0.4
+    omega: ClassVar[float] = 3.0
 
     def __post_init__(self):
         self.c1, self.c2 = projected_gradient_coeffs(self.chart)
@@ -221,8 +223,8 @@ class ManufacturedSolution:
             s1, s2 = basis.sine_table(0, xg), basis.sine_table(1, yg)
             fields = self._forcing_fields(xg, yg)
             forcing = tuple(
-                basis.gather((s1 @ (v * wx[None, :, None] * wy[None, None, :]) @ s2.T)
-                             / basis.mass_scale)
+                ((s1 @ (v * wx[None, :, None] * wy[None, None, :]) @ s2.T)
+                 / basis.mass_scale).reshape(3, -1)
                 for v in fields
             )
             tensors = galerkin.assemble(basis, self.chart)
@@ -257,7 +259,7 @@ class ManufacturedSolution:
         """True L2 distance between the expansion and the exact velocity."""
         rec = self._record(n)
         _, g = self._amplitude(t)
-        grids = rec.basis.scatter(np.asarray(coeffs).reshape(3, -1))
+        grids = np.asarray(coeffs).reshape((3,) + rec.basis.nmodes)
         diff = rec.s1.T @ grids @ rec.s2 - g * rec.u_grid
         return float(np.sqrt(np.sum(diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :])))
 

@@ -177,12 +177,14 @@ def _longest_run(flags: np.ndarray) -> int:
 def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerdict:
     """Search plane families for a positive-measure stratification.
 
-    POSITIVE iff some tested direction has a run of consecutive slabs, of
-    total offset length >= interval_tol, on which every slice measure clears
-    area_tol.  The verdict is cross-checked against the voxel-volume oracle:
-    total volume > volume_tol must coincide with a POSITIVE verdict along at
-    least one canonical axis, the discrete form of the slicing equivalence;
-    disagreement raises StratifyInconsistencyError.
+    POSITIVE iff some tested direction has a run of at least
+    INTERVAL_TOL_SLABS consecutive slabs (offset length interval_tol) on which
+    every slice measure clears area_tol; the run is counted in slabs, so the
+    verdict does not depend on the box's units.  The verdict is cross-checked
+    against the voxel-volume oracle: total volume > volume_tol must coincide
+    with a POSITIVE verdict along at least one canonical axis, the discrete
+    form of the slicing equivalence; disagreement raises
+    StratifyInconsistencyError.
 
     The slab count and the three thresholds come from the voxel grid: one
     slab per voxel across each direction's projection span, area_tol of
@@ -216,19 +218,17 @@ def stratification_verdict(mask: IndicatorGrid, directions=None) -> StratifyVerd
         at = AREA_TOL_FACES * mask.voxel_volume / float(np.sum(np.abs(dv) * h))
         offsets, measures = slice_measures(mask, tuple(dv), ns)
         dbeta = offsets[1] - offsets[0]
-        it = INTERVAL_TOL_SLABS * dbeta
         run = _longest_run(measures >= at)
-        length = run * dbeta
         profiles.append(
             DirectionProfile(
                 direction=tuple(float(v) for v in dv),
                 offsets=offsets,
                 measures=measures,
                 area_tol=float(at),
-                interval_tol=float(it),
+                interval_tol=float(INTERVAL_TOL_SLABS * dbeta),
                 best_run_slabs=run,
-                interval_length=float(length),
-                positive=bool(length >= it - 1e-12 * max(dbeta, 1.0) and run >= 1),
+                interval_length=float(run * dbeta),
+                positive=run >= INTERVAL_TOL_SLABS,
             )
         )
     positive = any(p.positive for p in profiles)

@@ -143,6 +143,13 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_08_stratification_equivalence"),
     ),
     Mutant(
+        "stratify interval of one slab",
+        "stratify.py",
+        "positive=run >= INTERVAL_TOL_SLABS,",
+        "positive=run >= 1,",
+        ("tests/test_stratify.py::test_verdict_independent_of_box_units",),
+    ),
+    Mutant(
         "_BLOWUP_LIMIT 1e12 -> 1e300",
         "galerkin.py",
         "_BLOWUP_LIMIT = 1e12",

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from oracles import contract_triple, cross_matrix, dense_trilinear, stiffness, without_nonlinearity
 
 from nsslice.fieldio import (
@@ -15,7 +14,6 @@ from nsslice.galerkin import (
     BlowUpError,
     GalerkinError,
     SpectralBasis,
-    _trig_tables,
     assemble,
     coercivity_check,
     divergence_residual,
@@ -90,7 +88,7 @@ def oblique_tensors(square_basis):
 
 def test_basis_mode_table_row_major():
     # mode p is the row-major grid cell (p // N2 + 1, p % N2 + 1), with its
-    # own eigenvalue; coefficient vectors and grids are views of each other
+    # own eigenvalue
     basis = SpectralBasis(nmodes=(5, 3), extents=(1.3, 0.7))
     p = np.arange(15)
     assert np.array_equal(basis.modes, np.column_stack([p // 3 + 1, p % 3 + 1]))
@@ -98,12 +96,6 @@ def test_basis_mode_table_row_major():
     lam = np.pi**2 * (m**2 / 1.3**2 + n**2 / 0.7**2)
     np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-15, atol=0.0)
     assert basis.lambda1 == pytest.approx(basis.eigenvalues.min(), rel=1e-15)
-    coeffs = np.arange(2 * 3 * 15, dtype=float).reshape(2, 3, 15)
-    grid = basis.scatter(coeffs)
-    assert grid.shape == (2, 3, 5, 3) and np.shares_memory(grid, coeffs)
-    assert grid[1, 2, 3, 1] == coeffs[1, 2, 3 * 3 + 1]
-    back = basis.gather(grid)
-    assert np.shares_memory(back, coeffs) and np.array_equal(back, coeffs)
 
 
 def test_lambda1_closed_form():
@@ -112,21 +104,21 @@ def test_lambda1_closed_form():
 
 
 def test_mass_matrix_diagonal(square_tensors, odd_even_oblique):
-    # the closed forms give exact parity zeros: the dense mass and gradient
-    # Grams are diagonal to the last bit and the mass is exactly m0 * I, so
-    # storing m0 and the two diagonals loses nothing; checked on an
-    # axis-aligned basis and on an oblique odd x even one
+    # the sine and cosine pair integrals are L/2 on the diagonal and 0 off it,
+    # so the mass is m0 * I and the gradient Grams are the closed-form
+    # diagonals (pi m / L1)^2 (L1/2) (L2/2) and (pi n / L2)^2 (L1/2) (L2/2),
+    # to the last bit; checked on an axis-aligned basis and on an oblique
+    # odd x even one (test_closed_forms_match_quadrature_at_benchmark_size
+    # checks the dense Grams by quadrature)
     for tens in (square_tensors, odd_even_oblique):
         basis = tens.basis
         l1, l2 = basis.extents
         m0 = l1 * l2 / 4.0
         assert basis.mass_scale == m0
-        mass, k1, k2 = _dense_grams(basis, _trig_tables)
-        assert np.array_equal(mass, m0 * np.eye(basis.nmodes_total))
-        off = ~np.eye(basis.nmodes_total, dtype=bool)
-        for dense, diag in ((k1, tens.grad1), (k2, tens.grad2)):
-            assert np.all(dense[off] == 0.0)
-            assert np.array_equal(np.diag(dense), diag)
+        mm, nn = basis.modes.T
+        half1, half2 = 0.5 * l1, 0.5 * l2
+        assert np.array_equal(tens.grad1, (np.pi / l1) ** 2 * (mm * mm) * half1 * half2)
+        assert np.array_equal(tens.grad2, (np.pi / l2) ** 2 * (nn * nn) * half1 * half2)
         np.testing.assert_allclose(
             tens.grad1 + tens.grad2, m0 * basis.eigenvalues, rtol=1e-14, atol=0.0
         )
@@ -206,7 +198,7 @@ def test_divergence_factors_exactly_antisymmetric(monkeypatch, tables, nmodes, e
     import nsslice.galerkin as galerkin
 
     if tables == "quadrature":
-        monkeypatch.setattr(galerkin, "_trig_tables", _quadrature_tables)
+        monkeypatch.setattr(galerkin, "_trig_tables", _assembled_quadrature_tables)
     tens = assemble(SpectralBasis(nmodes=nmodes, extents=extents), OBLIQUE)
     for d in (tens.div_x, tens.div_y):
         assert np.array_equal(d, -d.T)
@@ -222,8 +214,8 @@ def test_one_product_stiffness_matches_both_mixed_terms(nmodes):
     dx, dy = tens.div_x, tens.div_y
     m = tens.nmodes_total
     for u in (np.random.default_rng(24).standard_normal((2, 3, m)), np.eye(m)):
-        grid = tens.basis.scatter(u)
-        mixed = tens.basis.gather(dx @ grid @ dy + dx.T @ grid @ dy.T)
+        grid = u.reshape(u.shape[:-1] + tens.basis.nmodes)
+        mixed = (dx @ grid @ dy + dx.T @ grid @ dy.T).reshape(u.shape)
         want = -(tens.stiffness_diag * u + (c1 * c2 / tens.basis.mass_scale) * mixed)
         assert np.array_equal(tens.apply_stiffness(u), want)
 
@@ -368,7 +360,7 @@ def test_energy_matches_grid_quadrature(oblique_tensors):
     yg, wy = gauss_rule(basis.extents[1], 60)
     s1 = basis.sine_table(0, xg)
     s2 = basis.sine_table(1, yg)
-    grids = basis.scatter(coeffs)
+    grids = coeffs.reshape((3,) + basis.nmodes)
     synth = np.einsum("mi,cmn,nj->cij", s1, grids, s2)
     direct = 0.5 * float(np.sum(synth**2 * wx[None, :, None] * wy[None, None, :]))
     assert tens.energy(coeffs) == pytest.approx(direct, rel=1e-13)
@@ -705,12 +697,12 @@ def test_transforms_match_einsum_oracle():
     s1 = basis.sine_table(0, fld.axis_coords(0))
     s2 = basis.sine_table(1, fld.axis_coords(1))
     grid = np.einsum("mi,cij,nj->cmn", s1, fld.data, s2) * (4.0 / (18 * 23))
-    want = basis.gather(grid)
+    want = grid.reshape(3, -1)
     got = project_field_to_basis(fld, basis)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     coeffs = np.random.default_rng(5).standard_normal((3, basis.nmodes_total))
-    want = np.einsum("mi,cmn,nj->cij", s1, basis.scatter(coeffs), s2)
+    want = np.einsum("mi,cmn,nj->cij", s1, coeffs.reshape((3,) + basis.nmodes), s2)
     got = synthesize_field(basis, coeffs, fld.dims).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -768,6 +760,7 @@ def test_coercivity_oblique_dominates_axis(square_tensors, oblique_tensors):
 
 
 def test_coercivity_positive_random_charts():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(17)
 
     def cases():
@@ -799,7 +792,7 @@ def test_coercivity_positive_random_charts():
         assert rq == pytest.approx(val, rel=1e-12)
         # independent check: inverse power iteration on the matrices reduced
         # by a null basis that does not come from the code under test
-        z = scipy.linalg.null_space(tens.constraint)
+        z = scipy_linalg.null_space(tens.constraint)
         m = basis.nmodes_total
         m3 =basis.mass_scale * np.eye(3 * m)
         a = z.T @ s3 @ z
@@ -811,7 +804,7 @@ def test_coercivity_positive_random_charts():
         rayleigh = float(x @ a @ x) / float(x @ b @ x)
         assert val == pytest.approx(rayleigh, rel=1e-6)
         # and the full generalized spectrum of the dense reduced problem
-        full = scipy.linalg.eigh(a, b, eigvals_only=True)
+        full = scipy_linalg.eigh(a, b, eigvals_only=True)
         assert val == pytest.approx(full[0], rel=1e-10)
 
 
@@ -945,6 +938,12 @@ def _quadrature_tables(n, length):
     return ss, sc, cc, sss, scs
 
 
+def _assembled_quadrature_tables(n, length):
+    # the three quadrature tables assemble reads, in the order _trig_tables gives them
+    _, sc, _, sss, scs = _quadrature_tables(n, length)
+    return sc, sss, scs
+
+
 def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     # n = 24 on an oblique chart: assembling from quadrature tables must
     # reproduce every closed-form operator and trilinear factor to round-off
@@ -953,7 +952,7 @@ def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     basis = SpectralBasis(nmodes=(24, 24), extents=(1.2, 0.9))
     chart = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
     exact = assemble(basis, chart)
-    monkeypatch.setattr(galerkin, "_trig_tables", _quadrature_tables)
+    monkeypatch.setattr(galerkin, "_trig_tables", _assembled_quadrature_tables)
     ref = assemble(basis, chart)
     mass_ref, k1_ref, k2_ref = _dense_grams(basis, _quadrature_tables)
     pairs = [

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
-from mms_symbolic import SymbolicMMS
 from oracles import velocity, velocity_field
 
 import nsslice.galerkin
@@ -19,10 +17,14 @@ def oblique_ms():
 
 @pytest.fixture(scope="module")
 def oblique_sym(oblique_ms):
+    pytest.importorskip("sympy")
+    from mms_symbolic import SymbolicMMS
+
     return SymbolicMMS(oblique_ms)
 
 
 def test_constraint_compatible_symbolically(oblique_sym):
+    sp = pytest.importorskip("sympy")
     t, x, y = oblique_sym.symbols
     u1, u2, u3 = oblique_sym.u_exprs
     c1, c2 = oblique_sym.c1, oblique_sym.c2
@@ -37,6 +39,7 @@ def test_constraint_compatible_symbolically(oblique_sym):
 
 def test_forcing_matches_definition_symbolically(oblique_sym):
     # spot check one component: f_i - (du_i/dt - nu A1 u_i + V . grad u_i) == 0
+    sp = pytest.importorskip("sympy")
     t, x, y = oblique_sym.symbols
     u1, u2, u3 = oblique_sym.u_exprs
     c1, c2 = oblique_sym.c1, oblique_sym.c2
@@ -54,6 +57,7 @@ def test_forcing_matches_definition_symbolically(oblique_sym):
 
 def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
     # oracle: project the full time-dependent forcing expressions directly
+    sp = pytest.importorskip("sympy")
     t, x, y = oblique_sym.symbols
     full = [sp.lambdify((t, x, y), fi, "numpy") for fi in oblique_sym.f_exprs]
     for n in (10, 7):
@@ -66,9 +70,9 @@ def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
             pointwise = oblique_ms.forcing_values(tv, quad.xg, quad.yg)
             assert np.max(np.abs(pointwise - vals)) <= 1e-12 * np.max(np.abs(vals))
             weighted = vals * quad.wx[None, :, None] * quad.wy[None, None, :]
-            want = basis.gather(
+            want = (
                 np.einsum("ai,cij,bj->cab", quad.s1, weighted, quad.s2) / basis.mass_scale
-            )
+            ).reshape(3, -1)
             got = f_of_t(tv)
             assert got.shape == (3, basis.nmodes_total)
             scale = np.max(np.abs(want))
@@ -86,6 +90,9 @@ def test_split_forcing_matches_full_expressions(oblique_ms, oblique_sym):
 )
 def test_jet_fields_match_symbolic_oracle(chart, extents, power):
     # chart None: the default, axis-aligned chart
+    sp = pytest.importorskip("sympy")
+    from mms_symbolic import SymbolicMMS
+
     ms = ManufacturedSolution(extents=extents, nu=0.15, envelope_power=power,
                               **({} if chart is None else {"chart": chart}))
     assert ms.chart == (chart or AXIS_ALIGNED_CHART)
@@ -201,9 +208,8 @@ def test_self_convergence_coarse_vs_fine():
         finals[n] = (ms.operators(n).basis, ms.final(n, dt, 0.2).reshape(3, -1))
     basis16, c16 = finals[16]
     basis24, c24 = finals[24]
-    grid16 = basis16.scatter(c16)
     padded = np.zeros((3,) + basis24.nmodes)
-    padded[:, :16, :16] = grid16
-    diff = basis24.gather(padded) - c24
+    padded[:, :16, :16] = c16.reshape((3,) + basis16.nmodes)
+    diff = padded.reshape(3, -1) - c24
     l2 = ms.operators(24).norm_h(diff)
     assert l2 < 1e-6

@@ -200,6 +200,18 @@ def test_sparse_masks_negative_on_both_proxies(mask):
     assert all(np.max(p.measures) < p.area_tol for p in verdict.profiles[:3])
 
 
+@pytest.mark.parametrize("extent", [1.0, 1e-12])
+def test_verdict_independent_of_box_units(extent):
+    # 5 voxels on the plane i + j + k = 3, all in one slab of the (1, 1, 1)
+    # family: one slab is below the two-slab interval threshold in any units
+    m = np.zeros((16, 16, 16), bool)
+    for voxel in ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 1, 0)):
+        m[voxel] = True
+    verdict = stratification_verdict(grid_from_mask(m, (extent,) * 3), [(1.0, 1.0, 1.0)])
+    assert not verdict.positive and not verdict.oracle_positive
+    assert verdict.profiles[3].best_run_slabs == 1 and not verdict.profiles[3].positive
+
+
 def test_directions_normalized_then_deduplicated():
     mask = grid_from_mask(ball_mask(12, 0.3))
     verdict = stratification_verdict(mask, [(2.0, 0.0, 0.0), (1.0, 1.0, 1.0),
