@@ -152,14 +152,14 @@ def ledger_from_run(
     if len(trace) == 0:
         raise ValueError("trace is empty")
     k = len(trace)
-    u = trace.coeffs.reshape(k, 3, -1)
+    u = trace.coeffs
     e = tensors.energy(u)
     d1, d2, dc = tensors.dissipation_terms(u)
     if f_of_t is None:
         w = np.zeros(k)
     else:
-        f = np.stack([f_of_t(t) for t in trace.times])
-        w = (f * (tensors.basis.mass_scale * u)).reshape(k, -1).sum(axis=-1)
+        f = np.stack([f_of_t(t) for t in trace.times]).reshape(u.shape)
+        w = (f * (tensors.basis.mass_scale * u)).sum(axis=-1)
     if k >= 3:
         dedt = np.gradient(e, trace.times, edge_order=2)
     else:
@@ -214,7 +214,7 @@ def uniqueness_experiment(
 ) -> ContractionReport:
     """Run unforced twin solves and test the contraction envelope on their difference.
 
-    u0_coeffs, (3M,) or (3, M), and its perturbation by delta times a seeded
+    The (3M,) state u0_coeffs and its perturbation by delta times a seeded
     unit-norm divergence-free direction are projected onto the
     divergence-free subspace and advance in lockstep as one (2, 3M) state.
     With delta = 0 the twins start from the same state and take the same
@@ -222,8 +222,8 @@ def uniqueness_experiment(
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    u0 = np.asarray(u0_coeffs, dtype=float).ravel()
-    pair = np.stack([u0, u0 + perturbation_coeffs(tensors, seed) * delta])
+    # a (3, M) or (M, 3) u0_coeffs does not broadcast with the (3M,) direction
+    pair = np.stack([u0_coeffs, u0_coeffs + perturbation_coeffs(tensors, seed) * delta])
     # looked up on the galerkin module, where perfbench/tracer.py wraps them
     start = galerkin.project_divfree(pair, tensors)
     trace = galerkin.solve_from_state(start, None, tensors, nu, dt, t_end)

@@ -29,6 +29,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -147,7 +148,8 @@ KEYS = {
     "io.forcing_slice": (str, None),
     "io.v": (str, REQUIRED),
     "io.w": (str, REQUIRED),
-    "slice.dims": (_count(_ints, 2), "33,33"),
+    "slice.dims": (_checked(_count(_ints, 2), lambda v: min(v) >= 2, "must both be >= 2"),
+                   "33,33"),
     "basis.n1": (_positive(int), "8"),
     "basis.n2": (_positive(int), "8"),
     "basis.extents": (_checked(_count(_reals, 2), lambda v: min(v) > 0, "must be positive"),
@@ -250,9 +252,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+@contextmanager
+def _naming_keys(*keys):
+    """Re-raise a ValueError of the block as a ConfigError that names the config keys."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config keys {' and '.join(map(repr, keys))}: {exc}") from exc
+
+
 def _chart_from_config(cfg: RunConfig):
-    plane = Hyperplane.from_vector(cfg["plane.normal"], cfg["plane.offset"])
-    return make_chart(plane)
+    with _naming_keys("plane.normal", "plane.offset"):
+        return make_chart(Hyperplane.from_vector(cfg["plane.normal"], cfg["plane.offset"]))
 
 
 def _read_series_manifest(path: Path) -> TimeSeriesField:
@@ -337,7 +348,8 @@ def cmd_project(cfg: RunConfig) -> int:
     # run that exits 2 leaves nothing behind
     u0 = _read_input(cfg, "io.u0", 3, one_field=True).frames[0]
     series = _read_input(cfg, "io.forcing", 3, optional=True, on=("io.u0", u0))
-    (smin, smax), (tmin, tmax) = section_rectangle(u0.extents, chart)
+    with _naming_keys("plane.normal", "plane.offset"):
+        (smin, smax), (tmin, tmax) = section_rectangle(u0.extents, chart)
     area = (smax - smin) * (tmax - tmin)
     u0_slice = restrict_to_slice(u0, chart, slice_dims)
     f_slices = [] if series is None else [
@@ -403,9 +415,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     u0 = _read_input(cfg, "io.u0_slice", 2, one_field=True).frames[0]
     forcing = _read_input(cfg, "io.forcing_slice", 2, optional=True, on=("io.u0_slice", u0))
     basis = _basis_from_config(cfg, u0.extents)
+    # projected before assembly: modes too fine for the slice grid exit 2 at once
+    with _naming_keys("basis.n1", "basis.n2"):
+        u0_coeffs = project_field_to_basis(u0, basis).ravel()
+        f_of_t = None if forcing is None else series_forcing(forcing, basis)
     tensors = assemble(basis, chart)
-    f_of_t = None if forcing is None else series_forcing(forcing, basis)
-    coeffs0 = project_divfree(project_field_to_basis(u0, basis).ravel(), tensors)
+    coeffs0 = project_divfree(u0_coeffs, tensors)
     trace = solve_from_state(coeffs0, f_of_t, tensors, nu, dt, t_end)
     ledger = analysis.ledger_from_run(trace, tensors, f_of_t, nu)
     out = cfg.out_dir
@@ -475,11 +490,11 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     delta = cfg["uniq.delta"]
     u0 = _read_input(cfg, "io.u0_slice", 2, optional=True, one_field=True)
     basis = _basis_from_config(cfg, cfg["basis.extents"] if u0 is None else u0.frames[0].extents)
+    with _naming_keys("basis.n1", "basis.n2"):
+        u0_coeffs = None if u0 is None else project_field_to_basis(u0.frames[0], basis).ravel()
     tensors = assemble(basis, chart)
-    if u0 is None:
+    if u0_coeffs is None:
         u0_coeffs = _synthetic_u0(cfg, tensors)
-    else:
-        u0_coeffs = project_field_to_basis(u0.frames[0], basis).ravel()
     report = analysis.uniqueness_experiment(tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,10 @@
 Fields are vertex-centered: axis ``i`` carries ``dims[i]`` samples at
 ``x = j * extents[i] / (dims[i] - 1)``, so boundaries are sampled.  A 3D
 field is restricted to a plane on the plane's section rectangle
-(geometry.section_rectangle).
+(geometry.section_rectangle).  A Field takes its samples shaped
+(ncomp, *dims) and in no other layout; flat samples in NSF1 payload order
+(component-major, first grid axis fastest) become a field through
+Field.from_flat only.
 """
 
 from __future__ import annotations
@@ -56,12 +59,8 @@ class Field:
         if self.ncomp not in (1, 3):
             raise FieldFormatError(f"ncomp must be 1 or 3, got {self.ncomp}")
         data = np.asarray(self.data, dtype=float)
-        want = (self.ncomp,) + dims
-        if data.size != self.ncomp * int(np.prod(dims)):
-            raise FieldFormatError(
-                f"payload has {data.size} samples, expected {self.ncomp * int(np.prod(dims))}"
-            )
-        data = data.reshape(want, order="C") if data.shape != want else data
+        if data.shape != (self.ncomp,) + dims:
+            raise FieldFormatError(f"data shape {data.shape} != (ncomp, *dims) {(self.ncomp,) + dims}")
         if not np.all(np.isfinite(data)):
             raise NonFiniteSampleError("field contains non-finite samples")
         object.__setattr__(self, "dims", dims)
@@ -86,6 +85,7 @@ class Field:
 
     @classmethod
     def from_flat(cls, dims, extents, ncomp, flat) -> "Field":
+        """The field whose flat_samples are flat, in NSF1 payload order."""
         dims = tuple(int(d) for d in dims)
         npts = int(np.prod(dims))
         flat = np.asarray(flat, dtype=float)
@@ -101,10 +101,7 @@ class Field:
         """Sample ``func(*coords) -> (ncomp, ...) array`` on the vertex grid."""
         axes = [np.linspace(0.0, float(e), int(d)) for d, e in zip(dims, extents)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(func(*mesh), dtype=float)
-        if vals.shape[0] != ncomp:
-            raise FieldFormatError(f"function returned {vals.shape[0]} components, expected {ncomp}")
-        return cls(dims=tuple(dims), extents=tuple(extents), ncomp=ncomp, data=vals)
+        return cls(dims=tuple(dims), extents=tuple(extents), ncomp=ncomp, data=func(*mesh))
 
 
 @dataclass(frozen=True)
@@ -265,8 +262,6 @@ def restrict_to_slice(field3d: Field, chart: SliceChart, slice_dims) -> Field:
     if field3d.ndim_grid != 3:
         raise ValueError("restrict_to_slice needs a 3D field")
     n1, n2 = (int(v) for v in slice_dims)
-    if n1 < 2 or n2 < 2:
-        raise ValueError("slice_dims must both be >= 2")
     (smin, smax), (tmin, tmax) = section_rectangle(field3d.extents, chart)
     s = np.linspace(smin, smax, n1)
     t = np.linspace(tmin, tmax, n2)

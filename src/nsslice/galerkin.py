@@ -35,7 +35,11 @@ A state is a plain float array of length 3M, component-major:
 coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
 SpectralBasis) in velocity component c, so coeffs.reshape(3, N1, N2)[c, m - 1,
 n - 1] is that of w_{mn}.  A (B, 3M) stack holds B states that the solver
-advances together; the times of a solve are those of its Trace.
+advances together; the times of a solve are those of its Trace.  Every
+function that takes a state takes this (..., 3M) layout and no other: it
+views the state as (..., 3, M) with x.reshape(x.shape[:-1] + (3, M)), which
+raises ValueError on a (3, M) or (M, 3) array.  Forcing callables return
+(3, M) basis coordinates, which are not states.
 
 The time integrator is classical RK4 with every stage projected.
 """
@@ -136,13 +140,6 @@ class SpectralBasis:
         return np.sin(np.pi / length * np.outer(a, np.asarray(coords)))
 
 
-def _by_component(coeffs, m: int) -> np.ndarray:
-    """View a (3M,) or (3, M) state, or a (..., 3M) stack, as (..., 3, M)."""
-    c = np.asarray(coeffs)
-    lead = c.shape[:-1] if c.shape[-1] == 3 * m else c.shape[:-2]
-    return c.reshape(lead + (3, m))
-
-
 def _sum_per_state(terms: np.ndarray):
     """Sum a (..., 3, M) array over each state: a float, or an array for a stack."""
     total = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
@@ -193,8 +190,8 @@ class TrilinearTensor:
     def apply_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Weak advection vector <B~(u, v), w_(d,r)>, shaped (..., 3, M).
 
-        u and v are one state each ((3M,) or (3, M)) or matching (..., 3M)
-        stacks.  The two terms t (advecting grids A_1 = u1 + c1 u3 and
+        u and v are one (3M,) state each or matching (..., 3M) stacks.  The
+        two terms t (advecting grids A_1 = u1 + c1 u3 and
         A_2 = u2 + c2 u3) are stacked, and the advecting grid is contracted
         with the y factor once and shared by the three transported
         components.  Each contraction is one stacked matmul over (state,
@@ -204,14 +201,14 @@ class TrilinearTensor:
             R[m, n] = sum_{t,a,b,c,d} A_t[a, b] V[c, d] X_t[a, c, m] Y_t[b, d, n].
         """
         n1, n2 = self.basis.nmodes
-        lead = u.shape[:-1] if u.shape[-1] == 3 * n1 * n2 else u.shape[:-2]
+        lead = u.shape[:-1]
         y_rows, x_cols = self._factors
         adv = (self.chart_rows @ u.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
         # tmp[t, a, d, n] = sum_b A_t[a, b] Y_t[b, d, n]
         tmp = adv @ y_rows
         # e[k, t, a, c, n] = sum_d V_k[c, d] tmp[t, a, d, n], one GEMM per (k, t, a);
         # the grid V_k of each transported component k is broadcast over t and a
-        e = v.reshape(lead + (3, 1, 1, n1, n2)) @ tmp.reshape(lead + (1, 2, n1, n2, n2))
+        e = v.reshape(v.shape[:-1] + (3, 1, 1, n1, n2)) @ tmp.reshape(lead + (1, 2, n1, n2, n2))
         # R_k[m, n] = sum_{t, a, c} X_t[a, c, m] e[k, t, a, c, n]
         return (x_cols @ e.reshape(lead + (3, 2 * n1 * n1, n2))).reshape(lead + (3, n1 * n2))
 
@@ -316,8 +313,8 @@ class OperatorTensors:
         """Per parity class, the kept eigenpairs (w, v) of its block of C C^T."""
         n1, n2 = self.basis.nmodes
         m = self.nmodes_total
-        spectra = [np.linalg.eigh(g) for g in
-                   self._parity_blocks(lambda e: self.divergence(self.divergence_adjoint(e)))]
+        spectra = [np.linalg.eigh(g) for g in self._parity_blocks(
+            lambda e: self.divergence(self.divergence_adjoint(e).reshape(len(e), 3 * m)))]
         w_max = max((w.max() for w, _ in spectra if w.size), default=0.0)
         scale = np.pi * max(n1, n2) / min(self.basis.extents) * self.basis.mass_scale
         tol = max(w_max * 3 * m * np.finfo(float).eps, (1e-12 * scale) ** 2)
@@ -328,10 +325,10 @@ class OperatorTensors:
         return self.basis.nmodes_total
 
     # quadratic functionals, exact Parseval-style sums in coefficient space;
-    # each takes one state or a (..., 3M) stack and then returns per-state arrays
+    # each takes one (3M,) state or a (..., 3M) stack and then returns per-state arrays
     def energy(self, coeffs: np.ndarray):
         """Kinetic energy 0.5 * ||u||_H^2."""
-        u = _by_component(coeffs, self.nmodes_total)
+        u = coeffs.reshape(coeffs.shape[:-1] + (3, self.nmodes_total))
         return 0.5 * _sum_per_state(u * (self.basis.mass_scale * u))
 
     def norm_h(self, coeffs: np.ndarray):
@@ -340,7 +337,7 @@ class OperatorTensors:
 
     def dissipation_terms(self, coeffs: np.ndarray):
         """(||D1 u||^2, ||D2 u||^2, ||(c1 D1 + c2 D2) u||^2) summed over components."""
-        u = _by_component(coeffs, self.nmodes_total)
+        u = coeffs.reshape(coeffs.shape[:-1] + (3, self.nmodes_total))
         d1, d2 = self._gradient_terms(u)
         c1, c2 = self.chart_coeffs
         grid = u.reshape(u.shape[:-1] + self.basis.nmodes)
@@ -349,7 +346,7 @@ class OperatorTensors:
         return d1, d2, c1 * c1 * d1 + c2 * c2 * d2 + mixed
 
     def grad_norm_sq(self, coeffs: np.ndarray):
-        d1, d2 = self._gradient_terms(_by_component(coeffs, self.nmodes_total))
+        d1, d2 = self._gradient_terms(coeffs.reshape(coeffs.shape[:-1] + (3, self.nmodes_total)))
         return d1 + d2
 
     def _gradient_terms(self, u: np.ndarray):
@@ -360,9 +357,9 @@ class OperatorTensors:
         return self.div_x.T, self.div_y.T, self.chart_rows.T
 
     def divergence(self, coeffs: np.ndarray) -> np.ndarray:
-        """Weak divergence C u of one state or a (..., 3M) stack, shaped (..., M)."""
+        """Weak divergence C u of one (3M,) state or a (..., 3M) stack, shaped (..., M)."""
         n1, n2 = self.basis.nmodes
-        lead = coeffs.shape[:-1] if coeffs.shape[-1] == 3 * n1 * n2 else coeffs.shape[:-2]
+        lead = coeffs.shape[:-1]
         a = (self.chart_rows @ coeffs.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
         div = self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self._transposes[1]
         return div.reshape(lead + (n1 * n2,))
@@ -551,7 +548,7 @@ def _rhs(
     u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
     weak = tensors.apply_stiffness(u)
     weak *= nu
-    weak -= tensors.trilinear.apply_pair(u, u)
+    weak -= tensors.trilinear.apply_pair(coeffs3m, coeffs3m)
     weak /= tensors.basis.mass_scale
     if f_of_t is not None:
         weak += f_of_t(t)
@@ -612,7 +609,7 @@ def step(
 
 
 def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
-    """L2 (mass) projection of a sampled 2D field onto the basis, per component.
+    """L2 (mass) projection of a sampled 2D field onto the basis: (ncomp, M) coordinates.
 
     Uses the trapezoid rule on the vertex grid, which by discrete sine
     orthogonality is exact for fields already in the span as long as the grid
@@ -668,7 +665,7 @@ def series_forcing(series: TimeSeriesField, basis: SpectralBasis):
 def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     """Evaluate the expansion on a vertex grid of the basis rectangle.
 
-    coeffs is one state, (3M,) or (ncomp, M), giving a (N1, N2) field, or a
+    coeffs is one (3M,) state, giving the 3-component (N1, N2) field, or a
     (k, 3M) stack of k >= 2 states, giving the 3-component (N1, N2, k) field
     whose frame j, data[..., j], is state j.  The third axis is the frame
     index, with extent k - 1.  A stack is one batched matmul whose per-state
@@ -676,16 +673,13 @@ def synthesize_field(basis: SpectralBasis, coeffs: np.ndarray, dims) -> Field:
     synthesizing its state alone.
     """
     dims = tuple(int(v) for v in dims)
-    m = basis.nmodes_total
-    u = np.asarray(coeffs)
     s1, s2 = (basis.sine_table(i, np.linspace(0.0, basis.extents[i], dims[i])) for i in range(2))
-    if u.ndim == 2 and u.shape[1] == 3 * m:
-        k = u.shape[0]
-        data = np.moveaxis(s1.T @ u.reshape((k, 3) + basis.nmodes) @ s2, 0, -1)
-        return Field(dims=dims + (k,), extents=basis.extents + (k - 1.0,), ncomp=3, data=data)
-    u = u.reshape((-1,) + basis.nmodes)
-    data = s1.T @ u @ s2
-    return Field(dims=dims, extents=basis.extents, ncomp=u.shape[0], data=data)
+    data = s1.T @ coeffs.reshape(coeffs.shape[:-1] + (3,) + basis.nmodes) @ s2
+    if coeffs.ndim == 1:
+        return Field(dims=dims, extents=basis.extents, ncomp=3, data=data)
+    k = coeffs.shape[0]
+    return Field(dims=dims + (k,), extents=basis.extents + (k - 1.0,), ncomp=3,
+                 data=np.moveaxis(data, 0, -1))
 
 
 @dataclass
@@ -749,22 +743,23 @@ def rhs_dual_norm(
     f_of_t,
     nu: float,
     t: float,
-) -> float:
+):
     """Dual (gradient-seminorm) magnitude of the momentum balance right side.
 
     Diagnostic only: the time-derivative functional nu*A1 u - B~(u, u) + f is
     measured against test functions in the gradient seminorm, i.e.
     sqrt(F^T K^{-1} F) per component with K the (diagonal) gradient Gram
     matrix.  Useful for monitoring how hard the coefficient ODE is being
-    driven; no controller consumes it.  f_of_t is the forcing in basis
-    coordinates, a callable t -> (3, M), or None (see step).
+    driven; no controller consumes it.  coeffs is one (3M,) state or a
+    (..., 3M) stack, which gives one magnitude per state; f_of_t is the
+    forcing in basis coordinates, a callable t -> (3, M), or None (see step).
     """
-    u = np.asarray(coeffs).reshape(3, -1)
+    u = coeffs.reshape(coeffs.shape[:-1] + (3, tensors.nmodes_total))
     weak = nu * tensors.apply_stiffness(u)
-    weak -= tensors.trilinear.apply_pair(u, u)
+    weak -= tensors.trilinear.apply_pair(coeffs, coeffs)
     if f_of_t is not None:
         weak += tensors.basis.mass_scale * f_of_t(t)
-    return float(np.sqrt(np.sum(weak**2 / (tensors.grad1 + tensors.grad2))))
+    return np.sqrt(_sum_per_state(weak**2 / (tensors.grad1 + tensors.grad2)))
 
 
 def coercivity_check(tensors: OperatorTensors) -> float:

@@ -120,7 +120,7 @@ def make_chart(plane: Hyperplane) -> SliceChart:
     # argmax with ties broken by the largest index
     k = int(np.max(np.nonzero(mags == mags.max())[0]))
     retained = [i for i in range(3) if i != k]
-    alphas = [n[i] / n[k] for i in retained]
+    alphas = [float(n[i] / n[k]) for i in retained]
     for a in alphas:
         if 0.0 < abs(a) < DEFAULT_CHART_TOL:
             raise CoefficientOverflowError(
@@ -130,8 +130,8 @@ def make_chart(plane: Hyperplane) -> SliceChart:
     return SliceChart(
         plane=plane,
         eliminated_axis=k + 1,
-        alpha1=float(alphas[0]),
-        alpha2=float(alphas[1]),
+        alpha1=alphas[0],
+        alpha2=alphas[1],
         affine_offset=float(plane.offset / n[k]),
         inplane_axes=(retained[0] + 1, retained[1] + 1),
     )

@@ -237,9 +237,9 @@ class ManufacturedSolution:
         return self._record(n).tensors
 
     def exact_coeffs(self, t: float, n: int) -> np.ndarray:
-        """(3, M) coordinates of the exact velocity at t in the n x n basis."""
+        """(3M,) state of the exact velocity at t in the n x n basis."""
         _, g = self._amplitude(t)
-        return g * self._record(n).forcing[0]
+        return g * self._record(n).forcing[0].reshape(-1)
 
     def forcing_coeffs(self, n: int):
         """Callable t -> (3, M) coordinates of the forcing in the n x n basis.
@@ -256,10 +256,10 @@ class ManufacturedSolution:
         return f_of_t
 
     def l2_error(self, coeffs: np.ndarray, t: float, n: int) -> float:
-        """True L2 distance between the expansion and the exact velocity."""
+        """True L2 distance between the expansion of a (3M,) state and the exact velocity."""
         rec = self._record(n)
         _, g = self._amplitude(t)
-        grids = np.asarray(coeffs).reshape((3,) + rec.basis.nmodes)
+        grids = coeffs.reshape(coeffs.shape[:-1] + (3,) + rec.basis.nmodes)
         diff = rec.s1.T @ grids @ rec.s2 - g * rec.u_grid
         return float(np.sqrt(np.sum(diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :])))
 
@@ -272,7 +272,7 @@ class ManufacturedSolution:
         rec = self._record(n)
         key = (float(dt), float(t_end))
         if key not in rec.finals:
-            start = project_divfree(self.exact_coeffs(0.0, n).ravel(), rec.tensors)
+            start = project_divfree(self.exact_coeffs(0.0, n), rec.tensors)
             trace = solve_from_state(start, self.forcing_coeffs(n), rec.tensors, self.nu, dt, t_end)
             state = trace.coeffs[-1].copy()
             state.flags.writeable = False

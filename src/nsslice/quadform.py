@@ -36,11 +36,11 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 @dataclass(frozen=True)
 class StrainMatrixField:
-    """Gradient tensor of a 3D velocity field; its symmetric part on demand.
+    """Gradient tensor of a 3D velocity field.
 
-    grad[i, k] holds D_i v_k and is the only stored array.  sym[j, k] =
-    0.5 * (D_j v_k + D_k v_j) is computed on access; canonicalize takes the
-    same six entries from grad without forming it.
+    grad[i, k] holds D_i v_k and is the only stored array; canonicalize takes
+    the six entries 0.5 * (D_j v_k + D_k v_j) of its symmetric part from grad
+    without forming that part.
     """
 
     dims: tuple[int, int, int]
@@ -54,15 +54,6 @@ class StrainMatrixField:
             extents=tuple(float(e) for e in extents),
             grad=np.asarray(grad, dtype=float),
         )
-
-    @property
-    def sym(self) -> np.ndarray:
-        """Symmetric part (3, 3, nx, ny, nz), a fresh array on every access."""
-        return 0.5 * (self.grad + np.swapaxes(self.grad, 0, 1))
-
-    def matrices(self) -> np.ndarray:
-        """Symmetric matrices as an (npoints, 3, 3) stack."""
-        return np.moveaxis(self.sym.reshape(3, 3, -1), -1, 0)
 
     def gradient_norms(self) -> np.ndarray:
         """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).

@@ -94,6 +94,14 @@ MUTANTS = (
         ("tests/test_cli.py::test_solve_divergence_check_fails_on_leaky_projection",),
     ),
     Mutant(
+        "divergence_preserved reads the last state only",
+        "cli.py",
+        "div_max = float(np.max(divergence_residual(trace.coeffs, tensors)))",
+        "div_max = float(np.max(divergence_residual(trace.coeffs[-1:], tensors)))",
+        ("tests/test_cli.py::test_solve_divergence_check_fails_on_leaky_projection",
+         "tests/test_cli.py::test_solve_divergence_check_reads_every_state"),
+    ),
+    Mutant(
         "MIN_SPATIAL_RATIO 10 -> 3",
         "mms.py",
         "MIN_SPATIAL_RATIO = 10.0   # error at the coarsest mode count over that at the finest",

@@ -129,9 +129,20 @@ def canonicalize_whole(strain) -> QuadFormDecomposition:
     return QuadFormDecomposition(b=b, jacobi=ok, inertia=inertia, pivot_tol=float(pivot_tol))
 
 
+def strain_sym(strain) -> np.ndarray:
+    """Symmetric part (3, 3, nx, ny, nz) of the strain's gradient, 0.5 * (D_j v_k + D_k v_j)."""
+    return 0.5 * (strain.grad + np.swapaxes(strain.grad, 0, 1))
+
+
+def strain_matrices(strain) -> np.ndarray:
+    """The strain's symmetric matrices as an (npoints, 3, 3) stack."""
+    return np.moveaxis(strain_sym(strain).reshape(3, 3, -1), -1, 0)
+
+
 def trace_field(strain) -> np.ndarray:
     """Pointwise trace of the strain; equals div v up to stencil error."""
-    return strain.sym[0, 0] + strain.sym[1, 1] + strain.sym[2, 2]
+    sym = strain_sym(strain)
+    return sym[0, 0] + sym[1, 1] + sym[2, 2]
 
 
 def graph_height(chart, s, t):

@@ -221,6 +221,13 @@ def test_uniqueness_twin_runs_identical(tensors):
     assert rep.max_w_norm == 0.0
 
 
+def test_uniqueness_takes_one_layout(tensors):
+    u0 = smooth_state(tensors, seed=41)
+    for bad in (u0.reshape(3, -1), u0.reshape(-1, 3)):
+        with pytest.raises(ValueError):
+            uniqueness_experiment(tensors, bad, 0.1, 1e-3, 0.01, 1e-8)
+
+
 def test_uniqueness_perturbed_envelope(oblique):
     u0 = smooth_state(oblique, seed=42)
     rep = uniqueness_experiment(oblique, u0, 0.1, 1e-3, 0.15, 1e-8, seed=6)

@@ -105,10 +105,17 @@ def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offse
     ("project", "io.forcing={tmp}/box_2.nsf1"),
     ("solve", "io.forcing_slice={tmp}/slice_box_2.nsf1"),
     ("stratify", "io.w={tmp}/slice.nsf1"),
+    ("project", "plane.normal=0,0,0"),
+    ("project", "plane.normal=1,1e-9,1"),
+    ("solve", "plane.normal=0,0,0"),
+    # more modes than the 9 x 9 slice grid resolves
+    ("solve", "basis.n1=8"),
+    ("uniqueness", "basis.n2=8"),
 ])
 def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, command, setting):
     # every input is read and checked before assembly and before the output
-    # directory is made, and an input error names its key and file
+    # directory is made; an input error names its key and file, and a bad
+    # value its key
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the inputs")
 
@@ -130,6 +137,8 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
     assert "error:" in err
     if setting.startswith("io."):
         assert f"error: {setting}: " in err
+    else:
+        assert repr(setting.split("=")[0]) in err
     assert not out.exists()
 
 
@@ -350,6 +359,40 @@ def test_solve_divergence_check_fails_on_leaky_projection(tmp_path, monkeypatch)
     assert manifest["checks"]["inequality_holds"]
 
 
+def test_solve_divergence_check_reads_every_state(tmp_path, monkeypatch):
+    # must-FAIL oracle: the check covers the whole run, so a divergent
+    # component in one middle state fails it while the first and last
+    # states are divergence-free
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src)
+    solve = nsslice.cli.solve_from_state
+    clean = []
+
+    def leaky_middle(coeffs, f_of_t, tensors, *args):
+        trace = solve(coeffs, f_of_t, tensors, *args)
+        clean.append(nsslice.galerkin.divergence_residual(trace.coeffs[[0, -1]], tensors))
+        lam = np.zeros(tensors.nmodes_total)
+        lam[1] = 1.0
+        kick = tensors.divergence_adjoint(lam).ravel()
+        kick *= 1e-6 / nsslice.galerkin.divergence_residual(kick, tensors)
+        trace.coeffs[len(trace) // 2] += kick
+        return trace
+
+    monkeypatch.setattr(nsslice.cli, "solve_from_state", leaky_middle)
+    out = tmp_path / "o"
+    rc = main([
+        "solve", "--out", str(out), "--set", f"io.u0_slice={src}",
+        "--set", "plane.normal=1,0.5,1", "--set", "plane.offset=1.75",
+        "--set", "basis.n1=6", "--set", "basis.n2=6",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=0.00025", "--set", "solver.T=0.0025",
+    ])
+    assert rc == EXIT_CHECK_FAILED
+    assert np.max(clean[0]) <= 1e-12
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert not manifest["checks"]["divergence_preserved"]
+    assert manifest["max_divergence_residual"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_invalid_numeric_rejected_before_compute(tmp_path):
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src)
@@ -557,7 +600,8 @@ def test_config_values_parse_to_typed_values(tmp_path):
      "quadform.emit_fields=maybe", "mms.n_list=16,8",
      # non-finite reals, which would overflow the step count or the chart downstream
      "solver.T=inf", "mms.T=inf", "plane.offset=inf", "basis.extents=inf,1",
-     "stratify.directions=1,1,nan", "basis.extents=0,1", "basis.extents=-1,1"],
+     "stratify.directions=1,1,nan", "basis.extents=0,1", "basis.extents=-1,1",
+     "slice.dims=1,9"],
 )
 def test_bad_values_rejected_on_construction(tmp_path, override):
     # each value breaks its key's declared type or bound; no command need read it

@@ -110,15 +110,28 @@ def test_malformed_header(tmp_path):
 
 def test_field_invariants():
     with pytest.raises(FieldFormatError):
-        Field(dims=(1, 4), extents=(1.0, 1.0), ncomp=1, data=np.zeros(4))
+        Field(dims=(1, 4), extents=(1.0, 1.0), ncomp=1, data=np.zeros((1, 1, 4)))
     with pytest.raises(FieldFormatError):
-        Field(dims=(4, 4), extents=(1.0, -1.0), ncomp=1, data=np.zeros(16))
+        Field(dims=(4, 4), extents=(1.0, -1.0), ncomp=1, data=np.zeros((1, 4, 4)))
     with pytest.raises(FieldFormatError):
-        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=2, data=np.zeros(32))
+        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=2, data=np.zeros((2, 4, 4)))
     with pytest.raises(FieldFormatError):
-        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=1, data=np.zeros(15))
+        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=1, data=np.zeros((1, 4, 3)))
     with pytest.raises(NonFiniteSampleError):
-        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=1, data=np.full(16, np.inf))
+        Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=1, data=np.full((1, 4, 4), np.inf))
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (4, 5, 3)])
+def test_field_takes_only_component_first_data(dims):
+    # component-last or flat samples of the right size are rejected, not
+    # reshaped (a reshape would transpose the grid); from_flat is the one
+    # route from payload order and round-trips bit for bit
+    fld = random_field(np.random.default_rng(len(dims)), dims=dims)
+    for data in (np.moveaxis(fld.data, 0, -1), fld.flat_samples(), fld.data.ravel()):
+        with pytest.raises(FieldFormatError, match="data shape"):
+            Field(dims=fld.dims, extents=fld.extents, ncomp=3, data=data)
+    back = Field.from_flat(fld.dims, fld.extents, fld.ncomp, fld.flat_samples())
+    assert np.array_equal(back.data, fld.data)
 
 
 def test_timeseries_invariants():

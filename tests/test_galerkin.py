@@ -19,6 +19,7 @@ from nsslice.galerkin import (
     divergence_residual,
     project_divfree,
     project_field_to_basis,
+    rhs_dual_norm,
     series_forcing,
     solve_from_state,
     step,
@@ -345,7 +346,7 @@ def test_trilinear_apply_against_pseudospectral_oracle():
                 ky[r] * sx[r], cy[r]
             )
             expect[d, r] = 0.5 * (fwd[r] - float(np.sum(w2d * grad_wr * vgrid)))
-    got = tens.trilinear.apply_pair(u, v)
+    got = tens.trilinear.apply_pair(u.ravel(), v.ravel())
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(got - expect)) < 1e-12 * max(scale, 1.0)
 
@@ -355,7 +356,7 @@ def test_energy_matches_grid_quadrature(oblique_tensors):
     tens = oblique_tensors
     basis = tens.basis
     rng = np.random.default_rng(31)
-    coeffs = rng.standard_normal((3, basis.nmodes_total))
+    coeffs = rng.standard_normal(3 * basis.nmodes_total)
     xg, wx = gauss_rule(basis.extents[0], 60)
     yg, wy = gauss_rule(basis.extents[1], 60)
     s1 = basis.sine_table(0, xg)
@@ -590,8 +591,8 @@ def test_long_run_stays_divergence_free_without_reprojection():
     tens = assemble(SpectralBasis(nmodes=(12, 12), extents=(1.2, 0.9)), chart)
     m = tens.nmodes_total
     rng = np.random.default_rng(3)
-    u0 = tens.project(rng.standard_normal((3, m)) * np.exp(-0.1 * tens.basis.eigen_rank))
-    res = solve_from_state(u0.ravel(), None, tens, 0.1, 2.5e-4, 0.25)
+    u0 = tens.project((rng.standard_normal((3, m)) * np.exp(-0.1 * tens.basis.eigen_rank)).ravel())
+    res = solve_from_state(u0, None, tens, 0.1, 2.5e-4, 0.25)
     assert len(res) == 1001
     assert np.max(divergence_residual(res.coeffs, tens)) <= 1e-12
 
@@ -662,10 +663,10 @@ def test_third_component_passive_at_axis_aligned(square_tensors):
 
 def test_projection_roundtrip_field(square_basis):
     rng = np.random.default_rng(12)
-    coeffs = rng.standard_normal((3, square_basis.nmodes_total))
+    coeffs = rng.standard_normal(3 * square_basis.nmodes_total)
     fld = synthesize_field(square_basis, coeffs, (33, 33))
     back = project_field_to_basis(fld, square_basis)
-    assert np.max(np.abs(back - coeffs)) < 1e-12
+    assert np.max(np.abs(back.ravel() - coeffs)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 24])
@@ -701,7 +702,7 @@ def test_transforms_match_einsum_oracle():
     got = project_field_to_basis(fld, basis)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    coeffs = np.random.default_rng(5).standard_normal((3, basis.nmodes_total))
+    coeffs = np.random.default_rng(5).standard_normal(3 * basis.nmodes_total)
     want = np.einsum("mi,cmn,nj->cij", s1, coeffs.reshape((3,) + basis.nmodes), s2)
     got = synthesize_field(basis, coeffs, fld.dims).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -732,7 +733,7 @@ def test_series_forcing_interpolates_projected_frames(square_basis):
     rng = np.random.default_rng(31)
     m = square_basis.nmodes_total
     frames = tuple(
-        synthesize_field(square_basis, rng.standard_normal((3, m)), (9, 9)) for _ in range(3)
+        synthesize_field(square_basis, rng.standard_normal(3 * m), (9, 9)) for _ in range(3)
     )
     times = np.array([0.0, 0.5, 1.5])
     f_of_t = series_forcing(TimeSeriesField(times=times, frames=frames), square_basis)
@@ -832,8 +833,6 @@ def test_trilinear_factors_store_exact_zeros(square_tensors):
 
 
 def test_rhs_dual_norm_diagnostic(square_tensors):
-    from nsslice.galerkin import rhs_dual_norm
-
     m = square_tensors.nmodes_total
     zero = np.zeros(3 * m)
     assert rhs_dual_norm(zero, square_tensors, None, 0.1, 0.0) == 0.0
@@ -867,7 +866,6 @@ def test_apply_pair_stack_matches_per_state(odd_even_oblique):
         single = tr.apply_pair(u[i], v[i])
         assert single.shape == (3, m)
         assert np.array_equal(got[i], single)
-        assert np.array_equal(tr.apply_pair(u[i].reshape(3, m), v[i].reshape(3, m)), single)
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -921,6 +919,32 @@ def test_state_shape_guard(square_tensors):
             project_divfree(stack, square_tensors)
         with pytest.raises(GalerkinError, match="non-finite"):
             solve_from_state(stack, None, square_tensors, 0.1, 1e-2, 0.02)
+
+
+def test_state_functions_take_one_layout(odd_even_oblique):
+    # a state is (..., 3M) and nothing else: the (3, M) and (M, 3) arrays of
+    # the same samples raise instead of being read in a guessed layout
+    tens = odd_even_oblique
+    m = tens.nmodes_total
+    flat = np.random.default_rng(24).standard_normal(3 * m)
+    calls = {
+        "energy": tens.energy,
+        "norm_h": tens.norm_h,
+        "dissipation_terms": tens.dissipation_terms,
+        "grad_norm_sq": tens.grad_norm_sq,
+        "divergence": tens.divergence,
+        "divergence_residual": lambda c: divergence_residual(c, tens),
+        "apply_pair": lambda c: tens.trilinear.apply_pair(c, c),
+        "apply_pair transported": lambda c: tens.trilinear.apply_pair(flat, c),
+        "rhs_dual_norm": lambda c: rhs_dual_norm(c, tens, None, 0.1, 0.0),
+        "synthesize_field": lambda c: synthesize_field(tens.basis, c, (9, 9)),
+    }
+    for name, call in calls.items():
+        call(flat)
+        for bad in (flat.reshape(3, m), flat.reshape(m, 3)):
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} accepted a {bad.shape} state")
 
 
 def _quadrature_tables(n, length):

@@ -43,7 +43,8 @@ def test_make_chart_axis_aligned_y():
 
 def test_make_chart_rejects_tiny_coefficients():
     plane = Hyperplane.from_vector((1e-9, 0.0, 1.0), 0.2)
-    with pytest.raises(CoefficientOverflowError):
+    # the coefficient prints as a plain float, not as a numpy scalar repr
+    with pytest.raises(CoefficientOverflowError, match=r"renamed coefficient 1e-09 in \(0, 1e-08\)"):
         make_chart(plane)
 
 

@@ -156,6 +156,15 @@ def test_projection_error_only(oblique_ms):
     assert err < 1e-2 * norm
 
 
+def test_l2_error_takes_one_layout(oblique_ms):
+    # exact_coeffs gives the (3M,) state, the one layout l2_error reads
+    coeffs = oblique_ms.exact_coeffs(0.2, 10)
+    assert coeffs.shape == (300,)
+    for bad in (coeffs.reshape(3, -1), coeffs.reshape(-1, 3)):
+        with pytest.raises(ValueError):
+            oblique_ms.l2_error(bad, 0.2, 10)
+
+
 def test_exact_projection_weak_divergence_spectrally_small(oblique_ms):
     prev = None
     for n in (6, 10, 14):
@@ -205,11 +214,11 @@ def test_self_convergence_coarse_vs_fine():
     ms = ManufacturedSolution(nu=0.1, sigma=1.0, envelope_power=8)
     finals = {}
     for n, dt in ((16, 1e-3), (24, 5e-4)):
-        finals[n] = (ms.operators(n).basis, ms.final(n, dt, 0.2).reshape(3, -1))
+        finals[n] = (ms.operators(n).basis, ms.final(n, dt, 0.2))
     basis16, c16 = finals[16]
     basis24, c24 = finals[24]
     padded = np.zeros((3,) + basis24.nmodes)
     padded[:, :16, :16] = c16.reshape((3,) + basis16.nmodes)
-    diff = padded.reshape(3, -1) - c24
+    diff = padded.reshape(-1) - c24
     l2 = ms.operators(24).norm_h(diff)
     assert l2 < 1e-6
