@@ -5,8 +5,8 @@ Configuration is a flat key=value text file with per-module key namespaces
 (plane.*, io.*, slice.*, basis.*, solver.*, uniq.*, quadform.*, stratify.*,
 mms.*), overridable per key with --set key=value.  KEYS declares every key
 with its parser and default.  Before a command runs, RunConfig rejects a key
-that is not in KEYS (with a nearest-key hint, or the reason a REMOVED_KEYS
-key went) and parses every value, set or defaulted, so a mistyped key or a
+that is not in KEYS (with a nearest-key hint, or the reason _removed_keys
+gives) and parses every value, set or defaulted, so a mistyped key or a
 bad value exits 2 before any computation.  Every io.* input is read and
 checked by _read_input before any computation and before any output exists;
 an input error exits 2 and names its key and file.
@@ -18,6 +18,12 @@ check the subcommand ran passed; 1 means a check failed; 2 means the run
 itself errored.  quadform and stratify exit 0 whenever they complete: the
 viscosity criterion and the stratification sign are findings about the
 input field, reported as "satisfied" and "positive" in their JSON reports.
+
+Start-up loads only this module, fieldio and geometry.  Each cmd_* imports
+the solver modules it runs in its own body (project: none; solve and
+uniqueness: galerkin and analysis; quadform; stratify; mms: galerkin and mms)
+and calls their functions through the module object, where
+perfbench/tracer.py wraps them.
 """
 
 from __future__ import annotations
@@ -35,19 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, galerkin, mms as mms_mod, quadform as qf, stratify as st
-from .fieldio import Field, TimeSeriesField, read_field, restrict_to_slice, write_field
-from .galerkin import (
-    SpectralBasis,
-    assemble,
-    divergence_residual,
-    project_divfree,
-    project_field_to_basis,
-    series_forcing,
-    solve_from_state,
+from .fieldio import (
+    EXTENTS_REL_TOL,
+    Field,
+    TimeSeriesField,
+    read_field,
+    restrict_to_slice,
+    write_field,
 )
-# unused here: perfbench/tracer.py wraps cli.coercivity_check and cli.rhs_dual_norm by name
-from .galerkin import coercivity_check, rhs_dual_norm  # noqa: F401
 from .geometry import DEFAULT_CHART_TOL, Hyperplane, make_chart, section_rectangle
 
 logger = logging.getLogger("nsslice")
@@ -55,6 +56,21 @@ logger = logging.getLogger("nsslice")
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
+# galerkin functions that perfbench/tracer.py also looks up on this module;
+# no command reads them here
+_TRACER_NAMES = frozenset({
+    "assemble", "coercivity_check", "rhs_dual_norm", "divergence_residual",
+    "project_field_to_basis", "project_divfree", "solve_from_state",
+})
+
+
+def __getattr__(name: str):
+    if name in _TRACER_NAMES:
+        from . import galerkin
+
+        return getattr(galerkin, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -172,30 +188,41 @@ KEYS = {
                             "needs at least 2 increasing mode counts"), "8,16"),
 }
 
-# keys that no longer exist, with the reason given when one is set
-REMOVED_KEYS = {
-    "solver.quadrature_order": "the Galerkin operators are assembled exactly in closed form",
-    "chart.tolerance": f"the chart rejects coefficients in (0, {DEFAULT_CHART_TOL:g})",
-    "quadform.lambda1": "lambda1 is the first Dirichlet eigenvalue of the input field's box",
-    "quadform.pivot_tol":
-        f"the pivot tolerance is {qf.DEFAULT_PIVOT_REL_TOL:g} times the largest strain entry",
-    "stratify.nslices": "the slab count is one slab per voxel across the projection span",
-    "stratify.area_tol": f"a positive slice carries {st.AREA_TOL_FACES:g} voxel faces or more",
-    "stratify.interval_tol": f"a positive interval spans {st.INTERVAL_TOL_SLABS:g} slabs or more",
-    "stratify.volume_tol": f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
-    "uniq.mode": "the dt/2 difference is the time error, which mms measures",
-    "uniq.amplitude": "the seeded state has unit amplitude; set io.u0_slice for another field",
-    "mms.nu": f"the study runs at the solution's own nu = {mms_mod.ManufacturedSolution.nu:g}",
-    "mms.n_temporal": "the temporal study runs at the finest mode count of mms.n_list",
-    "mms.dt_list": "the temporal study's steps are 2*mms.dt, mms.dt and mms.dt/2",
-    "mms.min_ratio": f"the spatial error ratio gate is fixed at {mms_mod.MIN_SPATIAL_RATIO:g}",
-    "mms.min_order": f"the temporal order gate is fixed at {mms_mod.MIN_TEMPORAL_ORDER:g}",
-}
+
+def _removed_keys() -> dict[str, str]:
+    """Keys that no longer exist, with the reason given when one is set.
+
+    Built only on the error path: the reasons quote constants of quadform,
+    stratify and mms, which a normal run of another command does not import.
+    """
+    from . import mms as mms_mod, quadform as qf, stratify as st
+
+    return {
+        "solver.quadrature_order": "the Galerkin operators are assembled exactly in closed form",
+        "chart.tolerance": f"the chart rejects coefficients in (0, {DEFAULT_CHART_TOL:g})",
+        "quadform.lambda1": "lambda1 is the first Dirichlet eigenvalue of the input field's box",
+        "quadform.pivot_tol":
+            f"the pivot tolerance is {qf.DEFAULT_PIVOT_REL_TOL:g} times the largest strain entry",
+        "stratify.nslices": "the slab count is one slab per voxel across the projection span",
+        "stratify.area_tol": f"a positive slice carries {st.AREA_TOL_FACES:g} voxel faces or more",
+        "stratify.interval_tol":
+            f"a positive interval spans {st.INTERVAL_TOL_SLABS:g} slabs or more",
+        "stratify.volume_tol":
+            f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
+        "uniq.mode": "the dt/2 difference is the time error, which mms measures",
+        "uniq.amplitude": "the seeded state has unit amplitude; set io.u0_slice for another field",
+        "mms.nu": f"the study runs at the solution's own nu = {mms_mod.ManufacturedSolution.nu:g}",
+        "mms.n_temporal": "the temporal study runs at the finest mode count of mms.n_list",
+        "mms.dt_list": "the temporal study's steps are 2*mms.dt, mms.dt and mms.dt/2",
+        "mms.min_ratio": f"the spatial error ratio gate is fixed at {mms_mod.MIN_SPATIAL_RATIO:g}",
+        "mms.min_order": f"the temporal order gate is fixed at {mms_mod.MIN_TEMPORAL_ORDER:g}",
+    }
 
 
 def _unknown_key(key: str) -> str:
-    if key in REMOVED_KEYS:
-        return f"config key {key!r} was removed: {REMOVED_KEYS[key]}"
+    removed = _removed_keys()
+    if key in removed:
+        return f"config key {key!r} was removed: {removed[key]}"
     import difflib  # only on this error path, so a normal run does not import it
 
     near = difflib.get_close_matches(key, KEYS, n=1)
@@ -322,7 +349,7 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
         ref_key, ref = on
         if same_grid and frame.dims != ref.dims:
             raise rejected(f"must lie on the grid {ref.dims} of {ref_key}, got {frame.dims}")
-        if any(abs(e - r) > galerkin.EXTENTS_REL_TOL * r
+        if any(abs(e - r) > EXTENTS_REL_TOL * r
                for e, r in zip(frame.extents, ref.extents)):
             raise rejected(f"must lie on the box {ref.extents} of {ref_key}, got {frame.extents}")
     return series
@@ -330,6 +357,8 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
 
 def _check_step_count(cfg: RunConfig, t_key: str, dt_key: str, scale: float = 1.0) -> None:
     """Require cfg[t_key] to be a whole number of steps of scale * cfg[dt_key], before any solve."""
+    from . import galerkin
+
     try:
         galerkin.step_count(scale * cfg[dt_key], cfg[t_key])
     except ValueError as exc:
@@ -337,8 +366,10 @@ def _check_step_count(cfg: RunConfig, t_key: str, dt_key: str, scale: float = 1.
         raise ConfigError(f"config keys {t_key!r} and {dt_key!r}: {exc} ({step})") from exc
 
 
-def _basis_from_config(cfg: RunConfig, extents) -> SpectralBasis:
-    return SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
+def _basis_from_config(cfg: RunConfig, extents):
+    from . import galerkin
+
+    return galerkin.SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
 
 
 def cmd_project(cfg: RunConfig) -> int:
@@ -409,6 +440,8 @@ def _frame_runs(nframes: int, frame_bytes: int) -> list:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    from . import analysis, galerkin
+
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
@@ -417,11 +450,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     basis = _basis_from_config(cfg, u0.extents)
     # projected before assembly: modes too fine for the slice grid exit 2 at once
     with _naming_keys("basis.n1", "basis.n2"):
-        u0_coeffs = project_field_to_basis(u0, basis).ravel()
-        f_of_t = None if forcing is None else series_forcing(forcing, basis)
-    tensors = assemble(basis, chart)
-    coeffs0 = project_divfree(u0_coeffs, tensors)
-    trace = solve_from_state(coeffs0, f_of_t, tensors, nu, dt, t_end)
+        u0_coeffs = galerkin.project_field_to_basis(u0, basis).ravel()
+        f_of_t = None if forcing is None else galerkin.series_forcing(forcing, basis)
+    tensors = galerkin.assemble(basis, chart)
+    coeffs0 = galerkin.project_divfree(u0_coeffs, tensors)
+    trace = galerkin.solve_from_state(coeffs0, f_of_t, tensors, nu, dt, t_end)
     ledger = analysis.ledger_from_run(trace, tensors, f_of_t, nu)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -432,12 +465,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     frame_files = []
     for run in _frame_runs(recorded.size, u0.data.nbytes):
         rel = f"u_{run[0]:04d}-{run[-1]:04d}.nsf1"
-        # galerkin.synthesize_field: looked up where perfbench/tracer.py wraps it
         frames = galerkin.synthesize_field(basis, trace.coeffs[recorded[run]], u0.dims)
         write_field(frames, out / rel)
         frame_files.append(rel)
     write_json(out / "energy_ledger.json", ledger.to_dict())
-    div_max = float(np.max(divergence_residual(trace.coeffs, tensors)))
+    div_max = float(np.max(galerkin.divergence_residual(trace.coeffs, tensors)))
     checks = {
         "inequality_holds": ledger.inequality_holds(),
         "divergence_preserved": bool(div_max <= 1e-9),
@@ -484,6 +516,8 @@ def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
 
 
 def cmd_uniqueness(cfg: RunConfig) -> int:
+    from . import analysis, galerkin
+
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
     _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
@@ -491,8 +525,9 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     u0 = _read_input(cfg, "io.u0_slice", 2, optional=True, one_field=True)
     basis = _basis_from_config(cfg, cfg["basis.extents"] if u0 is None else u0.frames[0].extents)
     with _naming_keys("basis.n1", "basis.n2"):
-        u0_coeffs = None if u0 is None else project_field_to_basis(u0.frames[0], basis).ravel()
-    tensors = assemble(basis, chart)
+        u0_coeffs = (None if u0 is None
+                     else galerkin.project_field_to_basis(u0.frames[0], basis).ravel())
+    tensors = galerkin.assemble(basis, chart)
     if u0_coeffs is None:
         u0_coeffs = _synthetic_u0(cfg, tensors)
     report = analysis.uniqueness_experiment(tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed)
@@ -509,6 +544,8 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
 
 
 def cmd_quadform(cfg: RunConfig) -> int:
+    from . import quadform as qf
+
     nu = cfg["quadform.nu"]
     emit_fields = cfg["quadform.emit_fields"]
     series = _read_input(cfg, "io.v", 3)
@@ -560,6 +597,8 @@ def cmd_quadform(cfg: RunConfig) -> int:
 
 
 def cmd_stratify(cfg: RunConfig) -> int:
+    from . import stratify as st
+
     eps = cfg["stratify.eps"]
     # kept referenced to the end: with the frames freed before the verdict,
     # its temporaries took about 12k more minor page faults on four 64^3 frames
@@ -583,6 +622,8 @@ def cmd_stratify(cfg: RunConfig) -> int:
 
 
 def cmd_mms(cfg: RunConfig) -> int:
+    from . import mms as mms_mod
+
     n_list, dt, t_end = cfg["mms.n_list"], cfg["mms.dt"], cfg["mms.T"]
     # the temporal study's largest step is 2 dt
     _check_step_count(cfg, "mms.T", "mms.dt", scale=2.0)

@@ -20,6 +20,9 @@ import numpy as np
 
 from .geometry import BOX_REL_SLACK, SliceChart, SliceOutsideDomainError, section_rectangle
 
+#: Relative per-axis tolerance within which a field lies on a box.
+EXTENTS_REL_TOL = 1e-12
+
 
 class FieldFormatError(ValueError):
     """Malformed or inconsistent NSF1 content."""

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fieldio import Field, TimeSeriesField
+from .fieldio import EXTENTS_REL_TOL, Field, TimeSeriesField
 from .geometry import SliceChart, projected_gradient_coeffs
 
 logger = logging.getLogger(__name__)
@@ -63,9 +63,6 @@ logger = logging.getLogger(__name__)
 RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
-
-#: Relative per-axis tolerance within which a field lies on a basis's box.
-EXTENTS_REL_TOL = 1e-12
 
 
 class GalerkinError(RuntimeError):

@@ -255,13 +255,19 @@ class ManufacturedSolution:
 
         return f_of_t
 
-    def l2_error(self, coeffs: np.ndarray, t: float, n: int) -> float:
-        """True L2 distance between the expansion of a (3M,) state and the exact velocity."""
+    def l2_error(self, coeffs: np.ndarray, t: float, n: int):
+        """True L2 distance between the expansion of each state and the exact velocity.
+
+        coeffs is one (3M,) state, which gives a float, or a (..., 3M) stack,
+        which gives one distance per state.
+        """
         rec = self._record(n)
         _, g = self._amplitude(t)
         grids = coeffs.reshape(coeffs.shape[:-1] + (3,) + rec.basis.nmodes)
         diff = rec.s1.T @ grids @ rec.s2 - g * rec.u_grid
-        return float(np.sqrt(np.sum(diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :])))
+        sq = diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :]
+        err = np.sqrt(sq.reshape(coeffs.shape[:-1] + (-1,)).sum(axis=-1))
+        return float(err) if err.ndim == 0 else err
 
     def final(self, n: int, dt: float, t_end: float) -> np.ndarray:
         """Read-only (3M,) state at t_end of the forced solve from the exact start.

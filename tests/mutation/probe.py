@@ -96,8 +96,8 @@ MUTANTS = (
     Mutant(
         "divergence_preserved reads the last state only",
         "cli.py",
-        "div_max = float(np.max(divergence_residual(trace.coeffs, tensors)))",
-        "div_max = float(np.max(divergence_residual(trace.coeffs[-1:], tensors)))",
+        "div_max = float(np.max(galerkin.divergence_residual(trace.coeffs, tensors)))",
+        "div_max = float(np.max(galerkin.divergence_residual(trace.coeffs[-1:], tensors)))",
         ("tests/test_cli.py::test_solve_divergence_check_fails_on_leaky_projection",
          "tests/test_cli.py::test_solve_divergence_check_reads_every_state"),
     ),

@@ -119,7 +119,7 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the inputs")
 
-    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
     write_u0_3d(tmp_path / "w_coarse.nsf1", dims=(5, 5, 5))
     for name, dims, extents, ncomp in [
         ("one_component.nsf1", (9, 9, 9), (1.0, 1.0, 1.0), 1),
@@ -248,13 +248,13 @@ def test_solve_trajectory_files_round_trip(tmp_path, monkeypatch, t_end, record_
     if budget_frames is not None:
         monkeypatch.setattr(nsslice.cli, "TRAJECTORY_FILE_BYTES", budget_frames * frame_bytes)
     solved = []
-    solve = nsslice.cli.solve_from_state
+    solve = nsslice.galerkin.solve_from_state
 
     def capturing(*a, **k):
         solved.append(solve(*a, **k))
         return solved[-1]
 
-    monkeypatch.setattr(nsslice.cli, "solve_from_state", capturing)
+    monkeypatch.setattr(nsslice.galerkin, "solve_from_state", capturing)
     out = tmp_path / "solve"
     rc = main([
         "solve", "--out", str(out),
@@ -365,7 +365,7 @@ def test_solve_divergence_check_reads_every_state(tmp_path, monkeypatch):
     # states are divergence-free
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src)
-    solve = nsslice.cli.solve_from_state
+    solve = nsslice.galerkin.solve_from_state
     clean = []
 
     def leaky_middle(coeffs, f_of_t, tensors, *args):
@@ -378,7 +378,7 @@ def test_solve_divergence_check_reads_every_state(tmp_path, monkeypatch):
         trace.coeffs[len(trace) // 2] += kick
         return trace
 
-    monkeypatch.setattr(nsslice.cli, "solve_from_state", leaky_middle)
+    monkeypatch.setattr(nsslice.galerkin, "solve_from_state", leaky_middle)
     out = tmp_path / "o"
     rc = main([
         "solve", "--out", str(out), "--set", f"io.u0_slice={src}",
@@ -450,7 +450,7 @@ def test_removed_threshold_keys_rejected(tmp_path, capsys, key, value, command):
                "--set", f"{key}={value}"])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert f"config key {key!r} was removed: {nsslice.cli.REMOVED_KEYS[key]}" in err
+    assert f"config key {key!r} was removed: {nsslice.cli._removed_keys()[key]}" in err
     assert not out.exists()
 
 
@@ -465,7 +465,6 @@ def test_step_count_rejected_before_assembly(tmp_path, monkeypatch, capsys, comm
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the step count")
 
-    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
     monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
     out = tmp_path / "o"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
@@ -513,7 +512,7 @@ def test_uniqueness_values_checked_before_assembly(tmp_path, monkeypatch, capsys
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the config values")
 
-    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
     out = tmp_path / "uniq"
     rc = main(["uniqueness", "--out", str(out), *_runnable_args("uniqueness", tmp_path),
                "--set", override])
@@ -531,7 +530,7 @@ def test_u0_slice_shape_checked_before_assembly(tmp_path, monkeypatch, capsys, c
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking io.u0_slice")
 
-    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
     src = tmp_path / "bad.nsf1"
     write_field(Field(dims=dims, extents=(1.0,) * len(dims), ncomp=ncomp,
                       data=np.zeros((ncomp, *dims))), src)
@@ -980,8 +979,7 @@ def test_pipeline_project_then_solve_with_forcing(tmp_path, monkeypatch):
         projected.append(args[0])
         return project(*args, **kwargs)
 
-    for module in (nsslice.galerkin, nsslice.cli):
-        monkeypatch.setattr(module, "project_field_to_basis", counting_project)
+    monkeypatch.setattr(nsslice.galerkin, "project_field_to_basis", counting_project)
     out = tmp_path / "run"
     rc = main([
         "solve", "--out", str(out),
@@ -1079,7 +1077,7 @@ def test_one_component_forcing_rejected_before_any_work(tmp_path, monkeypatch, c
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before checking the forcing")
 
-    monkeypatch.setattr(nsslice.cli, "assemble", no_assembly)
+    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
     f1 = tmp_path / "f1.nsf1"
     write_field(Field(dims=dims, extents=(1.0,) * len(dims), ncomp=1,
                       data=np.ones((1, *dims))), f1)

@@ -165,6 +165,21 @@ def test_l2_error_takes_one_layout(oblique_ms):
             oblique_ms.l2_error(bad, 0.2, 10)
 
 
+def test_l2_error_one_value_per_state():
+    # a stack gives each state's own distance, not one root-sum-square over
+    # the stack (which read 6.30668 for this one)
+    ms = ManufacturedSolution()
+    exact = ms.exact_coeffs(0.2, 8)
+    stack = np.stack([exact, np.zeros_like(exact)])
+    err = ms.l2_error(stack, 0.2, 8)
+    assert err.shape == (2,)
+    alone = [ms.l2_error(state, 0.2, 8) for state in stack]
+    assert all(isinstance(e, float) for e in alone)
+    assert err.tolist() == alone
+    assert alone == pytest.approx([0.05251, 6.30646], abs=1e-5)
+    assert ms.l2_error(stack[None], 0.2, 8).shape == (1, 2)
+
+
 def test_exact_projection_weak_divergence_spectrally_small(oblique_ms):
     prev = None
     for n in (6, 10, 14):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_cli import _runnable_args
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # after instrument(), drive the wrapped entry points whose callbacks read
@@ -38,14 +40,32 @@ print(json.dumps({"spans": sorted({s[0] for s in t.spans}), "counters": sorted(t
 """
 
 
-def test_tracer_instruments_every_hook():
-    # a fresh interpreter, because instrument() rebinds module attributes
+# import nsslice.cli alone, as tracer.py does, then instrument and run a tiny
+# solve through cli.main: the commands call galerkin's functions through the
+# module, so the spans wrapped there must record each call once
+TRACED_SOLVE = """
+import collections
+import json
+import sys
+from nsslice import cli
+import tracer
+
+t = tracer.Tracer()
+tracer.instrument(t)
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "calls": collections.Counter(s[0] for s in t.spans)}))
+"""
+
+
+def _run_traced(code: str, *args: str):
+    """Run code from perfbench/ in a fresh interpreter, since instrument()
+    rebinds module attributes; returns the JSON it prints, parsed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_CALLS],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT / "perfbench",
         env=env,
         capture_output=True,
@@ -53,7 +73,11 @@ def test_tracer_instruments_every_hook():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_instruments_every_hook():
+    seen = _run_traced(TRACED_CALLS)
     for span in ("galerkin.assemble", "galerkin.solve", "galerkin.step", "galerkin.rhs",
                  "galerkin.trilinear_apply", "galerkin.synthesize_field",
                  "analysis.ledger_from_run",
@@ -63,3 +87,15 @@ def test_tracer_instruments_every_hook():
     for counter in ("galerkin.operator_bytes", "galerkin.trilinear_nnz",
                     "analysis.margin_over_tol", "quadform.jacobi_points", "quadform.points"):
         assert counter in seen["counters"]
+
+
+def test_tracer_sees_the_solver_calls_of_a_cli_command(tmp_path):
+    result = _run_traced(TRACED_SOLVE, "solve", "--out", str(tmp_path / "solve"),
+                         *_runnable_args("solve", tmp_path))
+    assert result["rc"] in (0, 1)
+    calls = result["calls"]
+    for span in ("cli.solve", "galerkin.assemble", "galerkin.solve",
+                 "galerkin.project_field_to_basis", "galerkin.project_divfree",
+                 "galerkin.synthesize_field", "analysis.ledger_from_run"):
+        assert calls.get(span) == 1, (span, calls)
+    assert calls["galerkin.step"] == 3
