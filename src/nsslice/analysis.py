@@ -192,11 +192,24 @@ class ContractionReport:
     max_w_norm: float
 
 
+def seeded_state(tensors: OperatorTensors, seed, decay: float = 0.0) -> np.ndarray:
+    """Seeded random divergence-free (3M,) state.
+
+    (3, M) standard normals from default_rng(seed), draw i scaled by
+    exp(-decay * i) and put on the mode of rank i by increasing eigenvalue,
+    then projected.  uniqueness draws from two independent streams of its
+    seed, so the perturbation does not lean on the state: the synthetic
+    start from [seed, 1] at decay 0.125, and the perturbation direction
+    (perturbation_coeffs) from seed at decay 0.
+    """
+    m = tensors.nmodes_total
+    drawn = np.random.default_rng(seed).standard_normal((3, m)) * np.exp(-decay * np.arange(m))
+    return tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
+
+
 def perturbation_coeffs(tensors: OperatorTensors, seed: int) -> np.ndarray:
     """Unit-norm divergence-free random direction in coefficient space."""
-    drawn = np.random.default_rng(seed).standard_normal((3, tensors.nmodes_total))
-    # draw i lands on the mode of rank i by increasing eigenvalue
-    p = tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
+    p = seeded_state(tensors, seed)
     norm = tensors.norm_h(p)
     if norm == 0.0:
         raise ValueError("degenerate perturbation draw")

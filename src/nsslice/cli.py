@@ -4,10 +4,11 @@ Subcommands: project | solve | uniqueness | quadform | stratify | mms.
 Configuration is a flat key=value text file with per-module key namespaces
 (plane.*, io.*, slice.*, basis.*, solver.*, uniq.*, quadform.*, stratify.*,
 mms.*), overridable per key with --set key=value.  KEYS declares every key
-with its parser and default.  Before a command runs, RunConfig rejects a key
-that is not in KEYS (with a nearest-key hint, or the reason _removed_keys
-gives) and parses every value, set or defaulted, so a mistyped key or a
-bad value exits 2 before any computation.  Every io.* input is read and
+with its parser and default, where None is unset.  Before a command runs,
+RunConfig rejects a key that is not in KEYS (with a nearest-key hint, or,
+for a name in REMOVED_KEYS, a pointer to README's "Config keys") and a
+negative --seed, and parses every value, set or defaulted, so a mistyped
+key or a bad value exits 2 before any computation.  Every io.* input is read and
 checked by _read_input before any computation and before any output exists;
 an input error exits 2 and names its key and file.
 The table is shared by all subcommands, so one file can serve them all.
@@ -49,7 +50,7 @@ from .fieldio import (
     restrict_to_slice,
     write_field,
 )
-from .geometry import DEFAULT_CHART_TOL, Hyperplane, make_chart, section_rectangle
+from .geometry import Hyperplane, make_chart, section_rectangle
 
 logger = logging.getLogger("nsslice")
 
@@ -151,31 +152,30 @@ def _count(parse, n: int):
     return _checked(parse, lambda v: len(v) == n, f"expected {n} values")
 
 
-REQUIRED = object()  # default of a key that must be set wherever a command reads it
-
 # Every config key: its parser and its default, a string parsed like a set
-# value (None: unset).  Keys not listed here are rejected before any command runs.
+# value (None: unset, and required wherever a command reads it with cfg[key]).
+# Keys not listed here are rejected before any command runs.
 KEYS = {
     "plane.normal": (_count(_reals, 3), "0,0,1"),
     "plane.offset": (_real, "0.5"),
-    "io.u0": (str, REQUIRED),
-    "io.u0_slice": (str, REQUIRED),
+    "io.u0": (str, None),
+    "io.u0_slice": (str, None),
     "io.forcing": (str, None),
     "io.forcing_slice": (str, None),
-    "io.v": (str, REQUIRED),
-    "io.w": (str, REQUIRED),
+    "io.v": (str, None),
+    "io.w": (str, None),
     "slice.dims": (_checked(_count(_ints, 2), lambda v: min(v) >= 2, "must both be >= 2"),
                    "33,33"),
     "basis.n1": (_positive(int), "8"),
     "basis.n2": (_positive(int), "8"),
     "basis.extents": (_checked(_count(_reals, 2), lambda v: min(v) > 0, "must be positive"),
                       "1,1"),
-    "solver.nu": (_positive(_real), REQUIRED),
-    "solver.dt": (_positive(_real), REQUIRED),
-    "solver.T": (_positive(_real), REQUIRED),
+    "solver.nu": (_positive(_real), None),
+    "solver.dt": (_positive(_real), None),
+    "solver.T": (_positive(_real), None),
     "solver.record_every": (_positive(int), "1"),
     "uniq.delta": (_nonnegative(_real), "1e-8"),
-    "quadform.nu": (_positive(_real), REQUIRED),
+    "quadform.nu": (_positive(_real), None),
     "quadform.c_gn": (_positive(_real), "1.0"),
     "quadform.emit_fields": (_bool, "false"),
     "stratify.eps": (_nonnegative(_real), "0"),
@@ -189,40 +189,18 @@ KEYS = {
 }
 
 
-def _removed_keys() -> dict[str, str]:
-    """Keys that no longer exist, with the reason given when one is set.
-
-    Built only on the error path: the reasons quote constants of quadform,
-    stratify and mms, which a normal run of another command does not import.
-    """
-    from . import mms as mms_mod, quadform as qf, stratify as st
-
-    return {
-        "solver.quadrature_order": "the Galerkin operators are assembled exactly in closed form",
-        "chart.tolerance": f"the chart rejects coefficients in (0, {DEFAULT_CHART_TOL:g})",
-        "quadform.lambda1": "lambda1 is the first Dirichlet eigenvalue of the input field's box",
-        "quadform.pivot_tol":
-            f"the pivot tolerance is {qf.DEFAULT_PIVOT_REL_TOL:g} times the largest strain entry",
-        "stratify.nslices": "the slab count is one slab per voxel across the projection span",
-        "stratify.area_tol": f"a positive slice carries {st.AREA_TOL_FACES:g} voxel faces or more",
-        "stratify.interval_tol":
-            f"a positive interval spans {st.INTERVAL_TOL_SLABS:g} slabs or more",
-        "stratify.volume_tol":
-            f"a positive set holds over {st.VOLUME_TOL_VOXELS:g} voxels of volume",
-        "uniq.mode": "the dt/2 difference is the time error, which mms measures",
-        "uniq.amplitude": "the seeded state has unit amplitude; set io.u0_slice for another field",
-        "mms.nu": f"the study runs at the solution's own nu = {mms_mod.ManufacturedSolution.nu:g}",
-        "mms.n_temporal": "the temporal study runs at the finest mode count of mms.n_list",
-        "mms.dt_list": "the temporal study's steps are 2*mms.dt, mms.dt and mms.dt/2",
-        "mms.min_ratio": f"the spatial error ratio gate is fixed at {mms_mod.MIN_SPATIAL_RATIO:g}",
-        "mms.min_order": f"the temporal order gate is fixed at {mms_mod.MIN_TEMPORAL_ORDER:g}",
-    }
+# Keys that no longer exist; README "Config keys" gives the reason for each.
+REMOVED_KEYS = frozenset({
+    "solver.quadrature_order", "chart.tolerance", "quadform.lambda1", "quadform.pivot_tol",
+    "stratify.nslices", "stratify.area_tol", "stratify.interval_tol", "stratify.volume_tol",
+    "uniq.mode", "uniq.amplitude", "mms.nu", "mms.n_temporal", "mms.dt_list", "mms.min_ratio",
+    "mms.min_order",
+})
 
 
 def _unknown_key(key: str) -> str:
-    removed = _removed_keys()
-    if key in removed:
-        return f"config key {key!r} was removed: {removed[key]}"
+    if key in REMOVED_KEYS:
+        return f'config key {key!r} was removed; see "Config keys" in README.md'
     import difflib  # only on this error path, so a normal run does not import it
 
     near = difflib.get_close_matches(key, KEYS, n=1)
@@ -233,6 +211,8 @@ class RunConfig:
     """The flat key=value namespace, checked against KEYS and parsed on construction."""
 
     def __init__(self, values: dict[str, str], out_dir: str, seed: int):
+        if seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
         unknown = [_unknown_key(key) for key in sorted(values) if key not in KEYS]
         if unknown:
             raise ConfigError("\n".join(unknown))
@@ -240,20 +220,17 @@ class RunConfig:
         for key, (parse, default) in KEYS.items():
             raw = values.get(key, default)
             try:
-                self.values[key] = raw if raw is None or raw is REQUIRED else parse(raw)
+                self.values[key] = None if raw is None else parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
         self.out_dir = Path(out_dir)
         self.seed = int(seed)
 
     def __getitem__(self, key: str):
-        if self.values[key] is REQUIRED:
+        """The value of a required key; read an optional one from values, where None is unset."""
+        if self.values[key] is None:
             raise ConfigError(f"missing required config key {key!r}")
         return self.values[key]
-
-    def get(self, key: str):
-        """The value of key, or None where a key without a default is unset."""
-        return None if self.values[key] is REQUIRED else self.values[key]
 
 
 def _json_value(obj):
@@ -327,7 +304,7 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
     an optional key is unset.  Every error is a ConfigError that starts with
     key=path, so it names the key and the file.
     """
-    path = cfg.get(key) if optional else cfg[key]
+    path = cfg.values[key] if optional else cfg[key]
     if optional and not path:
         return None
 
@@ -403,14 +380,8 @@ def cmd_project(cfg: RunConfig) -> int:
     write_json(
         out / "chart_manifest.json",
         {
-            "plane": {"normal": list(chart.plane.normal), "offset": chart.plane.offset},
-            "chart": {
-                "eliminated_axis": chart.eliminated_axis,
-                "alpha1": chart.alpha1,
-                "alpha2": chart.alpha2,
-                "affine_offset": chart.affine_offset,
-                "inplane_axes": list(chart.inplane_axes),
-            },
+            "plane": chart.plane,
+            "chart": {k: v for k, v in vars(chart).items() if k != "plane"},
             "section": {
                 "area": area,
                 "bounds": [[smin, smax], [tmin, tmax]],
@@ -501,20 +472,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _synthetic_u0(cfg: RunConfig, tensors) -> np.ndarray:
-    """Seeded smooth random divergence-free coefficients.
-
-    Drawn from the seed's second stream, so the state is independent of the
-    uniqueness perturbation, which analysis.perturbation_coeffs draws from
-    its first.
-    """
-    rng = np.random.default_rng([cfg.seed, 1])
-    m = tensors.nmodes_total
-    # draw and decay are listed by increasing eigenvalue, then put on the modes
-    drawn = rng.standard_normal((3, m)) * np.exp(-0.5 * np.arange(m) / 4.0)
-    return tensors.project(drawn[:, tensors.basis.eigen_rank].ravel())
-
-
 def cmd_uniqueness(cfg: RunConfig) -> int:
     from . import analysis, galerkin
 
@@ -529,7 +486,7 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
                      else galerkin.project_field_to_basis(u0.frames[0], basis).ravel())
     tensors = galerkin.assemble(basis, chart)
     if u0_coeffs is None:
-        u0_coeffs = _synthetic_u0(cfg, tensors)
+        u0_coeffs = analysis.seeded_state(tensors, [cfg.seed, 1], decay=0.125)
     report = analysis.uniqueness_experiment(tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -687,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized inputs")
+        p.add_argument("--seed", type=int, default=0, help="seed >= 0 for randomized inputs")
         p.add_argument(
             "--set",
             action="append",

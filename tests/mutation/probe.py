@@ -53,6 +53,15 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_05_uniqueness_contraction"),
     ),
     Mutant(
+        "contraction envelope ignores the initial gap",
+        "analysis.py",
+        "base = max(delta, w_norm[0])",
+        "base = delta",
+        ("tests/test_analysis.py::test_contraction_corrupted_pair_fails",
+         "tests/test_analysis.py::test_uniqueness_perturbed_envelope",
+         "tests/test_acceptance.py::test_criterion_05_uniqueness_contraction"),
+    ),
+    Mutant(
         "ledger residual adds the work",
         "analysis.py",
         "residual = dedt + nu * (d1 + d2 + dc) - w",

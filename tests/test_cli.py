@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nsslice.analysis
 import nsslice.cli
 import nsslice.galerkin
 import nsslice.mms
@@ -108,6 +110,7 @@ def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offse
     ("project", "plane.normal=0,0,0"),
     ("project", "plane.normal=1,1e-9,1"),
     ("solve", "plane.normal=0,0,0"),
+    ("uniqueness", "plane.normal=1,1e-9,1"),
     # more modes than the 9 x 9 slice grid resolves
     ("solve", "basis.n1=8"),
     ("uniqueness", "basis.n2=8"),
@@ -407,7 +410,8 @@ def test_invalid_numeric_rejected_before_compute(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "uniqueness"])
 def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     # the operators are exact closed forms, so the old quadrature knob is an
-    # error that names the key, raised before anything is computed
+    # error that names the key and points to README, raised before anything
+    # is computed
     src = tmp_path / "u0s.nsf1"
     write_u0_slice(src)
     out = tmp_path / "o"
@@ -420,7 +424,8 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
     ])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert "solver.quadrature_order" in err and "exact" in err
+    key = "solver.quadrature_order"
+    assert f'config key {key!r} was removed; see "Config keys" in README.md' in err
     assert not out.exists()
 
 
@@ -443,14 +448,14 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
 def test_removed_threshold_keys_rejected(tmp_path, capsys, key, value, command):
     # these thresholds come from the input or are fixed constants, uniqueness
     # runs one experiment on one seeded state, and mms derives its temporal
-    # study from the spatial one; a removed key exits 2 with the reason before
-    # any output exists
+    # study from the spatial one; a removed key exits 2 before any output
+    # exists and points to README, which gives the reason
     out = tmp_path / "o"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
                "--set", f"{key}={value}"])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert f"config key {key!r} was removed: {nsslice.cli._removed_keys()[key]}" in err
+    assert f'config key {key!r} was removed; see "Config keys" in README.md' in err
     assert not out.exists()
 
 
@@ -507,15 +512,16 @@ def test_unknown_key_rejected_with_hint(tmp_path, capsys, command, typo, hint):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", ["uniq.delta=-1e-8", "uniq.delta=nan"])
+@pytest.mark.parametrize("override", ["uniq.delta=-1e-8", "uniq.delta=nan", "--seed=-1"])
 def test_uniqueness_values_checked_before_assembly(tmp_path, monkeypatch, capsys, override):
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("assembled before checking the config values")
+    # RunConfig rejects these before the command body runs, so it never assembles
+    def no_command(cfg):
+        raise AssertionError("entered the command before checking the config values")
 
-    monkeypatch.setattr(nsslice.galerkin, "assemble", no_assembly)
+    monkeypatch.setitem(nsslice.cli._COMMANDS, "uniqueness", no_command)
     out = tmp_path / "uniq"
     rc = main(["uniqueness", "--out", str(out), *_runnable_args("uniqueness", tmp_path),
-               "--set", override])
+               *([override] if override.startswith("--") else ["--set", override])])
     assert rc == EXIT_ERROR
     assert override.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
@@ -584,9 +590,10 @@ def test_config_values_parse_to_typed_values(tmp_path):
     assert cfg["mms.n_list"] == [4, 8]
     # defaults are parsed like set values
     assert cfg["basis.extents"] == [1.0, 1.0] and cfg["mms.dt"] == 1e-3
-    assert cfg["stratify.eps"] == 0.0 and cfg["io.forcing"] is None
+    assert cfg["stratify.eps"] == 0.0 and cfg.values["io.forcing"] is None
     assert nsslice.cli.RunConfig({}, str(tmp_path), seed=0)["stratify.directions"] == []
-    assert cfg.get("io.u0_slice") is None
+    # an unset key reads None from values, and cfg[key] refuses it
+    assert cfg.values["io.u0_slice"] is None
     with pytest.raises(nsslice.cli.ConfigError, match="missing required config key 'io.u0_slice'"):
         cfg["io.u0_slice"]
 
@@ -611,12 +618,20 @@ def test_bad_values_rejected_on_construction(tmp_path, override):
 
 
 def test_readme_config_table_lists_every_key():
+    # the table is the one place that states each default and why each
+    # removed key is gone; the removed-key error points to it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     documented = [row.split("`")[1] for row in rows]
     assert len(documented) == len(set(documented))
     assert set(documented) == set(nsslice.cli.KEYS)
+    for key, row in zip(documented, rows):
+        default = nsslice.cli.KEYS[key][1]
+        shown = row.strip(" |").rsplit("|", 1)[1].strip()
+        # a literal default as written; an unset one (None) or an empty one in words
+        assert shown == f"`{default}`" if default else not shown.startswith("`"), key
+    assert all(f"`{key}`" in section for key in nsslice.cli.REMOVED_KEYS)
 
 
 @pytest.mark.parametrize("fault", ["times", "frames", "boolean-time"])
@@ -677,14 +692,30 @@ def test_uniqueness_perturbed_envelope(tmp_path):
     assert max(rep["w_norm"]) <= max(rep["bound"]) * (1 + 1e-6) + 1e-30
 
 
-def test_seeded_draws_follow_spectral_mode_order(tmp_path):
+def _synthetic_u0(monkeypatch, tmp_path, seed, nmodes, normal):
+    """The state and operators `uniqueness --seed seed` runs when io.u0_slice is unset."""
+    caught = []
+
+    def catch(tensors, u0_coeffs, *args, **kwargs):
+        caught.append((u0_coeffs, tensors))
+        return SimpleNamespace(passed=True, fitted_c=0.0)
+
+    monkeypatch.setattr(nsslice.analysis, "uniqueness_experiment", catch)
+    rc = main(["uniqueness", "--out", str(tmp_path / f"uniq-{seed}"), "--seed", str(seed),
+               "--set", f"basis.n1={nmodes[0]}", "--set", f"basis.n2={nmodes[1]}",
+               "--set", f"plane.normal={normal}", "--set", "solver.nu=0.1",
+               "--set", "solver.dt=0.01", "--set", "solver.T=0.03"])
+    assert rc == EXIT_OK
+    return caught[0]
+
+
+def test_seeded_draws_follow_spectral_mode_order(tmp_path, monkeypatch):
     # draw i of the synthetic u0 (with its decay) and of the uniqueness
     # perturbation lands on the mode of rank i in (lambda, m, n) order, as
     # it did when modes were stored in that order; the square box has ties
     from nsslice.analysis import perturbation_coeffs
 
-    chart = make_chart(Hyperplane((0.6, 0.0, 0.8), 0.5))
-    tensors = nsslice.galerkin.assemble(nsslice.galerkin.SpectralBasis((4, 3), (1.0, 1.0)), chart)
+    u0, tensors = _synthetic_u0(monkeypatch, tmp_path, 5, (4, 3), "0.6,0,0.8")
     basis = tensors.basis
     m = basis.nmodes_total
     by_rank = sorted(range(m), key=lambda p: (basis.eigenvalues[p], *basis.modes[p]))
@@ -697,21 +728,18 @@ def test_seeded_draws_follow_spectral_mode_order(tmp_path):
     decay = np.exp(-0.5 * np.tile(np.arange(m), 3) / 4.0)
     drawn = np.random.default_rng([5, 1]).standard_normal(3 * m)
     want = tensors.project(on_modes(drawn * decay))
-    cfg = nsslice.cli.RunConfig({}, str(tmp_path), seed=5)
-    assert np.array_equal(nsslice.cli._synthetic_u0(cfg, tensors), want)
+    assert np.array_equal(u0, want)
     p = tensors.project(on_modes(np.random.default_rng(7).standard_normal(3 * m)))
     assert np.array_equal(perturbation_coeffs(tensors, 7), p / tensors.norm_h(p))
 
 
-def test_synthetic_state_independent_of_perturbation(tmp_path):
+def test_synthetic_state_independent_of_perturbation(tmp_path, monkeypatch):
     # the uniqueness perturbation must not lean on the state it perturbs: the
     # synthetic u0 comes from another stream of the same seed
     from nsslice.analysis import perturbation_coeffs
 
-    chart = make_chart(Hyperplane((0.0, 0.0, 1.0), 0.5))
-    tensors = nsslice.galerkin.assemble(nsslice.galerkin.SpectralBasis((8, 8), (1.0, 1.0)), chart)
     for seed in range(20):
-        u0 = nsslice.cli._synthetic_u0(nsslice.cli.RunConfig({}, str(tmp_path), seed), tensors)
+        u0, tensors = _synthetic_u0(monkeypatch, tmp_path, seed, (8, 8), "0,0,1")
         p = perturbation_coeffs(tensors, seed)
         assert abs(u0 @ p) < 0.3 * np.linalg.norm(u0) * np.linalg.norm(p), seed
 

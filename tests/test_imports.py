@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from test_cli import _runnable_args
 
-from nsslice.cli import EXIT_CHECK_FAILED, EXIT_OK
+from nsslice.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,6 +60,20 @@ def test_command_loads_only_its_modules(tmp_path, command):
     )
     assert result["rc"] in (EXIT_OK, EXIT_CHECK_FAILED)
     assert set(result["loaded"]) == CLI_MODULES | COMMAND_MODULES[command]
+
+
+@pytest.mark.parametrize("setting", ["solver.bogus=1", "mms.min_order=3.5"])
+def test_config_key_error_loads_only_startup_modules(tmp_path, setting):
+    # an unknown or a removed key exits 2 before any solver module is imported
+    args = ["solve", "--out", str(tmp_path / "out"), "--set", setting]
+    result = _fresh(
+        "import json, sys\n"
+        "from nsslice import cli\n"
+        f"rc = cli.main({args!r})\n"
+        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
+    )
+    assert result["rc"] == EXIT_ERROR
+    assert set(result["loaded"]) == CLI_MODULES
 
 
 def test_package_exports_are_the_submodules_objects():
