@@ -8,17 +8,20 @@ with its parser and default, where None is unset.  Before a command runs,
 RunConfig rejects a key that is not in KEYS (with a nearest-key hint, or,
 for a name in REMOVED_KEYS, a pointer to README's "Config keys") and a
 negative --seed, and parses every value, set or defaulted, so a mistyped
-key or a bad value exits 2 before any computation.  Every io.* input is read and
-checked by _read_input before any computation and before any output exists;
-an input error exits 2 and names its key and file.
-The table is shared by all subcommands, so one file can serve them all.
-Reports are JSON (deterministic byte-for-byte for a fixed config and seed,
-except the timestamp_utc field), fields are NSF1, tables are CSV with a
-header row.  Exit code 0 means every
-check the subcommand ran passed; 1 means a check failed; 2 means the run
-itself errored.  quadform and stratify exit 0 whenever they complete: the
-viscosity criterion and the stratification sign are findings about the
-input field, reported as "satisfied" and "positive" in their JSON reports.
+key or a bad value exits 2 before any computation.  Every io.* input is read
+and checked by _read_input before any computation; an input error exits 2
+and names its key and file.  The table is shared by all subcommands, so one
+file can serve them all.  Reports are JSON (deterministic byte-for-byte for
+a fixed config and seed, except the timestamp_utc field), fields are NSF1,
+tables are CSV with a header row.
+
+Each cmd_* returns its checks, a dict of name -> passed, and main alone maps
+them to the exit code: 0 when all passed, 1 when one failed, 2 when the run
+errored.  Findings are not checks: project, quadform and stratify return {},
+since the viscosity criterion and the stratification sign are facts about
+the input field, reported as "satisfied" and "positive" in their reports.
+No command makes its output directory: the first write_field, write_json or
+write_csv does, so a run that exits 2 before its first write leaves nothing.
 
 Start-up loads only this module, fieldio and geometry.  Each cmd_* imports
 the solver modules it runs in its own body (project: none; solve and
@@ -85,14 +88,19 @@ def parse_config(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path} not found")
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(p.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}: config key {key!r} is set on lines "
+                              f"{first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -184,8 +192,8 @@ KEYS = {
     "mms.T": (_positive(_real), "0.5"),
     "mms.dt": (_positive(_real), "1e-3"),
     # increasing, so the last count is the finest, where the temporal study runs
-    "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2 and sorted(set(v)) == v,
-                            "needs at least 2 increasing mode counts"), "8,16"),
+    "mms.n_list": (_checked(_ints, lambda v: len(v) >= 2 and sorted(set(v)) == v and v[0] >= 1,
+                            "needs at least 2 increasing mode counts >= 1"), "8,16"),
 }
 
 
@@ -349,11 +357,9 @@ def _basis_from_config(cfg: RunConfig, extents):
     return galerkin.SpectralBasis(nmodes=(cfg["basis.n1"], cfg["basis.n2"]), extents=tuple(extents))
 
 
-def cmd_project(cfg: RunConfig) -> int:
+def cmd_project(cfg: RunConfig) -> dict:
     slice_dims = cfg["slice.dims"]
     chart = _chart_from_config(cfg)
-    # read and restrict every input before the output directory exists, so a
-    # run that exits 2 leaves nothing behind
     u0 = _read_input(cfg, "io.u0", 3, one_field=True).frames[0]
     series = _read_input(cfg, "io.forcing", 3, optional=True, on=("io.u0", u0))
     with _naming_keys("plane.normal", "plane.offset"):
@@ -364,7 +370,6 @@ def cmd_project(cfg: RunConfig) -> int:
         restrict_to_slice(frame, chart, slice_dims) for frame in series.frames
     ]
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     write_field(u0_slice, out / "u0_slice.nsf1")
     forcing_entry = None
     if series is not None:
@@ -391,7 +396,7 @@ def cmd_project(cfg: RunConfig) -> int:
         },
     )
     logger.info("projected %s onto plane, section area %.6g", cfg["io.u0"], area)
-    return EXIT_OK
+    return {}
 
 
 # Samples per trajectory file, in bytes.  Readers load an NSF1 file whole, so
@@ -410,7 +415,7 @@ def _frame_runs(nframes: int, frame_bytes: int) -> list:
     return np.array_split(np.arange(nframes), nfiles)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig) -> dict:
     from . import analysis, galerkin
 
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
@@ -428,7 +433,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     trace = galerkin.solve_from_state(coeffs0, f_of_t, tensors, nu, dt, t_end)
     ledger = analysis.ledger_from_run(trace, tensors, f_of_t, nu)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     # every record_every-th step plus the last, in runs of consecutive frames,
     # one file and one stacked synthesis per run
     nsteps = len(trace) - 1
@@ -467,12 +471,10 @@ def cmd_solve(cfg: RunConfig) -> int:
             "checks": checks,
         },
     )
-    ok = all(checks.values())
-    logger.info("solve finished, checks: %s", checks)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
-def cmd_uniqueness(cfg: RunConfig) -> int:
+def cmd_uniqueness(cfg: RunConfig) -> dict:
     from . import analysis, galerkin
 
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
@@ -488,31 +490,26 @@ def cmd_uniqueness(cfg: RunConfig) -> int:
     if u0_coeffs is None:
         u0_coeffs = analysis.seeded_state(tensors, [cfg.seed, 1], decay=0.125)
     report = analysis.uniqueness_experiment(tensors, u0_coeffs, nu, dt, t_end, delta, seed=cfg.seed)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "contraction_report.json", vars(report))
-    logger.info(
-        "uniqueness experiment: delta=%g fitted C=%g passed=%s",
-        delta,
-        report.fitted_c,
-        report.passed,
-    )
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    write_json(cfg.out_dir / "contraction_report.json", vars(report))
+    logger.info("uniqueness experiment: delta=%g fitted C=%g", delta, report.fitted_c)
+    return {"passed": report.passed}
 
 
-def cmd_quadform(cfg: RunConfig) -> int:
+def cmd_quadform(cfg: RunConfig) -> dict:
     from . import quadform as qf
 
     nu = cfg["quadform.nu"]
     emit_fields = cfg["quadform.emit_fields"]
     series = _read_input(cfg, "io.v", 3)
     ref = series.frames[0]
+    # strain_field's one-sided second-order stencils need 3 samples per axis
+    if min(ref.dims) < 3:
+        raise ConfigError(f"io.v={cfg['io.v']}: needs at least 3 samples per axis, got {ref.dims}")
     lambda1 = qf.box_lambda1(ref.extents)
     # io.w is optional here: it adds the signed integral of B(w, w)
     w = _read_input(cfg, "io.w", 3, optional=True, one_field=True, on=("io.v", ref),
                     same_grid=True)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     norms = []
     inertia_hists = []
     degenerate_fracs = []
@@ -550,10 +547,10 @@ def cmd_quadform(cfg: RunConfig) -> int:
         ],
     )
     logger.info("criterion satisfied overall: %s", report.satisfied)
-    return EXIT_OK
+    return {}
 
 
-def cmd_stratify(cfg: RunConfig) -> int:
+def cmd_stratify(cfg: RunConfig) -> dict:
     from . import stratify as st
 
     eps = cfg["stratify.eps"]
@@ -563,7 +560,6 @@ def cmd_stratify(cfg: RunConfig) -> int:
     mask = st.mask_from_field(data, eps)
     verdict = st.stratification_verdict(mask, directions=cfg["stratify.directions"])
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "stratify_report.json", {**vars(verdict), "eps": eps})
     rows = []
     for p in verdict.profiles:
@@ -575,10 +571,10 @@ def cmd_stratify(cfg: RunConfig) -> int:
         rows,
     )
     logger.info("stratification verdict: %s", "POSITIVE" if verdict.positive else "NEGATIVE")
-    return EXIT_OK
+    return {}
 
 
-def cmd_mms(cfg: RunConfig) -> int:
+def cmd_mms(cfg: RunConfig) -> dict:
     from . import mms as mms_mod
 
     n_list, dt, t_end = cfg["mms.n_list"], cfg["mms.dt"], cfg["mms.T"]
@@ -596,7 +592,6 @@ def cmd_mms(cfg: RunConfig) -> int:
         "temporal_order_ok": bool(order >= mms_mod.MIN_TEMPORAL_ORDER),
     }
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "mms_report.json",
         {
@@ -621,7 +616,7 @@ def cmd_mms(cfg: RunConfig) -> int:
         list(zip(temporal["dts"], temporal["diffs"] + [""])),
     )
     logger.info("mms: spatial ratio %.3g, temporal order %.3g", ratio, order)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return checks
 
 
 _COMMANDS = {
@@ -674,12 +669,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, val = item.split("=", 1)
             values[key.strip()] = val.strip()
-        cfg = RunConfig(values, args.out, args.seed)
-        return _COMMANDS[args.command](cfg)
+        checks = _COMMANDS[args.command](RunConfig(values, args.out, args.seed))
     # ConfigError and GeometryError are ValueErrors, BlowUpError a RuntimeError
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    logger.info("%s checks: %s", args.command, checks)
+    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

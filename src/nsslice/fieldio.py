@@ -147,7 +147,7 @@ _MAGIC = "NSF1"
 
 
 def write_field(fld: Field, path) -> None:
-    """Write a field to a binary NSF1 file.
+    """Write a field to a binary NSF1 file, making its directory if it is missing.
 
     The payload is written from the one contiguous copy that flat_samples
     makes.  read_field also reads text payloads, which other tools may write.
@@ -160,6 +160,7 @@ def write_field(fld: Field, path) -> None:
         + [f"{e:.17g}" for e in fld.extents]
     )
     flat = fld.flat_samples().astype("<f8", copy=False)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((header + "\nbinary\n").encode("ascii"))
         fh.write(flat.data)

@@ -167,6 +167,14 @@ MUTANTS = (
         ("tests/test_stratify.py::test_verdict_independent_of_box_units",),
     ),
     Mutant(
+        "every run exits 0 whatever its checks",
+        "cli.py",
+        "return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED",
+        "return EXIT_OK",
+        ("tests/test_cli.py::test_solve_failed_certificate_exit_code",
+         "tests/test_cli.py::test_mms_gates_fail_on_corrupted_forcing"),
+    ),
+    Mutant(
         "_BLOWUP_LIMIT 1e12 -> 1e300",
         "galerkin.py",
         "_BLOWUP_LIMIT = 1e12",

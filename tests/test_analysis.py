@@ -213,6 +213,7 @@ def solve_projected(tensors, u0, nu, dt, t_end):
     return solve_from_state(project_divfree(u0, tensors), None, tensors, nu, dt, t_end)
 
 
+@pytest.mark.blas_sensitive
 def test_uniqueness_twin_runs_identical(tensors):
     u0 = smooth_state(tensors, seed=41)
     rep = uniqueness_experiment(tensors, u0, 0.1, 1e-3, 0.1, 0.0, seed=5)

@@ -102,6 +102,8 @@ def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offse
     ("project", "plane.offset=5.0"),
     ("quadform", "io.w={tmp}/missing.nsf1"),
     ("quadform", "io.w={tmp}/w_coarse.nsf1"),
+    # strain_field's second-order stencils need 3 samples per axis
+    ("quadform", "io.v={tmp}/thin.nsf1"),
     ("project", "io.u0={tmp}/missing.nsf1"),
     ("project", "io.u0={tmp}/one_component.nsf1"),
     ("project", "io.forcing={tmp}/box_2.nsf1"),
@@ -129,6 +131,7 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
         ("box_2.nsf1", (9, 9, 9), (2.0, 2.0, 2.0), 3),
         ("slice_box_2.nsf1", (9, 9), (2.0, 2.0), 3),
         ("slice.nsf1", (9, 9), (1.0, 1.0), 3),
+        ("thin.nsf1", (9, 9, 2), (1.0, 1.0, 1.0), 3),
     ]:
         write_field(Field(dims, extents, ncomp, np.ones((ncomp, *dims))), tmp_path / name)
     setting = setting.format(tmp=tmp_path)
@@ -142,6 +145,29 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
         assert f"error: {setting}: " in err
     else:
         assert repr(setting.split("=")[0]) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("project", "nsslice.cli.restrict_to_slice"),
+    ("solve", "nsslice.galerkin.solve_from_state"),
+    ("uniqueness", "nsslice.analysis.uniqueness_experiment"),
+    ("quadform", "nsslice.quadform.strain_field"),
+    ("stratify", "nsslice.stratify.stratification_verdict"),
+    ("mms", "nsslice.mms.spatial_convergence"),
+])
+def test_failure_inside_command_leaves_no_output_directory(tmp_path, monkeypatch, capsys,
+                                                          command, target):
+    # the first write makes the output directory, so a command that fails
+    # in its main computation exits 2 and leaves nothing behind
+    def failing(*args, **kwargs):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(target, failing)
+    out = tmp_path / "out"
+    rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path)])
+    assert rc == EXIT_ERROR
+    assert "error: injected failure" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,7 +629,7 @@ def test_config_values_parse_to_typed_values(tmp_path):
     ["basis.n1=0", "basis.n2=2.5", "plane.normal=1,0", "slice.dims=9.5,9", "solver.nu=nan",
      "uniq.delta=-1e-8", "stratify.eps=-0.1", "solver.record_every=0",
      "stratify.directions=1,1", "stratify.directions=1,1,1;0,0,0",
-     "quadform.emit_fields=maybe", "mms.n_list=16,8",
+     "quadform.emit_fields=maybe", "mms.n_list=16,8", "mms.n_list=0,8", "mms.n_list=-2,8",
      # non-finite reals, which would overflow the step count or the chart downstream
      "solver.T=inf", "mms.T=inf", "plane.offset=inf", "basis.extents=inf,1",
      "stratify.directions=1,1,nan", "basis.extents=0,1", "basis.extents=-1,1",
@@ -1186,6 +1212,18 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(bad))
     with pytest.raises(ValueError):
         parse_config(str(tmp_path / "absent.cfg"))
+    # a key set twice in one file is refused with both lines, never last-wins
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("solver.nu=0.1\n# comment\nsolver.dt=0.01\nsolver.nu = 0.2\n")
+    with pytest.raises(ValueError, match="config key 'solver.nu' is set on lines 1 and 4"):
+        parse_config(str(twice))
+    assert main(["uniqueness", "--config", str(twice), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    assert not (tmp_path / "o").exists()
+    # --set still overrides a file value: the file's slice.dims would exit 2
+    once = tmp_path / "once.cfg"
+    once.write_text("slice.dims=1,1\n")
+    assert main(["project", "--config", str(once), "--out", str(tmp_path / "p"),
+                 *_runnable_args("project", tmp_path)]) == EXIT_OK
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -192,6 +192,7 @@ def test_assembly_against_closed_form_integrals():
     [((4, 4), (1.0, 1.0)), ((5, 4), (1.2, 0.9)), ((7, 9), (1.5, 0.8)), ((1, 2), (0.7, 1.3))],
     ids=["even-square", "odd-even", "odd-odd", "1x2"],
 )
+@pytest.mark.blas_sensitive
 def test_divergence_factors_exactly_antisymmetric(monkeypatch, tables, nmodes, extents):
     # <D1 w_c, w_a> = -<w_c, D1 w_a> for Dirichlet sines, and assemble stores
     # the factors so to the last bit, zero diagonal included, whichever tables
@@ -207,6 +208,7 @@ def test_divergence_factors_exactly_antisymmetric(monkeypatch, tables, nmodes, e
 
 
 @pytest.mark.parametrize("nmodes", [(5, 4), (12, 12), (24, 24)], ids=["5x4", "12x12", "24x24"])
+@pytest.mark.blas_sensitive
 def test_one_product_stiffness_matches_both_mixed_terms(nmodes):
     # with exactly antisymmetric factors div_x.T @ U @ div_y.T is div_x @ U @ div_y,
     # so the one-product stiffness reads the two-term form bit for bit
@@ -477,6 +479,7 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
 
 @pytest.mark.parametrize("chart", [AXIS_ALIGNED_CHART, OBLIQUE], ids=["axis", "oblique"])
 @pytest.mark.parametrize("nmodes", [(5, 5), (6, 7), (12, 12)], ids=["5x5", "6x7", "12x12"])
+@pytest.mark.blas_sensitive
 def test_parity_block_projector_matches_dense_reference(nmodes, chart):
     # project applies gram_pinv as two parity blocks on C u in parity order;
     # it must agree with the dense SVD projector, and the rank read off the
@@ -584,6 +587,7 @@ def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.blas_sensitive
 def test_long_run_stays_divergence_free_without_reprojection():
     # 1000 steps at n = 12 on an oblique chart: the round-off drift out of
     # the weak divergence-free subspace stays far below the 1e-9 solve check
@@ -670,6 +674,7 @@ def test_projection_roundtrip_field(square_basis):
 
 
 @pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.blas_sensitive
 def test_projection_independent_of_memory_layout(tmp_path, n):
     # a C-ordered field in memory and the same field read back from NSF1
     # (each component's first axis fastest) project bit for bit alike
@@ -854,6 +859,7 @@ def odd_even_oblique():
     return assemble(SpectralBasis(nmodes=(5, 4), extents=(1.2, 0.9)), chart)
 
 
+@pytest.mark.blas_sensitive
 def test_apply_pair_stack_matches_per_state(odd_even_oblique):
     tr = odd_even_oblique.trilinear
     m = odd_even_oblique.nmodes_total
@@ -869,6 +875,7 @@ def test_apply_pair_stack_matches_per_state(odd_even_oblique):
 
 
 @pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.blas_sensitive
 def test_solve_stack_matches_separate_solves(odd_even_oblique, forced):
     tens = odd_even_oblique
     m = tens.nmodes_total
@@ -968,6 +975,7 @@ def _assembled_quadrature_tables(n, length):
     return sc, sss, scs
 
 
+@pytest.mark.blas_sensitive
 def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     # n = 24 on an oblique chart: assembling from quadrature tables must
     # reproduce every closed-form operator and trilinear factor to round-off
