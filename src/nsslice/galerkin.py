@@ -24,12 +24,13 @@ against the scalar sine modes) by orthogonal projection onto the constraint
 null space; a pointwise-exact discrete divergence would force the advecting
 velocity to vanish identically in any finite sine span, so the weak form is
 the meaningful discrete choice.  The projection is applied as
-u - C^T (C C^T)^+ C u: the weak divergence C factors into one matrix per
-direction on the (N1, N2) coefficient grid.  C and C^T keep the parity of
-m + n, so the (M, M) Gram C C^T is block diagonal over the two parity
-classes; the pseudo-inverse of each block is formed once from that block's
-eigendecomposition and applied as its own half-size product.  The stiffness
-splits the same way, which coercivity_check uses.
+u - C^T (C C^T)^+ C u: the weak divergence C factors into one antisymmetric
+matrix per direction on the (N1, N2) coefficient grid, and in the real Schur
+bases of the two factors the Gram C C^T is diagonal up to 2x2 pairs (fast
+diagonalization), so (C C^T)^+ is two coefficient grids and no Gram is ever
+formed or factorized.  The Schur bases are folded into C and C^T, so a
+projection is a few grid products per state.  C, C^T and the stiffness keep
+the parity of m + n, which coercivity_check uses.
 
 A state is a plain float array of length 3M, component-major:
 coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
@@ -232,14 +233,23 @@ class OperatorTensors:
     and div_y vanish unless their two mode numbers differ in parity, so C,
     C^T and K keep the parity of m + n and no operator couples the classes.
     parity_order lists the modes with m + n even, then those with m + n odd
-    (each class in mode order), and parity_place[p] is the place of mode p
-    in that list.  The orthogonal (hence mass-orthogonal) projector onto
-    null(C) is applied as u - C^T gram_pinv C u, with gram_pinv the
-    pseudo-inverse of C C^T on its rank-constraint_rank range, stored only as
-    its two parity blocks gram_pinv_blocks (even, odd), which act on C u
-    taken in parity order.  No dense K or gram_pinv is formed; the dense
-    constraint, projector and null_basis are built from the same kernels on
-    first access, for inspection only.
+    (each class in mode order).
+
+    The orthogonal (hence mass-orthogonal) projector onto null(C) is
+    u - C^T (C C^T)^+ C u.  schur_x and schur_y are orthogonal bases in which
+    div_x and div_y are block diagonal with 2x2 blocks [[0, s], [-s, 0]]
+    (see _schur_basis).  With Z^ = schur_x.T @ Z @ schur_y, C C^T acts as
+
+        G Z^ = d * Z^ + e * Z^[px][:, py],
+        d = (1 + c1^2) sx^2 + (1 + c2^2) sy^2,   e = -2 c1 c2 sx sy,
+
+    px and py swapping the two columns of each Schur pair and sx, sy the
+    signed Schur values; so G is a set of 2x2 systems [[d, e], [e, d]] with
+    eigenvalues d +- e, and its pseudo-inverse on the rank-constraint_rank
+    range is Z^ -> A * Z^ + B * Z^[px][:, py], with gram_pinv_coef = (A, B).
+    project folds the two bases into C and C^T.  No dense K or Gram is
+    formed; the dense constraint, projector and null_basis are built from the
+    same kernels on first access, for inspection only.
     """
 
     basis: SpectralBasis
@@ -253,20 +263,14 @@ class OperatorTensors:
     stiffness_diag: np.ndarray = field(init=False)    # (M,) diagonal part of -K
     cross_scale: float = field(init=False)            # 2 c1 c2 / m0, the weight of the mixed term
     parity_order: np.ndarray = field(init=False)      # (M,) modes, m + n even first
-    parity_place: np.ndarray = field(init=False)      # (M,) inverse of parity_order
-    gram_pinv_blocks: tuple = field(init=False)       # per class, pinv of its block of C C^T
+    schur_x: np.ndarray = field(init=False)           # (N1, N1) orthogonal Schur basis of div_x
+    schur_y: np.ndarray = field(init=False)           # (N2, N2) orthogonal Schur basis of div_y
+    gram_pinv_coef: np.ndarray = field(init=False)    # (2, N1, N2) A, B: (C C^T)^+ in those bases
     constraint_rank: int = field(init=False)
     rank_deficient: bool = field(init=False)
+    _factors: tuple = field(init=False, repr=False)   # the Schur bases folded into C and C^T
 
     def __post_init__(self):
-        # The projector needs (C C^T)^+ only, one parity block at a time.  On
-        # w = sigma^2 the rank test w > max(w_max * 3M * eps, (1e-12 * scale)^2)
-        # keeps sigma above sqrt(3M eps) sigma_max (6e-7 sigma_max at n = 24).
-        # For mode counts up to 32 (1.2 x 0.9 box, three charts) the kept
-        # w / w_max are >= 2.3e-4 and the odd x odd structural zero reads
-        # <= 7.1e-17, far on either side.  The absolute floor makes an
-        # all-round-off Gram read as rank zero.  The mass is m0 I, so this
-        # Euclidean projector is the mass-orthogonal one.
         n1, n2 = self.basis.nmodes
         c1, c2 = self.chart_coeffs
         order = np.argsort(self.basis.modes.sum(axis=1) % 2, kind="stable")
@@ -274,18 +278,34 @@ class OperatorTensors:
                            (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2)
         object.__setattr__(self, "cross_scale", 2.0 * c1 * c2 / self.basis.mass_scale)
         object.__setattr__(self, "parity_order", order)
-        object.__setattr__(self, "parity_place", np.argsort(order))
-        ranges = self._gram_ranges()
-        rank = sum(w.size for w, _ in ranges)
+        qx, qy, rho, w = self._schur_gram()
+        rank = int(np.count_nonzero(w))
         # odd-by-odd mode counts carry one structural left-null direction of the
         # weak divergence (a spurious-mode pair), so full rank is m minus that
         expected_rank = self.nmodes_total - (n1 % 2) * (n2 % 2)
         if rank < expected_rank:
             logger.warning("constraint matrix rank %d below the expected %d; the "
                            "divergence-free subspace is larger than usual", rank, expected_rank)
-        object.__setattr__(self, "gram_pinv_blocks", tuple((v / w) @ v.T for w, v in ranges))
+        # the pseudo-inverse of each 2x2 system: k and k_swap are the inverted
+        # kept eigenvalues of an entry and of its partner
+        k = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+        px, py = _pair_swap(n1), _pair_swap(n2)
+        k_swap = k[px][:, py]
+        object.__setattr__(self, "schur_x", qx)
+        object.__setattr__(self, "schur_y", qy)
+        object.__setattr__(self, "gram_pinv_coef",
+                           np.stack([0.5 * (k + k_swap), 0.5 * rho * (k - k_swap)]))
         object.__setattr__(self, "constraint_rank", rank)
         object.__setattr__(self, "rank_deficient", rank < expected_rank)
+        # project's operands; the second of each forward pair is pair-swapped
+        left = np.hstack([qx.T @ self.div_x, qx.T])
+        right = np.stack([qy, self.div_y.T @ qy])
+        object.__setattr__(self, "_factors", (
+            np.stack([left, left[px]]),
+            np.stack([right, right[:, :, py]]),
+            np.vstack([self.div_x.T @ qx, qx]),
+            np.stack([qy.T, qy.T @ self.div_y]),
+        ))
 
     @property
     def parity_modes(self) -> tuple:
@@ -306,15 +326,38 @@ class OperatorTensors:
             blocks.append(op(unit)[:, modes])
         return blocks
 
-    def _gram_ranges(self) -> list:
-        """Per parity class, the kept eigenpairs (w, v) of its block of C C^T."""
+    def _schur_gram(self) -> tuple:
+        """C C^T in the Schur bases of div_x and div_y: (Qx, Qy, rho, w).
+
+        A grid entry a and its partner p (a with both pair swaps applied) form
+        the 2x2 system [[d, e], [e, d]] of the class docstring.  Its
+        eigenvectors are e_a + rho_a e_p and e_p + rho_p e_a, with eigenvalues
+        d + rho_a e and d + rho_p e: rho = +-1, opposite on a and p, and 0 on
+        an entry that is its own partner (the null columns of two odd
+        counts), where e = 0.  w holds each entry's eigenvalue where the rank
+        test keeps it and 0 elsewhere.
+
+        The rank test w > max(w_max * 3M * eps, (1e-12 * scale)^2) is the one
+        a dense eigensolve of the Gram would apply: on w = sigma^2 it keeps
+        sigma above sqrt(3M eps) sigma_max (6e-7 sigma_max at n = 24).  Here
+        d - |e| = sx^2 + sy^2 + (|c1 sx| - |c2 sy|)^2, so w vanishes only where
+        both Schur values do, on the null columns of an odd-by-odd count, and
+        there it is an exact zero.  For mode counts up to 64 (1.2 x 0.9 box,
+        three charts) every other w / w_max is >= 1.4e-4, against 3M eps <=
+        2.7e-12.  The absolute floor makes an all-zero Gram read as rank zero.
+        The mass is m0 I, so the Euclidean projector is the mass-orthogonal
+        one.
+        """
         n1, n2 = self.basis.nmodes
-        spectra = [np.linalg.eigh(g) for g in self._parity_blocks(
-            lambda e: self.divergence(self.divergence_adjoint(e)))]
-        w_max = max((w.max() for w, _ in spectra if w.size), default=0.0)
+        c1, c2 = self.chart_coeffs
+        qx, sx = _schur_basis(self.div_x)
+        qy, sy = _schur_basis(self.div_y)
+        rho = np.where(sx[:, None] != 0.0, np.sign(sx)[:, None], np.sign(sy))
+        d = (1.0 + c1 * c1) * sx[:, None] ** 2 + (1.0 + c2 * c2) * sy ** 2
+        w = d - 2.0 * c1 * c2 * rho * np.outer(sx, sy)
         scale = np.pi * max(n1, n2) / min(self.basis.extents) * self.basis.mass_scale
-        tol = max(w_max * 3 * self.nmodes_total * np.finfo(float).eps, (1e-12 * scale) ** 2)
-        return [(w[w > tol], v[:, w > tol]) for w, v in spectra]
+        tol = max(w.max() * 3 * self.nmodes_total * np.finfo(float).eps, (1e-12 * scale) ** 2)
+        return qx, qy, rho, np.where(w > tol, w, 0.0)
 
     @property
     def nmodes_total(self) -> int:
@@ -373,21 +416,27 @@ class OperatorTensors:
         return adjoint.reshape(lam.shape[:-1] + (3 * n1 * n2,))  # -1 fails on a (0, M) stack
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
-        """u - C^T gram_pinv C u for one (3M,) state or a (..., 3M) stack.
+        """u - C^T (C C^T)^+ C u for one (3M,) state or a (..., 3M) stack.
 
-        C u is taken in parity order, so each gram_pinv block acts on a
-        contiguous half.  Every state gets one GEMV per block, so a stacked
-        state reads the same digits as when it is projected alone (a
-        (K, M) @ W.T GEMM does not).
+        With a = R3 u the two advecting grids and Dx, Dy, Qx, Qy the factors
+        and their Schur bases, the Schur-basis C u is
+        z = Qx^T Dx a_1 Qy + Qx^T a_2 Dy^T Qy, one product of [Qx^T Dx, Qx^T]
+        with the stacked a_t (Qy, Dy^T Qy)[t]; its pair swap z[px][:, py]
+        comes from the same products with swapped rows and columns.  Then
+        lam^ = A * z + B * z[px][:, py], and C^T takes lam = Qx lam^ Qy^T as
+        (Dx^T lam, lam Dy) = ([Dx^T Qx; Qx] lam^) (Qy^T, Qy^T Dy).  Every
+        product is broadcast per state, so a stacked state reads the same
+        digits as when it is projected alone (a (K, M) @ W.T GEMM does not).
         """
-        div = self.divergence(coeffs).take(self.parity_order, axis=-1)[..., None]
-        lam = np.empty_like(div)
-        even, odd = self.gram_pinv_blocks
-        k = even.shape[0]
-        np.matmul(even, div[..., :k, :], out=lam[..., :k, :])
-        np.matmul(odd, div[..., k:, :], out=lam[..., k:, :])
-        lam = lam[..., 0].take(self.parity_place, axis=-1)
-        return coeffs - self.divergence_adjoint(lam)
+        n1, n2 = self.basis.nmodes
+        lead = coeffs.shape[:-1]
+        left, right, back_left, back_right = self._factors
+        a = (self.chart_rows @ coeffs.reshape(lead + (3, n1 * n2))).reshape(lead + (1, 2, n1, n2))
+        z = left @ (a @ right).reshape(lead + (2, 2 * n1, n2))
+        lam = (self.gram_pinv_coef * z).sum(axis=-3)
+        parts = (back_left @ lam).reshape(lead + (2, n1, n2)) @ back_right
+        adjoint = self._transposes[2] @ parts.reshape(lead + (2, n1 * n2))
+        return coeffs - adjoint.reshape(coeffs.shape)
 
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
         """K u of (..., M) coefficients on the (N1, N2) grids; see the class docstring."""
@@ -408,17 +457,60 @@ class OperatorTensors:
     def null_basis(self) -> np.ndarray:
         """Orthonormal (3M, 3M - rank) basis of the constraint null space.
 
-        Built on first access: C^T applied to the kept eigenvectors of the
-        Gram blocks spans range(C^T), so the trailing columns of its complete
-        QR span the complement null(C).
+        Built on first access: C^T applied to the kept eigenvectors of C C^T,
+        Qx (e_a + rho_a e_p) Qy^T (see _schur_gram), spans range(C^T), so the
+        trailing columns of its complete QR span the complement null(C).
         """
-        lam = np.zeros((self.constraint_rank, self.nmodes_total))
-        row = 0
-        for modes, (_, v) in zip(self.parity_modes, self._gram_ranges()):
-            lam[row:row + v.shape[1], modes] = v.T
-            row += v.shape[1]
+        n1, n2 = self.basis.nmodes
+        m = self.nmodes_total
+        qx, qy, rho, w = self._schur_gram()
+        kept = np.flatnonzero(w)
+        partner = np.arange(m).reshape(n1, n2)[_pair_swap(n1)][:, _pair_swap(n2)].ravel()
+        vecs = np.zeros((kept.size, m))
+        vecs[np.arange(kept.size), kept] = 1.0
+        vecs[np.arange(kept.size), partner[kept]] += rho.ravel()[kept]
+        lam = (qx @ vecs.reshape(-1, n1, n2) @ qy.T).reshape(-1, m)
         range_t = self.divergence_adjoint(lam).T
         return np.linalg.qr(range_t, mode="complete")[0][:, self.constraint_rank:]
+
+
+def _pair_swap(n: int) -> np.ndarray:
+    """Index map that swaps columns 2i and 2i + 1 (a last odd column stays)."""
+    return np.minimum(np.arange(n) ^ 1, n - 1)
+
+
+def _schur_basis(div: np.ndarray) -> tuple:
+    """Real Schur form of one antisymmetric divergence factor: (Q, s).
+
+    div couples only mode indices of opposite parity, so with sign = +1 on
+    even indices and -1 on odd ones, sign[:, None] * div is symmetric, and
+    one real eigh of it gives its eigenpairs (+-s_i, (u_i, +-v_i) / sqrt(2))
+    split by parity.  Columns 2i and 2i + 1 of the orthogonal Q are the Schur
+    pair u_i (on the even indices) and v_i (on the odd ones); an odd N ends
+    with the null vector.  Q^T div Q is zero except Q^T div Q[j, px[j]] =
+    s[j], with s[2i] = s_i > 0, s[2i + 1] = -s_i and s = 0 on the null
+    column, px = _pair_swap(N).  Raises GalerkinError unless Q is orthogonal
+    and Q^T div Q has that form to 1e-12 max|div|.
+    """
+    n = div.shape[0]
+    half = n // 2
+    even = np.arange(n) % 2 == 0
+    vals, vecs = np.linalg.eigh(np.where(even[:, None], div, -div))
+    q = np.zeros((n, n))
+    q[even, 0:2 * half:2] = np.sqrt(2.0) * vecs[even, n - half:]
+    q[~even, 1:2 * half:2] = np.sqrt(2.0) * vecs[~even, n - half:]
+    if n % 2:
+        q[even, -1] = vecs[even, half]
+    s = np.zeros(n)
+    s[0:2 * half:2] = vals[n - half:]
+    s[1:2 * half:2] = -vals[n - half:]
+    form = q.T @ div @ q
+    form[np.arange(n), _pair_swap(n)] -= s
+    if (np.max(np.abs(form)) > 1e-12 * np.max(np.abs(div))
+            or np.max(np.abs(q.T @ q - np.eye(n))) > 1e-12):
+        raise GalerkinError(f"the ({n}, {n}) divergence factor has no real Schur form "
+                            "to 1e-12 in its computed basis")
+    return q, s
 
 
 def _trig_tables(n: int, length: float):

@@ -103,6 +103,13 @@ MUTANTS = (
          "tests/test_analysis.py::test_monotone_fails_on_one_step_rise"),
     ),
     Mutant(
+        "monotone slack divides by the initial energy",
+        "analysis.py",
+        "return bool(np.all(np.diff(self.energy) <= MONOTONE_SLACK * self.energy[0]))",
+        "return bool(np.all(np.diff(self.energy) <= MONOTONE_SLACK / self.energy[0]))",
+        ("tests/test_analysis.py::test_monotone_slack_scales_with_initial_energy",),
+    ),
+    Mutant(
         "divergence_preserved 1e-9 -> 1e-6",
         "cli.py",
         '"divergence_preserved": bool(div_max <= 1e-9),',
@@ -180,6 +187,13 @@ MUTANTS = (
         "return EXIT_OK",
         ("tests/test_cli.py::test_solve_failed_certificate_exit_code",
          "tests/test_cli.py::test_mms_gates_fail_on_corrupted_forcing"),
+    ),
+    Mutant(
+        "divergence projector drops the Schur pair coupling",
+        "galerkin.py",
+        "lam = (self.gram_pinv_coef * z).sum(axis=-3)",
+        "lam = self.gram_pinv_coef[0] * z[..., 0, :, :]",
+        ("tests/test_galerkin.py::test_factored_projection_matches_svd_oracle",),
     ),
     Mutant(
         "_BLOWUP_LIMIT 1e12 -> 1e300",

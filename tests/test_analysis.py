@@ -4,6 +4,8 @@ from oracles import without_nonlinearity
 
 import nsslice.galerkin
 from nsslice.analysis import (
+    INEQUALITY_RTOL,
+    MONOTONE_SLACK,
     ContractionReport,
     EnergyLedger,
     EnergyViolationError,
@@ -189,6 +191,24 @@ def test_monotone_fails_on_one_step_rise():
     led = flat_ledger(energy)
     assert led.inequality_holds()
     assert not led.energy_nonincreasing()
+
+
+@pytest.mark.parametrize("e0", [1e4, 1e-4], ids=["E0=1e4", "E0=1e-4"])
+def test_monotone_slack_scales_with_initial_energy(e0):
+    # the per-step slack is MONOTONE_SLACK * E(0), not a fixed number: a rise
+    # of half of it passes and one of twice it fails, far from E(0) = 1 either way
+    for factor, holds in ((0.5, True), (2.0, False)):
+        energy = np.full(11, e0)
+        energy[5:] += factor * MONOTONE_SLACK * e0
+        assert flat_ledger(energy).energy_nonincreasing() is holds
+
+
+def test_tol_accum_reads_the_total_work():
+    # unit work on [0, 1]: the cumulative work is t, so it ends at 1.0, ten
+    # times its value after the first step, and the tolerance is RTOL (E(0) + 1)
+    led = flat_ledger(np.full(11, 3.0), np.ones(11))
+    assert led.cumulative_abs_work[1] == pytest.approx(0.1, rel=1e-12)
+    assert led.tol_accum() == pytest.approx(INEQUALITY_RTOL * 4.0, rel=1e-12)
 
 
 def test_inequality_fails_when_energy_outgrows_work():

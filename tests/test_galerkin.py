@@ -445,9 +445,12 @@ OBLIQUE = make_chart(Hyperplane.from_vector((1.0, 0.5, 1.0), 1.75))
 @pytest.mark.parametrize(
     "nmodes, chart",
     [((4, 4), AXIS_ALIGNED_CHART), ((24, 24), OBLIQUE), ((5, 5), OBLIQUE), ((7, 10), OBLIQUE),
-     ((1, 1), OBLIQUE)],
-    ids=["axis-4x4", "oblique-24x24", "odd-5x5", "odd-even-7x10", "rank0-1x1"],
+     ((1, 1), OBLIQUE), ((5, 5), AXIS_ALIGNED_CHART), ((7, 10), AXIS_ALIGNED_CHART),
+     ((1, 1), AXIS_ALIGNED_CHART), ((6, 1), AXIS_ALIGNED_CHART), ((1, 6), OBLIQUE)],
+    ids=["axis-4x4", "oblique-24x24", "odd-5x5", "odd-even-7x10", "rank0-1x1", "axis-odd-5x5",
+         "axis-odd-even-7x10", "axis-rank0-1x1", "axis-6x1", "oblique-1x6"],
 )
+@pytest.mark.blas_sensitive
 def test_factored_projection_matches_svd_oracle(nmodes, chart):
     tens = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), chart)
     m = tens.nmodes_total
@@ -477,12 +480,51 @@ def test_factored_projection_matches_svd_oracle(nmodes, chart):
     assert np.max(np.abs(p @ p - p)) <= 1e-13
 
 
+def _pair_swap(n):
+    # columns 2i and 2i + 1 of a Schur basis hold one pair; a last odd column stays
+    return np.minimum(np.arange(n) ^ 1, n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.blas_sensitive
+def test_schur_basis_block_diagonalizes_divergence_factor(n):
+    # div_x is a fixed (n, n) matrix times L2, so these counts cover every box
+    tens = assemble(SpectralBasis(nmodes=(n, 1), extents=(1.2, 0.9)), OBLIQUE)
+    q, d = tens.schur_x, tens.div_x
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
+    form = q.T @ d @ q
+    scale = np.max(np.abs(d))
+    # each pair block is [[0, s], [-s, 0]] with s > 0, and nothing lies outside the blocks
+    s = form[np.arange(n), _pair_swap(n)]
+    half = n // 2
+    assert np.all(s[0:2 * half:2] > 0.0)
+    assert np.max(np.abs(s[1:2 * half:2] + s[0:2 * half:2]), initial=0.0) <= 1e-13 * scale
+    off = form.copy()
+    off[np.arange(n), _pair_swap(n)] = 0.0
+    assert np.max(np.abs(off)) <= 1e-13 * scale
+    # an odd count ends with the one null column
+    zero_columns = np.flatnonzero(np.all(np.abs(form) <= 1e-13 * scale, axis=0))
+    assert zero_columns.tolist() == ([n - 1] if n % 2 else [])
+
+
+def test_schur_basis_refuses_a_factor_that_couples_one_parity():
+    # sign * div is symmetric only when div couples opposite parities; the
+    # eigh of any other antisymmetric factor gives no Schur basis, and set-up says so
+    import nsslice.galerkin as galerkin
+
+    div = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+    with pytest.raises(galerkin.GalerkinError, match="no real Schur form"):
+        galerkin._schur_basis(div)
+
+
 @pytest.mark.parametrize("chart", [AXIS_ALIGNED_CHART, OBLIQUE], ids=["axis", "oblique"])
 @pytest.mark.parametrize("nmodes", [(5, 5), (6, 7), (12, 12)], ids=["5x5", "6x7", "12x12"])
 @pytest.mark.blas_sensitive
 def test_parity_block_projector_matches_dense_reference(nmodes, chart):
-    # project applies gram_pinv as two parity blocks on C u in parity order;
-    # it must agree with the dense SVD projector, and the rank read off the
+    # project applies (C C^T)^+ in the Schur bases of div_x and div_y, whose
+    # pairs each split an eigenvector of sign * div by index parity; there the
+    # Gram is a set of 2x2 blocks and gram_pinv_coef its pseudo-inverse.  It
+    # must agree with the dense SVD projector, and the rank read off the
     # blocks with the rank of one dense eigensolve of the whole Gram
     tens = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), chart)
     m = tens.nmodes_total
@@ -493,12 +535,23 @@ def test_parity_block_projector_matches_dense_reference(nmodes, chart):
     want = x @ p_ref
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(tens.project(got) - got)) <= 1e-13 * np.max(np.abs(got))
-    # the parity order lists every mode once, even classes first
-    parity = tens.basis.modes.sum(axis=1) % 2
-    assert np.array_equal(np.sort(tens.parity_order), np.arange(m))
-    assert np.array_equal(tens.parity_order[tens.parity_place], np.arange(m))
-    assert np.all(np.diff(parity[tens.parity_order]) >= 0)
-    assert [b.shape[0] for b in tens.gram_pinv_blocks] == [np.sum(parity == 0), np.sum(parity == 1)]
+    # in the Schur bases the Gram couples each grid entry with its pair-swapped
+    # partner only, and (A, B) is its Moore-Penrose inverse
+    q = np.kron(tens.schur_x, tens.schur_y)
+    assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-13
+    gram = q.T @ tens.constraint @ tens.constraint.T @ q
+    partner = np.arange(m).reshape(n1, n2)[_pair_swap(n1)][:, _pair_swap(n2)].ravel()
+    coupled = np.zeros((m, m), dtype=bool)
+    coupled[np.arange(m), np.arange(m)] = coupled[np.arange(m), partner] = True
+    assert np.max(np.abs(gram[~coupled])) <= 1e-13 * np.max(np.abs(gram))
+    a, b = tens.gram_pinv_coef.reshape(2, m)
+    pinv = np.diag(a)
+    pinv[np.arange(m), partner] += b
+    g_pinv = gram @ pinv
+    assert np.max(np.abs(g_pinv @ gram - gram)) <= 1e-13 * np.max(np.abs(gram))
+    assert np.max(np.abs(pinv @ g_pinv - pinv)) <= 1e-13 * np.max(np.abs(pinv))
+    assert np.max(np.abs(g_pinv - g_pinv.T)) <= 1e-13
+    assert np.max(np.abs(pinv @ gram - (pinv @ gram).T)) <= 1e-13
     # the dense-Gram rank with the same tolerance rule
     w = np.linalg.eigvalsh(tens.constraint @ tens.constraint.T)
     scale = np.pi * max(n1, n2) / min(tens.basis.extents) * tens.basis.mass_scale

@@ -8,6 +8,7 @@ from nsslice.fieldio import Field, TimeSeriesField, write_field
 from nsslice.stratify import (
     IndicatorGrid,
     StratifyInconsistencyError,
+    _longest_run,
     mask_from_field,
     slice_measures,
     stratification_verdict,
@@ -308,3 +309,12 @@ def test_indicator_grid_validation():
                             data=np.zeros((1, 4, 4, 4)))),
             -1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "flags, run",
+    [([True, False, False], 1), ([False, True], 1), ([True, True, False, True], 2), ([], 0)],
+    ids=["first", "last", "longest-of-two", "empty"],
+)
+def test_longest_run_counts_consecutive_flags(flags, run):
+    assert _longest_run(np.array(flags, dtype=bool)) == run
