@@ -672,8 +672,9 @@ def main(argv=None) -> int:
             key, val = item.split("=", 1)
             values[key.strip()] = val.strip()
         checks = _COMMANDS[args.command](RunConfig(values, args.out, args.seed))
-    # ConfigError and GeometryError are ValueErrors, BlowUpError a RuntimeError
-    except (ValueError, OSError, RuntimeError) as exc:
+    # ConfigError and GeometryError are ValueErrors, BlowUpError a RuntimeError;
+    # a MemoryError is a run too large for the host (say 1e15 steps to record)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     logger.info("%s checks: %s", args.command, checks)

@@ -29,8 +29,8 @@ matrix per direction on the (N1, N2) coefficient grid, and in the real Schur
 bases of the two factors the Gram C C^T is diagonal up to 2x2 pairs (fast
 diagonalization), so (C C^T)^+ is two coefficient grids and no Gram is ever
 formed or factorized.  The Schur bases are folded into C and C^T, so a
-projection is a few grid products per state.  C, C^T and the stiffness keep
-the parity of m + n, which coercivity_check uses.
+projection is a few grid products per state.  The stiffness keeps the parity
+of m + n, so coercivity_check reads its two parity blocks from one dense -K.
 
 A state is a plain float array of length 3M, component-major:
 coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
@@ -232,8 +232,6 @@ class OperatorTensors:
     holds the constant diagonal (1 + c1^2) grad1 + (1 + c2^2) grad2.  div_x
     and div_y vanish unless their two mode numbers differ in parity, so C,
     C^T and K keep the parity of m + n and no operator couples the classes.
-    parity_order lists the modes with m + n even, then those with m + n odd
-    (each class in mode order).
 
     The orthogonal (hence mass-orthogonal) projector onto null(C) is
     u - C^T (C C^T)^+ C u.  schur_x and schur_y are orthogonal bases in which
@@ -262,22 +260,19 @@ class OperatorTensors:
     div_y: np.ndarray           # (N2, N2) y-direction factor of C
     stiffness_diag: np.ndarray = field(init=False)    # (M,) diagonal part of -K
     cross_scale: float = field(init=False)            # 2 c1 c2 / m0, the weight of the mixed term
-    parity_order: np.ndarray = field(init=False)      # (M,) modes, m + n even first
     schur_x: np.ndarray = field(init=False)           # (N1, N1) orthogonal Schur basis of div_x
     schur_y: np.ndarray = field(init=False)           # (N2, N2) orthogonal Schur basis of div_y
     gram_pinv_coef: np.ndarray = field(init=False)    # (2, N1, N2) A, B: (C C^T)^+ in those bases
     constraint_rank: int = field(init=False)
     rank_deficient: bool = field(init=False)
-    _factors: tuple = field(init=False, repr=False)   # the Schur bases folded into C and C^T
+    _factors: tuple = field(init=False, repr=False)   # project's operands: C and C^T in Schur bases
 
     def __post_init__(self):
         n1, n2 = self.basis.nmodes
         c1, c2 = self.chart_coeffs
-        order = np.argsort(self.basis.modes.sum(axis=1) % 2, kind="stable")
         object.__setattr__(self, "stiffness_diag",
                            (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2)
         object.__setattr__(self, "cross_scale", 2.0 * c1 * c2 / self.basis.mass_scale)
-        object.__setattr__(self, "parity_order", order)
         qx, qy, rho, w = self._schur_gram()
         rank = int(np.count_nonzero(w))
         # odd-by-odd mode counts carry one structural left-null direction of the
@@ -305,26 +300,8 @@ class OperatorTensors:
             np.stack([right, right[:, :, py]]),
             np.vstack([self.div_x.T @ qx, qx]),
             np.stack([qy.T, qy.T @ self.div_y]),
+            self.chart_rows.T,
         ))
-
-    @property
-    def parity_modes(self) -> tuple:
-        """(modes with m + n even, modes with m + n odd), slices of parity_order."""
-        n_even = int(np.count_nonzero(self.basis.modes.sum(axis=1) % 2 == 0))
-        return self.parity_order[:n_even], self.parity_order[n_even:]
-
-    def _parity_blocks(self, op) -> list:
-        """The diagonal parity blocks of the (M, M) matrix whose row j is op(e_j).
-
-        op maps a (k, M) stack of unit rows to (k, M); it is called once per
-        class, on that class's unit rows only.
-        """
-        blocks = []
-        for modes in self.parity_modes:
-            unit = np.zeros((modes.size, self.nmodes_total))
-            unit[np.arange(modes.size), modes] = 1.0
-            blocks.append(op(unit)[:, modes])
-        return blocks
 
     def _schur_gram(self) -> tuple:
         """C C^T in the Schur bases of div_x and div_y: (Qx, Qy, rho, w).
@@ -391,28 +368,23 @@ class OperatorTensors:
     def _gradient_terms(self, u: np.ndarray):
         return tuple(_sum_per_state(u * (u * diag)) for diag in (self.grad1, self.grad2))
 
-    @cached_property
-    def _transposes(self) -> tuple:  # the transposed views C and C^T read
-        return self.div_x.T, self.div_y.T, self.chart_rows.T
-
     def divergence(self, coeffs: np.ndarray) -> np.ndarray:
         """Weak divergence C u of one (3M,) state or a (..., 3M) stack, shaped (..., M)."""
         n1, n2 = self.basis.nmodes
         lead = coeffs.shape[:-1]
         a = (self.chart_rows @ coeffs.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
-        div = self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self._transposes[1]
+        div = self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self.div_y.T
         return div.reshape(lead + (n1 * n2,))
 
     def divergence_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3M)."""
         n1, n2 = self.basis.nmodes
-        div_xt, _, rows_t = self._transposes
         grid = lam.reshape(lam.shape[:-1] + (n1, n2))
         # the D1 and D2 parts, written side by side for R3^T to combine
         parts = np.empty(lam.shape[:-1] + (2, n1, n2))
-        np.matmul(div_xt, grid, out=parts[..., 0, :, :])
+        np.matmul(self.div_x.T, grid, out=parts[..., 0, :, :])
         np.matmul(grid, self.div_y, out=parts[..., 1, :, :])
-        adjoint = rows_t @ parts.reshape(lam.shape[:-1] + (2, n1 * n2))
+        adjoint = self.chart_rows.T @ parts.reshape(lam.shape[:-1] + (2, n1 * n2))
         return adjoint.reshape(lam.shape[:-1] + (3 * n1 * n2,))  # -1 fails on a (0, M) stack
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
@@ -430,12 +402,12 @@ class OperatorTensors:
         """
         n1, n2 = self.basis.nmodes
         lead = coeffs.shape[:-1]
-        left, right, back_left, back_right = self._factors
+        left, right, back_left, back_right, rows_t = self._factors
         a = (self.chart_rows @ coeffs.reshape(lead + (3, n1 * n2))).reshape(lead + (1, 2, n1, n2))
         z = left @ (a @ right).reshape(lead + (2, 2 * n1, n2))
         lam = (self.gram_pinv_coef * z).sum(axis=-3)
         parts = (back_left @ lam).reshape(lead + (2, n1, n2)) @ back_right
-        adjoint = self._transposes[2] @ parts.reshape(lead + (2, n1 * n2))
+        adjoint = rows_t @ parts.reshape(lead + (2, n1 * n2))
         return coeffs - adjoint.reshape(coeffs.shape)
 
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
@@ -622,6 +594,15 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
     return float(res) if res.ndim == 0 else res
 
 
+def _momentum(coeffs: np.ndarray, tensors: OperatorTensors, nu: float) -> np.ndarray:
+    """Weak momentum nu K u - B~(u, u) of one (3M,) state or a (..., 3M) stack, a new array."""
+    u = coeffs.reshape(coeffs.shape[:-1] + (3, tensors.nmodes_total))
+    weak = tensors.apply_stiffness(u).reshape(coeffs.shape)
+    weak *= nu
+    weak -= tensors.trilinear.apply_pair(coeffs, coeffs)
+    return weak
+
+
 def _rhs(
     coeffs3m: np.ndarray,
     t: float,
@@ -634,10 +615,7 @@ def _rhs(
     coeffs3m is one (3M,) state or a (B, 3M) stack of states at time t, and
     f_of_t a callable t -> (3M,) or None.
     """
-    u = coeffs3m.reshape(coeffs3m.shape[:-1] + (3, -1))
-    weak = tensors.apply_stiffness(u).reshape(coeffs3m.shape)
-    weak *= nu
-    weak -= tensors.trilinear.apply_pair(coeffs3m, coeffs3m)
+    weak = _momentum(coeffs3m, tensors, nu)
     weak /= tensors.basis.mass_scale
     if f_of_t is not None:
         weak += f_of_t(t)
@@ -843,12 +821,11 @@ def rhs_dual_norm(
     (..., 3M) stack, which gives one magnitude per state; f_of_t is the
     forcing in basis coordinates, a callable t -> (3M,), or None (see step).
     """
-    u = coeffs.reshape(coeffs.shape[:-1] + (3, tensors.nmodes_total))
-    weak = (nu * tensors.apply_stiffness(u)).reshape(coeffs.shape)
-    weak -= tensors.trilinear.apply_pair(coeffs, coeffs)
+    weak = _momentum(coeffs, tensors, nu)
     if f_of_t is not None:
         weak += tensors.basis.mass_scale * f_of_t(t)
-    return np.sqrt(_sum_per_state(weak.reshape(u.shape) ** 2 / (tensors.grad1 + tensors.grad2)))
+    per_mode = weak.reshape(weak.shape[:-1] + (3, tensors.nmodes_total)) ** 2
+    return np.sqrt(_sum_per_state(per_mode / (tensors.grad1 + tensors.grad2)))
 
 
 def coercivity_check(tensors: OperatorTensors) -> float:
@@ -862,12 +839,15 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     3. a minimum over null(C) is at least the unconstrained one, and 1-2 attain it.
 
     K keeps the parity of m + n, so lambda_min(-K) is the smaller of the
-    lowest eigenvalues of its two parity blocks.
+    lowest eigenvalues of its two parity blocks, both sliced from one dense -K
+    (faster than one eigensolve of all of -K); an empty class is skipped.
 
     A positive value certifies discrete ellipticity, but it cannot register a
     loss of ellipticity that the constraint causes; the inf-sup ratio of C
     is the certificate for that.
     """
-    blocks = tensors._parity_blocks(tensors.apply_stiffness)
-    lowest = min(float(np.linalg.eigvalsh(-k)[0]) for k in blocks if k.size)
+    neg_k = -tensors.apply_stiffness(np.eye(tensors.nmodes_total))
+    parity = tensors.basis.modes.sum(axis=1) % 2
+    lowest = min(float(np.linalg.eigvalsh(neg_k[np.ix_(c, c)])[0])
+                 for c in (parity == 0, parity == 1) if c.any())
     return lowest / tensors.basis.mass_scale

@@ -69,6 +69,13 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_05_uniqueness_contraction"),
     ),
     Mutant(
+        "contraction report's largest difference is its smallest",
+        "analysis.py",
+        "max_w_norm=float(np.max(w_norm)),",
+        "max_w_norm=float(np.min(w_norm)),",
+        ("tests/test_analysis.py::test_contraction_report_max_and_scale_are_exact",),
+    ),
+    Mutant(
         "ledger residual adds the work",
         "analysis.py",
         "residual = dedt + nu * (d1 + d2 + dc) - w",
@@ -179,6 +186,13 @@ MUTANTS = (
         "positive=run >= INTERVAL_TOL_SLABS,",
         "positive=run >= 1,",
         ("tests/test_stratify.py::test_verdict_independent_of_box_units",),
+    ),
+    Mutant(
+        "stratify interval tolerance of one slab",
+        "stratify.py",
+        "interval_tol=float(INTERVAL_TOL_SLABS * dbeta),",
+        "interval_tol=float(dbeta),",
+        ("tests/test_stratify.py::test_interval_tol_is_two_slabs_on_an_oblique_direction",),
     ),
     Mutant(
         "every run exits 0 whatever its checks",

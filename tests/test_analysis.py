@@ -288,6 +288,48 @@ def test_contraction_report_alignment_guard(tensors):
     assert isinstance(rep, ContractionReport)
 
 
+def hand_built_pair(tensors, amplitudes, gaps, seed):
+    # cu[k] = amplitudes[k] * s and cv[k] = cu[k] + gaps[k] * e, so the
+    # reference norms and the differences are set row by row
+    rng = np.random.default_rng(seed)
+    m3 = 3 * tensors.nmodes_total
+    s, e = rng.standard_normal(m3), rng.standard_normal(m3)
+    cu = np.outer(amplitudes, s)
+    return cu, cu + np.outer(gaps, e / tensors.norm_h(e))
+
+
+def test_contraction_report_max_and_scale_are_exact(tensors):
+    # a non-monotone difference peaks inside the run, and the reference
+    # norm changes from row to row, so no other row gives either value
+    times = np.linspace(0.0, 0.4, 5)
+    cu, cv = hand_built_pair(tensors, [1.0, 1.5, 2.0, 2.5, 3.0], [1e-3, 4e-3, 2e-3, 3e-3, 5e-4],
+                             seed=71)
+    rep = contraction_report(tensors, times, cu, cv, 1e-3)
+    assert np.argmax(rep.w_norm) == 1 and np.argmin(rep.w_norm) == 4
+    assert rep.max_w_norm == np.max(rep.w_norm)
+    assert rep.scale == tensors.norm_h(cu[0])
+    assert rep.scale != tensors.norm_h(cu[-1])
+
+
+def test_contraction_report_fitted_c_is_the_largest_log_ratio(tensors):
+    # a constant reference run has a constant ||grad u||^2 = g, so its
+    # integral to t is g t; the base is the initial gap, above delta
+    times = np.linspace(0.0, 0.4, 5)
+    gaps = np.array([2e-3, 1e-3, 6e-3, 3e-3, 4e-3])
+    cu, cv = hand_built_pair(tensors, np.ones(5), gaps, seed=72)
+    rep = contraction_report(tensors, times, cu, cv, 1e-3)
+    g = tensors.grad_norm_sq(cu[0])
+    ratios = np.log(gaps[1:] / gaps[0]) / (2.0 * g * times[1:])
+    assert np.argmax(ratios) == 1
+    assert rep.fitted_c == pytest.approx(ratios[1], rel=1e-9)
+    assert rep.passed
+    # twins of one state at delta = 0: no base, no fit and a zero envelope
+    rep = contraction_report(tensors, times, cu, cu.copy(), 0.0)
+    assert rep.fitted_c == 0.0
+    assert np.array_equal(rep.bound, np.zeros(5))
+    assert rep.passed
+
+
 def test_uniqueness_experiment_synthesizes_no_fields(tensors, monkeypatch):
     # the twin runs feed only the contraction report, which reads coefficients
     calls = []

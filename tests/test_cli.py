@@ -148,20 +148,29 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, target", [
+FAILING_TARGETS = [
     ("project", "nsslice.cli.restrict_to_slice"),
     ("solve", "nsslice.galerkin.solve_from_state"),
     ("uniqueness", "nsslice.analysis.uniqueness_experiment"),
     ("quadform", "nsslice.quadform.strain_field"),
     ("stratify", "nsslice.stratify.stratification_verdict"),
     ("mms", "nsslice.mms.spatial_convergence"),
+]
+
+
+@pytest.mark.parametrize("command, target, error", [
+    pytest.param(command, target, error, id=f"{command}-{target}{suffix}")
+    for error, suffix in ((ValueError, ""), (MemoryError, "-MemoryError"))
+    for command, target in FAILING_TARGETS
 ])
 def test_failure_inside_command_leaves_no_output_directory(tmp_path, monkeypatch, capsys,
-                                                          command, target):
+                                                          command, target, error):
     # the first write makes the output directory, so a command that fails
-    # in its main computation exits 2 and leaves nothing behind
+    # in its main computation exits 2 and leaves nothing behind; a
+    # MemoryError (say a huge solver.T / solver.dt to record) is an error
+    # too, not exit 1, which reads as a run that finished with a failed check
     def failing(*args, **kwargs):
-        raise ValueError("injected failure")
+        raise error("injected failure")
 
     monkeypatch.setattr(target, failing)
     out = tmp_path / "out"

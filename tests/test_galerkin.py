@@ -832,6 +832,9 @@ def test_coercivity_positive_random_charts():
         # chart the minimum sits on the chart-normal (third component) piece
         yield (5, 5), OBLIQUE
         yield (4, 6), AXIS_ALIGNED_CHART
+        # a 1 x 1 basis has no odd-parity mode, so one parity block is empty
+        yield (1, 1), OBLIQUE
+        yield (1, 6), OBLIQUE
 
     for nmodes, chart in cases():
         basis = SpectralBasis(nmodes=nmodes, extents=(1.0, 1.0))

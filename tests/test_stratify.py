@@ -6,6 +6,7 @@ import pytest
 from nsslice.cli import EXIT_OK, main
 from nsslice.fieldio import Field, TimeSeriesField, write_field
 from nsslice.stratify import (
+    INTERVAL_TOL_SLABS,
     IndicatorGrid,
     StratifyInconsistencyError,
     _longest_run,
@@ -164,6 +165,14 @@ def test_ball_verdict_positive_interval_length():
     for profile in verdict.profiles[:3]:
         assert profile.positive
         assert profile.interval_length == pytest.approx(0.6, abs=0.08)
+
+
+def test_interval_tol_is_two_slabs_on_an_oblique_direction():
+    verdict = stratification_verdict(grid_from_mask(ball_mask(12, 0.3)), [(1.0, 2.0, 2.0)])
+    profile = verdict.profiles[3]
+    dbeta = profile.offsets[1] - profile.offsets[0]
+    assert dbeta != pytest.approx(1.0 / 12)
+    assert profile.interval_tol == INTERVAL_TOL_SLABS * dbeta
 
 
 def test_single_layer_negative_perpendicular():
