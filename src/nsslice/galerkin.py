@@ -29,8 +29,7 @@ matrix per direction on the (N1, N2) coefficient grid, and in the real Schur
 bases of the two factors the Gram C C^T is diagonal up to 2x2 pairs (fast
 diagonalization), so (C C^T)^+ is two coefficient grids and no Gram is ever
 formed or factorized.  The Schur bases are folded into C and C^T, so a
-projection is a few grid products per state.  The stiffness keeps the parity
-of m + n, so coercivity_check reads its two parity blocks from one dense -K.
+projection is a few grid products per state.
 
 A state is a plain float array of length 3M, component-major:
 coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
@@ -60,7 +59,7 @@ logger = logging.getLogger(__name__)
 
 #: Largest |R(z)| <= 1 interval of the classical RK4 stability function on
 #: the negative real axis; the BlowUpError hint quotes the dt rule of thumb
-#: dt <= RK4_REAL_LIMIT / (nu * lambda_max).
+#: dt <= RK4_REAL_LIMIT / (nu * lambda_max), which rk4_dt_limit bounds above.
 RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
@@ -138,10 +137,14 @@ class SpectralBasis:
         return np.sin(np.pi / length * np.outer(a, np.asarray(coords)))
 
 
+def _per_state(values: np.ndarray):
+    """One value per state: a Python float for one state, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def _sum_per_state(terms: np.ndarray):
-    """Sum a (..., 3, M) array over each state: a float, or an array for a stack."""
-    total = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    """Sum a (..., 3, M) array over each state (_per_state)."""
+    return _per_state(terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -348,8 +351,7 @@ class OperatorTensors:
         return 0.5 * _sum_per_state(u * (self.basis.mass_scale * u))
 
     def norm_h(self, coeffs: np.ndarray):
-        norm = np.sqrt(np.maximum(0.0, 2.0 * self.energy(coeffs)))
-        return float(norm) if norm.ndim == 0 else norm
+        return _per_state(np.sqrt(np.maximum(0.0, 2.0 * self.energy(coeffs))))
 
     def dissipation_terms(self, coeffs: np.ndarray):
         """(||D1 u||^2, ||D2 u||^2, ||(c1 D1 + c2 D2) u||^2) summed over components."""
@@ -380,10 +382,8 @@ class OperatorTensors:
         """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3M)."""
         n1, n2 = self.basis.nmodes
         grid = lam.reshape(lam.shape[:-1] + (n1, n2))
-        # the D1 and D2 parts, written side by side for R3^T to combine
-        parts = np.empty(lam.shape[:-1] + (2, n1, n2))
-        np.matmul(self.div_x.T, grid, out=parts[..., 0, :, :])
-        np.matmul(grid, self.div_y, out=parts[..., 1, :, :])
+        # the D1 and D2 parts, side by side for R3^T to combine
+        parts = np.stack([self.div_x.T @ grid, grid @ self.div_y], axis=-3)
         adjoint = self.chart_rows.T @ parts.reshape(lam.shape[:-1] + (2, n1 * n2))
         return adjoint.reshape(lam.shape[:-1] + (3 * n1 * n2,))  # -1 fails on a (0, M) stack
 
@@ -590,8 +590,7 @@ def divergence_residual(coeffs: np.ndarray, tensors: OperatorTensors):
     A float for one state, an array for a (..., 3M) stack of states.
     """
     r = tensors.divergence(coeffs)
-    res = np.sqrt(np.sum(r * r, axis=-1) / tensors.basis.mass_scale)
-    return float(res) if res.ndim == 0 else res
+    return _per_state(np.sqrt(np.sum(r * r, axis=-1) / tensors.basis.mass_scale))
 
 
 def _momentum(coeffs: np.ndarray, tensors: OperatorTensors, nu: float) -> np.ndarray:
@@ -638,34 +637,20 @@ def step(
     the result is not projected again.  f_of_t is the forcing in basis
     coordinates, a callable t -> (3M,), or None for no forcing
     (series_forcing builds one from a TimeSeriesField).
-    The stages are combined in place, in the operation order of
-    u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError when any
-    coefficient passes 1e12 or is not finite, which signals an unstable dt.
+    The new state is u0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  Raises BlowUpError
+    when any coefficient passes 1e12 or is not finite, which signals an
+    unstable dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    u0 = coeffs
     half = 0.5 * dt
-    k1 = _rhs(u0, t, tensors, f_of_t, nu)
-    stage = np.multiply(k1, half)
-    stage += u0
-    k2 = _rhs(stage, t + half, tensors, f_of_t, nu)
-    np.multiply(k2, half, out=stage)
-    stage += u0
-    k3 = _rhs(stage, t + half, tensors, f_of_t, nu)
-    np.multiply(k3, dt, out=stage)
-    stage += u0
-    k4 = _rhs(stage, t + dt, tensors, f_of_t, nu)
-    u1 = k1
-    k2 *= 2.0
-    u1 += k2
-    k3 *= 2.0
-    u1 += k3
-    u1 += k4
-    u1 *= dt / 6.0
-    u1 += u0
+    k1 = _rhs(coeffs, t, tensors, f_of_t, nu)
+    k2 = _rhs(coeffs + half * k1, t + half, tensors, f_of_t, nu)
+    k3 = _rhs(coeffs + half * k2, t + half, tensors, f_of_t, nu)
+    k4 = _rhs(coeffs + dt * k3, t + dt, tensors, f_of_t, nu)
+    u1 = coeffs + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # NaN and inf compare false, so this one test also catches them
     if not np.max(np.abs(u1)) <= _BLOWUP_LIMIT:
         raise BlowUpError(
@@ -673,6 +658,26 @@ def step(
             f"reduce dt (rule of thumb: dt <= {RK4_REAL_LIMIT:.3f} / (nu * lambda_max))"
         )
     return u1
+
+
+def rk4_dt_limit(basis: SpectralBasis, chart: SliceChart, nu: float) -> float:
+    """RK4_REAL_LIMIT / (nu * lam): any larger dt makes RK4 amplify a Stokes mode.
+
+    lam = (1 + c1^2) (pi N1 / L1)^2 + (1 + c2^2) (pi N2 / L2)^2 is
+    max(stiffness_diag) / m0, the largest diagonal entry of -K / m0 (the mixed
+    term has a zero diagonal, its factors being antisymmetric), so
+    lambda_max(-K) / m0 >= lam.  By coercivity_check's n_hat (x) v argument
+    the eigenvector of lambda_max(-K) is divergence-free, so the projected
+    Stokes part has the eigenvalue -nu lambda_max(-K) / m0, and RK4 amplifies
+    it once nu dt lam > RK4_REAL_LIMIT.  The bound is a closed form of the
+    basis and the chart, with no assembly and no eigensolve.  It is exact on
+    an axis-aligned chart; on an oblique one a dt below it may still be
+    unstable, which step's blow-up guard catches.
+    """
+    c1, c2 = projected_gradient_coeffs(chart)
+    (n1, n2), (l1, l2) = basis.nmodes, basis.extents
+    lam = (1.0 + c1 * c1) * (np.pi * n1 / l1) ** 2 + (1.0 + c2 * c2) * (np.pi * n2 / l2) ** 2
+    return RK4_REAL_LIMIT / (nu * lam)
 
 
 def project_field_to_basis(fld: Field, basis: SpectralBasis) -> np.ndarray:
@@ -825,7 +830,7 @@ def rhs_dual_norm(
     if f_of_t is not None:
         weak += tensors.basis.mass_scale * f_of_t(t)
     per_mode = weak.reshape(weak.shape[:-1] + (3, tensors.nmodes_total)) ** 2
-    return np.sqrt(_sum_per_state(per_mode / (tensors.grad1 + tensors.grad2)))
+    return _per_state(np.sqrt(_sum_per_state(per_mode / (tensors.grad1 + tensors.grad2))))
 
 
 def coercivity_check(tensors: OperatorTensors) -> float:
@@ -838,16 +843,9 @@ def coercivity_check(tensors: OperatorTensors) -> float:
     2. I3 (x) K maps n_hat (x) R^M into itself with the spectrum of K;
     3. a minimum over null(C) is at least the unconstrained one, and 1-2 attain it.
 
-    K keeps the parity of m + n, so lambda_min(-K) is the smaller of the
-    lowest eigenvalues of its two parity blocks, both sliced from one dense -K
-    (faster than one eigensolve of all of -K); an empty class is skipped.
-
     A positive value certifies discrete ellipticity, but it cannot register a
     loss of ellipticity that the constraint causes; the inf-sup ratio of C
     is the certificate for that.
     """
     neg_k = -tensors.apply_stiffness(np.eye(tensors.nmodes_total))
-    parity = tensors.basis.modes.sum(axis=1) % 2
-    lowest = min(float(np.linalg.eigvalsh(neg_k[np.ix_(c, c)])[0])
-                 for c in (parity == 0, parity == 1) if c.any())
-    return lowest / tensors.basis.mass_scale
+    return float(np.linalg.eigvalsh(neg_k)[0]) / tensors.basis.mass_scale

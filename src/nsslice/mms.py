@@ -266,8 +266,7 @@ class ManufacturedSolution:
         grids = coeffs.reshape(coeffs.shape[:-1] + (3,) + rec.basis.nmodes)
         diff = rec.s1.T @ grids @ rec.s2 - g * rec.u_grid
         sq = diff**2 * rec.wx[None, :, None] * rec.wy[None, None, :]
-        err = np.sqrt(sq.reshape(coeffs.shape[:-1] + (-1,)).sum(axis=-1))
-        return float(err) if err.ndim == 0 else err
+        return galerkin._per_state(np.sqrt(sq.reshape(coeffs.shape[:-1] + (-1,)).sum(axis=-1)))
 
     def final(self, n: int, dt: float, t_end: float) -> np.ndarray:
         """Read-only (3M,) state at t_end of the forced solve from the exact start.

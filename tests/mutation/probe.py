@@ -217,7 +217,31 @@ MUTANTS = (
         ("tests/test_galerkin.py::test_step_blowup_guard",
          "tests/test_galerkin.py::test_step_blowup_guard_catches_nonfinite",
          "tests/test_galerkin.py::test_step_blowup_guard_fires_before_overflow",
-         "tests/test_cli.py::test_solve_unstable_dt_blowup_exit"),
+         "tests/test_cli.py::test_solve_blowup_below_the_dt_preflight_exits_2"),
+    ),
+    Mutant(
+        "RK4 weighs the third slope once",
+        "galerkin.py",
+        "u1 = coeffs + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)",
+        "u1 = coeffs + dt / 6.0 * (k1 + 2.0 * k2 + k3 + k4)",
+        ("tests/test_acceptance.py::test_criterion_02_mms_convergence",
+         "tests/test_cli.py::test_mms_subcommand_small"),
+    ),
+    Mutant(
+        "RK4 evaluates the second slope at the start time",
+        "galerkin.py",
+        "k2 = _rhs(coeffs + half * k1, t + half, tensors, f_of_t, nu)",
+        "k2 = _rhs(coeffs + half * k1, t, tensors, f_of_t, nu)",
+        ("tests/test_acceptance.py::test_criterion_02_mms_convergence",
+         "tests/test_cli.py::test_mms_subcommand_small"),
+    ),
+    Mutant(
+        "dt pre-flight refuses no step",
+        "cli.py",
+        "if step > limit:",
+        "if False:",
+        ("tests/test_cli.py::test_solve_dt_preflight_is_exact_on_the_axis_aligned_chart",
+         "tests/test_cli.py::test_mms_unstable_temporal_step_rejected_before_solving"),
     ),
 )
 

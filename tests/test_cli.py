@@ -340,6 +340,55 @@ def test_solve_unstable_dt_blowup_exit(tmp_path, capsys):
     assert "reduce dt" in capsys.readouterr().err
 
 
+def test_solve_blowup_below_the_dt_preflight_exits_2(tmp_path, capsys):
+    # on the oblique chart the pre-flight limit (1.357e-2 here) lies above the
+    # true RK4 limit (1.282e-2), so this dt passes it and the guard in step
+    # stops the run when the top Stokes mode has grown past 1e12
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src)
+    out = tmp_path / "o"
+    rc = main([
+        "solve", "--out", str(out),
+        "--set", f"io.u0_slice={src}",
+        "--set", "plane.normal=1,0.5,1", "--set", "plane.offset=1.75",
+        "--set", "basis.n1=8", "--set", "basis.n2=8",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=0.0132", "--set", "solver.T=7.92",
+    ])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "coefficients exceeded 1e+12" in err and "reduce dt" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor, refused", [(1.01, True), (0.99, False)])
+def test_solve_dt_preflight_is_exact_on_the_axis_aligned_chart(tmp_path, capsys, factor, refused):
+    # on the axis-aligned chart the closed-form bound is lambda_max(-K) / m0
+    # itself, so the refusal sits at the true RK4 limit, here from an eigensolve
+    src = tmp_path / "u0s.nsf1"
+    u0 = write_u0_slice(src, dims=(9, 9))
+    nu = 0.1
+    basis = nsslice.galerkin.SpectralBasis((3, 3), u0.extents)
+    tensors = nsslice.galerkin.assemble(basis, make_chart(Hyperplane.from_vector((0, 0, 1), 0.5)))
+    neg_k = -tensors.apply_stiffness(np.eye(basis.nmodes_total))
+    lam_max = float(np.linalg.eigvalsh(neg_k)[-1]) / basis.mass_scale
+    dt = factor * nsslice.galerkin.RK4_REAL_LIMIT / (nu * lam_max)
+    out = tmp_path / "o"
+    rc = main([
+        "solve", "--out", str(out),
+        "--set", f"io.u0_slice={src}",
+        "--set", "basis.n1=3", "--set", "basis.n2=3",
+        "--set", f"solver.nu={nu}", "--set", f"solver.dt={dt!r}", "--set", f"solver.T={3 * dt!r}",
+    ])
+    if refused:
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "'solver.dt'" in err and f"{dt:g}" in err and "reduce dt" in err
+        assert not out.exists()
+    else:
+        assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert (out / "run_manifest.json").exists()
+
+
 def test_solve_missing_key_errors(tmp_path):
     rc = main(["solve", "--out", str(tmp_path / "o"), "--set", "solver.nu=0.1"])
     assert rc == EXIT_ERROR
@@ -955,6 +1004,24 @@ def test_mms_degenerate_lists_rejected_before_solving(tmp_path, monkeypatch, cap
     out = tmp_path / "mms"
     assert main(["mms", "--out", str(out), *MMS_SMALL, "--set", override]) == EXIT_ERROR
     assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mms_unstable_temporal_step_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    # the temporal study's 2 dt = 2e-3 at n = 24 is above the pre-flight limit
+    # 1.51e-3; without the check the spatial study runs to the end and the
+    # 2 dt run then blows up at t = 0.034
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the step")
+
+    monkeypatch.setattr(nsslice.mms.ManufacturedSolution, "final", no_solve)
+    out = tmp_path / "mms"
+    rc = main(["mms", "--out", str(out), "--set", "plane.normal=1,0.5,1",
+               "--set", "plane.offset=1.75", "--set", "mms.n_list=8,16,24", "--set", "mms.T=0.1"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "'mms.dt'" in err and "2*mms.dt = 0.002" in err and "0.001507" in err
+    assert "reduce dt" in err
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from nsslice.fieldio import (
     write_field,
 )
 from nsslice.galerkin import (
+    RK4_REAL_LIMIT,
     BlowUpError,
     GalerkinError,
     SpectralBasis,
@@ -20,6 +21,7 @@ from nsslice.galerkin import (
     project_divfree,
     project_field_to_basis,
     rhs_dual_norm,
+    rk4_dt_limit,
     series_forcing,
     solve_from_state,
     step,
@@ -626,6 +628,29 @@ def test_step_blowup_guard_fires_before_overflow(square_tensors):
             cur = step(cur, float(k), square_tensors, None, nu=1.0, dt=1.0)
 
 
+@pytest.mark.parametrize("normal", [(1.0, 0.5, 1.0), (0.3, -1.0, 0.8), (0.0, 0.0, 1.0)])
+def test_rk4_dt_limit_refuses_only_unstable_steps(normal):
+    # the closed-form lam is the largest diagonal entry of -K / m0, so it is at
+    # most lambda_max(-K) / m0 (equal on the axis-aligned chart) and the limit
+    # at least the true one; a step just above it grows the top eigenmode
+    # n_hat (x) e, which is divergence-free, in one linear RK4 step
+    chart = make_chart(Hyperplane.from_vector(normal, 0.2))
+    basis = SpectralBasis((5, 4), (1.0, 1.3))
+    tens = assemble(basis, chart)
+    nu = 0.1
+    limit = rk4_dt_limit(basis, chart, nu)
+    vals, vecs = np.linalg.eigh(-tens.apply_stiffness(np.eye(basis.nmodes_total)))
+    true_limit = RK4_REAL_LIMIT / (nu * vals[-1] / basis.mass_scale)
+    if normal[:2] == (0.0, 0.0):
+        assert limit == pytest.approx(true_limit, rel=1e-14)
+    else:
+        assert true_limit < limit
+    c1, c2 = tens.chart_coeffs
+    top = np.outer(np.array([-c1, -c2, 1.0]) / np.hypot(1.0, np.hypot(c1, c2)), vecs[:, -1])
+    grown = step(top.ravel(), 0.0, without_nonlinearity(tens), None, nu, 1.001 * limit)
+    assert np.linalg.norm(grown) > 1.0 + 1e-3
+
+
 def test_step_projects_each_stage_once(oblique_tensors, monkeypatch):
     # the four RK4 stages are projected and the result is not projected again
     calls = []
@@ -832,7 +857,7 @@ def test_coercivity_positive_random_charts():
         # chart the minimum sits on the chart-normal (third component) piece
         yield (5, 5), OBLIQUE
         yield (4, 6), AXIS_ALIGNED_CHART
-        # a 1 x 1 basis has no odd-parity mode, so one parity block is empty
+        # the smallest counts: one mode, and a single row of modes
         yield (1, 1), OBLIQUE
         yield (1, 6), OBLIQUE
 
@@ -961,8 +986,17 @@ def test_stacked_diagnostics_match_per_state(odd_even_oblique):
         tens.dissipation_terms(c), zip(*[tens.dissipation_terms(ci) for ci in c])
     ):
         assert np.array_equal(stacked, single)
-    assert isinstance(tens.energy(c[0]), float)
-    assert isinstance(divergence_residual(c[0], tens), float)
+    f = np.random.default_rng(25).standard_normal(3 * m)
+    for forcing in (None, lambda t: np.cos(t) * f):
+        assert np.array_equal(rhs_dual_norm(c, tens, forcing, 0.1, 0.3),
+                              [rhs_dual_norm(ci, tens, forcing, 0.1, 0.3) for ci in c])
+    # one state gives a Python float; np.float64 subclasses float, so isinstance
+    # cannot tell the two apart
+    single = [divergence_residual(c[0], tens), tens.energy(c[0]), tens.norm_h(c[0]),
+              tens.grad_norm_sq(c[0]), *tens.dissipation_terms(c[0]),
+              rhs_dual_norm(c[0], tens, None, 0.1, 0.3),
+              rhs_dual_norm(c[0], tens, lambda t: f, 0.1, 0.3)]
+    assert [type(v) for v in single] == [float] * len(single)
 
 
 def test_state_shape_guard(square_tensors):

@@ -174,7 +174,7 @@ def test_l2_error_one_value_per_state():
     err = ms.l2_error(stack, 0.2, 8)
     assert err.shape == (2,)
     alone = [ms.l2_error(state, 0.2, 8) for state in stack]
-    assert all(isinstance(e, float) for e in alone)
+    assert all(type(e) is float for e in alone)
     assert err.tolist() == alone
     assert alone == pytest.approx([0.05251, 6.30646], abs=1e-5)
     assert ms.l2_error(stack[None], 0.2, 8).shape == (1, 2)
