@@ -378,15 +378,6 @@ class OperatorTensors:
         div = self.div_x @ a[..., 0, :, :] + a[..., 1, :, :] @ self.div_y.T
         return div.reshape(lead + (n1 * n2,))
 
-    def divergence_adjoint(self, lam: np.ndarray) -> np.ndarray:
-        """C^T lam of one (M,) multiplier or a (..., M) stack, shaped (..., 3M)."""
-        n1, n2 = self.basis.nmodes
-        grid = lam.reshape(lam.shape[:-1] + (n1, n2))
-        # the D1 and D2 parts, side by side for R3^T to combine
-        parts = np.stack([self.div_x.T @ grid, grid @ self.div_y], axis=-3)
-        adjoint = self.chart_rows.T @ parts.reshape(lam.shape[:-1] + (2, n1 * n2))
-        return adjoint.reshape(lam.shape[:-1] + (3 * n1 * n2,))  # -1 fails on a (0, M) stack
-
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """u - C^T (C C^T)^+ C u for one (3M,) state or a (..., 3M) stack.
 
@@ -442,7 +433,7 @@ class OperatorTensors:
         vecs[np.arange(kept.size), kept] = 1.0
         vecs[np.arange(kept.size), partner[kept]] += rho.ravel()[kept]
         lam = (qx @ vecs.reshape(-1, n1, n2) @ qy.T).reshape(-1, m)
-        range_t = self.divergence_adjoint(lam).T
+        range_t = self.constraint.T @ lam.T
         return np.linalg.qr(range_t, mode="complete")[0][:, self.constraint_rank:]
 
 

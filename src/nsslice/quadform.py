@@ -47,14 +47,6 @@ class StrainMatrixField:
     extents: tuple[float, float, float]
     grad: np.ndarray  # (3, 3, nx, ny, nz)
 
-    @classmethod
-    def from_gradients(cls, dims, extents, grad) -> "StrainMatrixField":
-        return cls(
-            dims=tuple(int(d) for d in dims),
-            extents=tuple(float(e) for e in extents),
-            grad=np.asarray(grad, dtype=float),
-        )
-
     def gradient_norms(self) -> np.ndarray:
         """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
 
@@ -82,7 +74,7 @@ def strain_field(v: Field) -> StrainMatrixField:
         h = v.spacing(i)
         for k in range(3):
             grad[i, k] = np.gradient(v.data[k], h, axis=i, edge_order=2)
-    return StrainMatrixField.from_gradients(v.dims, v.extents, grad)
+    return StrainMatrixField(v.dims, v.extents, grad)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,20 @@ MUTANTS = (
         ("tests/test_stratify.py::test_interval_tol_is_two_slabs_on_an_oblique_direction",),
     ),
     Mutant(
+        "stratify slice at exactly area_tol reads empty",
+        "stratify.py",
+        "run = _longest_run(measures >= at)",
+        "run = _longest_run(measures > at)",
+        ("tests/test_stratify.py::test_axis_thresholds_hold_exactly_at_the_boundary",),
+    ),
+    Mutant(
+        "stratify run of exactly INTERVAL_TOL_SLABS reads negative",
+        "stratify.py",
+        "positive=run >= INTERVAL_TOL_SLABS,",
+        "positive=run > INTERVAL_TOL_SLABS,",
+        ("tests/test_stratify.py::test_axis_thresholds_hold_exactly_at_the_boundary",),
+    ),
+    Mutant(
         "every run exits 0 whatever its checks",
         "cli.py",
         "return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED",

@@ -204,7 +204,7 @@ def test_criterion_06_jacobi_canonicalization():
             if min(abs(d1), abs(d2), abs(d3)) > 1e-6:
                 break
         grad = np.repeat(a[:, :, None], 8, axis=2).reshape(3, 3, 2, 2, 2)
-        strain = StrainMatrixField.from_gradients((2, 2, 2), (1.0, 1.0, 1.0), grad)
+        strain = StrainMatrixField((2, 2, 2), (1.0, 1.0, 1.0), grad)
         dec = canonicalize(strain)
         eig = np.linalg.eigvalsh(a)
         oracle = (int(np.sum(eig > 0)), 0, int(np.sum(eig < 0)))

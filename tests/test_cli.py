@@ -446,6 +446,19 @@ def test_solve_divergence_check_fails_on_leaky_projection(tmp_path, monkeypatch)
     assert manifest["checks"]["inequality_holds"]
 
 
+@pytest.mark.parametrize("command", ["solve", "uniqueness", "mms"])
+def test_no_command_builds_a_dense_inspection_operator(tmp_path, monkeypatch, command):
+    # the dense C, projector and null basis are for inspection only: every
+    # command runs on the factored operators and never reads them
+    def refuse(self):
+        raise AssertionError("a command built a dense inspection operator")
+
+    for name in ("constraint", "projector", "null_basis"):
+        monkeypatch.setattr(nsslice.galerkin.OperatorTensors, name, property(refuse))
+    rc = main([command, "--out", str(tmp_path / "out"), *_runnable_args(command, tmp_path)])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+
+
 def test_solve_divergence_check_reads_every_state(tmp_path, monkeypatch):
     # must-FAIL oracle: the check covers the whole run, so a divergent
     # component in one middle state fails it while the first and last
@@ -460,7 +473,7 @@ def test_solve_divergence_check_reads_every_state(tmp_path, monkeypatch):
         clean.append(nsslice.galerkin.divergence_residual(trace.coeffs[[0, -1]], tensors))
         lam = np.zeros(tensors.nmodes_total)
         lam[1] = 1.0
-        kick = tensors.divergence_adjoint(lam).ravel()
+        kick = tensors.constraint.T @ lam
         kick *= 1e-6 / nsslice.galerkin.divergence_residual(kick, tensors)
         trace.coeffs[len(trace) // 2] += kick
         return trace

@@ -1043,7 +1043,7 @@ def test_state_functions_take_one_layout(odd_even_oblique):
                 call(bad)
                 pytest.fail(f"{name} accepted a {bad.shape} state")
     # and every coefficient vector a function returns is a (..., 3M) state:
-    # projected fields, forcing values, advection vectors and C^T lam
+    # projected fields, forcing values and advection vectors
     frame = Field(dims=(9, 8), extents=tens.basis.extents, ncomp=3,
                   data=np.random.default_rng(25).standard_normal((3, 9, 8)))
     series = TimeSeriesField(times=np.array([0.0, 1.0]), frames=(frame, frame))
@@ -1053,8 +1053,6 @@ def test_state_functions_take_one_layout(odd_even_oblique):
         "series_forcing": (series_forcing(series, tens.basis)(0.5), (3 * m,)),
         "forcing_coeffs": (ManufacturedSolution().forcing_coeffs(3)(0.1), (3 * 9,)),
         "apply_pair": (tens.trilinear.apply_pair(pair, pair), (2, 3 * m)),
-        "divergence_adjoint": (tens.divergence_adjoint(pair[:, :m]), (2, 3 * m)),
-        "divergence_adjoint empty": (tens.divergence_adjoint(np.zeros((0, m))), (0, 3 * m)),
     }
     for name, (got, shape) in produced.items():
         assert got.shape == shape, name

@@ -76,37 +76,15 @@ def test_config_key_error_loads_only_startup_modules(tmp_path, setting):
     assert set(result["loaded"]) == CLI_MODULES
 
 
-def test_package_exports_are_the_submodules_objects():
-    # every __all__ name is the defining submodule's own object, and dir()
-    # lists the exports and the submodules before any of them is imported
+def test_package_import_loads_no_submodule():
+    # each name is imported from its submodule, so the package alone loads nothing
     checked = _fresh(
-        "import importlib, json, sys\n"
+        "import json, sys\n"
         "import nsslice\n"
-        f"before = {LOADED}\n"
-        "listed = dir(nsslice)\n"
-        "same = {name: getattr(nsslice, name) is getattr(\n"
-        "            importlib.import_module('nsslice.' + nsslice._EXPORTS[name]), name)\n"
-        "        for name in nsslice.__all__ if name != '__version__'}\n"
-        "print(json.dumps({'before': before, 'listed': listed, 'same': same,\n"
-        "                  'all': nsslice.__all__, 'version': nsslice.__version__}))\n"
+        f"print(json.dumps({{'loaded': {LOADED}, 'version': nsslice.__version__}}))\n"
     )
-    assert checked["before"] == ["nsslice"]
-    assert checked["same"] and all(checked["same"].values())
-    assert set(checked["same"]) | {"__version__"} == set(checked["all"])
+    assert checked["loaded"] == ["nsslice"]
     assert checked["version"] == "0.1.0"
-    assert {*checked["all"], "cli", "galerkin", "mms", "quadform", "stratify"} <= set(
-        checked["listed"])
-
-
-def test_star_import_binds_every_export():
-    bound = _fresh(
-        "import json\n"
-        "from nsslice import *\n"
-        "import nsslice\n"
-        "print(json.dumps({name: globals()[name] is getattr(nsslice, name)\n"
-        "                  for name in nsslice.__all__}))\n"
-    )
-    assert bound and all(bound.values())
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -49,7 +49,7 @@ def strain_from_matrix(a, dims=(2, 2, 2)):
     for j in range(3):
         for k in range(3):
             grad[j, k] = a[j, k]
-    return StrainMatrixField.from_gradients(dims, (1.0, 1.0, 1.0), grad)
+    return StrainMatrixField(dims, (1.0, 1.0, 1.0), grad)
 
 
 def test_strain_rigid_rotation_vanishes():
@@ -125,7 +125,7 @@ def test_canonical_coefficients_multiply_to_det():
     # b1 b2 b3 telescopes to det A; det A comes from a closed-form expansion
     rng = np.random.default_rng(78)
     a = rng.standard_normal((3, 3, 16, 16, 16))
-    strain = StrainMatrixField.from_gradients((16, 16, 16), (1.0, 1.0, 1.0), a)
+    strain = StrainMatrixField((16, 16, 16), (1.0, 1.0, 1.0), a)
     mats = strain_matrices(strain)
     det = np.linalg.det(mats)
     dec = canonicalize(strain)
@@ -180,7 +180,7 @@ def test_coefficients_match_full_transform_construction():
     rng = np.random.default_rng(79)
     grad = rng.standard_normal((3, 3, 4, 4, 4))
     grad[:, :, 0, 0, 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
-    strain = StrainMatrixField.from_gradients((4, 4, 4), (1.0, 1.0, 1.0), grad)
+    strain = StrainMatrixField((4, 4, 4), (1.0, 1.0, 1.0), grad)
     dec = canonicalize(strain)
     assert dec.b.shape == (64, 3)
     assert not dec.jacobi[0] and dec.jacobi.sum() > 32
@@ -218,7 +218,7 @@ def test_chunked_canonicalize_matches_whole_array_oracle(monkeypatch, chunk):
     flat[0, 0, 20000] = 2e-7                                   # under the global pivot_tol only
     flat[:, :, 32768] = 0.0                                    # zero matrix at a chunk edge
     flat[:, :, 50001] = np.diag([1.0, 0.0, -1.0])              # det M2 = 0
-    strain = StrainMatrixField.from_gradients(dims, (1.0, 1.0, 1.0), grad)
+    strain = StrainMatrixField(dims, (1.0, 1.0, 1.0), grad)
     got = canonicalize(strain)
     want = canonicalize_whole(strain)
     assert got.pivot_tol == want.pivot_tol == quadform.DEFAULT_PIVOT_REL_TOL * 50.0
@@ -243,7 +243,7 @@ def test_strain_stores_only_the_gradient():
     # the symmetric part is derived, never stored next to grad
     rng = np.random.default_rng(80)
     grad = rng.standard_normal((3, 3, 3, 4, 5))
-    strain = StrainMatrixField.from_gradients((3, 4, 5), (1.0, 1.0, 1.0), grad)
+    strain = StrainMatrixField((3, 4, 5), (1.0, 1.0, 1.0), grad)
     assert [f.name for f in fields(strain)] == ["dims", "extents", "grad"]
     assert np.array_equal(strain_sym(strain), 0.5 * (grad + np.swapaxes(grad, 0, 1)))
     assert np.array_equal(strain_sym(strain), np.swapaxes(strain_sym(strain), 0, 1))
@@ -257,7 +257,7 @@ def test_inertia_histogram_matches_unique_rows():
     grad[0, :, 3, :, :3] = 0.0               # zero first row: a11 = 0
     grad[:, 0, 3, :, :3] = 0.0
     grad[:, :, 5, 4, :] = np.diag([1.0, 0.0, -1.0])[:, :, None]  # det M2 = 0
-    dec = canonicalize(StrainMatrixField.from_gradients(dims, (1.0, 1.0, 1.0), grad))
+    dec = canonicalize(StrainMatrixField(dims, (1.0, 1.0, 1.0), grad))
     assert dec.jacobi.any() and not dec.jacobi.all()
     keys, counts = np.unique(dec.inertia, axis=0, return_counts=True)
     want = {"+%d0%d-%d" % (k[0], k[1], k[2]): int(c) for k, c in zip(keys, counts)}
@@ -408,7 +408,7 @@ def test_signed_integral_refined_grid_oracle():
     for i in range(3):
         for j in range(3):
             grad[i, j] = entry(i, j, *mesh)
-    strain = StrainMatrixField.from_gradients((n, n, n), (1.0, 1.0, 1.0), grad)
+    strain = StrainMatrixField((n, n, n), (1.0, 1.0, 1.0), grad)
     w = Field.from_function((n, n, n), (1.0, 1.0, 1.0), 3, wfun)
     got = signed_integral(strain, w)
 
@@ -454,7 +454,7 @@ def test_signed_integral_from_gradient_matches_symmetric_part():
     dims = (9, 11, 10)
     extents = (1.0, 1.3, 0.8)
     grad = rng.standard_normal((3, 3) + dims)
-    strain = StrainMatrixField.from_gradients(dims, extents, grad)
+    strain = StrainMatrixField(dims, extents, grad)
     w = Field(dims=dims, extents=extents, ncomp=3, data=rng.standard_normal((3,) + dims))
     got = signed_integral(strain, w)
     bvals = np.einsum("jk...,j...,k...->...", strain_sym(strain), w.data, w.data)
@@ -466,5 +466,5 @@ def test_signed_integral_from_gradient_matches_symmetric_part():
     want = np.einsum("i,j,k,ijk->", *weights, bvals)
     assert got == pytest.approx(want, rel=1e-12)
     # the antisymmetric part alone integrates to zero up to round-off
-    skew = StrainMatrixField.from_gradients(dims, extents, grad - np.swapaxes(grad, 0, 1))
+    skew = StrainMatrixField(dims, extents, grad - np.swapaxes(grad, 0, 1))
     assert abs(signed_integral(skew, w)) <= 1e-12

@@ -210,6 +210,23 @@ def test_sparse_masks_negative_on_both_proxies(mask):
     assert all(np.max(p.measures) < p.area_tol for p in verdict.profiles[:3])
 
 
+def test_axis_thresholds_hold_exactly_at_the_boundary():
+    # a 2x2x2 block and one far voxel: on every axis exactly two slabs carry
+    # area_tol (4 voxel faces, 1/64, exact in binary), a run of exactly
+    # INTERVAL_TOL_SLABS, and the 9 voxels exceed the 8-voxel oracle, so
+    # both axis thresholds must count equality as reaching them
+    m = np.zeros((16, 16, 16), bool)
+    m[4:6, 4:6, 4:6] = True
+    m[12, 12, 12] = True
+    verdict = stratification_verdict(grid_from_mask(m))
+    assert verdict.positive and verdict.oracle_positive
+    for profile in verdict.profiles:
+        assert profile.area_tol == 0.015625
+        assert np.count_nonzero(profile.measures == profile.area_tol) == 2
+        assert profile.best_run_slabs == INTERVAL_TOL_SLABS
+        assert profile.positive
+
+
 @pytest.mark.parametrize("extent", [1.0, 1e-12])
 def test_verdict_independent_of_box_units(extent):
     # 5 voxels on the plane i + j + k = 3, all in one slab of the (1, 1, 1)
