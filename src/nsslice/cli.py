@@ -341,24 +341,20 @@ def _read_input(cfg: RunConfig, key: str, ndim: int, *, optional: bool = False,
     return series
 
 
-def _check_step_count(cfg: RunConfig, t_key: str, dt_key: str, scale: float = 1.0) -> None:
-    """Require cfg[t_key] to be a whole number of steps of scale * cfg[dt_key], before any solve."""
+def _check_step(cfg: RunConfig, t_key: str, dt_key: str, basis, chart, nu: float,
+                scale: float = 1.0) -> None:
+    """Before any solve, refuse a step scale * cfg[dt_key] that does not divide cfg[t_key]
+    into whole steps, or that lies above galerkin.rk4_dt_limit on basis."""
     from . import galerkin
 
+    step = scale * cfg[dt_key]
+    name = dt_key if scale == 1.0 else f"{scale:g}*{dt_key}"
     try:
-        galerkin.step_count(scale * cfg[dt_key], cfg[t_key])
+        galerkin.step_count(step, cfg[t_key])
     except ValueError as exc:
-        step = dt_key if scale == 1.0 else f"{scale:g}*{dt_key}"
-        raise ConfigError(f"config keys {t_key!r} and {dt_key!r}: {exc} ({step})") from exc
-
-
-def _check_dt(cfg: RunConfig, dt_key: str, basis, chart, nu: float, scale: float = 1.0) -> None:
-    """Refuse a step scale * cfg[dt_key] that RK4 provably cannot take on basis, before any solve."""
-    from . import galerkin
-
-    step, limit = scale * cfg[dt_key], galerkin.rk4_dt_limit(basis, chart, nu)
+        raise ConfigError(f"config keys {t_key!r} and {dt_key!r}: {exc} ({name})") from exc
+    limit = galerkin.rk4_dt_limit(basis, chart, nu)
     if step > limit:
-        name = dt_key if scale == 1.0 else f"{scale:g}*{dt_key}"
         raise ConfigError(
             f"config key {dt_key!r}: the step {name} = {step:g} is above {limit:.4g}, beyond "
             f"which RK4 amplifies a Stokes mode of the {basis.nmodes[0]}x{basis.nmodes[1]} "
@@ -433,12 +429,11 @@ def cmd_solve(cfg: RunConfig) -> dict:
     from . import analysis, galerkin
 
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
-    _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
     u0 = _read_input(cfg, "io.u0_slice", 2, one_field=True).frames[0]
     forcing = _read_input(cfg, "io.forcing_slice", 2, optional=True, on=("io.u0_slice", u0))
     basis = _basis_from_config(cfg, u0.extents)
-    _check_dt(cfg, "solver.dt", basis, chart, nu)
+    _check_step(cfg, "solver.T", "solver.dt", basis, chart, nu)
     # projected before assembly: modes too fine for the slice grid exit 2 at once
     with _naming_keys("basis.n1", "basis.n2"):
         u0_coeffs = galerkin.project_field_to_basis(u0, basis)
@@ -493,12 +488,11 @@ def cmd_uniqueness(cfg: RunConfig) -> dict:
     from . import analysis, galerkin
 
     nu, dt, t_end = cfg["solver.nu"], cfg["solver.dt"], cfg["solver.T"]
-    _check_step_count(cfg, "solver.T", "solver.dt")
     chart = _chart_from_config(cfg)
     delta = cfg["uniq.delta"]
     u0 = _read_input(cfg, "io.u0_slice", 2, optional=True, one_field=True)
     basis = _basis_from_config(cfg, cfg["basis.extents"] if u0 is None else u0.frames[0].extents)
-    _check_dt(cfg, "solver.dt", basis, chart, nu)
+    _check_step(cfg, "solver.T", "solver.dt", basis, chart, nu)
     with _naming_keys("basis.n1", "basis.n2"):
         u0_coeffs = (None if u0 is None
                      else galerkin.project_field_to_basis(u0.frames[0], basis))
@@ -595,12 +589,11 @@ def cmd_mms(cfg: RunConfig) -> dict:
     from . import mms as mms_mod
 
     n_list, dt, t_end = cfg["mms.n_list"], cfg["mms.dt"], cfg["mms.T"]
-    # the temporal study's largest step is 2 dt
-    _check_step_count(cfg, "mms.T", "mms.dt", scale=2.0)
     chart = _chart_from_config(cfg)
     ms = mms_mod.ManufacturedSolution(extents=tuple(cfg["basis.extents"]), chart=chart)
-    _check_dt(cfg, "mms.dt", galerkin.SpectralBasis((n_list[-1],) * 2, ms.extents), chart, ms.nu,
-              scale=2.0)
+    # the temporal study's largest step is 2 dt, at the finest count
+    _check_step(cfg, "mms.T", "mms.dt", galerkin.SpectralBasis((n_list[-1],) * 2, ms.extents),
+                chart, ms.nu, scale=2.0)
     rows = mms_mod.spatial_convergence(ms, n_list, dt, t_end)
     # at the finest count, so the spatial study's last final is the middle step here
     temporal = mms_mod.temporal_convergence(ms, n_list[-1], dt, t_end)

@@ -138,10 +138,9 @@ class TimeSeriesField:
 
 # NSF1 on-disk format:
 #   line 1: "NSF1 <ndims> <dim1> ... <dimk> <ncomp> <ext1> ... <extk>"
-#   line 2: "binary" or "text"
-#   payload: ncomp * prod(dims) doubles in Field.flat_samples order;
-#            little-endian IEEE-754 for binary, whitespace-separated decimals
-#            for text.
+#   line 2: "binary", the one payload mode; read_field refuses any other
+#   payload: ncomp * prod(dims) little-endian IEEE-754 doubles in
+#            Field.flat_samples order.
 
 _MAGIC = "NSF1"
 
@@ -150,7 +149,7 @@ def write_field(fld: Field, path) -> None:
     """Write a field to a binary NSF1 file, making its directory if it is missing.
 
     The payload is written from the one contiguous copy that flat_samples
-    makes.  read_field also reads text payloads, which other tools may write.
+    makes.
     """
     k = len(fld.dims)
     header = " ".join(
@@ -167,10 +166,10 @@ def write_field(fld: Field, path) -> None:
 
 
 def read_field(path) -> Field:
-    """Read an NSF1 file; validates the header, payload size and finiteness.
+    """Read a binary NSF1 file; validates the header, payload size and finiteness.
 
-    A binary payload is sized from the file length before anything is
-    allocated and read straight into one float array.
+    The payload is sized from the file length before anything is allocated
+    and read straight into one float array.
     """
     with open(path, "rb") as fh:
         line1 = fh.readline()
@@ -205,21 +204,13 @@ def read_field(path) -> Field:
             or 8 * nvals > sys.maxsize
         ):
             raise FieldFormatError(f"malformed header: {raw_header!r}")
-        if mode == "binary":
-            size, want, unit = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * nvals, "bytes"
-        elif mode == "text":
-            try:
-                flat = np.array(fh.read().split(), dtype=float)
-            except ValueError as exc:
-                raise FieldFormatError("unparseable text payload") from exc
-            size, want, unit = flat.size, nvals, "values"
-        else:
+        if mode != "binary":
             raise FieldFormatError(f"unknown payload mode {mode!r}")
-        if size != want:
-            state = "truncated" if size < want else "oversized"
-            raise FieldFormatError(f"{state} payload: {size} {unit}, expected {want}")
-        if mode == "binary":
-            flat = np.fromfile(fh, dtype="<f8", count=nvals)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * nvals:
+            state = "truncated" if size < 8 * nvals else "oversized"
+            raise FieldFormatError(f"{state} payload: {size} bytes, expected {8 * nvals}")
+        flat = np.fromfile(fh, dtype="<f8", count=nvals)
     return Field.from_flat(dims, extents, ncomp, flat)
 
 

@@ -17,6 +17,7 @@ from nsslice.analysis import (
 )
 from nsslice.galerkin import (
     SpectralBasis,
+    Trace,
     assemble,
     project_divfree,
     solve_from_state,
@@ -435,3 +436,17 @@ def test_cumulative_matches_scipy_simpson(n):
 def test_cumulative_trapezoid_below_three_points():
     assert np.array_equal(_cumulative(np.array([1.0]), np.array([0.0])), [0.0])
     assert np.array_equal(_cumulative(np.array([1.0, 3.0]), np.array([0.0, 0.5])), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda t: ledger_from_run(
+                     Trace(times=np.empty(0), coeffs=np.empty((0, 3 * t.nmodes_total))),
+                     t, None, 0.1),
+                 ValueError, "trace is empty", id="empty-trace"),
+    pytest.param(lambda t: uniqueness_experiment(t, np.zeros(3 * t.nmodes_total), 0.1, 0.01, 0.02,
+                                                 -1e-8),
+                 ValueError, "delta must be nonnegative", id="negative-delta"),
+])
+def test_analysis_refusals(tensors, call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(tensors)

@@ -106,6 +106,8 @@ def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offse
     ("quadform", "io.v={tmp}/thin.nsf1"),
     ("project", "io.u0={tmp}/missing.nsf1"),
     ("project", "io.u0={tmp}/one_component.nsf1"),
+    # binary is the one NSF1 payload mode
+    ("project", "io.u0={tmp}/text.nsf1"),
     ("project", "io.forcing={tmp}/box_2.nsf1"),
     ("solve", "io.forcing_slice={tmp}/slice_box_2.nsf1"),
     ("stratify", "io.w={tmp}/slice.nsf1"),
@@ -134,6 +136,7 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
         ("thin.nsf1", (9, 9, 2), (1.0, 1.0, 1.0), 3),
     ]:
         write_field(Field(dims, extents, ncomp, np.ones((ncomp, *dims))), tmp_path / name)
+    (tmp_path / "text.nsf1").write_bytes(b"NSF1 3 2 2 2 3 1 1 1\ntext\n" + b"0 " * 24)
     setting = setting.format(tmp=tmp_path)
     out = tmp_path / "out"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),
@@ -412,6 +415,28 @@ def test_solve_failed_certificate_exit_code(tmp_path):
     assert rc == EXIT_CHECK_FAILED
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert not manifest["checks"]["inequality_holds"]
+
+
+def test_solve_of_one_step(tmp_path):
+    # solver.T = solver.dt: a 2-row ledger, whose time derivative is the
+    # 2-point difference, and one trajectory file of the 2 recorded frames
+    src = tmp_path / "u0s.nsf1"
+    write_u0_slice(src)
+    out = tmp_path / "solve"
+    rc = main([
+        "solve", "--out", str(out),
+        "--set", f"io.u0_slice={src}",
+        "--set", "basis.n1=6", "--set", "basis.n2=6",
+        "--set", "solver.nu=0.1", "--set", "solver.dt=0.01", "--set", "solver.T=0.01",
+    ])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    ledger = json.loads((out / "energy_ledger.json").read_text())
+    assert ledger["times"] == [0.0, 0.01] and len(ledger["residual"]) == 2
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["frames"] == ["u_0000-0001.nsf1"]
+    assert manifest["frame_times"] == [0.0, 0.01]
+    frames = read_field(out / "u_0000-0001.nsf1")
+    assert frames.dims == (21, 21, 2) and frames.ncomp == 3
 
 
 def test_solve_divergence_check_fails_on_leaky_projection(tmp_path, monkeypatch):
@@ -1415,3 +1440,40 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     codes = json.loads(proc.stdout)
     assert len(codes) == len(runs)
     assert all(rc in (EXIT_OK, EXIT_CHECK_FAILED) for rc in codes), codes
+
+
+def _encode_an_object(tmp_path, monkeypatch):
+    return nsslice.cli._json_value(object())
+
+
+def _run_with_an_unknown_log_level(tmp_path, monkeypatch):
+    monkeypatch.setenv("NSSLICE_LOG", "loud")
+    out = tmp_path / "o"
+    rc = main(["project", "--out", str(out), *_runnable_args("project", tmp_path)])
+    assert (out / "u0_slice.nsf1").exists()
+    return rc
+
+
+def _set_without_a_value(tmp_path, monkeypatch):
+    return main(["project", "--out", str(tmp_path / "o"), *_runnable_args("project", tmp_path),
+                 "--set", "slice.dims"])
+
+
+@pytest.mark.parametrize("call, expected, fragment", [
+    pytest.param(_encode_an_object, TypeError, "object is not JSON serializable",
+                 id="json-value-unencodable"),
+    # a warning, not a refusal: the run goes on at the error level
+    pytest.param(_run_with_an_unknown_log_level, EXIT_OK,
+                 "warning: unknown NSSLICE_LOG level 'loud'; using error", id="unknown-log-level"),
+    pytest.param(_set_without_a_value, EXIT_ERROR, "--set expects KEY=VALUE, got 'slice.dims'",
+                 id="set-without-equals"),
+])
+def test_cli_refusals(tmp_path, monkeypatch, capsys, call, expected, fragment):
+    # expected is the exception call raises, or the exit code main returns
+    # with fragment on stderr
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=fragment):
+            call(tmp_path, monkeypatch)
+    else:
+        assert call(tmp_path, monkeypatch) == expected
+        assert fragment in capsys.readouterr().err

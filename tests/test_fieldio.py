@@ -20,21 +20,11 @@ def random_field(rng, dims=(8, 8, 8), ncomp=3):
     return Field(dims=dims, extents=tuple(1.0 for _ in dims), ncomp=ncomp, data=data)
 
 
-def write_text_field(fld, path):
-    # the package writes binary only; text NSF1 comes from other tools, and
-    # %.17g decimals make its round trip bit exact
-    header = " ".join(["NSF1", str(len(fld.dims)), *map(str, fld.dims), str(fld.ncomp),
-                       *(f"{e:.17g}" for e in fld.extents)])
-    values = " ".join(f"{v:.17g}" for v in fld.flat_samples())
-    path.write_bytes(f"{header}\ntext\n{values}\n".encode("ascii"))
-
-
-@pytest.mark.parametrize("mode", ["binary", "text"])
-def test_round_trip_bitwise(tmp_path, mode):
+def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(1)
     fld = random_field(rng)
-    path = tmp_path / f"f_{mode}.nsf1"
-    (write_field if mode == "binary" else write_text_field)(fld, path)
+    path = tmp_path / "f.nsf1"
+    write_field(fld, path)
     back = read_field(path)
     assert back.dims == fld.dims
     assert back.extents == fld.extents
@@ -42,11 +32,21 @@ def test_round_trip_bitwise(tmp_path, mode):
     assert np.array_equal(back.data, fld.data)  # bitwise
 
 
-def test_truncated_payload(tmp_path):
-    path = tmp_path / "trunc.nsf1"
-    values = " ".join(str(float(i)) for i in range(15))
+def test_text_payload_refused(tmp_path):
+    # binary is the one payload mode: a text payload is refused
+    path = tmp_path / "text.nsf1"
+    values = " ".join(str(float(i)) for i in range(16))
     path.write_bytes(f"NSF1 2 4 4 1 1.0 1.0\ntext\n{values}\n".encode())
-    with pytest.raises(FieldFormatError, match="truncated"):
+    with pytest.raises(FieldFormatError, match="unknown payload mode 'text'"):
+        read_field(path)
+
+
+def test_truncated_payload(tmp_path):
+    # a written field that lost its last value
+    path = tmp_path / "trunc.nsf1"
+    write_field(random_field(np.random.default_rng(2), dims=(4, 5, 3)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FieldFormatError, match="truncated payload: 1432 bytes, expected 1440"):
         read_field(path)
 
 
@@ -71,27 +71,28 @@ def test_oversized_payload(tmp_path):
         path.write_bytes(HEADER_4X4 + DOUBLES[:nbytes])
         with pytest.raises(FieldFormatError, match=f"oversized payload: {nbytes} bytes"):
             read_field(path)
-    values = " ".join(str(float(i)) for i in range(17))
-    path.write_bytes(f"NSF1 2 4 4 1 1.0 1.0\ntext\n{values}\n".encode())
+    # two written fields concatenated into one file
+    write_field(random_field(np.random.default_rng(3), dims=(4, 4), ncomp=1), path)
+    path.write_bytes(path.read_bytes() * 2)
     with pytest.raises(FieldFormatError, match="oversized"):
         read_field(path)
 
 
 def test_nan_sample_rejected(tmp_path):
     path = tmp_path / "nan.nsf1"
-    values = ["1.0"] * 16
-    values[5] = "nan"
-    path.write_bytes(f"NSF1 2 4 4 1 1.0 1.0\ntext\n{' '.join(values)}\n".encode())
+    values = np.ones(16, dtype="<f8")
+    values[5] = np.nan
+    path.write_bytes(HEADER_4X4 + values.tobytes())
     with pytest.raises(NonFiniteSampleError):
         read_field(path)
 
 
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.nsf1"
-    path.write_bytes(b"NSF9 2 4 4 1 1.0 1.0\ntext\n" + b"0 " * 16)
+    path.write_bytes(b"NSF9 2 4 4 1 1.0 1.0\nbinary\n" + DOUBLES[:128])
     with pytest.raises(FieldFormatError):
         read_field(path)
-    path.write_bytes(b"NSF1 2 4\ntext\n")
+    path.write_bytes(b"NSF1 2 4\nbinary\n")
     with pytest.raises(FieldFormatError):
         read_field(path)
     # impossible headers are malformed, whatever payload follows
@@ -99,7 +100,7 @@ def test_malformed_header(tmp_path):
         b"NSF1 2 -4 -4 3 1 1\nbinary\n" + DOUBLES + DOUBLES[:128],    # negative dims
         b"NSF1 2 4 4 0 1.0 1.0\nbinary\n",                           # no component
         b"NSF1 3 4294967296 4294967296 2 1 1.0 1.0 1.0\nbinary\n",   # 2^65 values
-        b"NSF1 3 -8 8 8 3 1.0 1.0 1.0\ntext\n0 0\n",                 # negative size
+        b"NSF1 3 -8 8 8 3 1.0 1.0 1.0\nbinary\n" + DOUBLES[:16],     # negative size
         b"NSF1 1 16 1 1.0\nbinary\n" + DOUBLES[:128],                # a 1D grid
     ]
     for content in impossible:
@@ -250,3 +251,40 @@ def test_trilinear_affine_exactness():
     vals = trilinear_sample(fld, pts)
     exact = coef[0] + pts @ coef[1:]
     assert np.allclose(vals[0], exact, atol=1e-13)
+
+
+def _read_bytes(content):
+    def read(tmp_path):
+        path = tmp_path / "f.nsf1"
+        path.write_bytes(content)
+        return read_field(path)
+    return read
+
+
+def _field_2d():
+    return Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=1, data=np.zeros((1, 4, 4)))
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda tmp_path: Field(dims=(4, 4), extents=(1.0,), ncomp=1,
+                                        data=np.zeros((1, 4, 4))),
+                 FieldFormatError, "dims/extents must both be length 2 or 3", id="extents-length"),
+    pytest.param(lambda tmp_path: Field.from_flat((4, 4), (1.0, 1.0), 1, np.zeros(15)),
+                 FieldFormatError, "payload has 15 samples, expected 16", id="from-flat-size"),
+    pytest.param(lambda tmp_path: TimeSeriesField(times=np.array([]), frames=()),
+                 FieldFormatError, "time series must be nonempty", id="empty-series"),
+    pytest.param(_read_bytes(b"NSF1 2 4 4 1 1.0 1.0"), FieldFormatError, "missing header line",
+                 id="no-header-line"),
+    pytest.param(_read_bytes(b"NSF1 2 4 4 1 1.0 1.0\nbinary"), FieldFormatError,
+                 "missing payload-mode line", id="no-mode-line"),
+    pytest.param(_read_bytes(b"NSF1 2 4 4 1 1.0 1.0\xb5\nbinary\n" + DOUBLES[:128]),
+                 FieldFormatError, "header is not ASCII", id="non-ascii-header"),
+    pytest.param(lambda tmp_path: trilinear_sample(_field_2d(), np.zeros((1, 3))),
+                 ValueError, "trilinear_sample needs a 3D field", id="trilinear-2d"),
+    pytest.param(lambda tmp_path: restrict_to_slice(
+                     _field_2d(), make_chart(Hyperplane((0.0, 0.0, 1.0), 0.5)), (4, 4)),
+                 ValueError, "restrict_to_slice needs a 3D field", id="restrict-2d"),
+])
+def test_fieldio_refusals(tmp_path, call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(tmp_path)

@@ -1112,3 +1112,26 @@ def test_closed_forms_match_quadrature_at_benchmark_size(monkeypatch):
     assert exact.constraint_rank == ref.constraint_rank
     # the quadrature factors come from their own tables, not the closed forms
     assert not np.array_equal(exact.div_x, ref.div_x)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda t: SpectralBasis(nmodes=(0, 4), extents=(1.0, 1.0)),
+                 "nmodes must both be >= 1", id="no-modes"),
+    pytest.param(lambda t: SpectralBasis(nmodes=(4, 4), extents=(1.0, 0.0)),
+                 "extents must be positive", id="zero-extent"),
+    pytest.param(lambda t: step(np.zeros(3 * t.nmodes_total), 0.0, t, None, 0.1, 0.0),
+                 "dt must be positive", id="step-zero-dt"),
+    pytest.param(lambda t: step(np.zeros(3 * t.nmodes_total), 0.0, t, None, 0.0, 0.01),
+                 "nu must be positive", id="step-zero-nu"),
+    pytest.param(lambda t: project_field_to_basis(
+                     Field(dims=(8, 8, 8), extents=(1.0, 1.0, 1.0), ncomp=3,
+                           data=np.zeros((3, 8, 8, 8))), t.basis),
+                 "project_field_to_basis needs a 2D field", id="project-3d"),
+    pytest.param(lambda t: project_field_to_basis(
+                     Field(dims=(8, 8), extents=(1.0, 2.0), ncomp=3, data=np.zeros((3, 8, 8))),
+                     t.basis),
+                 r"field extents \(1.0, 2.0\) do not match basis extents", id="project-other-box"),
+])
+def test_galerkin_refusals(square_tensors, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(square_tensors)

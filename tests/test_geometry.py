@@ -216,3 +216,12 @@ def test_section_rectangle_random_planes():
         fld = Field((3, 3, 3), ext, 1, np.ones((1, 3, 3, 3)))
         assert np.allclose(restrict_to_slice(fld, chart, (7, 5)).data, 1.0)
     assert accepted >= 50 and trimmed >= 20
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: Hyperplane((0.0, 1.0), 0.5), GeometryError,
+                 r"normal must be a 3-vector, got shape \(2,\)", id="two-vector-normal"),
+])
+def test_geometry_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

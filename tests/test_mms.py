@@ -5,7 +5,7 @@ from oracles import velocity, velocity_field
 import nsslice.galerkin
 from nsslice.galerkin import divergence_residual
 from nsslice.geometry import AXIS_ALIGNED_CHART, Hyperplane, make_chart
-from nsslice.mms import ManufacturedSolution, gauss_rule
+from nsslice.mms import Jet, ManufacturedSolution, gauss_rule
 
 OBLIQUE = make_chart(Hyperplane((1 / np.sqrt(3.0),) * 3, 0.4))
 
@@ -237,3 +237,14 @@ def test_self_convergence_coarse_vs_fine():
     diff = padded.reshape(-1) - c24
     l2 = ms.operators(24).norm_h(diff)
     assert l2 < 1e-6
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: Jet.sine(np.linspace(0.0, 1.0, 4), 1.0, 0) ** 0,
+                 "jet powers must be positive integers", id="jet-power-zero"),
+    pytest.param(lambda: ManufacturedSolution(chart=OBLIQUE, envelope_power=1),
+                 "envelope_power must be >= 2", id="envelope-power-one"),
+])
+def test_mms_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

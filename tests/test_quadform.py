@@ -15,6 +15,7 @@ from oracles import (
 from nsslice import quadform
 from nsslice.fieldio import Field, TimeSeriesField
 from nsslice.quadform import (
+    CriterionReport,
     StrainMatrixField,
     box_lambda1,
     canonicalize,
@@ -468,3 +469,30 @@ def test_signed_integral_from_gradient_matches_symmetric_part():
     # the antisymmetric part alone integrates to zero up to round-off
     skew = StrainMatrixField(dims, extents, grad - np.swapaxes(grad, 0, 1))
     assert abs(signed_integral(skew, w)) <= 1e-12
+
+
+def _strain_4cubed():
+    return strain_field(field_from(lambda x, y, z: np.stack([y, z, x]), dims=(4, 4, 4)))
+
+
+def _report(nu=1.0, lambda1=1.0, c_gn=1.0):
+    return CriterionReport.from_norms(np.array([0.0]), [np.zeros((3, 3))], nu, lambda1, c_gn)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: strain_field(Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=3,
+                                            data=np.zeros((3, 4, 4)))),
+                 "strain_field needs a 3-component 3D field", id="strain-2d"),
+    pytest.param(lambda: _report(lambda1=0.0), "lambda1 must be positive", id="zero-lambda1"),
+    pytest.param(lambda: _report(c_gn=0.0), "c_gn must be positive", id="zero-c-gn"),
+    pytest.param(lambda: _report(nu=0.0), "nu must be positive", id="zero-nu"),
+    pytest.param(lambda: signed_integral(_strain_4cubed(), Field(
+                     dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1, data=np.zeros((1, 4, 4, 4)))),
+                 "signed_integral needs a 3-component 3D field", id="signed-one-component"),
+    pytest.param(lambda: signed_integral(_strain_4cubed(), field_from(
+                     lambda x, y, z: np.stack([x, y, z]), dims=(5, 4, 4))),
+                 r"shape mismatch: strain \(4, 4, 4\) vs w \(5, 4, 4\)", id="signed-other-grid"),
+])
+def test_quadform_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -344,3 +344,16 @@ def test_indicator_grid_validation():
 )
 def test_longest_run_counts_consecutive_flags(flags, run):
     assert _longest_run(np.array(flags, dtype=bool)) == run
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: IndicatorGrid(dims=(4, 4, 4), extents=(1.0, 1.0, 0.0),
+                                       mask=np.zeros((4, 4, 4), dtype=bool)),
+                 r"extents must be positive, got \(1.0, 1.0, 0.0\)", id="zero-extent"),
+    pytest.param(lambda: IndicatorGrid(dims=(4, 4, 4), extents=(1.0, 1.0, 1.0),
+                                       mask=np.zeros((4, 4, 3), dtype=bool)),
+                 r"mask shape \(4, 4, 3\) != dims \(4, 4, 4\)", id="mask-shape"),
+])
+def test_stratify_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
