@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 INEQUALITY_RTOL = 1e-8
 MONOTONE_SLACK = 1e-12
 ENVELOPE_SLACK = 1e-6
+DIVERGENCE_TOL = 1e-9   # bound on galerkin.divergence_residual over the states of a solve
 
 
 class EnergyViolationError(RuntimeError):

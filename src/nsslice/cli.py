@@ -185,7 +185,6 @@ KEYS = {
     "solver.record_every": (_positive(int), "1"),
     "uniq.delta": (_nonnegative(_real), "1e-8"),
     "quadform.nu": (_positive(_real), None),
-    "quadform.c_gn": (_positive(_real), "1.0"),
     "quadform.emit_fields": (_bool, "false"),
     "stratify.eps": (_nonnegative(_real), "0"),
     "stratify.directions": (_checked(_triples, lambda v: all(any(t) for t in v),
@@ -200,10 +199,10 @@ KEYS = {
 
 # Keys that no longer exist; README "Config keys" gives the reason for each.
 REMOVED_KEYS = frozenset({
-    "solver.quadrature_order", "chart.tolerance", "quadform.lambda1", "quadform.pivot_tol",
-    "stratify.nslices", "stratify.area_tol", "stratify.interval_tol", "stratify.volume_tol",
-    "uniq.mode", "uniq.amplitude", "mms.nu", "mms.n_temporal", "mms.dt_list", "mms.min_ratio",
-    "mms.min_order",
+    "solver.quadrature_order", "chart.tolerance", "quadform.lambda1", "quadform.c_gn",
+    "quadform.pivot_tol", "stratify.nslices", "stratify.area_tol", "stratify.interval_tol",
+    "stratify.volume_tol", "uniq.mode", "uniq.amplitude", "mms.nu", "mms.n_temporal",
+    "mms.dt_list", "mms.min_ratio", "mms.min_order",
 })
 
 
@@ -457,7 +456,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     div_max = float(np.max(galerkin.divergence_residual(trace.coeffs, tensors)))
     checks = {
         "inequality_holds": ledger.inequality_holds(),
-        "divergence_preserved": bool(div_max <= 1e-9),
+        "divergence_preserved": bool(div_max <= analysis.DIVERGENCE_TOL),
     }
     if forcing is None:
         checks["energy_nonincreasing"] = ledger.energy_nonincreasing()
@@ -515,7 +514,6 @@ def cmd_quadform(cfg: RunConfig) -> dict:
     # strain_field's one-sided second-order stencils need 3 samples per axis
     if min(ref.dims) < 3:
         raise ConfigError(f"io.v={cfg['io.v']}: needs at least 3 samples per axis, got {ref.dims}")
-    lambda1 = qf.box_lambda1(ref.extents)
     # io.w is optional here: it adds the signed integral of B(w, w)
     w = _read_input(cfg, "io.w", 3, optional=True, one_field=True, on=("io.v", ref),
                     same_grid=True)
@@ -541,7 +539,7 @@ def cmd_quadform(cfg: RunConfig) -> dict:
             signed = qf.signed_integral(strain, w.frames[0])
         # release this frame's gradient and coefficients before the next is built
         del strain, dec
-    report = qf.CriterionReport.from_norms(series.times, norms, nu, lambda1, cfg["quadform.c_gn"])
+    report = qf.CriterionReport.from_norms(series.times, norms, nu, ref.extents)
     payload = report.to_dict()
     payload["inertia_histograms"] = inertia_hists
     payload["degenerate_fractions"] = degenerate_fracs

@@ -169,7 +169,6 @@ class TrilinearTensor:
     x: np.ndarray           # (2, N1, N1, N1): X1 (skewed sin*cos'*sin), X2 (sin*sin*sin)
     y: np.ndarray           # (2, N2, N2, N2): Y1 (sin*sin*sin), Y2 (skewed)
     chart_rows: np.ndarray  # (2, 3) R3 = [[1, 0, c1], [0, 1, c2]], rows g1 and g2
-    basis: SpectralBasis
 
     x1 = property(lambda self: self.x[0])
     x2 = property(lambda self: self.x[1])
@@ -185,7 +184,7 @@ class TrilinearTensor:
     @cached_property
     def _factors(self) -> tuple:
         """(y as (2, N2, N2 * N2), x as (N1, 2 * N1 * N1)), the GEMM operands of apply_pair."""
-        n1, n2 = self.basis.nmodes
+        n1, n2 = self.x.shape[-1], self.y.shape[-1]
         return self.y.reshape(2, n2, n2 * n2), self.x.reshape(2 * n1 * n1, n1).T
 
     def apply_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ class TrilinearTensor:
 
             R[m, n] = sum_{t,a,b,c,d} A_t[a, b] V[c, d] X_t[a, c, m] Y_t[b, d, n].
         """
-        n1, n2 = self.basis.nmodes
+        n1, n2 = self.x.shape[-1], self.y.shape[-1]
         lead = u.shape[:-1]
         y_rows, x_cols = self._factors
         adv = (self.chart_rows @ u.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))
@@ -255,12 +254,12 @@ class OperatorTensors:
 
     basis: SpectralBasis
     chart_coeffs: tuple[float, float]
-    chart_rows: np.ndarray      # (2, 3) R3 = [[1, 0, c1], [0, 1, c2]]: u -> advecting velocity
     trilinear: TrilinearTensor
-    grad1: np.ndarray           # (M,) <D1 w_p, D1 w_p>
-    grad2: np.ndarray           # (M,) <D2 w_p, D2 w_p>
     div_x: np.ndarray           # (N1, N1) x-direction factor of C
     div_y: np.ndarray           # (N2, N2) y-direction factor of C
+    chart_rows: np.ndarray = field(init=False)        # (2, 3) R3, shared with trilinear
+    grad1: np.ndarray = field(init=False)             # (M,) <D1 w_p, D1 w_p>
+    grad2: np.ndarray = field(init=False)             # (M,) <D2 w_p, D2 w_p>
     stiffness_diag: np.ndarray = field(init=False)    # (M,) diagonal part of -K
     cross_scale: float = field(init=False)            # 2 c1 c2 / m0, the weight of the mixed term
     schur_x: np.ndarray = field(init=False)           # (N1, N1) orthogonal Schur basis of div_x
@@ -272,7 +271,15 @@ class OperatorTensors:
 
     def __post_init__(self):
         n1, n2 = self.basis.nmodes
+        l1, l2 = self.basis.extents
+        mm, nn = self.basis.modes.T
         c1, c2 = self.chart_coeffs
+        # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors, and the
+        # 1-D integrals int s_a s_a and int c_a c_a are both L/2.  The
+        # off-diagonal entries pair distinct sine modes and are exact zeros.
+        object.__setattr__(self, "grad1", (np.pi / l1) ** 2 * (mm * mm) * (0.5 * l1) * (0.5 * l2))
+        object.__setattr__(self, "grad2", (np.pi / l2) ** 2 * (nn * nn) * (0.5 * l1) * (0.5 * l2))
+        object.__setattr__(self, "chart_rows", self.trilinear.chart_rows)
         object.__setattr__(self, "stiffness_diag",
                            (1.0 + c1 * c1) * self.grad1 + (1.0 + c2 * c2) * self.grad2)
         object.__setattr__(self, "cross_scale", 2.0 * c1 * c2 / self.basis.mass_scale)
@@ -513,14 +520,6 @@ def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
     sc1, sss1, scs1 = _trig_tables(n1, l1)
     sc2, sss2, scs2 = _trig_tables(n2, l2)
 
-    mm, nn = basis.modes.T
-
-    # <D1 w_p, D1 w_p> etc.; derivatives bring mode-number factors, and the
-    # 1-D integrals int s_a s_a and int c_a c_a are both L/2.  The
-    # off-diagonal entries pair distinct sine modes and are exact zeros.
-    k1 = (np.pi / l1) ** 2 * (mm * mm) * (0.5 * l1) * (0.5 * l2)
-    k2 = (np.pi / l2) ** 2 * (nn * nn) * (0.5 * l1) * (0.5 * l2)
-
     # weak derivative pairings <D_i w_q, w_p>.  The sine pair integral is
     # diagonal (L/2), so each pairing acts along one grid direction only:
     # div_x[a, c] is the <D1 w_q, w_p> entry for x-modes p = a+1, q = c+1,
@@ -540,18 +539,9 @@ def assemble(basis: SpectralBasis, chart: SliceChart) -> OperatorTensors:
         bmode2[None, :, None] * scs2 - bmode2[None, None, :] * np.swapaxes(scs2, 1, 2)
     )
     r3 = np.array([[1.0, 0.0, c1], [0.0, 1.0, c2]])
-    trilinear = TrilinearTensor(x=np.stack([x1, sss1]), y=np.stack([sss2, y2]), chart_rows=r3,
-                                basis=basis)
-    return OperatorTensors(
-        basis=basis,
-        chart_coeffs=(c1, c2),
-        chart_rows=r3,
-        trilinear=trilinear,
-        grad1=k1,
-        grad2=k2,
-        div_x=div_x,
-        div_y=div_y,
-    )
+    trilinear = TrilinearTensor(x=np.stack([x1, sss1]), y=np.stack([sss2, y2]), chart_rows=r3)
+    return OperatorTensors(basis=basis, chart_coeffs=(c1, c2), trilinear=trilinear,
+                           div_x=div_x, div_y=div_y)
 
 
 def _checked_state(coeffs, tensors: OperatorTensors) -> np.ndarray:

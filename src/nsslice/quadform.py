@@ -25,6 +25,10 @@ from .fieldio import Field, TimeSeriesField
 
 DEFAULT_PIVOT_REL_TOL = 1e-8
 
+#: the interpolation constant c of the criterion: a placeholder, whose proven
+#: value ROADMAP item 21 derives
+C_GN = 1.0
+
 _ZERO_EIG_REL_TOL = 1e-12
 
 #: points per chunk of canonicalize: 256 KiB per float temporary
@@ -221,26 +225,22 @@ class CriterionRow:
 class CriterionReport:
     nu: float
     lambda1: float
-    c_gn: float
     rows: list[CriterionRow]
 
     @classmethod
-    def from_norms(cls, times, norms, nu: float, lambda1: float, c_gn: float) -> "CriterionReport":
-        """Criterion rows from per-frame gradient norms (see uniqueness_criterion).
+    def from_norms(cls, times, norms, nu: float, extents) -> "CriterionReport":
+        """Criterion rows from per-frame gradient norms on a box (see uniqueness_criterion).
 
         norms yields one (3, 3) array per time; it is consumed after the
         parameters are validated, so it may be a lazy generator.
         """
-        if lambda1 <= 0.0:
-            raise ValueError("lambda1 must be positive")
-        if c_gn <= 0.0:
-            raise ValueError("c_gn must be positive")
         if nu <= 0.0:
             raise ValueError("nu must be positive")
+        lambda1 = box_lambda1(extents)
         lhs = nu * lambda1**0.25
         rows = []
         for t, nrm in zip(times, norms):
-            rhs = tuple(float(c_gn**2 * np.sum(nrm[:, j])) for j in range(3))
+            rhs = tuple(float(C_GN**2 * np.sum(nrm[:, j])) for j in range(3))
             sat = tuple(bool(lhs >= r) for r in rhs)
             rows.append(
                 CriterionRow(
@@ -250,7 +250,7 @@ class CriterionReport:
                     satisfied=all(sat),
                 )
             )
-        return cls(nu=nu, lambda1=lambda1, c_gn=c_gn, rows=rows)
+        return cls(nu=nu, lambda1=lambda1, rows=rows)
 
     @property
     def lhs(self) -> float:
@@ -262,18 +262,17 @@ class CriterionReport:
         return all(r.satisfied for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "lhs": self.lhs, "satisfied": self.satisfied}
+        return {**vars(self), "c_gn": C_GN, "lhs": self.lhs, "satisfied": self.satisfied}
 
 
-def uniqueness_criterion(
-    v_series: TimeSeriesField, nu: float, lambda1: float, c_gn: float
-) -> CriterionReport:
+def uniqueness_criterion(v_series: TimeSeriesField, nu: float) -> CriterionReport:
     """Closed-inequality viscosity criterion, per time and per component.
 
     For each frame and each component j the right side is
-    c_gn^2 * sum_i ||D_i v_j||_2; the criterion is satisfied at (t, j) when
-    nu * lambda1^(1/4) >= rhs.  A frame is satisfied when all three
-    components are (the aggregate reading of the per-component condition).
+    C_GN^2 * sum_i ||D_i v_j||_2; the criterion is satisfied at (t, j) when
+    nu * lambda1^(1/4) >= rhs, with lambda1 = box_lambda1 of the frames' box.
+    A frame is satisfied when all three components are (the aggregate reading
+    of the per-component condition).
 
     Each frame is differentiated once, by gradient_norms.  A caller that also
     needs the strain of every frame (the quadform command) computes
@@ -281,7 +280,7 @@ def uniqueness_criterion(
     CriterionReport.from_norms, which gives the same report.
     """
     norms = (gradient_norms(frame) for frame in v_series.frames)
-    return CriterionReport.from_norms(v_series.times, norms, nu, lambda1, c_gn)
+    return CriterionReport.from_norms(v_series.times, norms, nu, v_series.frames[0].extents)
 
 
 def signed_integral(strain: StrainMatrixField, w: Field) -> float:

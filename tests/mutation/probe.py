@@ -117,10 +117,10 @@ MUTANTS = (
         ("tests/test_analysis.py::test_monotone_slack_scales_with_initial_energy",),
     ),
     Mutant(
-        "divergence_preserved 1e-9 -> 1e-6",
-        "cli.py",
-        '"divergence_preserved": bool(div_max <= 1e-9),',
-        '"divergence_preserved": bool(div_max <= 1e-6),',
+        "DIVERGENCE_TOL 1e-9 -> 1e-6",
+        "analysis.py",
+        "DIVERGENCE_TOL = 1e-9   # bound on galerkin.divergence_residual over the states of a solve",
+        "DIVERGENCE_TOL = 1e-6",
         ("tests/test_cli.py::test_solve_divergence_check_fails_on_leaky_projection",),
     ),
     Mutant(
@@ -155,6 +155,13 @@ MUTANTS = (
         ("tests/test_quadform.py::test_criterion_boundary_case_closed_inequality",
          "tests/test_quadform.py::test_criterion_doubling_flips_to_violated",
          "tests/test_acceptance.py::test_criterion_07_criterion_homogeneity_and_threshold"),
+    ),
+    Mutant(
+        "quadform criterion constant C_GN 1.0 -> 0.5",
+        "quadform.py",
+        "C_GN = 1.0",
+        "C_GN = 0.5",
+        ("tests/test_quadform.py::test_criterion_boundary_case_closed_inequality",),
     ),
     Mutant(
         "stratify AREA_TOL_FACES 4 -> 1",

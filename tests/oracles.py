@@ -15,12 +15,12 @@ from nsslice.fieldio import Field
 from nsslice.quadform import _ZERO_EIG_REL_TOL, DEFAULT_PIVOT_REL_TOL, QuadFormDecomposition
 
 
-def dense_trilinear(tri) -> np.ndarray:
-    """Materialize the advection tensor H as a dense (3M, 3M, 3M) array; small bases only."""
-    m = tri.basis.nmodes_total
+def dense_trilinear(tri, basis) -> np.ndarray:
+    """Dense (3M, 3M, 3M) advection tensor H of tri on basis; small bases only."""
+    m = basis.nmodes_total
     assert m <= 128, "dense trilinear tensor is only built for small bases"
-    mm = tri.basis.modes[:, 0] - 1
-    nn = tri.basis.modes[:, 1] - 1
+    mm = basis.modes[:, 0] - 1
+    nn = basis.modes[:, 1] - 1
     t1 = tri.x1[np.ix_(mm, mm, mm)] * tri.y1[np.ix_(nn, nn, nn)]
     t2 = tri.x2[np.ix_(mm, mm, mm)] * tri.y2[np.ix_(nn, nn, nn)]
     g1, g2 = tri.chart_rows

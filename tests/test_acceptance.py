@@ -234,10 +234,8 @@ def test_criterion_07_criterion_homogeneity_and_threshold():
     homogeneous = np.array_equal(gradient_norms(doubled), 2.0 * norms)
     lam1 = box_lambda1(fld.extents)
     nu_star = float(np.sum(norms[:, 0])) / lam1**0.25
-    boundary = uniqueness_criterion(TimeSeriesField(np.array([0.0]), (fld,)),
-                                    nu=nu_star, lambda1=lam1, c_gn=1.0)
-    flipped = uniqueness_criterion(TimeSeriesField(np.array([0.0]), (doubled,)),
-                                   nu=nu_star, lambda1=lam1, c_gn=1.0)
+    boundary = uniqueness_criterion(TimeSeriesField(np.array([0.0]), (fld,)), nu=nu_star)
+    flipped = uniqueness_criterion(TimeSeriesField(np.array([0.0]), (doubled,)), nu=nu_star)
     ok = (
         homogeneous
         and boundary.rows[0].satisfied_per_component[0]

@@ -554,6 +554,7 @@ def test_removed_quadrature_order_key_rejected(tmp_path, capsys, command):
 @pytest.mark.parametrize("key, value, command", [
     ("chart.tolerance", "1e-8", "project"),
     ("quadform.lambda1", "1e9", "quadform"),
+    ("quadform.c_gn", "0.5", "quadform"),
     ("quadform.pivot_tol", "1e-8", "quadform"),
     ("stratify.nslices", "8", "stratify"),
     ("stratify.area_tol", "1", "stratify"),
@@ -874,12 +875,12 @@ def test_quadform_reports(tmp_path):
         "quadform", "--out", str(out),
         "--set", f"io.v={src}",
         "--set", "quadform.nu=0.5",
-        "--set", "quadform.c_gn=1.0",
         "--set", "quadform.emit_fields=true",
     ])
     assert rc == EXIT_OK
     rep = json.loads((out / "quadform_report.json").read_text())
     assert rep["lambda1"] == pytest.approx(3 * np.pi**2)
+    assert rep["c_gn"] == 1.0
     assert "rows" in rep and len(rep["rows"]) == 1
     assert 0.0 <= rep["degenerate_fractions"][0] <= 1.0
     csv_lines = (out / "quadform_criterion.csv").read_text().strip().splitlines()

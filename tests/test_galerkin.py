@@ -291,7 +291,7 @@ def test_trilinear_dense_against_quadrature_oracle():
         ) * wfun(basis.modes[r])
         return float(np.sum(w2d * integ))
 
-    h = dense_trilinear(tens.trilinear)
+    h = dense_trilinear(tens.trilinear, basis)
     rng = np.random.default_rng(0)
     for _ in range(60):
         ai, bi, di = rng.integers(0, 3, size=3)

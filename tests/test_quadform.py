@@ -298,8 +298,7 @@ def test_box_lambda1():
 def test_criterion_zero_field_satisfied():
     fld = Field(dims=(5, 5, 5), extents=(1.0, 1.0, 1.0), ncomp=3,
                 data=np.zeros((3, 5, 5, 5)))
-    rep = uniqueness_criterion(one_frame(fld), nu=0.01, lambda1=box_lambda1(fld.extents),
-                               c_gn=1.0)
+    rep = uniqueness_criterion(one_frame(fld), nu=0.01)
     assert rep.satisfied
     assert all(r.rhs_per_component == (0.0, 0.0, 0.0) for r in rep.rows)
 
@@ -314,14 +313,15 @@ def test_criterion_boundary_case_closed_inequality():
         dims=(21, 21, 21),
     )
     lam1 = box_lambda1(fld.extents)
+    # c = 1 by literal, so a changed criterion constant fails this test
     c_gn = 1.0
     norms = gradient_norms(fld)
     nu_star = float(c_gn**2 * np.sum(norms[:, 0])) / lam1**0.25
-    rep = uniqueness_criterion(one_frame(fld), nu=nu_star, lambda1=lam1, c_gn=c_gn)
+    rep = uniqueness_criterion(one_frame(fld), nu=nu_star)
     assert rep.rows[0].satisfied_per_component[0]  # equality counts as satisfied
     assert rep.satisfied
     # 1 % below the threshold the criterion must read violated
-    rep = uniqueness_criterion(one_frame(fld), nu=0.99 * nu_star, lambda1=lam1, c_gn=c_gn)
+    rep = uniqueness_criterion(one_frame(fld), nu=0.99 * nu_star)
     assert not rep.rows[0].satisfied_per_component[0]
     assert not rep.satisfied
 
@@ -341,7 +341,7 @@ def test_criterion_doubling_flips_to_violated():
     doubled = Field(dims=fld.dims, extents=fld.extents, ncomp=3, data=2.0 * fld.data)
     # homogeneity: doubling the field doubles the right side exactly
     assert np.array_equal(gradient_norms(doubled), 2.0 * norms)
-    rep = uniqueness_criterion(one_frame(doubled), nu=nu_star, lambda1=lam1, c_gn=1.0)
+    rep = uniqueness_criterion(one_frame(doubled), nu=nu_star)
     assert not rep.rows[0].satisfied_per_component[0]
     assert not rep.satisfied
 
@@ -354,7 +354,7 @@ def test_criterion_on_time_series():
     series = TimeSeriesField(times=np.array([0.0, 1.0]), frames=(base, grown))
     lam1 = box_lambda1(base.extents)
     nu_star = 2.0 * float(np.sum(gradient_norms(base)[:, 0])) / lam1**0.25
-    rep = uniqueness_criterion(series, nu=nu_star, lambda1=lam1, c_gn=1.0)
+    rep = uniqueness_criterion(series, nu=nu_star)
     assert rep.rows[0].satisfied and not rep.rows[1].satisfied
     assert not rep.satisfied
 
@@ -475,16 +475,16 @@ def _strain_4cubed():
     return strain_field(field_from(lambda x, y, z: np.stack([y, z, x]), dims=(4, 4, 4)))
 
 
-def _report(nu=1.0, lambda1=1.0, c_gn=1.0):
-    return CriterionReport.from_norms(np.array([0.0]), [np.zeros((3, 3))], nu, lambda1, c_gn)
+def _report(nu=1.0, extents=(1.0, 1.0, 1.0)):
+    return CriterionReport.from_norms(np.array([0.0]), [np.zeros((3, 3))], nu, extents)
 
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: strain_field(Field(dims=(4, 4), extents=(1.0, 1.0), ncomp=3,
                                             data=np.zeros((3, 4, 4)))),
                  "strain_field needs a 3-component 3D field", id="strain-2d"),
-    pytest.param(lambda: _report(lambda1=0.0), "lambda1 must be positive", id="zero-lambda1"),
-    pytest.param(lambda: _report(c_gn=0.0), "c_gn must be positive", id="zero-c-gn"),
+    pytest.param(lambda: _report(extents=(1.0, 0.0, 1.0)), "extents must be positive",
+                 id="zero-extent"),
     pytest.param(lambda: _report(nu=0.0), "nu must be positive", id="zero-nu"),
     pytest.param(lambda: signed_integral(_strain_4cubed(), Field(
                      dims=(4, 4, 4), extents=(1.0, 1.0, 1.0), ncomp=1, data=np.zeros((1, 4, 4, 4)))),
