@@ -57,8 +57,8 @@ class Field:
             raise FieldFormatError(f"dims/extents must both be length 2 or 3, got {dims}, {extents}")
         if any(d < 2 for d in dims):
             raise FieldFormatError(f"all dims must be >= 2, got {dims}")
-        if any(e <= 0.0 for e in extents):
-            raise FieldFormatError(f"all extents must be positive, got {extents}")
+        if not all(math.isfinite(e) and e > 0.0 for e in extents):
+            raise FieldFormatError(f"all extents must be positive and finite, got {extents}")
         if self.ncomp not in (1, 3):
             raise FieldFormatError(f"ncomp must be 1 or 3, got {self.ncomp}")
         data = np.asarray(self.data, dtype=float)

@@ -42,28 +42,13 @@ from . import galerkin
 from .galerkin import OperatorTensors, SpectralBasis, project_divfree, solve_from_state
 from .geometry import AXIS_ALIGNED_CHART, SliceChart, projected_gradient_coeffs
 
-# A jet holds the Taylor coefficients f_ij = D1^i D2^j f / (i! j!), i + j <= 3,
-# degree by degree: 00, 10, 01, 20, 11, 02, 30, 21, 12, 03.
+# A jet holds the Taylor coefficients c[i, j] = D1^i D2^j f / (i! j!) on a
+# (4, 4) grid of derivative orders; every cell with i + j > 3 is zero.
 _ORDER = 3
-_EXPONENTS = [(i, d - i) for d in range(_ORDER + 1) for i in range(d, -1, -1)]
-_INDEX = {e: k for k, e in enumerate(_EXPONENTS)}
-# every coefficient pair whose product stays within the order, sorted by the
-# index of the product, so one reduceat sums each product coefficient
-_PRODUCT, _LEFT, _RIGHT = (
-    np.array(v)
-    for v in zip(*sorted(
-        (_INDEX[(i1 + i2, j1 + j2)], k, m)
-        for k, (i1, j1) in enumerate(_EXPONENTS)
-        for m, (i2, j2) in enumerate(_EXPONENTS)
-        if i1 + i2 + j1 + j2 <= _ORDER
-    ))
-)
-_STARTS = np.searchsorted(_PRODUCT, np.arange(len(_EXPONENTS)))
-_FACTORIALS = np.array([math.factorial(i) * math.factorial(j) for i, j in _EXPONENTS], dtype=float)
-# the partials of order <= 2 of D1 f and D2 f, read from the partials of f
-_UP_TO_SECOND = sum(i + j <= 2 for i, j in _EXPONENTS)
-_SHIFT_X = np.array([_INDEX[(i + 1, j)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
-_SHIFT_Y = np.array([_INDEX[(i, j + 1)] for i, j in _EXPONENTS[:_UP_TO_SECOND]])
+_KEPT = [(i, d - i) for d in range(_ORDER + 1) for i in range(d, -1, -1)]
+_MASK = (np.add.outer(range(_ORDER + 1), range(_ORDER + 1)) <= _ORDER)[:, :, None, None]
+_FACTORIALS = np.array([[math.factorial(i) * math.factorial(j) for j in range(_ORDER + 1)]
+                        for i in range(_ORDER + 1)], dtype=float)[:, :, None, None]
 
 # The gates of the study.  Errors fall like N^-4.5 (see ManufacturedSolution),
 # about 23 times per doubling of N, and RK4 is fourth order in dt.
@@ -80,8 +65,8 @@ def gauss_rule(length: float, npoints: int) -> tuple[np.ndarray, np.ndarray]:
 class Jet:
     """Order-3 truncated Taylor expansion in (x, y) at every point of a grid.
 
-    coeffs is (10, nx, ny), or (10, nx, 1) and (10, 1, ny) for jets that
-    depend on one variable only; products broadcast to the full grid.
+    coeffs is (4, 4, nx, ny), or (4, 4, nx, 1) and (4, 4, 1, ny) for jets
+    that depend on one variable only; products broadcast to the full grid.
     """
 
     __slots__ = ("coeffs",)
@@ -96,16 +81,19 @@ class Jet:
         s = np.sin(k * points)
         c = np.cos(k * points)
         shape = (points.size, 1) if axis == 0 else (1, points.size)
-        coeffs = np.zeros((len(_EXPONENTS), *shape))
+        coeffs = np.zeros((_ORDER + 1, _ORDER + 1, *shape))
         for n, v in enumerate((s, k * c, -k**2 * s / 2, -k**3 * c / 6)):
-            coeffs[_INDEX[(n, 0) if axis == 0 else (0, n)]] = v.reshape(shape)
+            coeffs[(n, 0) if axis == 0 else (0, n)] = v.reshape(shape)
         return cls(coeffs)
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(other * self.coeffs)
-        terms = self.coeffs[_LEFT] * other.coeffs[_RIGHT]
-        return Jet(np.add.reduceat(terms, _STARTS, axis=0))
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        for i, j in _KEPT:
+            out[i:, j:] += a[i, j] * b[:_ORDER + 1 - i, :_ORDER + 1 - j]
+        return Jet(out * _MASK)
 
     __rmul__ = __mul__
 
@@ -120,15 +108,15 @@ class Jet:
     def exp(self) -> "Jet":
         """exp(f) = e^f00 (1 + h + h^2/2 + h^3/6) with h = f - f00, since h^4 = 0."""
         h = Jet(self.coeffs.copy())
-        h.coeffs[0] = 0.0
+        h.coeffs[0, 0] = 0.0
         h2 = h * h
         series = h.coeffs + h2.coeffs / 2 + (h2 * h).coeffs / 6
-        series[0] = 1.0
-        return Jet(np.exp(self.coeffs[0]) * series)
+        series[0, 0] = 1.0
+        return Jet(np.exp(self.coeffs[0, 0]) * series)
 
     def partials(self) -> np.ndarray:
-        """D1^i D2^j f for every (i, j) of the coefficient order."""
-        return self.coeffs * _FACTORIALS[:, None, None]
+        """The (4, 4, ...) grid of D1^i D2^j f."""
+        return self.coeffs * _FACTORIALS
 
 
 @dataclass(frozen=True)
@@ -198,14 +186,14 @@ class ManufacturedSolution:
         p = int(self.envelope_power)
         psi = (self.amp_psi * sx**p * sy**p * (self.sigma * sx * sy).exp()).partials()
         u3b = self.amp_w * sx ** (p - 1) * sy ** (p - 1) * (0.5 * self.sigma * sy).exp()
-        w = u3b.partials()[:_UP_TO_SECOND]
-        psi_x, psi_y = psi[_SHIFT_X], psi[_SHIFT_Y]
+        w = u3b.partials()[:3, :3]
+        psi_x, psi_y = psi[1:, :3], psi[:3, 1:]
         c1, c2 = self.c1, self.c2
-        # partials of U up to order 2: 1, D1, D2, D1^2, D1 D2, D2^2
+        # u[k, i, j] = D1^i D2^j U_k for i + j <= 2
         u = np.stack([psi_y - c1 * w, -psi_x - c2 * w, w])
-        a1 = (1.0 + c1 * c1) * u[:, 3] + 2.0 * c1 * c2 * u[:, 4] + (1.0 + c2 * c2) * u[:, 5]
+        a1 = (1.0 + c1 * c1) * u[:, 2, 0] + 2.0 * c1 * c2 * u[:, 1, 1] + (1.0 + c2 * c2) * u[:, 0, 2]
         # the advecting velocity W = (U1 + c1 U3, U2 + c2 U3) is (D2 psi, -D1 psi)
-        return u[:, 0], -self.nu * a1, psi_y[0] * u[:, 1] - psi_x[0] * u[:, 2]
+        return u[:, 0, 0], -self.nu * a1, psi_y[0, 0] * u[:, 1, 0] - psi_x[0, 0] * u[:, 0, 1]
 
     def forcing_values(self, t: float, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
         dg, g = self._amplitude(t)

@@ -148,6 +148,21 @@ MUTANTS = (
          "tests/test_cli.py::test_mms_temporal_gate_fails_on_second_order_integrator"),
     ),
     Mutant(
+        "jet sine seeds D1^2 without its 1/2!",
+        "mms.py",
+        "for n, v in enumerate((s, k * c, -k**2 * s / 2, -k**3 * c / 6)):",
+        "for n, v in enumerate((s, k * c, -k**2 * s, -k**3 * c / 6)):",
+        ("tests/test_mms.py::test_jet_sine_product_partials_match_closed_form",
+         "tests/test_mms.py::test_jet_exp_partials_match_faa_di_bruno"),
+    ),
+    Mutant(
+        "jet product keeps the cells past order 3",
+        "mms.py",
+        "return Jet(out * _MASK)",
+        "return Jet(out)",
+        ("tests/test_mms.py::test_jet_cells_past_order_3_are_zero",),
+    ),
+    Mutant(
         "quadform criterion with 10 % slack",
         "quadform.py",
         "sat = tuple(bool(lhs >= r) for r in rhs)",
@@ -214,6 +229,15 @@ MUTANTS = (
         "positive=run >= INTERVAL_TOL_SLABS,",
         "positive=run > INTERVAL_TOL_SLABS,",
         ("tests/test_stratify.py::test_axis_thresholds_hold_exactly_at_the_boundary",),
+    ),
+    Mutant(
+        "NSF1 extents need not be finite",
+        "fieldio.py",
+        "if not all(math.isfinite(e) and e > 0.0 for e in extents):",
+        "if not all(e > 0.0 for e in extents):",
+        ("tests/test_fieldio.py::test_malformed_header",
+         "tests/test_fieldio_properties.py::test_non_positive_or_non_finite_header_extent_is_refused",
+         "tests/test_cli.py::test_exit_2_creates_no_output_directory[quadform-io.v={tmp}/inf_extent.nsf1]"),
     ),
     Mutant(
         "every run exits 0 whatever its checks",

@@ -104,6 +104,7 @@ def test_project_rejects_non_rectangular_section(tmp_path, capsys, normal, offse
     ("quadform", "io.w={tmp}/w_coarse.nsf1"),
     # strain_field's second-order stencils need 3 samples per axis
     ("quadform", "io.v={tmp}/thin.nsf1"),
+    ("quadform", "io.v={tmp}/inf_extent.nsf1"),
     ("project", "io.u0={tmp}/missing.nsf1"),
     ("project", "io.u0={tmp}/one_component.nsf1"),
     # binary is the one NSF1 payload mode
@@ -137,6 +138,8 @@ def test_exit_2_creates_no_output_directory(tmp_path, monkeypatch, capsys, comma
     ]:
         write_field(Field(dims, extents, ncomp, np.ones((ncomp, *dims))), tmp_path / name)
     (tmp_path / "text.nsf1").write_bytes(b"NSF1 3 2 2 2 3 1 1 1\ntext\n" + b"0 " * 24)
+    (tmp_path / "inf_extent.nsf1").write_bytes(b"NSF1 3 9 9 9 3 inf 1 1\nbinary\n"
+                                               + bytes(8 * 3 * 9**3))
     setting = setting.format(tmp=tmp_path)
     out = tmp_path / "out"
     rc = main([command, "--out", str(out), *_runnable_args(command, tmp_path),

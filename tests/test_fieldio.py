@@ -107,6 +107,11 @@ def test_malformed_header(tmp_path):
         path.write_bytes(content)
         with pytest.raises(FieldFormatError, match="malformed header"):
             read_field(path)
+    # so is a box that is not finite; 1e400 parses as inf
+    for extent in (b"nan", b"inf", b"1e400"):
+        path.write_bytes(b"NSF1 2 4 4 1 1.0 " + extent + b"\nbinary\n" + DOUBLES[:128])
+        with pytest.raises(FieldFormatError, match="extents must be positive and finite"):
+            read_field(path)
 
 
 def test_field_invariants():

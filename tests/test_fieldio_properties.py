@@ -1,4 +1,5 @@
-"""Property tests of the binary NSF1 reader: the round trip and the payload-size refusals.
+"""Property tests of the binary NSF1 reader: the round trip and the header-extent and
+payload-size refusals.
 
 The examples are derandomized and bounded, so a rerun draws the same fields and
 the module stays short.  Without hypothesis, which comes with the test extra,
@@ -54,4 +55,19 @@ def test_payload_off_by_1_to_8_bytes_is_refused(tmp_path_factory, fld, cut, extr
         read_field(path)
     path.write_bytes(whole + extra)
     with pytest.raises(FieldFormatError, match="oversized payload"):
+        read_field(path)
+
+
+@PROPERTY
+@given(fld=fields(), data=st.data(),
+       bad=st.floats(max_value=0.0) | st.sampled_from((np.nan, np.inf)))
+def test_non_positive_or_non_finite_header_extent_is_refused(tmp_path_factory, fld, data, bad):
+    path = tmp_path_factory.mktemp("nsf1") / "f.nsf1"
+    write_field(fld, path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    words = header.split()
+    axis = data.draw(st.integers(0, fld.ndim_grid - 1))
+    words[3 + fld.ndim_grid + axis] = repr(bad).encode()
+    path.write_bytes(b" ".join(words) + b"\n" + rest)
+    with pytest.raises(FieldFormatError, match="extents must be positive and finite"):
         read_field(path)

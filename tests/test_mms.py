@@ -23,6 +23,47 @@ def oblique_sym(oblique_ms):
     return SymbolicMMS(oblique_ms)
 
 
+def _sine_derivatives(points, length):
+    """sin(k s) and its first three derivatives in s, k = pi / length."""
+    k = np.pi / length
+    s, c = np.sin(k * points), np.cos(k * points)
+    return [s, k * c, -k**2 * s, -k**3 * c]
+
+
+# numpy-only checks of the jet arithmetic against closed forms
+JET_X = np.linspace(0.03, 1.17, 9)
+JET_Y = np.linspace(0.05, 0.83, 7)
+
+
+def test_jet_sine_product_partials_match_closed_form():
+    got = (Jet.sine(JET_X, 1.2, 0) * Jet.sine(JET_Y, 0.9, 1)).partials()
+    assert got.shape == (4, 4, JET_X.size, JET_Y.size)
+    dx, dy = _sine_derivatives(JET_X, 1.2), _sine_derivatives(JET_Y, 0.9)
+    for i in range(4):
+        for j in range(4 - i):
+            want = np.outer(dx[i], dy[j])
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_jet_exp_partials_match_faa_di_bruno():
+    got = Jet.sine(JET_X, 1.2, 0).exp().partials()
+    s, s1, s2, s3 = _sine_derivatives(JET_X, 1.2)
+    e = np.exp(s)
+    wants = [e, e * s1, e * (s2 + s1**2), e * (s3 + 3 * s1 * s2 + s1**3)]
+    for i, want in enumerate(wants):
+        assert np.max(np.abs(got[i, 0, :, 0] - want)) <= 1e-13 * np.max(np.abs(want))
+    # a jet in x alone has no y derivative
+    assert np.all(got[:, 1:] == 0.0)
+
+
+def test_jet_cells_past_order_3_are_zero():
+    sx, sy = Jet.sine(JET_X, 1.2, 0), Jet.sine(JET_Y, 0.9, 1)
+    for jet in (sx * sy, (sx * sy) ** 3, sx**4 * (2.0 * sy).exp()):
+        for i in range(4):
+            for j in range(4 - i, 4):
+                assert np.all(jet.coeffs[i, j] == 0.0)
+
+
 def test_constraint_compatible_symbolically(oblique_sym):
     sp = pytest.importorskip("sympy")
     t, x, y = oblique_sym.symbols
