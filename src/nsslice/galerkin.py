@@ -31,6 +31,11 @@ diagonalization), so (C C^T)^+ is two coefficient grids and no Gram is ever
 formed or factorized.  The Schur bases are folded into C and C^T, so a
 projection is a few grid products per state.
 
+On large bases TrilinearTensor.apply_pair evaluates each advection term in
+its derivative direction at trapezoid nodes, which integrate its skewed
+cosine sums exactly (Orszag's 3/2 rule, nsslice.advection_nodes); smaller
+bases keep the modal contraction, which is faster there (NODE_FORM_MIN_MODES).
+
 A state is a plain float array of length 3M, component-major:
 coeffs[c * M + p] is the coefficient of basis mode p (row-major, see
 SpectralBasis) in velocity component c, so coeffs.reshape(3, N1, N2)[c, m - 1,
@@ -63,6 +68,15 @@ logger = logging.getLogger(__name__)
 RK4_REAL_LIMIT = 2.785
 
 _BLOWUP_LIMIT = 1e12
+
+#: Smallest min(N1, N2) at which TrilinearTensor.apply_pair runs the node form
+#: of nsslice.advection_nodes instead of the modal contraction.  Measured on one
+#: OpenBLAS thread (2-vCPU x86-64 host, square oblique bases, best of 25
+#: interleaved rounds, two sweeps), modal over node time was 0.84-0.87 at
+#: N = 12, 0.96-1.06 at 16, 1.37-1.40 at 17, 1.55-1.62 at 20 and 1.97-2.13 at
+#: 24 for one state (1.05-1.09, 1.17-1.20, 1.62-1.66, 1.75-1.88 and 2.34-2.44
+#: for two): the node form wins at every N >= 17.
+NODE_FORM_MIN_MODES = 17
 
 
 class GalerkinError(RuntimeError):
@@ -164,6 +178,15 @@ class TrilinearTensor:
     which makes every triple contraction H[u, u, u] vanish identically.
     The factors are exact closed forms, so every entry that vanishes by
     parity is stored as an exact zero.
+
+    apply_pair has two forms with the same values to round-off.  The modal
+    form contracts the four factors, about 14 N^4 multiply-adds per state.
+    The node form (nsslice.advection_nodes) keeps X2 and Y1 and evaluates
+    each term in its derivative direction at the ceil(3N/2) - 1 interior
+    nodes of a trapezoid rule, which integrates the cosine sums of X1 and Y2
+    exactly: about 1.7M multiply-adds at N = 24 against 4.6M.  The modal form
+    is faster on small bases, so apply_pair selects by the mode counts alone
+    (NODE_FORM_MIN_MODES).
     """
 
     x: np.ndarray           # (2, N1, N1, N1): X1 (skewed sin*cos'*sin), X2 (sin*sin*sin)
@@ -187,11 +210,19 @@ class TrilinearTensor:
         n1, n2 = self.x.shape[-1], self.y.shape[-1]
         return self.y.reshape(2, n2, n2 * n2), self.x.reshape(2 * n1 * n1, n1).T
 
+    @cached_property
+    def _node_form(self):
+        """The NodeAdvection of this tensor, built on first use above NODE_FORM_MIN_MODES."""
+        from .advection_nodes import NodeAdvection
+        return NodeAdvection(self.x2, self.y1, self.chart_rows)
+
     def apply_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Weak advection vector <B~(u, v), w_(d,r)>, shaped (..., 3M).
 
-        u and v are one (3M,) state each or matching (..., 3M) stacks.  The
-        two terms t (advecting grids A_1 = u1 + c1 u3 and
+        u and v are one (3M,) state each or matching (..., 3M) stacks.  Bases
+        with min(N1, N2) >= NODE_FORM_MIN_MODES run the node form of
+        nsslice.advection_nodes; smaller ones run the modal contraction
+        below.  Its two terms t (advecting grids A_1 = u1 + c1 u3 and
         A_2 = u2 + c2 u3) are stacked, and the advecting grid is contracted
         with the y factor once and shared by the three transported
         components.  Each contraction is one stacked matmul over (state,
@@ -201,6 +232,8 @@ class TrilinearTensor:
             R[m, n] = sum_{t,a,b,c,d} A_t[a, b] V[c, d] X_t[a, c, m] Y_t[b, d, n].
         """
         n1, n2 = self.x.shape[-1], self.y.shape[-1]
+        if min(n1, n2) >= NODE_FORM_MIN_MODES:
+            return self._node_form.apply_pair(u, v)
         lead = u.shape[:-1]
         y_rows, x_cols = self._factors
         adv = (self.chart_rows @ u.reshape(lead + (3, n1 * n2))).reshape(lead + (2, n1, n2))

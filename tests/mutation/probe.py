@@ -255,6 +255,32 @@ MUTANTS = (
         ("tests/test_galerkin.py::test_factored_projection_matches_svd_oracle",),
     ),
     Mutant(
+        "advection node count is one short",
+        "advection_nodes.py",
+        "return (3 * n + 1) // 2",
+        "return (3 * n + 1) // 2 - 1",
+        ("tests/test_galerkin.py::test_node_form_matches_modal_form",
+         "tests/test_galerkin.py::test_trilinear_node_form_against_pseudospectral_oracle"),
+    ),
+    Mutant(
+        "advection node back map drops its transposed half",
+        "advection_nodes.py",
+        "back = (0.5 * np.pi / intervals) * np.stack([-deriv, value], axis=1).reshape(-1, n)",
+        "back = (0.5 * np.pi / intervals) * np.stack([0.0 * deriv, value], axis=1).reshape(-1, n)",
+        ("tests/test_galerkin.py::test_node_form_matches_modal_form",
+         "tests/test_galerkin.py::test_trilinear_skew_annihilation_node_form",
+         "tests/test_acceptance.py::test_criterion_01_trilinear_skew_symmetry"),
+    ),
+    Mutant(
+        "advection node forward map swaps value and derivative rows",
+        "advection_nodes.py",
+        "forward = np.stack([value, deriv], axis=1).reshape(-1, n)",
+        "forward = np.stack([deriv, value], axis=1).reshape(-1, n)",
+        ("tests/test_galerkin.py::test_node_form_matches_modal_form",
+         "tests/test_galerkin.py::test_trilinear_skew_annihilation_node_form",
+         "tests/test_acceptance.py::test_criterion_01_trilinear_skew_symmetry"),
+    ),
+    Mutant(
         "_BLOWUP_LIMIT 1e12 -> 1e300",
         "galerkin.py",
         "_BLOWUP_LIMIT = 1e12",

@@ -84,16 +84,18 @@ def test_criterion_01_trilinear_skew_symmetry(tensors_axis, tensors_oblique):
     start = time.time()
     worst = 0.0
     rng = np.random.default_rng(101)
-    for tensors in (tensors_axis, tensors_oblique):
+    # the 24 x 24 basis runs apply_pair's node form, the 8 x 8 ones its modal form
+    large = assemble(SpectralBasis(nmodes=(24, 24), extents=(1.0, 1.0)), DIAG_CHART)
+    for tensors in (tensors_axis, tensors_oblique, large):
         m = tensors.nmodes_total
         for _ in range(100):
-            u = tensors.projector @ rng.standard_normal(3 * m)
+            u = project_divfree(rng.standard_normal(3 * m), tensors)
             val = abs(contract_triple(tensors.trilinear, u, u, u))
             worst = max(worst, val / tensors.norm_h(u) ** 3)
     elapsed = time.time() - start
     report(
         1,
-        "trilinear skew-symmetry, 100 states x 2 charts at N=(8,8)",
+        "trilinear skew-symmetry, 100 states x 2 charts at N=(8,8) and x 1 at N=(24,24)",
         worst <= 1e-10 and elapsed < 10.0,
         f"worst |b(u,u,u)|/||u||^3 = {worst:.2e}, {elapsed:.1f} s",
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import contract_triple, cross_matrix, dense_trilinear, stiffness, without_nonlinearity
 
+from nsslice import advection_nodes, galerkin
 from nsslice.fieldio import (
     Field,
     FieldFormatError,
@@ -11,6 +12,7 @@ from nsslice.fieldio import (
     write_field,
 )
 from nsslice.galerkin import (
+    NODE_FORM_MIN_MODES,
     RK4_REAL_LIMIT,
     BlowUpError,
     GalerkinError,
@@ -302,11 +304,22 @@ def test_trilinear_dense_against_quadrature_oracle():
 
 
 def test_trilinear_apply_against_pseudospectral_oracle():
+    _check_against_pseudospectral_oracle((6, 5), 80)
+
+
+def test_trilinear_node_form_against_pseudospectral_oracle():
+    # the same oracle on a basis above NODE_FORM_MIN_MODES, with a Gauss grid
+    # fine enough for its highest products
+    tri = _check_against_pseudospectral_oracle((18, 17), 160)
+    assert "_node_form" in vars(tri)
+
+
+def _check_against_pseudospectral_oracle(nmodes, points):
     # independent route: synthesize fields and analytic derivatives on a fine
     # Gauss grid, form the advective products pointwise, integrate against
     # each test mode, and skew-symmetrize; must match the factorized tensor
     # contraction to round-off
-    basis = SpectralBasis(nmodes=(6, 5), extents=(1.4, 0.9))
+    basis = SpectralBasis(nmodes=nmodes, extents=(1.4, 0.9))
     chart = make_chart(Hyperplane.from_vector((0.7, -0.4, 1.0), 0.2))
     tens = assemble(basis, chart)
     c1, c2 = tens.chart_coeffs
@@ -316,8 +329,8 @@ def test_trilinear_apply_against_pseudospectral_oracle():
     u = rng.standard_normal((3, m))
     v = rng.standard_normal((3, m))
 
-    xg, wx = gauss_rule(l1, 80)
-    yg, wy = gauss_rule(l2, 80)
+    xg, wx = gauss_rule(l1, points)
+    yg, wy = gauss_rule(l2, points)
     modes = basis.modes
     sx = np.sin(np.pi / l1 * np.outer(modes[:, 0], xg))   # (M, qx)
     cx = np.cos(np.pi / l1 * np.outer(modes[:, 0], xg))
@@ -353,6 +366,7 @@ def test_trilinear_apply_against_pseudospectral_oracle():
     got = tens.trilinear.apply_pair(u.ravel(), v.ravel()).reshape(3, m)
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(got - expect)) < 1e-12 * max(scale, 1.0)
+    return tens.trilinear
 
 
 def test_energy_matches_grid_quadrature(oblique_tensors):
@@ -373,7 +387,18 @@ def test_energy_matches_grid_quadrature(oblique_tensors):
 
 @pytest.mark.parametrize("which", ["axis", "oblique"])
 def test_trilinear_skew_annihilation(square_tensors, oblique_tensors, which):
-    tens = square_tensors if which == "axis" else oblique_tensors
+    _check_skew_annihilation(square_tensors if which == "axis" else oblique_tensors)
+
+
+@pytest.mark.parametrize("chart", [AXIS_ALIGNED_CHART, make_chart(DIAG_PLANE)],
+                         ids=["axis", "oblique"])
+def test_trilinear_skew_annihilation_node_form(chart):
+    tens = assemble(SpectralBasis(nmodes=(18, 17), extents=(1.0, 1.0)), chart)
+    _check_skew_annihilation(tens)
+    assert "_node_form" in vars(tens.trilinear)
+
+
+def _check_skew_annihilation(tens):
     m = tens.nmodes_total
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -942,8 +967,19 @@ def odd_even_oblique():
 
 @pytest.mark.blas_sensitive
 def test_apply_pair_stack_matches_per_state(odd_even_oblique):
-    tr = odd_even_oblique.trilinear
-    m = odd_even_oblique.nmodes_total
+    _check_stack_matches_per_state(odd_even_oblique)
+
+
+@pytest.mark.blas_sensitive
+def test_node_form_stack_matches_per_state():
+    tensors = assemble(SpectralBasis(nmodes=(24, 21), extents=(1.2, 0.9)), OBLIQUE)
+    _check_stack_matches_per_state(tensors)
+    assert "_node_form" in vars(tensors.trilinear)
+
+
+def _check_stack_matches_per_state(tensors):
+    tr = tensors.trilinear
+    m = tensors.nmodes_total
     rng = np.random.default_rng(21)
     u = rng.standard_normal((3, 3 * m))
     v = rng.standard_normal((3, 3 * m))
@@ -953,6 +989,61 @@ def test_apply_pair_stack_matches_per_state(odd_even_oblique):
         single = tr.apply_pair(u[i], v[i])
         assert single.shape == (3 * m,)
         assert np.array_equal(got[i], single)
+
+
+NODE_SHAPES = [((1, 1), (1.0, 1.0)), ((4, 4), (1.0, 1.0)), ((12, 12), (1.0, 1.0)),
+               ((24, 24), (1.0, 1.0)), ((32, 32), (1.0, 1.0)), ((7, 8), (1.2, 0.9)),
+               ((5, 4), (1.2, 0.9)), ((24, 21), (1.2, 0.9))]
+NODE_CHARTS = {"axis": AXIS_ALIGNED_CHART, "oblique": OBLIQUE}
+
+
+def _node_and_modal(monkeypatch, nmodes, extents, chart):
+    """(node form, modal form, u, v) of apply_pair on two random (2, 3M) stacks."""
+    tri = assemble(SpectralBasis(nmodes=nmodes, extents=extents), chart).trilinear
+    u, v = np.random.default_rng(23).standard_normal((2, 2, 3 * nmodes[0] * nmodes[1]))
+    node = advection_nodes.NodeAdvection(tri.x[1], tri.y[0], tri.chart_rows)
+    with monkeypatch.context() as m:
+        m.setattr(galerkin, "NODE_FORM_MIN_MODES", max(nmodes) + 1)
+        modal = tri.apply_pair(u, v)
+    return node.apply_pair(u, v), modal, u, v
+
+
+@pytest.mark.parametrize("chart", sorted(NODE_CHARTS))
+@pytest.mark.parametrize("nmodes, extents", NODE_SHAPES, ids=lambda v: "x".join(map(str, v)))
+def test_node_form_matches_modal_form(monkeypatch, nmodes, extents, chart):
+    # the trapezoid nodes integrate the skewed derivative factors exactly, so the
+    # node form is the modal contraction to round-off on every shape, odd or even
+    node, modal, u, v = _node_and_modal(monkeypatch, nmodes, extents, NODE_CHARTS[chart])
+    # a 1 x 1 basis has no skewed pair, so its advection is zero
+    scale = max(np.max(np.abs(modal)), np.max(np.abs(u)) * np.max(np.abs(v)))
+    assert np.max(np.abs(node - modal)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nmodes, extents", [s for s in NODE_SHAPES if s[0] != (1, 1)],
+                         ids=lambda v: "x".join(map(str, v)))
+def test_node_count_is_the_fewest_exact(monkeypatch, nmodes, extents):
+    # one interval fewer aliases a skewed product onto the constant: far off.
+    # With test_node_form_matches_modal_form this pins node_count to the fewest
+    # exact intervals
+    fewest = advection_nodes.node_count
+    monkeypatch.setattr(advection_nodes, "node_count", lambda n: fewest(n) - 1)
+    node, modal, _, _ = _node_and_modal(monkeypatch, nmodes, extents, OBLIQUE)
+    assert np.max(np.abs(node - modal)) > 1e-4 * np.max(np.abs(modal))
+
+
+@pytest.mark.parametrize("nmodes, node_form", [
+    ((NODE_FORM_MIN_MODES - 1, NODE_FORM_MIN_MODES - 1), False),
+    ((NODE_FORM_MIN_MODES, NODE_FORM_MIN_MODES), True),
+    ((24, NODE_FORM_MIN_MODES - 1), False),
+    ((NODE_FORM_MIN_MODES, 24), True),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_apply_pair_selects_by_mode_counts(nmodes, node_form):
+    tri = assemble(SpectralBasis(nmodes=nmodes, extents=(1.2, 0.9)), OBLIQUE).trilinear
+    u = np.random.default_rng(24).standard_normal(3 * nmodes[0] * nmodes[1])
+    got = tri.apply_pair(u, u)
+    assert ("_node_form" in vars(tri)) == node_form
+    if node_form:
+        assert np.array_equal(got, tri._node_form.apply_pair(u, u))
 
 
 @pytest.mark.parametrize("forced", [False, True])

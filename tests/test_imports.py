@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_cli import _runnable_args
+from test_cli import _runnable_args, write_u0_slice
 
 from nsslice.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
 
@@ -44,6 +44,16 @@ def _fresh(code: str):
     return json.loads(proc.stdout)
 
 
+def _run_main(args):
+    """cli.main(args) in a fresh interpreter: {"rc": exit code, "loaded": nsslice modules}."""
+    return _fresh(
+        "import json, sys\n"
+        "from nsslice import cli\n"
+        f"rc = cli.main({args!r})\n"
+        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
+    )
+
+
 def test_cli_import_loads_only_its_four_modules():
     loaded = _fresh(f"import json, sys\nimport nsslice.cli\nprint(json.dumps({LOADED}))\n")
     assert set(loaded) == CLI_MODULES
@@ -52,26 +62,31 @@ def test_cli_import_loads_only_its_four_modules():
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_loads_only_its_modules(tmp_path, command):
     args = [command, "--out", str(tmp_path / "out"), *_runnable_args(command, tmp_path)]
-    result = _fresh(
-        "import json, sys\n"
-        "from nsslice import cli\n"
-        f"rc = cli.main({args!r})\n"
-        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
-    )
+    result = _run_main(args)
     assert result["rc"] in (EXIT_OK, EXIT_CHECK_FAILED)
     assert set(result["loaded"]) == CLI_MODULES | COMMAND_MODULES[command]
+
+
+def test_large_solve_loads_the_node_form(tmp_path):
+    # apply_pair imports the node form on first use at min(n1, n2) >=
+    # NODE_FORM_MIN_MODES; the small solve and mms rows above load the same
+    # modules without it
+    write_u0_slice(tmp_path / "u0s.nsf1", dims=(33, 33))
+    args = ["solve", "--out", str(tmp_path / "out"),
+            "--set", f"io.u0_slice={tmp_path / 'u0s.nsf1'}",
+            "--set", "basis.n1=24", "--set", "basis.n2=24", "--set", "solver.nu=0.1",
+            "--set", "solver.dt=0.001", "--set", "solver.T=0.002"]
+    result = _run_main(args)
+    assert result["rc"] in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert set(result["loaded"]) == (CLI_MODULES | COMMAND_MODULES["solve"]
+                                     | {"nsslice.advection_nodes"})
 
 
 @pytest.mark.parametrize("setting", ["solver.bogus=1", "mms.min_order=3.5"])
 def test_config_key_error_loads_only_startup_modules(tmp_path, setting):
     # an unknown or a removed key exits 2 before any solver module is imported
     args = ["solve", "--out", str(tmp_path / "out"), "--set", setting]
-    result = _fresh(
-        "import json, sys\n"
-        "from nsslice import cli\n"
-        f"rc = cli.main({args!r})\n"
-        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
-    )
+    result = _run_main(args)
     assert result["rc"] == EXIT_ERROR
     assert set(result["loaded"]) == CLI_MODULES
 
