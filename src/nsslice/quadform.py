@@ -13,6 +13,7 @@ and the inertia are kept: the change of variables itself is not formed.
 Points whose leading minors fall under the pivot tolerance fall back to a
 symmetric eigensolve for the inertia.  The viscosity criterion compares
 nu * lambda1^(1/4) against c^2 * sum_i ||D_i v_j||_2 per component and time.
+Box integrals apply the 1-D trapezoid rules one axis at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldio import Field, TimeSeriesField
+from .fieldio import EXTENTS_REL_TOL, Field, TimeSeriesField
 
 DEFAULT_PIVOT_REL_TOL = 1e-8
 
@@ -54,15 +55,11 @@ class StrainMatrixField:
     def gradient_norms(self) -> np.ndarray:
         """norms[i, j] = ||D_i v_j||_2 over the box (trapezoid quadrature).
 
-        Taken from the stored gradient, so no second differentiation pass.
+        Taken from the stored gradient, so no second differentiation pass;
+        _box_integral takes one g * g at a time.
         """
-        weights = _trapezoid_weights(self.dims, self.extents)
-        out = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                g = self.grad[i, j]
-                out[i, j] = np.sqrt(float(np.sum(weights * g * g)))
-        return out
+        return np.array([[np.sqrt(_box_integral(g * g, self.extents)) for g in row]
+                         for row in self.grad])
 
 
 def strain_field(v: Field) -> StrainMatrixField:
@@ -191,17 +188,16 @@ def box_lambda1(extents) -> float:
     return float(np.pi**2 * sum(1.0 / e**2 for e in ext))
 
 
-def _trapezoid_weights(dims, extents) -> np.ndarray:
-    ws = []
-    for n, e in zip(dims, extents):
+def _box_integral(values: np.ndarray, extents) -> float:
+    """Trapezoid integral over the box: each axis's 1-D weights contract the
+    last remaining axis in turn, so no grid-sized weight array is formed."""
+    out = values
+    for n, e in zip(reversed(values.shape), reversed(extents)):
         h = e / (n - 1)
         w = np.full(n, h)
         w[0] = w[-1] = 0.5 * h
-        ws.append(w)
-    out = ws[0]
-    for w in ws[1:]:
-        out = np.multiply.outer(out, w)
-    return out
+        out = out @ w
+    return float(out)
 
 
 def gradient_norms(v: Field) -> np.ndarray:
@@ -284,20 +280,20 @@ def uniqueness_criterion(v_series: TimeSeriesField, nu: float) -> CriterionRepor
 
 
 def signed_integral(strain: StrainMatrixField, w: Field) -> float:
-    """int_Omega B(w, w) dx by the midpoint rule over grid cells.
+    """int_Omega B(w, w) dx by the box's trapezoid rule (_box_integral).
 
-    Cell-center values are the average of the 2^3 corner samples, which makes
-    the composite rule identical to tensor-product trapezoid weights on the
-    vertex grid.  The integral is signed: a strain that is positive
-    semidefinite everywhere gives a nonnegative result, and indefinite strain
-    can give either sign.  The antisymmetric part of the gradient drops out
-    of w^T grad w, so B(w, w) is contracted from grad and no symmetric part
-    is formed.
+    The integral is signed: a strain that is positive semidefinite everywhere
+    gives a nonnegative result, and indefinite strain can give either sign.
+    The antisymmetric part of the gradient drops out of w^T grad w, so
+    B(w, w) is contracted from grad and no symmetric part is formed.  w must
+    lie on the grid and box (extents within EXTENTS_REL_TOL) of the strain,
+    whose derivatives were taken at that spacing.
     """
     if w.ncomp != 3 or w.ndim_grid != 3:
         raise ValueError("signed_integral needs a 3-component 3D field")
     if w.dims != strain.dims:
         raise ValueError(f"shape mismatch: strain {strain.dims} vs w {w.dims}")
+    if any(abs(e - r) > EXTENTS_REL_TOL * r for e, r in zip(w.extents, strain.extents)):
+        raise ValueError(f"box mismatch: strain {strain.extents} vs w {w.extents}")
     bvals = np.einsum("jk...,j...,k...->...", strain.grad, w.data, w.data)
-    weights = _trapezoid_weights(w.dims, w.extents)
-    return float(np.sum(weights * bvals))
+    return _box_integral(bvals, w.extents)

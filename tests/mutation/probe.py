@@ -179,6 +179,13 @@ MUTANTS = (
         ("tests/test_quadform.py::test_criterion_boundary_case_closed_inequality",),
     ),
     Mutant(
+        "box integral weighs its end samples fully",
+        "quadform.py",
+        "w[0] = w[-1] = 0.5 * h",
+        "w[0] = w[-1] = h",
+        ("tests/test_quadform.py::test_box_integral_exact_on_multilinear_integrand",),
+    ),
+    Mutant(
         "stratify AREA_TOL_FACES 4 -> 1",
         "stratify.py",
         "AREA_TOL_FACES = 4.0",

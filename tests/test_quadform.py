@@ -268,22 +268,41 @@ def test_inertia_histogram_matches_unique_rows():
     assert all(type(v) is int for v in got.values())
 
 
+@pytest.mark.blas_sensitive
+def test_box_integral_exact_on_multilinear_integrand():
+    # the trapezoid rule is exact on an integrand linear in each coordinate,
+    # so any other end weight fails here
+    dims, extents = (3, 5, 4), (1.2, 0.9, 0.7)
+    fld = Field.from_function(dims, extents, 1,
+                              lambda x, y, z: ((1 + x) * (2 - y) * (0.5 + z))[None])
+    a, b, c = extents
+    exact = (a + a * a / 2) * (2 * b - b * b / 2) * (0.5 * c + c * c / 2)
+    assert quadform._box_integral(fld.data[0], extents) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.blas_sensitive
+def test_box_integral_matches_scipy_trapezoid_per_axis():
+    integrate = pytest.importorskip("scipy.integrate")
+    dims, extents = (33, 41, 29), (1.2, 0.9, 0.7)
+    fld = Field.from_function(dims, extents, 1,
+                              lambda x, y, z: (np.exp(x - y) * np.cos(3 * z + x * y))[None])
+    want = fld.data[0]
+    for axis in reversed(range(3)):
+        want = integrate.trapezoid(want, dx=fld.spacing(axis), axis=axis)
+    assert quadform._box_integral(fld.data[0], extents) == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.blas_sensitive
 def test_strain_gradient_norms_match_direct_differences():
     # the criterion norms reuse the strain's gradient; they must equal a fresh
-    # np.gradient pass with trapezoid weights bit for bit
+    # np.gradient pass, integrated by the same per-axis rule, bit for bit
     fld = field_from(lambda x, y, z: np.stack([np.sin(3 * x) * y, x * z**2, np.cos(y + z)]),
                      dims=(9, 11, 13), extents=(1.0, 2.0, 0.5))
-    ws = []
-    for axis in range(3):
-        w = np.full(fld.dims[axis], fld.spacing(axis))
-        w[0] = w[-1] = 0.5 * fld.spacing(axis)
-        ws.append(w)
-    weights = np.multiply.outer(np.multiply.outer(ws[0], ws[1]), ws[2])
     want = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
             g = np.gradient(fld.data[j], fld.spacing(i), axis=i, edge_order=2)
-            want[i, j] = np.sqrt(float(np.sum(weights * g * g)))
+            want[i, j] = np.sqrt(quadform._box_integral(g * g, fld.extents))
     assert np.array_equal(strain_field(fld).gradient_norms(), want)
     assert np.array_equal(gradient_norms(fld), want)
 
@@ -492,6 +511,10 @@ def _report(nu=1.0, extents=(1.0, 1.0, 1.0)):
     pytest.param(lambda: signed_integral(_strain_4cubed(), field_from(
                      lambda x, y, z: np.stack([x, y, z]), dims=(5, 4, 4))),
                  r"shape mismatch: strain \(4, 4, 4\) vs w \(5, 4, 4\)", id="signed-other-grid"),
+    pytest.param(lambda: signed_integral(_strain_4cubed(), field_from(
+                     lambda x, y, z: np.stack([x, y, z]), dims=(4, 4, 4), extents=(2.0, 1.0, 1.0))),
+                 r"box mismatch: strain \(1.0, 1.0, 1.0\) vs w \(2.0, 1.0, 1.0\)",
+                 id="signed-other-box"),
 ])
 def test_quadform_refusals(call, fragment):
     with pytest.raises(ValueError, match=fragment):
